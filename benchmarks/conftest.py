@@ -5,8 +5,7 @@ reproduced rows are printed through :func:`report` so that running
 
 ``pytest benchmarks/ --benchmark-only -s``
 
-shows the regenerated tables next to the timing numbers, and
-``EXPERIMENTS.md`` records the same values.
+shows the regenerated tables next to the timing numbers.
 
 Passing ``--trace-out DIR`` additionally wraps every benchmark test in a
 full-mode :func:`repro.telemetry.session` and writes one Chrome/Perfetto

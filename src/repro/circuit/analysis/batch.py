@@ -286,8 +286,9 @@ def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
             if chord_allowed:
                 # Ride this factorization from the next iteration on.
                 chord = True
-        alive &= ~factorization.failed | converged
         dx = factorization.solve(-ctx.res)
+        # Read after the solve: the dense backend flags singular lanes there.
+        alive &= ~factorization.failed | converged
         if t0 is not None:
             telemetry.registry.observe("batch.solve_s", perf_counter() - t0)
         alive &= np.all(np.isfinite(dx), axis=1) | converged

@@ -1,11 +1,12 @@
 """Batched factorizations: factor and back-substitute B systems at once.
 
 A parameter campaign solves the *same* structure B times with different
-values.  Serially that is B independent ``lu_factor``/``lu_solve`` round
-trips through Python; batched, the dense backend hands LAPACK one
-``(B, n, n)`` stack (``getrf``/``getrs`` loop entirely in compiled code)
-and the sparse backend performs the SuperLU symbolic analysis (column
-ordering) once and reuses it for every numeric factorization.
+values.  Serially that is B independent LU factor/solve round trips through
+Python; batched, the dense backend holds the ``(B, n, n)`` stack and solves
+it with one NumPy ``np.linalg.solve`` gufunc call (LAPACK ``gesv`` looped
+over the lanes in compiled code), and the sparse backend performs the
+SuperLU symbolic analysis (column ordering) once and reuses it for every
+numeric factorization.
 
 Failure stays per-lane: a singular or non-finite lane never raises -- it is
 flagged in :attr:`BatchedFactorization.failed` and its solutions come back
@@ -15,14 +16,13 @@ the serial error path while the rest of the batch continues.
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .. import telemetry
 from ..errors import LinAlgError
 from . import metrics
 
@@ -40,9 +40,13 @@ class BatchedFactorization:
     batch, n:
         Number of lanes and system size.
     failed:
-        Boolean ``(B,)`` mask of lanes whose factorization was singular or
+        Boolean ``(B,)`` mask of lanes whose system is singular or
         non-finite.  Failed lanes produce NaN solution rows instead of
-        raising; the caller decides how to retire them.
+        raising; the caller decides how to retire them.  The mask is final
+        only after the first :meth:`solve` returns: a non-finite lane is
+        flagged when the handle is built, but the dense backend finds an
+        exactly singular lane only while solving, so callers read the mask
+        after each solve.
     """
 
     backend = "abstract"
@@ -68,19 +72,20 @@ class BatchedFactorization:
                 f"({self.batch}, {self.n})")
         return rhs
 
-    def _mask_failed(self, solutions: np.ndarray) -> np.ndarray:
-        if self.failed.any():
-            solutions[self.failed] = np.nan
-        return solutions
-
 
 class BatchedDenseLU(BatchedFactorization):
-    """Stacked LAPACK LU of a ``(B, n, n)`` array.
+    """A held ``(B, n, n)`` matrix stack solved by NumPy's stacked ``gesv``.
 
-    One ``lu_factor`` call factors every lane (SciPy broadcasts ``getrf``
-    over the leading axis); singular lanes are detected from zero or
-    non-finite U pivots afterwards instead of letting LAPACK raise, so one
-    bad lane cannot kill the batch.
+    Every :meth:`solve` hands the healthy lanes to one
+    ``np.linalg.solve`` gufunc call, which runs LAPACK ``getrf``/``getrs``
+    per lane in compiled code.  Re-solving the same held stack is
+    deterministic, so chord and reuse callers get identical bits every time.
+
+    Lanes with non-finite entries are flagged when the handle is built.  An
+    exactly singular lane makes the stacked call raise; the healthy lanes
+    are then solved one gufunc call per lane, and each lane that raises on
+    its own is flagged (and counted in ``linalg.batch.singular_lanes``) and
+    skipped by every later solve.
     """
 
     backend = "dense"
@@ -92,56 +97,41 @@ class BatchedDenseLU(BatchedFactorization):
                 f"batched dense input must have shape (B, n, n), got "
                 f"{matrices.shape}")
         super().__init__(matrices.shape[0], matrices.shape[1])
-        with warnings.catch_warnings():
-            # Exactly singular lanes emit a LinAlgWarning; they are handled
-            # through the per-lane pivot check below.
-            warnings.simplefilter("ignore")
-            try:
-                self._lu, self._piv = la.lu_factor(matrices, check_finite=False)
-            except Exception:
-                # Per-lane fallback: keeps old SciPy (no stacked getrf) and
-                # pathological inputs on the same per-lane-failure contract.
-                self._lu, self._piv = self._factor_lanes(matrices)
-        diag = np.diagonal(self._lu, axis1=1, axis2=2)
-        self.failed = np.any(diag == 0.0, axis=1) \
-            | ~np.all(np.isfinite(diag), axis=1)
+        # Held by reference (no copy), like the serial dense handle: batched
+        # Newton assembles a fresh stack per Jacobian and never mutates it.
+        self._matrices = matrices
+        self.failed = ~np.isfinite(matrices).all(axis=(1, 2))
 
-    @staticmethod
-    def _factor_lanes(matrices: np.ndarray):
-        n = matrices.shape[1]
-        lus, pivs = [], []
-        for lane in matrices:
-            try:
-                lu, piv = la.lu_factor(lane, check_finite=False)
-            except Exception:
-                lu = np.full((n, n), np.nan)
-                piv = np.arange(n, dtype=np.int32)
-            lus.append(lu)
-            pivs.append(piv)
-        return np.stack(lus), np.stack(pivs)
-
-    def _solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+    def _solve(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
-        with warnings.catch_warnings():
-            # Zero pivots of failed lanes divide by zero inside getrs; the
-            # rows are overwritten with NaN below.
-            warnings.simplefilter("ignore")
-            try:
-                solutions = la.lu_solve((self._lu, self._piv), rhs[:, :, None],
-                                        trans=trans, check_finite=False)[:, :, 0]
-            except Exception:
-                solutions = np.stack([
-                    la.lu_solve((self._lu[b], self._piv[b]), rhs[b],
-                                trans=trans, check_finite=False)
-                    for b in range(self.batch)])
-        return self._mask_failed(solutions)
+        ok = ~self.failed
+        solutions = np.full((self.batch, self.n), np.nan)
+        try:
+            if ok.all():
+                return _gesv(matrices, rhs)
+            solutions[ok] = _gesv(matrices[ok], rhs[ok])
+        except np.linalg.LinAlgError:
+            # Some lane is exactly singular: solve the healthy lanes one by
+            # one and flag each lane that raises on its own.
+            for b in np.flatnonzero(ok):
+                try:
+                    solutions[b] = _gesv(matrices[b:b + 1], rhs[b:b + 1])
+                except np.linalg.LinAlgError:
+                    self.failed[b] = True
+                    telemetry.registry.inc("linalg.batch.singular_lanes")
+        return solutions
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(rhs, trans=0)
+        return self._solve(self._matrices, rhs)
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         metrics.record("transpose_solves", self.batch)
-        return self._solve(rhs, trans=1)
+        return self._solve(self._matrices.swapaxes(1, 2), rhs)
+
+
+def _gesv(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrices[b] @ x[b] = rhs[b]`` for every lane in one call."""
+    return np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
 
 
 class BatchedSparseLU(BatchedFactorization):
@@ -219,8 +209,8 @@ def batched_factorize(matrices, backend: str = "auto") -> BatchedFactorization:
 
     ``matrices`` is either a dense ``(B, n, n)`` array or a sequence of B
     sparse matrices.  ``backend`` mirrors the serial solver names: ``dense``
-    (stacked LAPACK LU), ``superlu`` (shared-symbolic SuperLU) or ``auto``
-    (follow the input representation).  Each lane counts as one
+    (stacked gufunc ``gesv``), ``superlu`` (shared-symbolic SuperLU) or
+    ``auto`` (follow the input representation).  Each lane counts as one
     factorization in the :mod:`repro.linalg.metrics` aggregate, so campaign
     solver stats stay comparable between the serial and batched paths.
     """

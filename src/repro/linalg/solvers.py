@@ -30,8 +30,8 @@ map them onto their layer's exception type.
 
 from __future__ import annotations
 
+import functools
 import time
-import warnings
 
 import numpy as np
 import scipy.linalg as la
@@ -166,8 +166,21 @@ class Factorization:
         return rhs
 
 
+@functools.lru_cache(maxsize=None)
+def _lapack(name: str, *dtypes: np.dtype):
+    """LAPACK routine ``name`` for operands of ``dtypes``, resolved once.
+
+    Picks the same precision prefix :func:`scipy.linalg.lu_factor` and
+    :func:`scipy.linalg.lu_solve` would, without their per-call wrapper
+    overhead.
+    """
+    (routine,) = la.get_lapack_funcs((name,), tuple(np.empty(0, dtype)
+                                                    for dtype in dtypes))
+    return routine
+
+
 class _DenseLU(Factorization):
-    """LAPACK LU of a dense real or complex matrix."""
+    """LAPACK ``getrf``/``getrs`` LU of a dense real or complex matrix."""
 
     backend = "dense"
 
@@ -178,21 +191,30 @@ class _DenseLU(Factorization):
         # condition_estimate(); analysis workspaces already retain the
         # assembled matrices, so this costs no extra memory.
         self._matrix = matrix
-        with warnings.catch_warnings():
-            # An exactly singular U triggers a LinAlgWarning before we can
-            # turn it into the LinAlgError below.
-            warnings.simplefilter("ignore")
-            try:
-                self._lu, self._piv = la.lu_factor(matrix, check_finite=False)
-            except (la.LinAlgError, ValueError) as exc:
-                raise LinAlgError(f"dense LU factorization failed: {exc}") from exc
+        if matrix.size == 0:
+            self._lu = np.empty_like(matrix)
+            self._piv = np.arange(0, dtype=np.int32)
+            return
+        self._lu, self._piv, info = _lapack("getrf", matrix.dtype)(matrix)
+        if info < 0:
+            raise LinAlgError(
+                f"dense LU factorization failed (illegal argument {-info})")
         diag = np.diagonal(self._lu)
         if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
             raise LinAlgError("matrix is singular (zero pivot in LU)")
 
+    def _getrs(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        if rhs.size == 0:
+            return np.empty_like(rhs, dtype=np.result_type(self._lu, rhs))
+        solution, info = _lapack("getrs", self._lu.dtype, rhs.dtype)(
+            self._lu, self._piv, rhs, trans=trans)
+        if info != 0:
+            raise LinAlgError(
+                f"dense LU solve failed (illegal argument {-info})")
+        return solution
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = self._check_rhs(rhs)
-        return la.lu_solve((self._lu, self._piv), rhs, check_finite=False)
+        return self._getrs(self._check_rhs(rhs), trans=0)
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
@@ -200,22 +222,16 @@ class _DenseLU(Factorization):
         metrics.record("transpose_solves")
         if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu):
             # Real factorization, complex right-hand side: two real passes.
-            return la.lu_solve((self._lu, self._piv),
-                               np.ascontiguousarray(rhs.real),
-                               trans=1, check_finite=False) \
-                + 1j * la.lu_solve((self._lu, self._piv),
-                                   np.ascontiguousarray(rhs.imag),
-                                   trans=1, check_finite=False)
+            return self._getrs(np.ascontiguousarray(rhs.real), trans=1) \
+                + 1j * self._getrs(np.ascontiguousarray(rhs.imag), trans=1)
         # trans=1 is the plain transpose (no conjugation) for complex LUs.
-        return la.lu_solve((self._lu, self._piv), rhs, trans=1,
-                           check_finite=False)
+        return self._getrs(rhs, trans=1)
 
     def _estimate_condition(self) -> float:
         anorm = _norm1(self._matrix)
         if anorm == 0.0:
             return float("inf")
-        (gecon,) = la.get_lapack_funcs(("gecon",), (self._lu,))
-        rcond, info = gecon(self._lu, anorm)
+        rcond, info = _lapack("gecon", self._lu.dtype)(self._lu, anorm)
         if info < 0:
             raise LinAlgError(f"gecon failed (illegal argument {-info})")
         return float("inf") if rcond == 0.0 else 1.0 / float(rcond)

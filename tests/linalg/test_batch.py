@@ -9,6 +9,9 @@ import scipy.sparse as sp
 from repro.errors import LinAlgError
 from repro.linalg import (BATCH_BACKENDS, BatchedDenseLU, BatchedSparseLU,
                           FactorizedSolver, StructureCache, batched_factorize)
+from repro.telemetry import registry
+
+SINGULAR_LANES = "linalg.batch.singular_lanes"
 
 
 def _stack(batch: int = 5, n: int = 8, seed: int = 11):
@@ -34,19 +37,43 @@ class TestBatchedDenseLU:
         matrices, rhs = _stack()
         matrices[2] = 0.0
         handle = BatchedDenseLU(matrices)
-        assert list(handle.failed) == [False, False, True, False, False]
+        # An exactly singular lane is found by the first solve, not before.
+        assert not handle.failed.any()
         solutions = handle.solve(rhs)
+        assert list(handle.failed) == [False, False, True, False, False]
         assert np.isnan(solutions[2]).all()
         for b in (0, 1, 3, 4):
             np.testing.assert_allclose(matrices[b] @ solutions[b], rhs[b],
                                        atol=1e-9)
 
     def test_nonfinite_lane_flagged(self):
-        matrices, _ = _stack()
+        matrices, rhs = _stack()
         matrices[0, 3, 3] = np.nan
         handle = BatchedDenseLU(matrices)
+        # Non-finite input is flagged as soon as the handle exists.
         assert handle.failed[0]
         assert not handle.failed[1:].any()
+        solutions = handle.solve(rhs)
+        assert np.isnan(solutions[0]).all()
+        assert np.isfinite(solutions[1:]).all()
+
+    def test_singular_lane_counted_once(self):
+        matrices, rhs = _stack()
+        matrices[3] = 0.0
+        registry.reset(names=[SINGULAR_LANES])
+        handle = BatchedDenseLU(matrices)
+        handle.solve(rhs)
+        handle.solve(rhs)
+        handle.solve_transposed(rhs)
+        assert registry.counter_value(SINGULAR_LANES) == 1
+
+    def test_healthy_batch_counts_no_singular_lane(self):
+        matrices, rhs = _stack()
+        registry.reset(names=[SINGULAR_LANES])
+        handle = BatchedDenseLU(matrices)
+        handle.solve(rhs)
+        handle.solve_transposed(rhs)
+        assert registry.counter_value(SINGULAR_LANES) == 0
 
     def test_solve_transposed(self):
         matrices, rhs = _stack()
@@ -62,6 +89,70 @@ class TestBatchedDenseLU:
         handle = BatchedDenseLU(_stack()[0])
         with pytest.raises(LinAlgError):
             handle.solve(np.zeros((2, 8)))
+
+
+def _generated_stack(batch: int, n: int, seed: int):
+    """Well-conditioned random lanes with injected singular/non-finite ones.
+
+    Singular lanes are exact: a zero row or a zero column stays exactly zero
+    through every elimination step, so LU meets an exactly zero pivot
+    whatever the BLAS kernel's operation order.  (A duplicated row is
+    singular only up to rounding and is deliberately not used.)
+    """
+    rng = np.random.default_rng(seed)
+    matrices = rng.standard_normal((batch, n, n)) + 2.0 * n * np.eye(n)
+    rhs = rng.standard_normal((batch, n))
+    for b in range(batch):
+        draw = rng.random()
+        i, j = rng.integers(n, size=2)
+        if draw < 0.1:
+            matrices[b, i, j] = rng.choice([np.nan, np.inf, -np.inf])
+        elif draw < 0.2:
+            matrices[b, i, :] = 0.0
+        elif draw < 0.3:
+            matrices[b, :, j] = 0.0
+    return matrices, rhs
+
+
+class TestBatchedDenseLUGenerated:
+    """Stacked-gesv lanes against the serial dense solver, lane by lane."""
+
+    @pytest.mark.parametrize("n", [1, 3, 14, 26])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 64])
+    def test_matches_serial_solver(self, batch, n):
+        solver = FactorizedSolver("dense")
+        for seed in range(4):
+            matrices, rhs = _generated_stack(batch, n, 1000 * batch + 10 * n
+                                             + seed)
+            expected_failed = np.zeros(batch, dtype=bool)
+            references = {}
+            for b in range(batch):
+                if not np.isfinite(matrices[b]).all():
+                    expected_failed[b] = True
+                    continue
+                try:
+                    lane = solver.factorize(matrices[b])
+                except LinAlgError:
+                    expected_failed[b] = True
+                    continue
+                references[b] = (lane.solve(rhs[b]),
+                                 lane.solve_transposed(rhs[b]))
+            handle = BatchedDenseLU(matrices)
+            solutions = handle.solve(rhs)
+            transposed = handle.solve_transposed(rhs)
+            assert np.array_equal(handle.failed, expected_failed)
+            assert np.isnan(solutions[expected_failed]).all()
+            assert np.isnan(transposed[expected_failed]).all()
+            for b, (forward, backward) in references.items():
+                np.testing.assert_allclose(solutions[b], forward,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(transposed[b], backward,
+                                           rtol=1e-12, atol=1e-12)
+            # The chord contract: re-solving the held handle is bitwise.
+            assert np.array_equal(handle.solve(rhs), solutions,
+                                  equal_nan=True)
+            assert np.array_equal(handle.solve_transposed(rhs), transposed,
+                                  equal_nan=True)
 
 
 class TestBatchedSparseLU:

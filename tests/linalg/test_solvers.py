@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from repro.errors import LinAlgError
@@ -24,6 +25,41 @@ class TestDense:
         ours = FactorizedSolver("dense").solve(matrix, rhs)
         reference = np.linalg.solve(matrix, rhs)
         assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize("complex_matrix", [False, True])
+    @pytest.mark.parametrize("complex_rhs", [False, True])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_matches_scipy_lu_bitwise(self, complex_matrix, complex_rhs,
+                                      columns):
+        rng = np.random.default_rng(5)
+        n = 14
+        shape = (n,) if columns is None else (n, columns)
+        matrix = rng.standard_normal((n, n))
+        rhs = rng.standard_normal(shape)
+        if complex_matrix:
+            matrix = matrix + 1j * rng.standard_normal((n, n))
+        if complex_rhs:
+            rhs = rhs + 1j * rng.standard_normal(shape)
+        factorization = FactorizedSolver("dense").factorize(matrix)
+        lu = la.lu_factor(matrix, check_finite=False)
+        assert np.array_equal(factorization.solve(rhs),
+                              la.lu_solve(lu, rhs, check_finite=False))
+        if complex_rhs and not complex_matrix:
+            transposed = la.lu_solve(lu, rhs.real, trans=1) \
+                + 1j * la.lu_solve(lu, rhs.imag, trans=1)
+        else:
+            transposed = la.lu_solve(lu, rhs, trans=1, check_finite=False)
+        assert np.array_equal(factorization.solve_transposed(rhs), transposed)
+
+    def test_nonfinite_matrix_raises(self):
+        matrix = _spd(4)
+        matrix[1, 2] = np.inf
+        with pytest.raises(LinAlgError):
+            FactorizedSolver("dense").factorize(matrix)
+
+    def test_empty_system(self):
+        factorization = FactorizedSolver("dense").factorize(np.zeros((0, 0)))
+        assert factorization.solve(np.zeros(0)).shape == (0,)
 
     def test_complex_matrix(self):
         rng = np.random.default_rng(4)
