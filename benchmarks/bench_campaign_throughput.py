@@ -11,9 +11,12 @@ PXT flow iterates.  The benchmark measures points/sec for
 
 and pins two correctness properties: the warm rerun is >= 10x faster than
 the cold run, and the campaign-driven extraction reproduces the direct
-``solve_point`` loop to 1e-9.  The pool-beats-serial assertion only applies
-on multi-core hosts -- on a single CPU a process pool cannot win, so there
-the numbers are reported without the assertion.
+``solve_point`` loop to 1e-9.  Both backends are timed warm -- the serial
+runs after the harness round, the pool runs after one untimed warm-up pool
+run -- as the fastest of five back-to-back runs, so a descheduled run on
+a shared host does not decide the comparison.  The pool-beats-serial
+assertion only applies on multi-core hosts -- on a single CPU a process
+pool cannot win, so there the numbers are reported without the assertion.
 
 A second benchmark pins the batched backend: a 256-point Monte-Carlo
 operating-point campaign over a nonlinear diode ladder must run **>= 5x
@@ -62,6 +65,12 @@ def _timed(fn):
     return value, time.perf_counter() - start
 
 
+def _best_of(fn, rounds: int = 5):
+    """Last value and fastest wall time of ``rounds`` back-to-back runs."""
+    timings = [_timed(fn) for _ in range(rounds)]
+    return timings[-1][0], min(elapsed for _, elapsed in timings)
+
+
 def test_campaign_throughput(benchmark, tmp_path):
     extractor = _extractor()
     displacements, voltages = _grid(extractor)
@@ -74,12 +83,16 @@ def test_campaign_throughput(benchmark, tmp_path):
     serial_result = benchmark.pedantic(
         lambda: CampaignRunner(backend="serial").run(spec, evaluator),
         rounds=1, iterations=1)
-    _, serial_s = _timed(
+    _, serial_s = _best_of(
         lambda: CampaignRunner(backend="serial").run(spec, evaluator))
 
     # --- pool backend -------------------------------------------------------
+    # The first pool run in a process pays a cold worker start; time the
+    # backend after one untimed warm-up run, as the serial timing above
+    # follows the harness round.
     pool_runner = CampaignRunner(backend="pool", processes=cpus)
-    pool_result, pool_s = _timed(lambda: pool_runner.run(spec, evaluator))
+    pool_runner.run(spec, evaluator)
+    pool_result, pool_s = _best_of(lambda: pool_runner.run(spec, evaluator))
 
     # --- cold vs warm cache -------------------------------------------------
     cache = ResultCache(tmp_path / "campaign-cache")

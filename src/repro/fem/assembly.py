@@ -84,42 +84,37 @@ def assemble_stiffness(mesh: RectangularMesh,
     return structure_cache.assemble(rows, cols, values.ravel(), mesh.num_nodes)
 
 
-def apply_dirichlet(matrix: sp.csr_matrix, rhs: np.ndarray,
+def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray,
                     node_values: dict[int, float]) -> tuple[sp.csr_matrix, np.ndarray]:
     """Impose ``phi[node] = value`` constraints by row/column elimination.
 
-    Returns the modified matrix and right-hand side (copies; the inputs are
-    untouched).  The elimination keeps the matrix symmetric, which matters
-    for the conjugate-gradient option of the solver.
+    Returns the modified CSR matrix and right-hand side (copies; the inputs
+    are untouched).  The known values move to the right-hand side, then one
+    boolean mask over the stored entries (row of each entry from
+    ``indptr``, column from ``indices``) zeroes every entry in a
+    constrained row or column, and a unit diagonal on the constrained
+    nodes is added: the sparse sum drops the zeroed entries and inserts a
+    diagonal the input did not store.  The elimination keeps the matrix
+    symmetric, which matters for the conjugate-gradient option of the
+    solver.
     """
     if not node_values:
         raise FEMError("at least one Dirichlet constraint is required")
-    matrix = matrix.tolil(copy=True)
+    csr = sp.csr_matrix(matrix, copy=True)
+    csr.sum_duplicates()
     rhs = np.array(rhs, dtype=float, copy=True)
-    n = matrix.shape[0]
+    n = csr.shape[0]
     constrained = np.array(sorted(node_values), dtype=int)
     if constrained.min() < 0 or constrained.max() >= n:
         raise FEMError("Dirichlet node index out of range")
     values = np.array([node_values[int(node)] for node in constrained], dtype=float)
     # Move the known values to the right-hand side.
-    csr = matrix.tocsr()
     rhs -= csr[:, constrained] @ values
-    matrix = csr.tolil()
-    for node, value in zip(constrained, values):
-        matrix.rows[node] = [node]
-        matrix.data[node] = [1.0]
-        rhs[node] = value
-    # Zero the columns of constrained nodes (except the diagonal already set).
-    csr = matrix.tocsr()
-    mask = np.ones(n, dtype=bool)
-    mask[constrained] = False
-    csc = csr.tocsc()
-    for node in constrained:
-        start, end = csc.indptr[node], csc.indptr[node + 1]
-        for pos in range(start, end):
-            row = csc.indices[pos]
-            if row != node:
-                csc.data[pos] = 0.0
-    result = csc.tocsr()
-    result.eliminate_zeros()
-    return result, rhs
+    rhs[constrained] = values
+    fixed = np.zeros(n, dtype=bool)
+    fixed[constrained] = True
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    csr.data[fixed[rows] | fixed[csr.indices]] = 0.0
+    unit = sp.csr_matrix((np.ones(constrained.size), constrained,
+                          np.concatenate(([0], np.cumsum(fixed)))), shape=csr.shape)
+    return csr + unit, rhs

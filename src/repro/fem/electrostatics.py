@@ -19,6 +19,14 @@ exactly that workflow on the structured FE mesh:
 For the ideal parallel-plate geometry the FE solution is the uniform field
 ``E = V / gap``, so every extracted quantity can be verified against the
 closed forms of Tables 2/3 -- which is what the figure-6 benchmark does.
+
+One solve is a handful of whole-array operations, with no per-element
+Python loop: the stiffness assembly reuses the mesh topology's cached CSR
+pattern, :func:`~repro.fem.assembly.apply_dirichlet` eliminates the
+electrode nodes with one boolean mask over the stored CSR entries, and the
+element fields come from one stacked
+:func:`~repro.fem.elements.element_gradient` call over all
+``(num_elements, 4, 2)`` corner coordinates.
 """
 
 from __future__ import annotations
@@ -168,19 +176,13 @@ class ParallelPlateProblem:
         mesh = self.mesh
         stiffness = assemble_stiffness(mesh, permittivity=self.permittivity)
         rhs = np.zeros(mesh.num_nodes)
-        constraints: dict[int, float] = {}
-        for node in mesh.bottom_nodes():
-            constraints[int(node)] = 0.0
-        for node in mesh.top_nodes():
-            constraints[int(node)] = float(voltage)
+        constraints = dict.fromkeys(mesh.bottom_nodes().tolist(), 0.0)
+        constraints.update(dict.fromkeys(mesh.top_nodes().tolist(), float(voltage)))
         matrix, rhs = apply_dirichlet(stiffness, rhs, constraints)
         potential = solve_sparse(matrix, rhs, method=method)
-        coords = mesh.node_coordinates()
         connectivity = mesh.element_connectivity()
-        field = np.zeros((mesh.num_elements, 2))
-        for element, nodes in enumerate(connectivity):
-            gradient = element_gradient(coords[nodes], potential[nodes])
-            field[element] = -gradient
+        field = -element_gradient(mesh.node_coordinates()[connectivity],
+                                  potential[connectivity])
         return ElectrostaticSolution(
             mesh=mesh, potential=potential, field=field, depth=self.depth,
             permittivity=self.permittivity, voltage=float(voltage))

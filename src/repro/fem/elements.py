@@ -54,10 +54,10 @@ def shape_function_derivatives(xi: float, eta: float) -> np.ndarray:
     ])
 
 
-def _jacobian(coords: np.ndarray, dshape: np.ndarray) -> tuple[np.ndarray, float]:
-    jac = dshape @ coords  # (2, 2)
-    det = float(np.linalg.det(jac))
-    if det <= 0.0:
+def _jacobian(coords: np.ndarray, dshape: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    jac = dshape @ coords  # (..., 2, 2)
+    det = np.linalg.det(jac)
+    if np.any(det <= 0.0):
         raise FEMError("element Jacobian is not positive (bad node ordering?)")
     return jac, det
 
@@ -95,12 +95,16 @@ def element_mass(coords: np.ndarray, density: float = 1.0) -> np.ndarray:
 
 def element_gradient(coords: np.ndarray, nodal_values: np.ndarray,
                      xi: float = 0.0, eta: float = 0.0) -> np.ndarray:
-    """Gradient of the interpolated field at a reference point (default: centroid)."""
+    """Gradient of the interpolated field at a reference point (default: centroid).
+
+    ``coords`` is ``(..., 4, 2)`` and ``nodal_values`` ``(..., 4)``: a stack
+    of elements is differentiated by one batched solve, returning
+    ``(..., 2)``.  Any inverted element in the stack raises.
+    """
     coords = np.asarray(coords, dtype=float)
     nodal_values = np.asarray(nodal_values, dtype=float)
-    if coords.shape != (4, 2) or nodal_values.shape != (4,):
+    if coords.shape[-2:] != (4, 2) or nodal_values.shape != coords.shape[:-1]:
         raise FEMError("element_gradient expects 4 corners and 4 nodal values")
     dshape = shape_function_derivatives(xi, eta)
     jac, _ = _jacobian(coords, dshape)
-    grad_ref = dshape @ nodal_values
-    return np.linalg.solve(jac, grad_ref)
+    return np.linalg.solve(jac, dshape @ nodal_values[..., None])[..., 0]

@@ -79,17 +79,9 @@ class RectangularMesh:
     # ---------------------------------------------------------------- elements
     def element_connectivity(self) -> np.ndarray:
         """(num_elements, 4) corner-node indices, counter-clockwise."""
-        connectivity = np.zeros((self.num_elements, 4), dtype=int)
-        element = 0
-        for j in range(self.ny):
-            for i in range(self.nx):
-                n0 = self.node_index(i, j)
-                n1 = self.node_index(i + 1, j)
-                n2 = self.node_index(i + 1, j + 1)
-                n3 = self.node_index(i, j + 1)
-                connectivity[element] = (n0, n1, n2, n3)
-                element += 1
-        return connectivity
+        stride = self.nx + 1
+        first = (np.arange(self.ny)[:, None] * stride + np.arange(self.nx)).ravel()
+        return first[:, None] + np.array([0, 1, stride + 1, stride])
 
     def element_centroids(self) -> np.ndarray:
         """(num_elements, 2) element centroid coordinates."""
@@ -104,19 +96,19 @@ class RectangularMesh:
     # ---------------------------------------------------------------- boundaries
     def bottom_nodes(self) -> np.ndarray:
         """Node indices on the y = 0 edge."""
-        return np.array([self.node_index(i, 0) for i in range(self.nx + 1)], dtype=int)
+        return np.arange(self.nx + 1)
 
     def top_nodes(self) -> np.ndarray:
         """Node indices on the y = height edge."""
-        return np.array([self.node_index(i, self.ny) for i in range(self.nx + 1)], dtype=int)
+        return self.ny * (self.nx + 1) + np.arange(self.nx + 1)
 
     def left_nodes(self) -> np.ndarray:
         """Node indices on the x = 0 edge."""
-        return np.array([self.node_index(0, j) for j in range(self.ny + 1)], dtype=int)
+        return np.arange(self.ny + 1) * (self.nx + 1)
 
     def right_nodes(self) -> np.ndarray:
         """Node indices on the x = width edge."""
-        return np.array([self.node_index(self.nx, j) for j in range(self.ny + 1)], dtype=int)
+        return np.arange(self.ny + 1) * (self.nx + 1) + self.nx
 
     def nodes_where(self, predicate) -> np.ndarray:
         """Indices of nodes whose (x, y) coordinates satisfy ``predicate``."""
