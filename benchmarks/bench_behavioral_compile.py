@@ -8,15 +8,17 @@ models* as well, so every device on the mechanical side stamps through
 figure-5 setup.
 
 The same netlist is integrated twice -- ``behavioral_compile=True`` (typed
-expression IR -> generated NumPy kernels + fused stamp functions) and
-``False`` (the AD-dual tracing interpreter) -- and the benchmark checks the
-compiler's two contracts:
+expression IR -> generated kernels and process-shared stamp functions run
+by a per-system stamp program) and ``False`` (the AD-dual tracing
+interpreter) -- and the benchmark checks the compiler's contracts:
 
 * every recorded waveform is **bitwise identical** between the two runs
   (the compiled kernels replicate the interpreter's IEEE arithmetic
-  operation by operation), and
+  operation by operation),
 * the compiled transient is at least **5x faster** than the interpreted
-  one (min-of-``repeats`` wall clock on both sides).
+  one (min-of-``repeats`` wall clock on both sides), and
+* after the warm-up, fresh circuits of the same device shapes generate
+  **no** stamp function (codegen is per shape, not per instance).
 
 Run standalone (``python benchmarks/bench_behavioral_compile.py``);
 ``--smoke`` shrinks the time grid so CI can exercise the pin in seconds.
@@ -100,10 +102,12 @@ def run(cells: int, t_stop: float, repeats: int, check: bool = True):
     # any one-time NumPy/SciPy import costs off the clock.
     _transient(cells, t_stop, compile_on=True)
 
+    warm = hdl_compile.cache_info()["stamp_functions"]
     compiled, t_compiled = _transient(cells, t_stop, compile_on=True)
     for _ in range(repeats - 1):
         t_compiled = min(t_compiled, _transient(cells, t_stop, True)[1])
     cache = hdl_compile.cache_info()
+    cold_codegen = cache["stamp_functions"] - warm
     interp, t_interp = _transient(cells, t_stop, compile_on=False)
     for _ in range(repeats - 1):
         t_interp = min(t_interp, _transient(cells, t_stop, False)[1])
@@ -118,6 +122,9 @@ def run(cells: int, t_stop: float, repeats: int, check: bool = True):
         f"devices, t_stop = {t_stop:.1e} s, {len(interp.time)} time points",
         f"compiled kernels     : {cache['kernels']} "
         "(fingerprint-cached, shared across the array)",
+        f"stamp functions      : {cache['stamp_functions']} "
+        f"(one per kernel, task and shape; {cold_codegen} generated "
+        "by fresh circuits after warm-up)",
         f"interpreted transient: {t_interp * 1e3:8.1f} ms",
         f"compiled transient   : {t_compiled * 1e3:8.1f} ms",
         f"speedup              : {speedup:8.2f}x",
@@ -133,12 +140,17 @@ def run(cells: int, t_stop: float, repeats: int, check: bool = True):
             raise RuntimeError(
                 f"{len(mismatches)} signal(s) not bitwise identical between "
                 f"compiled and interpreted runs: {mismatches[:5]}")
+        if cold_codegen:
+            raise RuntimeError(
+                f"fresh circuits of known device shapes generated "
+                f"{cold_codegen} stamp function(s) (acceptance: 0)")
         if speedup < SPEEDUP_FLOOR:
             raise RuntimeError(
                 f"behavioral-compile speedup {speedup:.2f}x "
                 f"(acceptance: >= {SPEEDUP_FLOOR:.0f}x)")
         lines.append(f"acceptance: bit-identical waveforms, "
-                     f"{speedup:.2f}x >= {SPEEDUP_FLOOR:.0f}x")
+                     f"{speedup:.2f}x >= {SPEEDUP_FLOOR:.0f}x, "
+                     "no cold-circuit codegen")
     return lines
 
 

@@ -388,14 +388,12 @@ def collect_outputs(system: MNASystem, ctx: StampContext) -> dict[str, float]:
     included under their canonical names unless a device already recorded
     the same signal.
     """
-    data: dict[str, float] = {}
-    for node in system.nodes:
-        data[f"v({node.name})"] = float(ctx.x[system.index_of(node)])
-    for device in system.circuit:
-        for key, value in device.record(ctx).items():
-            data[key] = float(value)
-    for offset, name in enumerate(system.aux_signal_names()):
-        data.setdefault(name, float(ctx.x[system.num_nodes + offset]))
+    x = ctx.x.tolist()
+    data: dict[str, float] = {f"v({node.name})": value
+                              for node, value in zip(system.nodes, x)}
+    system.record_outputs(ctx, data)
+    for name, value in zip(system.aux_signal_names(), x[system.num_nodes:]):
+        data.setdefault(name, value)
     return data
 
 

@@ -48,6 +48,12 @@ class Device(ABC):
     #: False are stamped per lane by the batched assembler.
     batch_safe = False
 
+    #: Whether the device stamps through shared compiled stamp functions
+    #: (behavioral models): a system holding one assembles through a stamp
+    #: program (:mod:`repro.hdl.compile.runtime`) instead of calling every
+    #: :meth:`stamp` in turn.
+    compiled_stamps = False
+
     def __init__(self, name: str) -> None:
         if not name or not isinstance(name, str):
             raise DeviceError(f"device name must be a non-empty string, got {name!r}")

@@ -43,25 +43,11 @@ from ...ad import Dual
 from ...errors import DeviceError
 from ...natures import Nature, get_nature
 from ..mna import ACStampContext, StampContext
+from ..mna import compile_runtime as _compile_runtime
 from ..netlist import Node
 from .base import Device
 
 __all__ = ["Port", "BehaviorContext", "BehavioralDevice"]
-
-_compile_runtime_module = None
-
-
-def _compile_runtime():
-    """The compiled-kernel runtime (:mod:`repro.hdl.compile.runtime`).
-
-    Imported lazily at first stamp: the compile package imports this module
-    for :class:`BehaviorContext`, so a top-level import would be circular.
-    """
-    global _compile_runtime_module
-    if _compile_runtime_module is None:
-        from ...hdl.compile import runtime
-        _compile_runtime_module = runtime
-    return _compile_runtime_module
 
 
 @dataclass(frozen=True)
@@ -232,6 +218,8 @@ class BehaviorContext:
 
 class BehavioralDevice(Device):
     """A device whose constitutive equations are given by a Python callable."""
+
+    compiled_stamps = True
 
     def __init__(self, name: str, ports: Sequence[Port],
                  behavior: Callable[[BehaviorContext], None],

@@ -292,6 +292,22 @@ class Integrator:
             raise AnalysisError(f"unknown integrator state kind {kind!r}")
 
 
+_compile_runtime_module = None
+
+
+def compile_runtime():
+    """The compiled-kernel runtime (:mod:`repro.hdl.compile.runtime`).
+
+    Imported lazily at first use: the compile package imports this module,
+    so a top-level import would be circular.
+    """
+    global _compile_runtime_module
+    if _compile_runtime_module is None:
+        from ..hdl.compile import runtime
+        _compile_runtime_module = runtime
+    return _compile_runtime_module
+
+
 def _plain(value) -> float:
     """Value part of a float or dual."""
     return float(getattr(value, "value", value))
@@ -329,6 +345,12 @@ class MNASystem:
         #: coordinates, so only the first assembly pays the reduction.
         self.structure_cache = StructureCache()
         self._aux_signal_names: list[str] | None = None
+        #: ``(mode, task) -> StampProgram`` of a system holding compiled
+        #: behavioral devices (built lazily by
+        #: :mod:`repro.hdl.compile.runtime`); None when it holds none and
+        #: assembly simply stamps device by device.
+        self.stamp_programs: dict | None = \
+            {} if any(device.compiled_stamps for device in circuit) else None
 
     # ------------------------------------------------------------------ lookups
     def index_of(self, node: Node) -> int:
@@ -400,11 +422,25 @@ class MNASystem:
     def run_stamps(self, ctx: "StampContext") -> "StampContext":
         """Drive every device stamp over an existing (possibly specialised)
         context -- the sensitivity layer assembles through its dual-seeded
-        :class:`StampContext` subclasses this way."""
-        for device in self.circuit:
-            device.stamp(ctx)
+        :class:`StampContext` subclasses this way.  Systems holding
+        behavioral devices stamp through their compiled stamp program."""
+        if self.stamp_programs is None:
+            for device in self.circuit:
+                device.stamp(ctx)
+        else:
+            compile_runtime().run_stamps(self, ctx)
         ctx.apply_gmin(ctx.options.gmin)
         return ctx
+
+    def record_outputs(self, ctx: "StampContext", out: dict) -> None:
+        """Add every device's recorded outputs at ``ctx`` to ``out``, in
+        device order (compiled record functions for behavioral devices)."""
+        if self.stamp_programs is None:
+            for device in self.circuit:
+                for key, value in device.record(ctx).items():
+                    out[key] = float(value)
+        else:
+            compile_runtime().record_outputs(self, ctx, out)
 
     def assemble_ac(self, op_values: np.ndarray, omega: float,
                     integrator_states: dict | None,

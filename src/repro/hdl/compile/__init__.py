@@ -4,15 +4,22 @@ Lowers behavioral models -- Python behaviour closures and elaborated HDL-A
 architectures alike -- to a typed expression IR by concolic tracing
 (:mod:`.trace`), simplifies it with bitwise-exact passes (:mod:`.passes`),
 and emits cached scalar and lane-vectorized kernels for residual, Jacobian
-and ``dF/dp`` evaluation (:mod:`.codegen`).  :mod:`.runtime` wires the
-kernels into ``BehavioralDevice`` stamping with the interpreter retained as
-the verified fallback.
+and ``dF/dp`` evaluation plus the stamp functions MNA assembly runs
+(:mod:`.codegen`).  :mod:`.runtime` wires them into ``BehavioralDevice``
+stamping -- one stamp program per MNA system -- with the interpreter
+retained as the verified fallback.
 
 Compiled kernels are cached process-wide by a SHA-256 structural
 fingerprint (:func:`repro.hdl.compile.ir.fingerprint`), the same
 content-keying scheme as :func:`repro.linalg.cache.matrix_fingerprint`;
-``hdl.compile.count`` / ``hdl.compile.cache_hits`` telemetry counters track
-compiles vs. cache reuse and ``hdl.kernel.eval_s`` histograms kernel time.
+stamp functions are cached per kernel, task, mode and geometry shape, so
+instances share them (``cache_info()`` reports both caches).  Registry
+counters: ``hdl.compile.count`` / ``hdl.compile.cache_hits`` track kernel
+compiles vs. cache reuse, ``hdl.stamp_fn.compiles`` stamp-function
+generation and ``hdl.fallback.<reason>`` every silent fallback (see
+:mod:`.runtime`).  With telemetry on, the ``hdl.kernel.eval_s`` histogram
+gets one observation per ``MNASystem.run_stamps`` of a system holding
+behavioral devices: the wall time of that whole stamp pass.
 
 Escape hatches: ``SimulationOptions(behavioral_compile=False)`` per run, or
 ``REPRO_BEHAVIORAL_INTERP=1`` in the environment for everything.

@@ -35,6 +35,13 @@ means a guard failed (caller re-traces or falls back to the interpreter).
 Derivative semantics of the state operators come from the context's
 discretization coefficients, matching the dual chain rule through
 ``Integrator.differentiate``/``integrate`` term by term.
+
+**Stamp functions** (:func:`bind_stamp`) are emitted from the same IR walk
+with the input gather and the residual/Jacobian (or output-record)
+accumulation around it, and with ``ddt``/``integ`` lowered straight to the
+DC forms or the integrator arithmetic and pending-state writes.  Their
+per-instance data are arguments, so they are shared by every device of one
+kernel and geometry shape.
 """
 
 from __future__ import annotations
@@ -81,9 +88,13 @@ def _literal(value: float) -> str:
 class _Writer:
     """Shared machinery for one generated kernel function."""
 
-    def __init__(self, variant, flavor: str) -> None:
+    def __init__(self, variant, flavor: str, state: str | None = None) -> None:
         self.variant = variant
         self.flavor = flavor
+        #: How ``ddt``/``integ`` lower: ``None`` calls ``ctx.ddt``/
+        #: ``ctx.integ`` (kernels); ``"op"``/``"tran"`` inline the DC or
+        #: integrator arithmetic (stamp functions, see :func:`bind_stamp`).
+        self.state = state
         self.vector = flavor == "vector"
         self.lines: list[str] = []
         self.names: dict[int, str] = {}
@@ -184,15 +195,46 @@ class _Writer:
         if isinstance(node, ir.Call):
             return self._emit_call(node)
         if isinstance(node, ir.Ddt):
-            x = self.emit(node.x)
-            return self.assign(f"ctx.ddt(_keys[{self.state_index[node.state]}], {x})")
+            return self._emit_ddt(node)
         if isinstance(node, ir.Integ):
-            x = self.emit(node.x)
-            return self.assign(
-                f"ctx.integ(_keys[{self.state_index[node.state]}], {x}, "
-                f"{_literal(node.initial)})")
+            return self._emit_integ(node)
         assert isinstance(node, ir.Binary)
         return self._emit_binary(node)
+
+    def _emit_ddt(self, node: ir.Ddt) -> str:
+        """``ctx.ddt`` -- or, inlined, the DC ``0.0 * x`` and the exact
+        arithmetic and pending-state writes of ``Integrator.differentiate``
+        (state key ``_k<k>``, integrator frame names of :data:`_FRAME`)."""
+        x = self.emit(node.x)
+        k = self.state_index[node.state]
+        if self.state is None:
+            return self.assign(f"ctx.ddt(_keys[{k}], {x})")
+        if self.state == "op":
+            return self.assign(f"0.0 * {x}")
+        t = self.assign(f"({x} - _vals.get(_k{k}, {x})) * _c0")
+        self.line(f"if not _be: {t} -= _drvs.get(_k{k}, 0.0)")
+        self.line(f"_pv[_k{k}] = {x}")
+        self.line(f"_pd[_k{k}] = {t}")
+        return t
+
+    def _emit_integ(self, node: ir.Integ) -> str:
+        """``ctx.integ`` -- or, inlined, the DC held initial value and the
+        exact arithmetic and pending-state writes of
+        ``Integrator.integrate`` (integrand key ``_i<k>``)."""
+        x = self.emit(node.x)
+        k = self.state_index[node.state]
+        init = _literal(node.initial)
+        if self.state is None:
+            return self.assign(f"ctx.integ(_keys[{k}], {x}, {init})")
+        if self.state == "op":
+            return self.assign(f"0.0 * {x} + {init}")
+        t = self.fresh()
+        self.line(f"if _be: {t} = _ints.get(_k{k}, {init}) + _h * {x}")
+        self.line(f"else: {t} = _ints.get(_k{k}, {init})"
+                  f" + 0.5 * _h * ({x} + _vals.get(_i{k}, {x}))")
+        self.line(f"_pv[_i{k}] = {x}")
+        self.line(f"_pi[_k{k}] = {t}")
+        return t
 
     def _emit_call(self, node: ir.Call) -> str:
         args = ", ".join(self.emit(a) for a in node.args)
@@ -398,7 +440,7 @@ def _tuple_expr(items: list[str]) -> str:
     return f"({', '.join(items)})"
 
 
-def _generate_parts(variant, flavor: str):
+def _generate_parts(variant, flavor: str, state: str | None = None):
     """Generate the structural pieces of one kernel flavor.
 
     Returns ``(preamble, body, value_names, extras, deriv_rows)`` where
@@ -406,10 +448,11 @@ def _generate_parts(variant, flavor: str):
     guard bails), ``value_names`` name the contribution/equation results in
     order, ``extras`` are the per-output tuple expressions of the kernel's
     second return slot, and ``deriv_rows`` (derivative flavors only) keeps
-    the individual per-seed derivative expressions so the runtime's fused
-    stamp generator can splice them without unpacking tuples.
+    the individual per-seed derivative expressions, which stamp functions
+    accumulate one by one.  ``state`` selects the ``ddt``/``integ``
+    lowering (see :class:`_Writer`).
     """
-    writer = _Writer(variant, flavor)
+    writer = _Writer(variant, flavor, state)
     if flavor == "vector" and variant.guards:
         raise _VectorUnsupported("guarded variant")
     # Guards first, each as soon as its operands exist: the behavior checked
@@ -434,14 +477,18 @@ def _generate_parts(variant, flavor: str):
                 row.append("1.0" if d is _ONE else (d or "0.0"))
             deriv_rows.append(row)
         extras = [_tuple_expr(row) for row in deriv_rows]
-    preamble = []
-    if writer.need_c0:
-        preamble.append("_c0 = ctx.ddt_coefficient()")
-    if writer.need_ci:
-        preamble.append("_ci = ctx.integ_coefficient()")
     # The coefficient temps are referenced by derivative lines only, which
     # always come after every guard/value line that could return early --
-    # hoist them to the top for simplicity.
+    # hoist them to the top for simplicity.  Inlined transient state reads
+    # them from the integrator frame instead.
+    preamble = []
+    if state != "tran":
+        if writer.need_c0:
+            preamble.append("_c0 = 0.0" if state else
+                            "_c0 = ctx.ddt_coefficient()")
+        if writer.need_ci:
+            preamble.append("_ci = 0.0" if state else
+                            "_ci = ctx.integ_coefficient()")
     return preamble, writer.lines, value_names, extras, deriv_rows
 
 
@@ -468,22 +515,24 @@ def _generate(variant, flavor: str) -> str:
     return _compose_source(variant, flavor, _generate_parts(variant, flavor))
 
 
-def _compile_source(source: str, flavor: str):
+def _compile_source(source: str, flavor: str, name: str = "kernel"):
     namespace = {"math": math, "np": np}
-    exec(compile(source, f"<behavioral-kernel:{flavor}>", "exec"), namespace)
-    return namespace["kernel"]
+    exec(compile(source, f"<behavioral-{name}:{flavor}>", "exec"), namespace)
+    return namespace[name]
 
 
 class KernelSet:
     """The compiled kernels of one traced variant (process-wide shared)."""
 
-    __slots__ = ("fingerprint", "inputs", "param_inputs", "diff_inputs",
-                 "state_suffixes", "guarded", "contrib_ports", "eq_names",
-                 "record_names", "param_defaults", "source", "parts",
+    __slots__ = ("fingerprint", "variant", "mode", "inputs", "param_inputs",
+                 "diff_inputs", "state_suffixes", "guarded", "contrib_ports",
+                 "eq_names", "record_names", "param_defaults", "source",
                  "scalar", "value", "_vector", "_dfdp")
 
     def __init__(self, fp: str, variant) -> None:
         self.fingerprint = fp
+        self.variant = variant
+        self.mode = variant.mode
         self.inputs = variant.inputs
         self.diff_inputs = tuple(p for p in variant.inputs
                                  if p[0] in ("across", "unknown"))
@@ -495,22 +544,17 @@ class KernelSet:
         self.eq_names = tuple(name for name, _ in variant.equations)
         self.record_names = tuple(name for name, _ in variant.records)
         self.param_defaults = dict(variant.param_defaults)
-        self.parts = {"jac": _generate_parts(variant, "jac"),
-                      "value": _generate_parts(variant, "value")}
-        self.source = {
-            flavor: _compose_source(variant, flavor, self.parts[flavor])
-            for flavor in ("jac", "value")}
+        self.source = {flavor: _generate(variant, flavor)
+                       for flavor in ("jac", "value")}
         self.scalar = _compile_source(self.source["jac"], "jac")
         self.value = _compile_source(self.source["value"], "value")
-        self._vector = [variant]  # lazily generated below
-        self._dfdp = [variant]
+        self._vector = self._dfdp = _PENDING
 
     def vector(self):
         """The lane-vectorized kernel, or None when unsupported."""
-        if isinstance(self._vector, list):
-            variant = self._vector[0]
+        if self._vector is _PENDING:
             try:
-                self.source["vector"] = _generate(variant, "vector")
+                self.source["vector"] = _generate(self.variant, "vector")
                 self._vector = _compile_source(self.source["vector"], "vector")
             except _VectorUnsupported:
                 self._vector = None
@@ -518,12 +562,14 @@ class KernelSet:
 
     def dfdp(self):
         """The parameter-derivative kernel (always generatable)."""
-        if isinstance(self._dfdp, list):
-            variant = self._dfdp[0]
-            self.source["dfdp"] = _generate(variant, "dfdp")
+        if self._dfdp is _PENDING:
+            self.source["dfdp"] = _generate(self.variant, "dfdp")
             self._dfdp = _compile_source(self.source["dfdp"], "dfdp")
         return self._dfdp
 
+
+#: Marks a lazily generated kernel that has not been generated yet.
+_PENDING = object()
 
 _CACHE: dict[str, KernelSet] = {}
 
@@ -541,11 +587,209 @@ def compile_variant(variant) -> KernelSet:
     return kernels
 
 
+# --------------------------------------------------------------------------- #
+# stamp functions                                                             #
+# --------------------------------------------------------------------------- #
+
+#: Names of the per-assembly integrator frame a transient stamp function
+#: unpacks (built by :func:`repro.hdl.compile.runtime._integrator_frame`).
+_FRAME = ("_h", "_be", "_c0", "_ci", "_vals", "_drvs", "_ints", "_pv", "_pd",
+          "_pi")
+
+_STAMPS: dict[tuple, object] = {}
+
+
+def bind_stamp(kernels: KernelSet, task: str, geometry, device, keys):
+    """The shared stamp function of one device and its bound arguments.
+
+    ``task`` is ``"jac"`` (residual + dense Jacobian), ``"value"``
+    (residual only) or ``"record"`` (output collection).  ``geometry`` is
+    the device's index map in one MNA system (``plan``, ``contribs``,
+    ``eqs``, ``dep_map``, ``size``; see
+    :class:`repro.hdl.compile.runtime._Geometry`) and ``keys`` its
+    integrator state keys.
+
+    Everything instance-specific -- solution indices, stamp rows, flat
+    Jacobian positions, state keys, parameter owners, output names -- is an
+    *argument*, so the function depends only on the kernel and the shape of
+    the geometry (which indices are ground, the dependency ``(position,
+    negate)`` structure, the parameter sources).  It is generated once per
+    ``(fingerprint, task, mode, shape)`` and shared process-wide: every
+    transducer of an array runs the same function.
+
+    Returns ``(fn, args)``; the call is ``fn(ctx, x, out, jac, st, args)``
+    with ``x`` the solution as a list, ``out`` the residual array (the
+    output dict when recording), ``jac`` the flat dense Jacobian view and
+    ``st`` the integrator frame (transient mode).  The result is ``True``
+    when done, ``None`` when a guard failed and ``False`` when a parameter
+    is not a plain float.  Accumulation order, the ``!= 0.0`` derivative
+    filter and the ``+=``/``-=`` forms replicate ``StampContext.add_*``
+    element by element, so stamps are bitwise those of the generic path.
+    """
+    shape, args = _stamp_layout(kernels, task, geometry, device, keys)
+    key = (kernels.fingerprint, task, kernels.mode, shape)
+    fn = _STAMPS.get(key)
+    if fn is None:
+        fn = _STAMPS[key] = _compile_source(
+            _stamp_source(kernels, task, shape), task, "stamp")
+        registry.inc("hdl.stamp_fn.compiles")
+    return fn, args
+
+
+def _stamp_layout(kernels: KernelSet, task: str, geo, device, keys):
+    """``(shape, args)`` of one device: :func:`_stamp_source` names the
+    arguments in exactly this order."""
+    plan, args = [], []
+    for tag, a, b in geo.plan:
+        if tag == "a":
+            plan.append(("a", a < 0, b < 0))
+            args.extend(i for i in (a, b) if i >= 0)
+        elif tag == "u":
+            plan.append(("u",))
+            args.append(a)
+        elif tag == "b":
+            plan.append(("b", b))
+            args.append(a)
+        elif tag == "c":
+            plan.append(("c", _literal(a)))
+        else:  # "d" (params-dict entry a) or "t" (time)
+            plan.append((tag, a))
+    if any(entry[0] == "d" for entry in plan):
+        args.append(device)
+    contribs = tuple((p < 0, n < 0) for p, n in geo.contribs)
+    if task != "record":
+        for p, n in geo.contribs:
+            args.extend(i for i in (p, n) if i >= 0)
+        args.extend(geo.eqs)
+    dep_map = geo.dep_map if task == "jac" else ()
+    size = geo.size
+    for p, n in geo.contribs:
+        for idx, _, _ in dep_map:
+            args.extend(row * size + idx for row in (p, n) if row >= 0)
+    for row in geo.eqs:
+        args.extend(row * size + idx for idx, _, _ in dep_map)
+    deps = tuple((pos, neg) for _, pos, neg in dep_map)
+    if kernels.mode == "tran":
+        for key in keys:
+            args.extend((key, ("integ", key)))
+    if task == "record":
+        args.extend(f"i({device.name}.{port})"
+                    for port in kernels.contrib_ports)
+        args.extend(f"{name}({device.name})" for name in kernels.record_names)
+    return (tuple(plan), contribs, len(geo.eqs), deps), tuple(args)
+
+
+def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
+    """Generate the stamp function of one (kernel, task, shape)."""
+    plan, contribs, n_eqs, deps = shape
+    names, gather = [], []
+    for pos, entry in enumerate(plan):
+        tag, i = entry[0], f"i{pos}"
+        if tag == "a":
+            ends = []
+            for end, ground in zip("pn", entry[1:]):
+                if ground:
+                    ends.append("0.0")
+                else:
+                    names.append(f"x{pos}{end}")
+                    ends.append(f"x[x{pos}{end}]")
+            gather.append(f"{i} = {ends[0]} - {ends[1]}")
+        elif tag == "u":
+            names.append(f"x{pos}")
+            gather.append(f"{i} = x[x{pos}]")
+        elif tag in ("b", "d"):
+            name = entry[1]
+            if tag == "d":
+                gather.append(f"{i} = dev.params[{name!r}]")
+            else:
+                names.append(f"o{pos}")
+                gather.append(f"{i} = o{pos}.{name}" if name.isidentifier()
+                              else f"{i} = getattr(o{pos}, {name!r})")
+            gather.append(f"if type({i}) is not float: return False")
+        elif tag == "c":
+            gather.append(f"{i} = {entry[1]}")
+        else:  # time
+            gather.append(f"{i} = ctx.time")
+    if any(entry[0] == "d" for entry in plan):
+        names.append("dev")
+    rows = [((f"r{j}p", pg), (f"r{j}n", ng))
+            for j, (pg, ng) in enumerate(contribs)]
+    eqs = [f"q{e}" for e in range(n_eqs)]
+    if task != "record":
+        names.extend(name for pair in rows for name, ground in pair
+                     if not ground)
+        names.extend(eqs)
+    flats = {}  # (row name, dependency) -> flat Jacobian position name
+    for pair in rows:
+        for m in range(len(deps)):
+            for name, ground in pair:
+                if not ground:
+                    flats[(name, m)] = f"f{len(flats)}"
+    for q in eqs:
+        for m in range(len(deps)):
+            flats[(q, m)] = f"f{len(flats)}"
+    names.extend(flats.values())
+    mode = kernels.mode
+    if mode == "tran":
+        for k in range(len(kernels.state_suffixes)):
+            names.extend((f"_k{k}", f"_i{k}"))
+    outputs = [f"n{j}" for j in range(len(contribs))] \
+        + [f"m{r}" for r in range(len(kernels.record_names))]
+    if task == "record":
+        names.extend(outputs)
+    flavor = "jac" if task == "jac" else "value"
+    preamble, body, values, extras, deriv_rows = _generate_parts(
+        kernels.variant, flavor, mode)
+    out = "out" if task == "record" else "res"
+    lines = [f"def stamp(ctx, x, {out}, jac, st, a):"]
+    if names:
+        lines.append(f"{', '.join(names)}, = a")
+    if mode == "tran" and kernels.state_suffixes:
+        lines.append(f"{', '.join(_FRAME)} = st")
+    lines += gather + preamble + body
+    if task == "record":
+        lines += [f"out[{n}] = float({v})" for n, v in zip(outputs, values)]
+        lines += [f"out[{n}] = float(np.real({r}))"
+                  for n, r in zip(outputs[len(contribs):], extras)]
+    else:
+        def accumulate(row: str, negate: bool, out_pos: int) -> None:
+            lines.append(f"res[{row}] {'-=' if negate else '+='} "
+                         f"{values[out_pos]}")
+
+        def derivative(row: str, m: int, negate: bool, out_pos: int) -> None:
+            # dval = (+/-) d; StampContext filters `dval != 0.0`, which is
+            # sign-independent, and `a += -d` == `a -= d` in IEEE.
+            d = deriv_rows[out_pos][deps[m][0]]
+            if d == "0.0":
+                return
+            stmt = f"jac[{flats[(row, m)]}] {'-=' if negate else '+='} {d}"
+            lines.append(stmt if d == "1.0" else f"if {d} != 0.0: {stmt}")
+
+        for out_pos, pair in enumerate(rows):
+            for (name, ground), negate in zip(pair, (False, True)):
+                if not ground:
+                    accumulate(name, negate, out_pos)
+            for m in range(len(deps)):
+                for (name, ground), flip in zip(pair, (False, True)):
+                    if not ground:
+                        derivative(name, m, deps[m][1] != flip, out_pos)
+        for e, q in enumerate(eqs):
+            out_pos = len(rows) + e
+            accumulate(q, False, out_pos)
+            for m in range(len(deps)):
+                derivative(q, m, deps[m][1], out_pos)
+    lines.append("return True")
+    return "\n    ".join(lines) + "\n"
+
+
 def cache_info() -> dict[str, int]:
-    """Size of the process-wide kernel cache (for tests/diagnostics)."""
-    return {"kernels": len(_CACHE)}
+    """Size of the process-wide caches (for tests/diagnostics):
+    ``kernels`` counts :class:`KernelSet` s, ``stamp_functions`` the shared
+    stamp functions generated from them."""
+    return {"kernels": len(_CACHE), "stamp_functions": len(_STAMPS)}
 
 
 def clear_cache() -> None:
-    """Drop every cached kernel (tests only)."""
+    """Drop every cached kernel and stamp function (tests only)."""
     _CACHE.clear()
+    _STAMPS.clear()

@@ -1,33 +1,48 @@
 """Runtime integration of compiled behavioral kernels into MNA stamping.
 
 This module owns the per-device compile state (traced variants, permanent
-fallbacks) and the stamp-time protocol:
+fallbacks) and two ways of running the compiled code:
 
-1. ``try_stamp``/``try_record`` run the device's compiled kernels for the
-   current analysis mode.  A guard mismatch tries the next variant; when
-   every variant misses, the model is re-traced against the live context
-   (bounded by :data:`MAX_VARIANTS`) and *this* call is stamped by the
-   interpreter -- the trace already wrote the identical pending dynamic
-   state, so the interpreter's writes are idempotent.
-2. Kernels differentiate with respect to their *across/unknown leaves*
-   (circuit-independent, so compiled kernels are shared process-wide); the
-   wrapper maps each MNA dependency index to ``leaf * (+/-1)`` at stamp
-   time.  Negation is exact in IEEE arithmetic, so compiled Jacobian stamps
-   are bitwise what the AD-dual interpreter produces.  When two leaves land
-   on one index (ports sharing a non-ground node), the scalar path falls
-   back to the interpreter -- the interpreter's in-dual summation order is
-   not reconstructable from per-leaf derivatives.
-3. The batched path (``try_stamp_batch``) evaluates the lane-vectorized
-   kernel once over ``(B,)`` lanes.  It is only offered for devices whose
-   single operating-point variant traced without guards
-   (:func:`batch_ready`), which is what lets behavioral devices skip the
-   per-lane fallback in campaign batches.
+**Stamp programs** (the steady state).  An MNA system holding behavioral
+devices assembles through a :class:`StampProgram` per ``(mode, task)``:
+a flat list in device order where built-in devices keep ``device.stamp``
+and each compiled behavioral device is one process-shared stamp function
+(:func:`.codegen.bind_stamp`, generated from the IR with solution indices,
+stamp rows, state keys and parameter owners as arguments) plus its bound
+argument tuple.  The checks that decide whether compiled code may stamp at
+all -- exact :class:`StampContext`, no residual duals or raw-state capture,
+compile enabled, dense Jacobian -- run once per assembly in
+:func:`run_stamps`; :func:`record_outputs` runs the record functions the
+same way for output collection.  Accumulation stays in device order, so
+results are bitwise those of device-by-device stamping.
 
-Hot-path layout: each compiled :class:`~.codegen.KernelSet` is wrapped in a
-per-device :class:`_BoundVariant` holding a pre-resolved input-gather plan
-(port objects, parameter sources) and, lazily per MNA system, the stamp
-geometry (node/aux indices and the dependency -> leaf sign map), so a stamp
-is a plan walk plus one generated-kernel call.
+**The per-device path** (``try_stamp``/``try_record``).  It serves first
+traces, program fallbacks and the assemblies a program does not take.  It
+runs the device's kernels for the current analysis mode; a guard mismatch
+tries the next variant, and when every variant misses the model is
+re-traced against the live context (bounded by :data:`MAX_VARIANTS`) and
+*this* call is stamped by the interpreter -- the trace already wrote the
+identical pending dynamic state, so the interpreter's writes are
+idempotent.
+
+Kernels differentiate with respect to their *across/unknown leaves*
+(circuit-independent, so compiled kernels are shared process-wide); each
+MNA dependency index maps to ``leaf * (+/-1)``.  Negation is exact in IEEE
+arithmetic, so compiled Jacobian stamps are bitwise what the AD-dual
+interpreter produces.  When two leaves land on one index (ports sharing a
+non-ground node) Jacobian stamps fall back to the interpreter, whose
+in-dual summation order is not reconstructable from per-leaf derivatives.
+
+The batched path (``try_stamp_batch``) evaluates the lane-vectorized kernel
+once over ``(B,)`` lanes.  It is only offered for devices whose single
+operating-point variant traced without guards (:func:`batch_ready`), which
+is what lets behavioral devices skip the per-lane fallback in campaign
+batches.
+
+Every silent fallback bumps a registry counter ``hdl.fallback.<reason>``:
+``sparse``, ``collide`` and ``param`` leave the program for the per-device
+path; ``guard_miss``, ``disabled`` and ``arith`` leave compiled code for
+the interpreter.
 
 Escape hatches: ``SimulationOptions(behavioral_compile=False)`` and the
 ``REPRO_BEHAVIORAL_INTERP`` environment variable (checked once per assembly
@@ -36,10 +51,8 @@ context, so tests can flip it between runs) both force the interpreter.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
-import re
 from time import perf_counter
 
 import numpy as np
@@ -47,12 +60,13 @@ import numpy as np
 from ... import telemetry
 from ...ad import Dual
 from ...circuit.mna import BatchStampContext, Integrator, StampContext
+from ...telemetry import registry
 from . import codegen, passes
 from .trace import trace_behavior
 
-__all__ = ["MAX_VARIANTS", "CompileState", "compilation_enabled",
-           "state_for", "try_stamp", "try_record", "batch_ready",
-           "try_stamp_batch"]
+__all__ = ["MAX_VARIANTS", "CompileState", "StampProgram",
+           "compilation_enabled", "state_for", "try_stamp", "try_record",
+           "run_stamps", "record_outputs", "batch_ready", "try_stamp_batch"]
 
 #: Re-trace budget per (device, mode): after this many traced variants the
 #: mode permanently falls back to the interpreter.
@@ -83,16 +97,13 @@ def _ctx_enabled(ctx) -> bool:
 class CompileState:
     """Per-device compile bookkeeping (variants per mode, fallbacks)."""
 
-    __slots__ = ("variants", "disabled", "trace_count", "probed", "hot")
+    __slots__ = ("variants", "disabled", "trace_count", "probed")
 
     def __init__(self) -> None:
         self.variants: dict[str, list[_BoundVariant]] = {}
         self.disabled: set[str] = set()
         self.trace_count: dict[str, int] = {}
         self.probed = False
-        #: ``(mode, want_jacobian) -> (system, fused)``: the fused function
-        #: that last stamped successfully, tried first on the next call.
-        self.hot: dict[tuple[str, bool], tuple] = {}
 
 
 def state_for(device) -> CompileState:
@@ -100,6 +111,10 @@ def state_for(device) -> CompileState:
     if state is None:
         state = device._compile_state = CompileState()
     return state
+
+
+#: Arithmetic errors a kernel shares with the interpreter.
+_ARITH = (ZeroDivisionError, OverflowError, ValueError)
 
 
 class _ParamFallback(Exception):
@@ -156,14 +171,13 @@ class _Geometry:
     ground), so scalar input gathering indexes ``ctx.x`` directly.
     """
 
-    __slots__ = ("system", "deps", "entries", "collide", "dep_map",
-                 "contribs", "eqs", "plan", "tran", "fused_jac",
-                 "fused_value", "fused_record")
+    __slots__ = ("system", "size", "deps", "entries", "collide", "dep_map",
+                 "contribs", "eqs", "plan")
 
     def __init__(self, device, bound: _BoundVariant, ctx) -> None:
         kernels = bound.kernels
         self.system = ctx.system
-        self.tran = bool(ctx.is_transient)
+        self.size = ctx.system.size
         plan = []
         for tag, a, b in bound.plan:
             if tag == "a":
@@ -196,221 +210,6 @@ class _Geometry:
             for name in kernels.contrib_ports)
         self.eqs = tuple(ctx.aux_index(device, name)
                          for name in kernels.eq_names)
-        self.fused_jac = _build_fused(device, bound, self, "jac")
-        self.fused_value = _build_fused(device, bound, self, "value")
-        self.fused_record = _build_fused(device, bound, self, "record")
-
-
-def _emit_gather(bound: _BoundVariant, geo: _Geometry, namespace, emit) -> bool:
-    """Emit the index-resolved input gather; False if not fusable."""
-    if any(tag in ("a", "u") for tag, _, _ in geo.plan):
-        emit("    x = ctx.x")
-    for pos, (tag, a, b) in enumerate(geo.plan):
-        if tag == "a":
-            ea = "0.0" if a < 0 else f"float(x[{a}])"
-            eb = "0.0" if b < 0 else f"float(x[{b}])"
-            emit(f"    i{pos} = {ea} - {eb}")
-        elif tag == "u":
-            emit(f"    i{pos} = float(x[{a}])")
-        elif tag == "b":
-            if not isinstance(b, str) or not b.isidentifier():
-                return False
-            owner = f"_o{pos}"
-            namespace[owner] = a
-            emit(f"    i{pos} = {owner}.{b}")
-            emit(f"    if type(i{pos}) is not float: return False")
-        elif tag == "d":
-            emit(f"    i{pos} = device.params[{a!r}]")
-            emit(f"    if type(i{pos}) is not float: return False")
-        elif tag == "c":
-            emit(f"    i{pos} = {float(a)!r}")
-        else:  # time
-            emit(f"    i{pos} = ctx.time")
-    return True
-
-
-_DDT_RE = re.compile(r"^(\w+) = ctx\.ddt\(_keys\[(\d+)\], ([^,()\s]+)\)$")
-_INTEG_RE = re.compile(
-    r"^(\w+) = ctx\.integ\(_keys\[(\d+)\], ([^,()\s]+), ([^,()\s]+)\)$")
-
-
-def _splice_kernel(bound: _BoundVariant, geo: _Geometry, namespace, emit,
-                   preamble, body) -> bool:
-    """Splice the kernel preamble+body, inlining the integrator machinery.
-
-    ``ctx.ddt``/``ctx.integ`` calls are replaced with the exact arithmetic
-    and pending-state writes of ``Integrator.differentiate``/``integrate``
-    (both methods, non-priming), with state keys pre-bound as constants.
-    Priming, a missing integrator or an unset step defer to the generic
-    path (``return False``), whose context calls behave -- and raise --
-    exactly like the interpreter's.  Returns False when a state call has an
-    unexpected shape, making the variant unfusable.
-    """
-    ddt_lines = [line for line in body if "ctx.ddt(" in line]
-    integ_lines = [line for line in body if "ctx.integ(" in line]
-    if not ddt_lines and not integ_lines:
-        for line in preamble:
-            emit("    " + line)
-        for line in body:
-            emit("    " + line)
-        return True
-    if any(_DDT_RE.match(line) is None for line in ddt_lines):
-        return False
-    if any(_INTEG_RE.match(line) is None for line in integ_lines):
-        return False
-    tran = geo.tran
-    if tran:
-        namespace["_BE"] = Integrator.BACKWARD_EULER
-        emit("    itg = ctx.integrator")
-        emit("    if itg is None or itg.priming or itg.h <= 0.0:"
-             " return False")
-        emit("    _h = itg.h")
-        emit("    _be = itg.method == _BE")
-        emit("    _vals = itg._values")
-        emit("    _pv = itg._pending_values")
-        if ddt_lines:
-            emit("    _c0v = 1.0 / _h if _be else 2.0 / _h")
-            emit("    _drvs = itg._derivs")
-            emit("    _pd = itg._pending_derivs")
-        if integ_lines:
-            emit("    _ints = itg._integrals")
-            emit("    _pi = itg._pending_integrals")
-    else:
-        # The op-mode variants also serve AC assemblies, where the state
-        # calls are not the DC no-ops inlined below.
-        emit("    if not ctx.is_dc: return False")
-    keys = bound.keys
-    for line in preamble:
-        if line == "_c0 = ctx.ddt_coefficient()":
-            emit("    _c0 = _c0v" if tran else "    _c0 = 0.0")
-        elif line == "_ci = ctx.integ_coefficient()":
-            emit("    _ci = _h if _be else 0.5 * _h" if tran
-                 else "    _ci = 0.0")
-        else:
-            emit("    " + line)
-    for line in body:
-        m = _DDT_RE.match(line)
-        if m is not None:
-            t, k, x = m.group(1), int(m.group(2)), m.group(3)
-            if not tran:
-                emit(f"    {t} = 0.0 * {x}")
-                continue
-            sk = f"_sk{k}"
-            namespace[sk] = keys[k]
-            emit(f"    {t} = ({x} - _vals.get({sk}, {x})) * _c0v")
-            emit(f"    if not _be: {t} -= _drvs.get({sk}, 0.0)")
-            emit(f"    _pv[{sk}] = {x}")
-            emit(f"    _pd[{sk}] = {t}")
-            continue
-        m = _INTEG_RE.match(line)
-        if m is not None:
-            t, k, x, init = (m.group(1), int(m.group(2)), m.group(3),
-                             m.group(4))
-            if not tran:
-                emit(f"    {t} = 0.0 * {x} + {init}")
-                continue
-            sk, isk = f"_sk{k}", f"_isk{k}"
-            namespace[sk] = keys[k]
-            namespace[isk] = ("integ", keys[k])
-            emit("    if _be:")
-            emit(f"        {t} = _ints.get({sk}, {init}) + _h * {x}")
-            emit("    else:")
-            emit(f"        {t} = _ints.get({sk}, {init})"
-                 f" + 0.5 * _h * ({x} + _vals.get({isk}, {x}))")
-            emit(f"    _pv[{isk}] = {x}")
-            emit(f"    _pi[{sk}] = {t}")
-            continue
-        emit("    " + line)
-    return True
-
-
-def _build_fused(device, bound: _BoundVariant, geo: _Geometry, task: str):
-    """Generate one fused function of a (variant, system) pair.
-
-    ``task`` is ``"jac"`` (full stamp), ``"value"`` (residual-only stamp) or
-    ``"record"`` (output collection).  The generated source splices the
-    kernel body between an index-resolved input gather and direct dense
-    residual/Jacobian accumulation -- all constants (solution indices,
-    stamp rows, leaf signs) baked in -- so the steady-state stamp is a
-    single generated function call.  Accumulation order, the ``!= 0.0``
-    derivative filter and the exact ``+= value`` / ``-= value`` forms
-    replicate ``StampContext.add_*`` element by element, keeping results
-    bitwise identical.  Returns None when the variant cannot be fused
-    (colliding leaves, exotic parameter bindings).
-
-    Contract of the generated function: truthy result (``True`` / the
-    record dict) = done, ``None`` = a guard failed, ``False`` = the generic
-    path must take over (non-float parameter, sparse Jacobian assembly).
-    """
-    if task == "jac" and geo.collide:
-        return None
-    kernels = bound.kernels
-    preamble, body, value_names, extras, rows = (
-        kernels.parts["jac" if task == "jac" else "value"])
-    namespace = {"math": math, "np": np, "_keys": bound.keys}
-    lines = [f"def fused(ctx, device):"]
-    emit = lines.append
-    if task == "jac":
-        # Sparse assemblies accumulate COO triplets; the generic path
-        # handles them through ctx.add_jac.
-        emit("    if ctx.use_sparse: return False")
-    if not _emit_gather(bound, geo, namespace, emit):
-        return None
-    if not _splice_kernel(bound, geo, namespace, emit, preamble, body):
-        return None
-    if task == "record":
-        items = []
-        for port_name, v in zip(kernels.contrib_ports, value_names):
-            items.append(f"{f'i({device.name}.{port_name})'!r}: float({v})")
-        for rec_name, r in zip(kernels.record_names, extras):
-            items.append(
-                f"{f'{rec_name}({device.name})'!r}: float(np.real({r}))")
-        emit(f"    return {{{', '.join(items)}}}")
-        source = "\n".join(lines) + "\n"
-        exec(compile(source, "<behavioral-fused-record>", "exec"), namespace)
-        return namespace["fused"]
-    emit("    res = ctx.res")
-    if task == "jac":
-        emit("    jac = ctx.jac")
-
-    def emit_res(idx: int, v: str, negate: bool) -> None:
-        if idx >= 0:
-            emit(f"    res[{idx}] {'-=' if negate else '+='} {v}")
-
-    def emit_jac(target: str, pos: int, neg: bool, row) -> None:
-        # dval = (+/-) row[pos]; the generic path filters `dval != 0.0`,
-        # which is sign-independent, and `a += -d` == `a -= d` in IEEE.
-        d = row[pos]
-        if d == "0.0":
-            return
-        stmt = f"jac[{target}] {'-=' if neg else '+='} {d}"
-        if d == "1.0":
-            emit(f"    {stmt}")
-        else:
-            emit(f"    if {d} != 0.0: {stmt}")
-
-    out_pos = 0
-    for ip, in_ in geo.contribs:
-        v = value_names[out_pos]
-        emit_res(ip, v, False)
-        emit_res(in_, v, True)
-        if task == "jac":
-            for idx, pos, neg in geo.dep_map:
-                if ip >= 0:
-                    emit_jac(f"{ip}, {idx}", pos, neg, rows[out_pos])
-                if in_ >= 0:
-                    emit_jac(f"{in_}, {idx}", pos, not neg, rows[out_pos])
-        out_pos += 1
-    for row_index in geo.eqs:
-        emit_res(row_index, value_names[out_pos], False)
-        if task == "jac":
-            for idx, pos, neg in geo.dep_map:
-                emit_jac(f"{row_index}, {idx}", pos, neg, rows[out_pos])
-        out_pos += 1
-    emit("    return True")
-    source = "\n".join(lines) + "\n"
-    exec(compile(source, "<behavioral-fused-stamp>", "exec"), namespace)
-    return namespace["fused"]
 
 
 def _geometry(device, bound: _BoundVariant, ctx) -> _Geometry:
@@ -507,15 +306,7 @@ def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
     state.variants.setdefault(mode, []).append(_BoundVariant(device, kernels))
 
 
-def _run_kernel(kernel, ctx, keys, inputs):
-    t0 = perf_counter()
-    try:
-        return kernel(ctx, keys, *inputs)
-    finally:
-        telemetry.registry.observe("hdl.kernel.eval_s", perf_counter() - t0)
-
-
-def _scalar_eligible(device, ctx) -> bool:
+def _scalar_eligible(ctx) -> bool:
     if type(ctx) is not StampContext:
         # Batch and sensitivity-seeded subclasses have their own contracts.
         return False
@@ -535,11 +326,8 @@ def _select_output(state: CompileState, device, mode: str, ctx,
     if bounds is None:
         _retrace(device, state, mode, ctx)
         return None
-    timed = telemetry.enabled()
     for bound in bounds:
-        geo = bound.geometry
-        if geo is None or geo.system is not ctx.system:
-            geo = bound.geometry = _Geometry(device, bound, ctx)
+        geo = _geometry(device, bound, ctx)
         try:
             inputs = _gather(device, geo, ctx)
         except _ParamFallback:
@@ -547,79 +335,44 @@ def _select_output(state: CompileState, device, mode: str, ctx,
         kernels = bound.kernels
         kernel = kernels.scalar if want_jacobian else kernels.value
         try:
-            if timed:
-                out = _run_kernel(kernel, ctx, bound.keys, inputs)
-            else:
-                out = kernel(ctx, bound.keys, *inputs)
-        except (ZeroDivisionError, OverflowError, ValueError):
+            out = kernel(ctx, bound.keys, *inputs)
+        except _ARITH:
             # The interpreter performs the same arithmetic; let it raise the
             # properly-worded error (or survive, for dual-order edge cases).
+            registry.inc("hdl.fallback.arith")
             return None
         if out is not None:
             return bound, geo, out
+    registry.inc("hdl.fallback.guard_miss")
     _retrace(device, state, mode, ctx)
     return None
 
 
-def try_stamp(device, ctx) -> bool:
-    """Compiled replacement for ``BehavioralDevice.stamp``; False = fallback."""
-    if type(ctx) is not StampContext:
-        if isinstance(ctx, BatchStampContext):
-            return try_stamp_batch(device, ctx)
-        return False
-    if ctx.keep_residual_duals or not _ctx_enabled(ctx):
-        return False
-    integrator = ctx.integrator
-    if integrator is not None and integrator.capture_raw:
-        return False
+def _mode_state(device, ctx):
+    """``(mode, state)`` of a compile-eligible scalar stamp, or None."""
+    if not _scalar_eligible(ctx):
+        return None
     state = state_for(device)
     mode = "tran" if ctx.is_transient else "op"
     if mode in state.disabled:
+        registry.inc("hdl.fallback.disabled")
+        return None
+    return mode, state
+
+
+def try_stamp(device, ctx) -> bool:
+    """Compiled ``BehavioralDevice.stamp`` of one device; False = fallback.
+
+    The per-device path: stamp programs cover eligible assemblies, so this
+    runs for first traces, program fallbacks, per-lane batch contexts and
+    assemblies a program does not take (sparse Jacobians, priming)."""
+    if isinstance(ctx, BatchStampContext):
+        return try_stamp_batch(device, ctx)
+    eligible = _mode_state(device, ctx)
+    if eligible is None:
         return False
+    mode, state = eligible
     want_jacobian = ctx.want_jacobian
-    bounds = state.variants.get(mode)
-    if bounds is None:
-        _retrace(device, state, mode, ctx)
-        return False
-    if not telemetry.enabled():
-        # Steady-state fast path: one fused generated function per variant,
-        # with the last successful one memoized and tried first.
-        hot_key = (mode, want_jacobian)
-        hot = state.hot.get(hot_key)
-        if hot is not None and hot[0] is ctx.system:
-            try:
-                out = hot[1](ctx, device)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                return False
-            if out is True:
-                return True
-        use_generic = False
-        for bound in bounds:
-            geo = bound.geometry
-            if geo is None or geo.system is not ctx.system:
-                geo = bound.geometry = _Geometry(device, bound, ctx)
-            fused = geo.fused_jac if want_jacobian else geo.fused_value
-            if fused is None:
-                use_generic = True
-                break
-            try:
-                out = fused(ctx, device)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                # The interpreter performs the same arithmetic; let it raise
-                # the properly-worded error (or survive the edge case).
-                return False
-            if out is True:
-                state.hot[hot_key] = (ctx.system, fused)
-                return True
-            if out is False:
-                # Parameter is not a plain float: the generic path decides
-                # between widening (ints) and interpreter fallback (duals).
-                use_generic = True
-                break
-        if not use_generic:
-            # Every fused variant's guards missed.
-            _retrace(device, state, mode, ctx)
-            return False
     picked = _select_output(state, device, mode, ctx, want_jacobian)
     if picked is None:
         return False
@@ -652,34 +405,10 @@ def try_stamp(device, ctx) -> bool:
 
 def try_record(device, ctx):
     """Compiled ``BehavioralDevice.record``; None means use the interpreter."""
-    if not _scalar_eligible(device, ctx):
+    eligible = _mode_state(device, ctx)
+    if eligible is None:
         return None
-    state = state_for(device)
-    mode = "tran" if ctx.is_transient else "op"
-    if mode in state.disabled:
-        return None
-    bounds = state.variants.get(mode)
-    if bounds and not telemetry.enabled():
-        # Steady-state fast path: fused value kernel + baked output names.
-        for bound in bounds:
-            geo = bound.geometry
-            if geo is None or geo.system is not ctx.system:
-                geo = bound.geometry = _Geometry(device, bound, ctx)
-            fused = geo.fused_record
-            if fused is None:
-                break
-            try:
-                out = fused(ctx, device)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                return None
-            if out is None:
-                continue
-            if out is False:
-                break
-            return out
-        else:
-            _retrace(device, state, mode, ctx)
-            return None
+    mode, state = eligible
     picked = _select_output(state, device, mode, ctx, want_jacobian=False)
     if picked is None:
         return None
@@ -691,6 +420,186 @@ def try_record(device, ctx):
     for rec_name, value in zip(kernels.record_names, records):
         outputs[f"{rec_name}({device.name})"] = float(np.real(value))
     return outputs
+
+
+# --------------------------------------------------------------------------- #
+# stamp programs                                                              #
+# --------------------------------------------------------------------------- #
+
+def _device_stamp(device, ctx, out) -> None:
+    device.stamp(ctx)
+
+
+def _collide_stamp(device, ctx, out) -> None:
+    registry.inc("hdl.fallback.collide")
+    device.stamp(ctx)
+
+
+def _device_record(device, ctx, out) -> None:
+    for key, value in device.record(ctx).items():
+        out[key] = float(value)
+
+
+class StampProgram:
+    """One MNA system's stamps for one ``(mode, task)``, in device order.
+
+    ``entries`` holds one ``(fn, args, device)`` per device.  A behavioral
+    device with a compiled variant gets the variant's shared stamp function
+    (:func:`~.codegen.bind_stamp`) and its bound arguments; every other
+    device keeps a per-device call (``args`` None): ``device.stamp`` /
+    ``device.record``, or -- for colliding Jacobian leaves -- a counted
+    ``device.stamp``.  Further variants of a device wait in ``alternates``
+    and are tried when the current one's guards miss.  A stamp function
+    that does not return True hands the device to its per-device path,
+    which keeps the retrace budget and the interpreter; the program is then
+    ``stale`` and rebuilt before the next run, picking up new variants.
+    """
+
+    __slots__ = ("mode", "task", "entries", "alternates", "stale")
+
+    def __init__(self, system, ctx, mode: str, task: str) -> None:
+        self.mode, self.task = mode, task
+        self.entries: list[tuple] = []
+        self.alternates: dict[str, list[tuple]] = {}
+        self.stale = False
+        per_device = _device_record if task == "record" else _device_stamp
+        for device in system.circuit:
+            bounds = None
+            if device.compiled_stamps:
+                state = state_for(device)
+                if mode not in state.disabled:
+                    bounds = state.variants.get(mode)
+                    # Untraced: the per-device path traces on this run.
+                    self.stale = self.stale or bounds is None
+            if not bounds:
+                self.entries.append((per_device, None, device))
+                continue
+            geos = [_geometry(device, bound, ctx) for bound in bounds]
+            if task == "jac" and any(geo.collide for geo in geos):
+                self.entries.append((_collide_stamp, None, device))
+                continue
+            fns = [codegen.bind_stamp(bound.kernels, task, geo, device,
+                                      bound.keys)
+                   for bound, geo in zip(bounds, geos)]
+            self.entries.append((*fns[0], device))
+            if len(fns) > 1:
+                self.alternates[device.name] = fns[1:]
+
+    def run(self, ctx, out, jac) -> None:
+        """Stamp (or record into ``out``) every device of the assembly."""
+        x = ctx.x.tolist()
+        st = _integrator_frame(ctx.integrator) if self.mode == "tran" else None
+        for entry in self.entries:
+            fn, args, device = entry
+            if args is None:
+                fn(device, ctx, out)
+                continue
+            try:
+                done = fn(ctx, x, out, jac, st, args)
+            except _ARITH:
+                # The per-device path meets the same arithmetic and lets
+                # the interpreter raise (or survive) it.
+                done = _ARITH
+            if done is not True:
+                self._fallback(entry, done, ctx, x, out, jac, st)
+
+    def _fallback(self, entry, done, ctx, x, out, jac, st) -> None:
+        """A stamp function did not finish: on a guard miss try the
+        device's other variants, else run its per-device path."""
+        fn, args, device = entry
+        if done is None:
+            alternates = self.alternates.get(device.name, [])
+            for i, (alt_fn, alt_args) in enumerate(alternates):
+                try:
+                    done = alt_fn(ctx, x, out, jac, st, alt_args)
+                except _ARITH:
+                    done = _ARITH
+                if done is True:
+                    # Promote the variant that holds now.
+                    alternates[i] = (fn, args)
+                    self.entries[self.entries.index(entry)] = \
+                        (alt_fn, alt_args, device)
+                    return
+                if done is not None:
+                    break
+            else:
+                # Every variant missed: the per-device path retraces.
+                self.stale = True
+        if done is False:
+            registry.inc("hdl.fallback.param")
+        if self.task == "record":
+            _device_record(device, ctx, out)
+        else:
+            device.stamp(ctx)
+
+
+def _integrator_frame(integrator) -> tuple:
+    """Per-assembly integrator state of transient stamp functions: the
+    inlined ``Integrator.differentiate``/``integrate`` read it (names in
+    :data:`.codegen._FRAME`)."""
+    h = integrator.h
+    be = integrator.method == Integrator.BACKWARD_EULER
+    return (h, be, 1.0 / h if be else 2.0 / h, h if be else 0.5 * h,
+            integrator._values, integrator._derivs, integrator._integrals,
+            integrator._pending_values, integrator._pending_derivs,
+            integrator._pending_integrals)
+
+
+def _program(system, ctx, task: str) -> StampProgram | None:
+    """The system's program for this assembly, or None when the assembly
+    needs the per-device path (checked once here instead of per device)."""
+    if not _scalar_eligible(ctx):
+        return None
+    integrator = ctx.integrator
+    if ctx.analysis == "tran":
+        if integrator is None or integrator.priming or integrator.h <= 0.0:
+            return None
+        mode = "tran"
+    elif ctx.is_dc:
+        mode = "op"
+    else:
+        return None
+    if task == "jac" and ctx.use_sparse:
+        # Sparse assemblies accumulate COO triplets through ctx.add_jac.
+        registry.inc("hdl.fallback.sparse")
+        return None
+    programs = system.stamp_programs
+    program = programs.get((mode, task))
+    if program is None or program.stale:
+        program = programs[(mode, task)] = StampProgram(system, ctx, mode,
+                                                        task)
+    return program
+
+
+def run_stamps(system, ctx) -> None:
+    """Stamp every device of a system holding behavioral devices.
+
+    Runs the system's program when the assembly qualifies, else each
+    device's ``stamp``; with telemetry on, the whole pass is one
+    ``hdl.kernel.eval_s`` observation.
+    """
+    t0 = perf_counter() if telemetry.enabled() else None
+    want_jacobian = ctx.want_jacobian
+    program = _program(system, ctx, "jac" if want_jacobian else "value")
+    if program is None:
+        for device in system.circuit:
+            device.stamp(ctx)
+    else:
+        program.run(ctx, ctx.res, ctx.jac.reshape(-1) if want_jacobian
+                    else None)
+    if t0 is not None:
+        registry.observe("hdl.kernel.eval_s", perf_counter() - t0)
+
+
+def record_outputs(system, ctx, out: dict) -> None:
+    """Record every device's outputs into ``out``, through the system's
+    record program when the context qualifies."""
+    program = _program(system, ctx, "record")
+    if program is None:
+        for device in system.circuit:
+            _device_record(device, ctx, out)
+    else:
+        program.run(ctx, out, None)
 
 
 # --------------------------------------------------------------------------- #
@@ -757,7 +666,7 @@ def try_stamp_batch(device, ctx: BatchStampContext) -> bool:
                 inputs.append(a)
             else:
                 inputs.append(ctx.time)
-    values, derivs = _run_kernel(kernels.vector(), ctx, bound.keys, inputs)
+    values, derivs = kernels.vector()(ctx, bound.keys, *inputs)
     geo = _geometry(device, bound, ctx)
     # Stamp in the serial (output, dependency) order so same-cell Jacobian
     # accumulations sum in the same sequence as the scalar path.  Per-lane
@@ -803,7 +712,7 @@ def parameter_gradients(device, ctx, parameter_names=None):
     operators contribute ``coefficient * dp`` through the active
     discretization and baked initial values are parameter-independent.
     """
-    if not _scalar_eligible(device, ctx):
+    if not _scalar_eligible(ctx):
         return None
     state = state_for(device)
     mode = "tran" if ctx.is_transient else "op"
@@ -825,8 +734,8 @@ def parameter_gradients(device, ctx, parameter_names=None):
         if names is None:
             names = kernels.param_inputs
         try:
-            out = _run_kernel(kernels.dfdp(), ctx, bound.keys, inputs)
-        except (ZeroDivisionError, OverflowError, ValueError):
+            out = kernels.dfdp()(ctx, bound.keys, *inputs)
+        except _ARITH:
             return None
         if out is None:
             continue

@@ -412,6 +412,10 @@ class TracedVariant:
             tuple((name, node.key) for name, node in self.contributions),
             tuple((name, node.key) for name, node in self.equations),
             tuple((name, node.key) for name, node in self.records),
+            # Defaults are baked into the kernel inputs' gather plan, so two
+            # behaviours differing only in a ``ctx.param`` default must not
+            # share one kernel set.
+            tuple(sorted(self.param_defaults.items())),
         )
 
 

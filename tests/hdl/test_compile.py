@@ -369,3 +369,26 @@ class TestFingerprint:
             device = behavioral_resistor(circuit, "XS", "a", "0", 123.0)
             kernels.append(hdl_compile.compile_device(device))
         assert kernels[0] is kernels[1]
+
+    def test_param_defaults_distinguish_kernels(self):
+        # A ``ctx.param`` default is baked into the kernel's gather plan:
+        # behaviours differing only in it must not share a kernel set
+        # (found by the generated-netlist equivalence test).
+        def build(default):
+            circuit = Circuit()
+            circuit.voltage_source("V1", "a", "0", 1.0)
+
+            def behavior(ctx):
+                ctx.contribute("e", ctx.param("g", default) * ctx.across("e"))
+
+            return circuit, circuit.add(BehavioralDevice(
+                "XD", [Port("e", circuit.electrical_node("a"), circuit.ground,
+                            ELECTRICAL)], behavior))
+
+        kernels = [hdl_compile.compile_device(build(g)[1])
+                   for g in (1e-3, 2e-3)]
+        assert kernels[0] is not kernels[1]
+        for g in (1e-3, 2e-3):
+            compiled, interp = (OperatingPointAnalysis(build(g)[0], options)
+                                .run() for options in (COMPILED, INTERP))
+            assert np.array_equal(compiled.raw, interp.raw)
