@@ -21,7 +21,8 @@ pool cannot win, so there the numbers are reported without the assertion.
 A second benchmark pins the batched backend: a 256-point Monte-Carlo
 operating-point campaign over a nonlinear diode ladder must run **>= 5x
 more points/s** with ``backend="batch"`` (block-factorized lockstep Newton)
-than serially, at per-point parity within 1e-12.  Unlike the pool
+than serially, at per-point parity within 1e-12, with no device stamped
+per lane (``mna.batch.lane_stamps`` must stay 0).  Unlike the pool
 comparison this floor holds on a single CPU -- the win is vectorization,
 not parallelism -- so CI enforces it unconditionally.
 """
@@ -39,6 +40,7 @@ from repro.campaign import (CampaignRunner, CircuitEvaluator, MonteCarlo,
 from repro.circuit import Circuit
 from repro.pxt import ParameterExtractor
 from repro.system import PAPER_PARAMETERS
+from repro.telemetry import registry
 
 GRID_POINTS = 64  # 8 x 8; the acceptance floor for the pool comparison
 
@@ -168,8 +170,11 @@ def test_batched_backend_throughput(benchmark):
     batch_result = benchmark.pedantic(
         lambda: CampaignRunner(backend="batch").run(spec, batch_evaluator),
         rounds=1, iterations=1)
+    before = registry.snapshot()
     _, batch_s = _timed(
         lambda: CampaignRunner(backend="batch").run(spec, batch_evaluator))
+    lane_stamps = registry.delta(before)["counters"].get(
+        "mna.batch.lane_stamps", 0)
     serial_result, serial_s = _timed(
         lambda: CampaignRunner(backend="serial").run(spec, serial_evaluator))
 
@@ -193,7 +198,13 @@ def test_batched_backend_throughput(benchmark):
         f"batch speedup over serial: {speedup:.1f}x "
         f"(floor {BATCH_SPEEDUP_FLOOR:.0f}x)",
         f"worst per-point relative difference: {worst:.2e} (<= 1e-12)",
+        f"per-lane device stamps (mna.batch.lane_stamps): {lane_stamps:.0f} "
+        f"(must be 0)",
     ])
+    if lane_stamps:
+        raise AssertionError(
+            f"every ladder device is batch-safe, yet {lane_stamps:.0f} "
+            f"device stamps ran per lane")
     assert speedup >= BATCH_SPEEDUP_FLOOR, (
         f"batched backend ({batch_s:.3f} s) should be >= "
         f"{BATCH_SPEEDUP_FLOOR:.0f}x faster than serial ({serial_s:.3f} s); "

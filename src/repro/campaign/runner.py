@@ -149,7 +149,8 @@ def _evaluate_batch_items(evaluator, items: Sequence[tuple[int, dict]]
     Lanes the batch could not finish (``None`` rows, or a whole-slice
     ``None``) are re-dispatched through :func:`_evaluate_one`, so they keep
     the exact serial semantics -- including error strings and forensics for
-    points that genuinely fail.
+    points that genuinely fail.  Each ``None`` row counts one
+    ``campaign.batch.serial_reruns`` in the metrics registry.
     """
     lanes = None
     if len(items) > 1:
@@ -160,6 +161,7 @@ def _evaluate_batch_items(evaluator, items: Sequence[tuple[int, dict]]
     results = []
     for (index, point), row in zip(items, lanes):
         if row is None:
+            telemetry.registry.inc("campaign.batch.serial_reruns")
             results.append(_evaluate_one(evaluator, index, point))
         else:
             results.append(

@@ -4,15 +4,27 @@ A campaign evaluates the *same* circuit at B parameter points.  The drivers
 here stack those points along a lane axis and run one vectorized Newton
 iteration over the block:
 
-* devices whose stamps broadcast (``Device.batch_safe``) are stamped once
-  with ``(B,)`` parameter/state arrays,
-* devices that cannot broadcast (AD-dual behavioral models) are stamped per
-  lane through a genuine serial :class:`~repro.circuit.mna.StampContext`
-  aliasing the batch arrays,
+* every system gets a group plan (:class:`BatchPlan`, built once per
+  system and batch-safety split): the batch-safe devices of one
+  ``Device.batch_grouped`` class (R, C, L, diode and the mechanical twins)
+  stamp with *one* call of their unchanged ``stamp`` on a group view --
+  index-column terminals, stacked ``(k, 1)`` / ``(k, B)`` parameter
+  columns -- while the other batch-safe devices (sources holding a
+  waveform, behavioral vector kernels) stamp alone with ``(B,)`` lanes,
+* every ``add_*`` call writes a value buffer at a precomputed slot, and an
+  ordered scatter (:class:`~repro.circuit.mna.BatchScatter`) adds each
+  entry's contributions in device order -- bitwise equal to stamping
+  device by device,
+* devices that cannot broadcast (guarded or interpreted behavioral models,
+  transducers, controlled sources) are stamped per lane through a genuine
+  serial :class:`~repro.circuit.mna.StampContext` aliasing the batch
+  arrays, counted as ``mna.batch.lane_stamps`` in the metrics registry,
 * the linear stage factors all B Jacobians in one
   :func:`repro.linalg.batched_factorize` call,
 * convergence is tested per lane with the exact serial criterion; converged
-  lanes freeze while stragglers iterate.
+  lanes freeze while stragglers iterate,
+* outputs are collected once per batch over the lane axis
+  (:func:`~repro.circuit.analysis.op.collect_outputs`).
 
 A lane that fails any serial failure condition (non-finite residual /
 Jacobian / update, singular matrix, iteration cap) is *retired* from the
@@ -24,6 +36,7 @@ dies because one point does.
 
 from __future__ import annotations
 
+import copy
 from time import perf_counter
 from typing import Iterable, Sequence
 
@@ -33,14 +46,15 @@ from ... import telemetry
 from ...errors import AnalysisError, LinAlgError
 from ...linalg import batched_factorize
 from ..devices.sources import CurrentSource, VoltageSource
-from ..mna import BatchStampContext, MNASystem
-from ..netlist import Circuit
+from ..mna import BatchScatter, BatchStampContext, MNASystem
+from ..netlist import Circuit, Node
 from ..waveforms import DC
 from .op import collect_outputs
 from .options import SimulationOptions
 from .results import DCSweepResult, OperatingPoint
 
-__all__ = ["ParameterColumns", "batch_supported", "assemble_batch",
+__all__ = ["ParameterColumns", "BatchPlan", "batch_plan", "batch_supported",
+           "assemble_batch",
            "batched_newton", "batched_operating_points", "batched_dcsweeps"]
 
 
@@ -49,18 +63,18 @@ class ParameterColumns:
 
     Each assignment targets one device parameter (the
     :attr:`~repro.circuit.devices.base.Device._TUNABLE` protocol) with a
-    ``(B,)`` value column.  Batch-safe devices take the whole column at once
-    (:meth:`set_arrays`) so vectorized stamps broadcast; per-lane passes
-    (non-broadcastable stamping, output collection) swap in lane scalars via
-    :meth:`set_lane` / :meth:`set_unsafe_lane`.  :meth:`restore` puts the
-    original values back; use the instance as a context manager to make that
-    unconditional.
+    ``(B,)`` value column.  Devices batch-safe under the run's options take
+    the whole column at once (:meth:`set_arrays`) so vectorized stamps
+    broadcast; per-lane passes (non-broadcastable stamping, output
+    collection) swap in lane scalars via :meth:`set_lane` /
+    :meth:`set_unsafe_lane`.  :meth:`restore` puts the original values back;
+    use the instance as a context manager to make that unconditional.
     """
 
     def __init__(self, circuit: Circuit,
                  assignments: Iterable[tuple[str, str, Sequence[float]]]) -> None:
         self.circuit = circuit
-        self.entries: list[tuple[object, str, np.ndarray, object, bool]] = []
+        self.entries: list[tuple[object, str, np.ndarray, object]] = []
         batch: int | None = None
         for device_name, param, values in assignments:
             device = circuit[device_name]
@@ -76,36 +90,43 @@ class ParameterColumns:
                     f"parameter column {device_name}.{param} has {column.size} "
                     f"lanes, expected {batch}")
             original = device.get_parameter(param)
-            safe = bool(getattr(device, "batch_safe", False))
-            self.entries.append((device, param, column, original, safe))
+            self.entries.append((device, param, column, original))
         if batch is None:
             raise AnalysisError("a batch needs at least one parameter column")
         self.batch = batch
+        #: Per entry: whether its device took the array column in the last
+        #: :meth:`set_arrays`.
+        self.safe = [False] * len(self.entries)
 
     def targets(self, device) -> bool:
         """Whether any column writes to ``device``."""
         return any(entry[0] is device for entry in self.entries)
 
-    def set_arrays(self) -> None:
-        """Install the full ``(B,)`` columns on every batch-safe device."""
-        for device, param, column, _, safe in self.entries:
+    def set_arrays(self, options: SimulationOptions | None = None,
+                   lanes: np.ndarray | None = None) -> None:
+        """Install the ``(B,)`` columns -- or their ``lanes`` rows -- on
+        every device batch-safe under ``options``."""
+        self.safe = [device.batch_safe_for(options)
+                     for device, _, _, _ in self.entries]
+        for (device, param, column, _), safe in zip(self.entries, self.safe):
             if safe:
-                device.set_parameter(param, column)
+                device.set_parameter(
+                    param, column if lanes is None else column[lanes])
 
     def set_lane(self, lane: int) -> None:
         """Install lane scalars on *every* device (serial passes)."""
-        for device, param, column, _, _ in self.entries:
+        for device, param, column, _ in self.entries:
             device.set_parameter(param, float(column[lane]))
 
     def set_unsafe_lane(self, lane: int) -> None:
-        """Install lane scalars on the non-batch-safe devices only."""
-        for device, param, column, _, safe in self.entries:
+        """Install lane scalars on the devices :meth:`set_arrays` left out."""
+        for (device, param, column, _), safe in zip(self.entries, self.safe):
             if not safe:
                 device.set_parameter(param, float(column[lane]))
 
     def restore(self) -> None:
         """Put every original parameter value back."""
-        for device, param, _, original, _ in self.entries:
+        for device, param, _, original in self.entries:
             device.set_parameter(param, original)
 
     def __enter__(self) -> "ParameterColumns":
@@ -127,33 +148,157 @@ def batch_supported(options: SimulationOptions) -> bool:
     return options.solver_backend() != "cg"
 
 
+def _stacked_attributes(cls) -> list[str]:
+    """The ``_TUNABLE`` attributes of ``cls`` and its bases -- everything a
+    grouped stamp may read besides terminals and auxiliary unknowns."""
+    attrs: list[str] = []
+    for klass in cls.__mro__:
+        for attr in vars(klass).get("_TUNABLE", {}).values():
+            if attr not in attrs:
+                attrs.append(attr)
+    return attrs
+
+
+class _Group:
+    """One device class's members stamped together through a group view.
+
+    The view is a shallow copy of the first member whose terminals are
+    ``(k,)`` index columns (ground -> the padding slot ``system.size``),
+    whose auxiliary unknowns are ``batch_aux`` index columns, and whose
+    tunable attributes hold the members' values stacked by :meth:`stack`.
+    Its one ``stamp`` call computes ``(k, B)`` blocks.
+    """
+
+    def __init__(self, system: MNASystem, members: list, positions: list[int]
+                 ) -> None:
+        self.members = members
+        self.positions = np.array(positions, dtype=np.intp)
+        self.attrs = _stacked_attributes(type(members[0]))
+        view = self.view = copy.copy(members[0])
+        pad = system.size
+        for attr, value in vars(members[0]).items():
+            if isinstance(value, Node):
+                indices = [system.index_of(getattr(member, attr))
+                           for member in members]
+                setattr(view, attr, np.array(
+                    [pad if index < 0 else index for index in indices],
+                    dtype=np.intp))
+        view.batch_aux = {
+            name: np.array([system.aux_index(member, name)
+                            for member in members], dtype=np.intp)
+            for name in members[0].aux_names()}
+
+    def stack(self) -> None:
+        """Stack the members' current tunable values onto the view: a
+        ``(k, 1)`` column, or ``(k, B)`` where a member holds a lane array
+        (lanes last, like the context's index-column reads)."""
+        view, members = self.view, self.members
+        for attr in self.attrs:
+            values = [getattr(member, attr) for member in members]
+            if any(isinstance(value, np.ndarray) for value in values):
+                column = np.stack(np.broadcast_arrays(*values))
+            else:
+                column = np.array(values, dtype=float)[:, None]
+            setattr(view, attr, column)
+
+
+class BatchPlan:
+    """How one MNA system stamps a batch under one batch-safety split.
+
+    Built once per system and split (:func:`batch_plan`).  Batch-safe
+    devices of a ``batch_grouped`` class stamp as one group view per class
+    (:class:`_Group`); the other batch-safe devices -- sources holding a
+    waveform, behavioral vector-kernel devices -- stamp alone, still
+    through the shared value buffers; ``lane_devices`` stamp per lane.  The
+    :class:`~repro.circuit.mna.BatchScatter` of ``entries`` is probed on
+    the first assembly (and again should the stamp calls ever change).
+    """
+
+    def __init__(self, system: MNASystem, safe: Sequence[bool]) -> None:
+        self.lane_devices: list = []
+        # Grouped classes and single devices, in order of first appearance.
+        members: dict[object, list[tuple[int, object]]] = {}
+        for position, (device, ok) in enumerate(zip(system.circuit, safe)):
+            if not ok:
+                self.lane_devices.append(device)
+                continue
+            key = type(device) if device.batch_grouped else device
+            members.setdefault(key, []).append((position, device))
+        self.groups: list[_Group] = []
+        #: ``(stamper, positions)`` in stamping order.
+        self.entries: list = []
+        for key, entry in members.items():
+            if isinstance(key, type):
+                group = _Group(system, [device for _, device in entry],
+                               [position for position, _ in entry])
+                self.groups.append(group)
+                self.entries.append((group.view, group.positions))
+            else:
+                (position, device), = entry
+                self.entries.append((device, position))
+        self.stampers = [stamper for stamper, _ in self.entries]
+        self.scatter: BatchScatter | None = None
+
+    def stack(self) -> None:
+        for group in self.groups:
+            group.stack()
+
+
+def batch_plan(system: MNASystem, options: SimulationOptions,
+               columns: ParameterColumns) -> BatchPlan:
+    """The system's :class:`BatchPlan` under ``options``, with ``columns``
+    installed and the group views' parameter columns stacked from them."""
+    safe = tuple(device.batch_safe_for(options) for device in system.circuit)
+    plan = system.batch_plans.get(safe)
+    if plan is None:
+        plan = system.batch_plans[safe] = BatchPlan(system, safe)
+    columns.set_arrays(options)
+    plan.stack()
+    return plan
+
+
 def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
                    options: SimulationOptions, columns: ParameterColumns,
                    source_scale: float = 1.0,
-                   want_jacobian: bool = True) -> BatchStampContext:
+                   want_jacobian: bool = True,
+                   plan: BatchPlan | None = None) -> BatchStampContext:
     """Assemble residuals (and Jacobians) for all B lanes at once.
 
-    Batch-safe devices stamp once over the lane axis; the rest stamp per
-    lane with their lane-scalar parameters installed.  Mixed circuits force
-    dense assembly -- per-lane triplet streams may diverge (behavioral
-    stamps skip exact-zero derivatives), so only all-safe circuits share a
-    triplet pattern.
+    Runs the system's group plan: one ``stamp`` per group view and per
+    ungrouped batch-safe device into the shared value buffers, the ordered
+    scatter, then the per-lane stamps of the devices that cannot
+    broadcast (``columns`` supplies their lane scalars).  Per-lane stamps
+    force dense assembly -- per-lane triplet streams may diverge
+    (behavioral stamps skip exact-zero derivatives).  ``plan`` defaults to
+    :func:`batch_plan`; :func:`batched_newton` passes the one it prepared.
     """
-    unsafe = [device for device in system.circuit
-              if not getattr(device, "batch_safe", False)]
-    ctx = BatchStampContext(system, x, analysis=analysis, options=options,
+    if plan is None:
+        plan = batch_plan(system, options, columns)
+    probed = plan.scatter is None
+    if probed:
+        plan.scatter = BatchScatter.probe(system, plan.entries, x, analysis,
+                                          options, source_scale)
+    ctx = BatchStampContext(system, x, analysis, options, plan.scatter,
                             source_scale=source_scale,
                             want_jacobian=want_jacobian,
-                            force_dense=bool(unsafe))
-    for device in system.circuit:
-        if getattr(device, "batch_safe", False):
-            device.stamp(ctx)
-    if unsafe:
+                            force_dense=bool(plan.lane_devices))
+    if not ctx.stamp_all(plan.stampers):
+        if probed:
+            raise AnalysisError(
+                "batch-safe stamps made different calls at one iterate; a "
+                "batch-safe stamp must not branch on values")
+        # The stamps changed their calls since the probe: probe again.
+        plan.scatter = None
+        return assemble_batch(system, x, analysis, options, columns,
+                              source_scale, want_jacobian, plan)
+    if plan.lane_devices:
         for lane in range(ctx.batch):
             columns.set_unsafe_lane(lane)
             lane_ctx = ctx.lane_context(lane)
-            for device in unsafe:
+            for device in plan.lane_devices:
                 device.stamp(lane_ctx)
+        telemetry.registry.inc("mna.batch.lane_stamps",
+                               ctx.batch * len(plan.lane_devices))
     ctx.apply_gmin(options.gmin)
     return ctx
 
@@ -212,7 +357,7 @@ def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
     timing = telemetry.enabled()
     if timing:
         telemetry.registry.observe("batch.size", float(batch))
-    columns.set_arrays()
+    plan = batch_plan(system, options, columns)
     n_nodes = system.num_nodes
     base_tol = np.where(np.arange(system.size) < n_nodes,
                         options.vntol, options.abstol)
@@ -234,7 +379,7 @@ def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
     previous_residual = None
     for iteration in range(1, options.max_newton_iterations + 1):
         ctx = assemble_batch(system, x, analysis, options, columns,
-                             source_scale, want_jacobian=not chord)
+                             source_scale, want_jacobian=not chord, plan=plan)
         healthy = ctx.residual_finite_lanes()
         if not chord:
             healthy &= ctx.jacobian_finite_lanes()
@@ -250,7 +395,8 @@ def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
                                        * previous_residual[active])))
             if stalled or iteration >= chord_limit:
                 ctx = assemble_batch(system, x, analysis, options, columns,
-                                     source_scale, want_jacobian=True)
+                                     source_scale, want_jacobian=True,
+                                     plan=plan)
                 alive &= (ctx.residual_finite_lanes()
                           & ctx.jacobian_finite_lanes()) | converged
                 if not (alive & ~converged).any():
@@ -309,6 +455,17 @@ def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
     return x, solved, iterations
 
 
+def _collect(system: MNASystem, x: np.ndarray, lanes: np.ndarray,
+             analysis: str, options: SimulationOptions,
+             columns: ParameterColumns) -> list[dict[str, float]]:
+    """Output rows of the solved ``lanes`` of ``x``, in one lane-axis pass."""
+    columns.set_arrays(options, lanes)
+    ctx = BatchStampContext(system, x[lanes], analysis, options,
+                            want_jacobian=False)
+    return collect_outputs(system, ctx,
+                           lambda index: columns.set_lane(lanes[index]))
+
+
 def batched_operating_points(circuit: Circuit, options: SimulationOptions,
                              columns: ParameterColumns
                              ) -> list[OperatingPoint | None]:
@@ -323,14 +480,13 @@ def batched_operating_points(circuit: Circuit, options: SimulationOptions,
         x, solved, iterations = batched_newton(system, x0, "op", options,
                                                columns)
         results: list[OperatingPoint | None] = [None] * columns.batch
-        labels = system.unknown_labels()
-        for lane in np.flatnonzero(solved):
-            columns.set_lane(lane)
-            ctx = system.assemble(x[lane], "op", 0.0, None, options, 1.0,
-                                  want_jacobian=False)
-            data = collect_outputs(system, ctx)
-            results[lane] = OperatingPoint(data, x[lane].copy(), labels,
-                                           int(iterations[lane]))
+        lanes = np.flatnonzero(solved)
+        if lanes.size:
+            labels = system.unknown_labels()
+            rows = _collect(system, x, lanes, "op", options, columns)
+            for lane, data in zip(lanes, rows):
+                results[lane] = OperatingPoint(data, x[lane].copy(), labels,
+                                               int(iterations[lane]))
     return results
 
 
@@ -372,16 +528,14 @@ def batched_dcsweeps(circuit: Circuit, source_name: str,
                 x_next, solved, _ = batched_newton(
                     system, x, "dc", options, columns, workspace=workspace)
                 x[solved] = x_next[solved]
-                for lane in range(batch):
-                    if not alive[lane]:
-                        continue
-                    if solved[lane]:
-                        columns.set_lane(lane)
-                        ctx = system.assemble(x[lane], "dc", 0.0, None,
-                                              options, 1.0,
-                                              want_jacobian=False)
-                        rows[lane].append(collect_outputs(system, ctx))
-                    elif continue_on_failure:
+                lanes = np.flatnonzero(alive & solved)
+                if lanes.size:
+                    point_rows = _collect(system, x, lanes, "dc", options,
+                                          columns)
+                    for lane, row in zip(lanes, point_rows):
+                        rows[lane].append(row)
+                for lane in np.flatnonzero(alive & ~solved):
+                    if continue_on_failure:
                         # Serial policy: NaN row, restart from zero.
                         rows[lane].append({})
                         x[lane] = 0.0

@@ -34,6 +34,7 @@ sequence of levels, each level starting from the previous solution.
 from __future__ import annotations
 
 from time import perf_counter
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from ... import telemetry
 from ...errors import ConvergenceError, LinAlgError, SingularMatrixError
 from ...linalg import FactorizedSolver
 from ...telemetry import NewtonTrace
-from ..mna import Integrator, MNASystem, StampContext
+from ..mna import BatchStampContext, Integrator, MNASystem, StampContext
 from ..netlist import Circuit
 from .options import SimulationOptions
 from .results import OperatingPoint
@@ -381,13 +382,22 @@ def _factorize(ws: NewtonWorkspace, system: MNASystem, ctx: StampContext,
         raise SingularMatrixError(message, report=report) from exc
 
 
-def collect_outputs(system: MNASystem, ctx: StampContext) -> dict[str, float]:
+def collect_outputs(system: MNASystem, ctx: StampContext,
+                    set_lane: Callable[[int], None] | None = None):
     """Gather node across values and device-recorded outputs at a solution.
 
     Auxiliary unknowns (branch currents, behavioral extra unknowns) are
     included under their canonical names unless a device already recorded
     the same signal.
+
+    Given a :class:`~repro.circuit.mna.BatchStampContext` the result is one
+    dict per lane.  Batch-safe built-in devices record once over the lane
+    axis; every other device records per lane on a serial context of that
+    lane, after ``set_lane(lane)`` has installed the lane's parameter
+    scalars (the lane-axis pass runs first, on the batch's columns).
     """
+    if isinstance(ctx, BatchStampContext):
+        return _collect_lanes(system, ctx, set_lane)
     x = ctx.x.tolist()
     data: dict[str, float] = {f"v({node.name})": value
                               for node, value in zip(system.nodes, x)}
@@ -395,6 +405,48 @@ def collect_outputs(system: MNASystem, ctx: StampContext) -> dict[str, float]:
     for name, value in zip(system.aux_signal_names(), x[system.num_nodes:]):
         data.setdefault(name, value)
     return data
+
+
+def _collect_lanes(system: MNASystem, ctx: BatchStampContext,
+                   set_lane: Callable[[int], None] | None
+                   ) -> list[dict[str, float]]:
+    batch, options = ctx.batch, ctx.options
+    devices = list(system.circuit)
+    # Lane-axis records first, while the batch's parameter columns are in.
+    on_axis = {
+        position: [(key, np.broadcast_to(np.asarray(value, dtype=float),
+                                         (batch,)).tolist())
+                   for key, value in device.record(ctx).items()]
+        for position, device in enumerate(devices)
+        if not device.compiled_stamps and device.batch_safe_for(options)}
+    per_lane = {position: [] for position in range(len(devices))
+                if position not in on_axis}
+    if per_lane:
+        for lane in range(batch):
+            if set_lane is not None:
+                set_lane(lane)
+            lane_ctx = StampContext(system, ctx.x[lane], ctx.analysis, 0.0,
+                                    None, options, ctx.source_scale,
+                                    want_jacobian=False)
+            for position, records in per_lane.items():
+                records.append(devices[position].record(lane_ctx))
+    xs = ctx.x.tolist()
+    node_names = [f"v({node.name})" for node in system.nodes]
+    rows = [dict(zip(node_names, x)) for x in xs]
+    for position in range(len(devices)):
+        if position in on_axis:
+            for key, values in on_axis[position]:
+                for row, value in zip(rows, values):
+                    row[key] = value
+        else:
+            for row, record in zip(rows, per_lane[position]):
+                for key, value in record.items():
+                    row[key] = float(value)
+    aux_names = system.aux_signal_names()
+    for row, x in zip(rows, xs):
+        for name, value in zip(aux_names, x[system.num_nodes:]):
+            row.setdefault(name, value)
+    return rows
 
 
 class OperatingPointAnalysis:

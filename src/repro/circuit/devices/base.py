@@ -41,12 +41,27 @@ class Device(ABC):
     #: exact ``d residual / d parameter`` during a seeded assembly.
     _TUNABLE: Mapping[str, str] = {}
 
-    #: Whether :meth:`stamp` broadcasts over a batched lane axis: the device
-    #: must tolerate its tunable parameters and every context accessor
-    #: returning ``(B,)`` NumPy arrays instead of floats (no ``float()``
-    #: casts, no value-dependent branching, no AD duals).  Devices that stay
-    #: False are stamped per lane by the batched assembler.
+    #: Whether :meth:`stamp` and :meth:`record` broadcast over a batched
+    #: lane axis (:mod:`repro.circuit.analysis.batch`): the device must
+    #: tolerate its tunable parameters and every context accessor returning
+    #: ``(B,)`` NumPy arrays instead of floats -- no ``float()`` casts, no
+    #: value-dependent branching (the calls a stamp makes must not depend
+    #: on values), no AD duals.  Devices that stay False are stamped and
+    #: recorded per lane by the batched drivers.
     batch_safe = False
+
+    #: Whether batch-safe instances of one class stamp together through a
+    #: single *group view* of ``k`` members: a shallow copy of the first
+    #: member whose terminals are ``(k,)`` index columns (ground mapped to
+    #: a padding slot), whose auxiliary unknowns are index columns too, and
+    #: whose ``_TUNABLE`` attributes -- of the class and its bases -- hold
+    #: the members' values stacked lanes-last as ``(k, 1)`` or ``(k, B)``
+    #: columns; context reads through index columns return ``(k, B)``
+    #: blocks.  The stamp must then read nothing else of the device: no
+    #: per-device objects (waveforms, dicts), only the context accessors
+    #: and those attributes.  A subclass that overrides :meth:`stamp` must
+    #: reset it.
+    batch_grouped = False
 
     #: Whether the device stamps through shared compiled stamp functions
     #: (behavioral models): a system holding one assembles through a stamp
@@ -81,6 +96,10 @@ class Device(ABC):
                 f"device {self.name!r} has no tunable parameter {name!r} "
                 f"(available: {sorted(self._TUNABLE) or 'none'})")
         setattr(self, attr, value)
+
+    def batch_safe_for(self, options) -> bool:
+        """:attr:`batch_safe` under a specific options object."""
+        return self.batch_safe
 
     # -- topology ----------------------------------------------------------------
     @abstractmethod

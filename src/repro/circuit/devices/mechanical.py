@@ -57,10 +57,12 @@ class Mass(Capacitor):
     def record(self, ctx: StampContext) -> dict[str, float]:
         velocity = self.branch_across(ctx)
         displacement = ctx.integ((self.name, "x"), velocity)
+        acceleration = ctx.ddt((self.name, "v_rec"), velocity)
         return {
             f"v({self.name})": velocity,
-            f"x({self.name})": float(getattr(displacement, "value", displacement)),
-            f"f({self.name})": self.mass * float(ctx.ddt((self.name, "v_rec"), velocity)),
+            f"x({self.name})": getattr(displacement, "value", displacement),
+            f"f({self.name})": self.mass * getattr(acceleration, "value",
+                                                   acceleration),
         }
 
     def describe(self) -> str:

@@ -33,6 +33,7 @@ class Diode(TwoTerminalDevice):
                 "emission_coefficient": "emission_coefficient",
                 "vt": "vt"}
     batch_safe = True
+    batch_grouped = True
 
     def __init__(self, name: str, p: Node, n: Node, saturation_current: float = 1e-14,
                  emission_coefficient: float = 1.0, temperature_voltage: float = THERMAL_VOLTAGE) -> None:

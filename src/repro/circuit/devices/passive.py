@@ -22,6 +22,7 @@ class Resistor(TwoTerminalDevice):
 
     _TUNABLE = {"resistance": "resistance"}
     batch_safe = True
+    batch_grouped = True
 
     def __init__(self, name: str, p: Node, n: Node, resistance: float) -> None:
         super().__init__(name, p, n)
@@ -69,6 +70,7 @@ class Capacitor(TwoTerminalDevice):
 
     _TUNABLE = {"capacitance": "capacitance"}
     batch_safe = True
+    batch_grouped = True
 
     def __init__(self, name: str, p: Node, n: Node, capacitance: float,
                  ic: float | None = None) -> None:
@@ -123,6 +125,7 @@ class Inductor(TwoTerminalDevice):
 
     _TUNABLE = {"inductance": "inductance"}
     batch_safe = True
+    batch_grouped = True
 
     def __init__(self, name: str, p: Node, n: Node, inductance: float,
                  ic: float | None = None) -> None:

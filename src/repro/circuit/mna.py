@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .devices.base import Device
 
 __all__ = ["MNASystem", "Integrator", "StampContext", "BatchStampContext",
-           "ACStampContext", "canonical_signal_name"]
+           "BatchScatter", "ACStampContext", "canonical_signal_name"]
 
 
 def canonical_signal_name(label: str) -> str:
@@ -351,6 +351,9 @@ class MNASystem:
         #: assembly simply stamps device by device.
         self.stamp_programs: dict | None = \
             {} if any(device.compiled_stamps for device in circuit) else None
+        #: Batched-assembly group plans (:mod:`repro.circuit.analysis.batch`)
+        #: by per-device batch-safety flags, built lazily.
+        self.batch_plans: dict = {}
 
     # ------------------------------------------------------------------ lookups
     def index_of(self, node: Node) -> int:
@@ -635,25 +638,131 @@ class StampContext:
         return self.integrator.previous_integral(key, default)
 
 
+class BatchScatter:
+    """Where the stamp calls of one batched assembly land.
+
+    Built once per group plan by :meth:`probe`, an assembly that records
+    every ``add_res`` / ``add_jac`` call as ``(positions, row[, col])``:
+    ``positions`` is the stamping device's circuit position -- a ``(k,)``
+    column for a group view, whose rows/columns are index columns with
+    ground mapped to the padding slot ``n``; an int, with ``-1`` for
+    ground, for a single device.  Call ``i`` owns the buffer slot
+    ``res_slots[i]`` / ``jac_slots[i]``: one row of the assembly's
+    ``(K, B)`` value buffer, or ``k`` rows for a group call.
+
+    Contributions land in one ``(n + n*n, B)`` block -- the residual rows,
+    then the flattened Jacobian -- through duplicate-free *layers*: layer
+    ``L`` holds the ``L``-th contribution of every entry, counted in device
+    order (circuit position, then call order), so each entry sums its
+    contributions exactly as per-device stamps would.  ``res_layers``
+    covers the residual alone (residual-only assemblies); the sparse
+    Jacobian is the same contributions as one triplet stream in device
+    order.  Ground rows and columns are dropped.
+    """
+
+    def __init__(self, size: int, res_calls: list, jac_calls: list) -> None:
+        self.res_slots, res_width, res_targets, res_sources = \
+            _scatter_slots(size, res_calls, 0, jac=False)
+        self.jac_slots, jac_width, jac_targets, self.jac_sources = \
+            _scatter_slots(size, jac_calls, res_width, jac=True)
+        self.width = res_width + jac_width
+        self.res_layers = _scatter_layers(res_targets, res_sources)
+        self.full_layers = _scatter_layers(
+            np.concatenate((res_targets, size + jac_targets)),
+            np.concatenate((res_sources, self.jac_sources)))
+        #: Sparse triplet coordinates, in device order.
+        self.jac_rows, self.jac_cols = np.divmod(jac_targets, size)
+
+    @classmethod
+    def probe(cls, system: MNASystem, entries, x: np.ndarray, analysis: str,
+              options: "SimulationOptions",
+              source_scale: float = 1.0) -> "BatchScatter":
+        """The scatter of ``entries`` -- ``(stamper, positions)`` pairs in
+        stamping order -- recorded by stamping them once at ``x``."""
+        ctx = _ProbeContext(system, x, analysis, options,
+                            source_scale=source_scale)
+        for stamper, positions in entries:
+            ctx.positions = positions
+            stamper.stamp(ctx)
+        return cls(system.size, ctx.res_calls, ctx.jac_calls)
+
+
+def _scatter_slots(size: int, calls: list, offset: int, jac: bool):
+    """Buffer slots of ``calls`` (from row ``offset`` on), their total
+    width, and their non-ground contributions as ``(targets, sources)`` in
+    device order.  Residual calls are ``(positions, row)`` and target
+    ``row``; Jacobian calls are ``(positions, row, col)`` and target the
+    flat ``row * size + col``."""
+    slots: list[int | slice] = []
+    columns: list[list[int]] = [[], [], [], []]  # position, call, row, col
+    start = offset
+    for call, (positions, row, *col) in enumerate(calls):
+        if isinstance(positions, np.ndarray):
+            k = positions.size
+            slots.append(slice(start, start + k))
+        else:
+            k = 1
+            slots.append(start)
+        start += k
+        for column, value in zip(columns, (positions, call, row,
+                                           col[0] if jac else 0)):
+            column.extend(value.tolist() if isinstance(value, np.ndarray)
+                          else [int(value)] * k)
+    position, call, row, col = (np.array(column, dtype=np.intp)
+                                for column in columns)
+    keep = (row >= 0) & (row < size) & (col >= 0) & (col < size)
+    order = np.lexsort((call[keep], position[keep]))
+    targets = (row * size + col if jac else row)[keep][order]
+    sources = np.arange(offset, start, dtype=np.intp)[keep][order]
+    return slots, start - offset, targets, sources
+
+
+def _scatter_layers(targets: np.ndarray, sources: np.ndarray) -> list:
+    """Split device-ordered contributions into duplicate-free layers: the
+    ``L``-th contribution to each entry goes to layer ``L``."""
+    layers: list[tuple[list[int], list[int]]] = []
+    seen: dict[int, int] = {}
+    for target, source in zip(targets.tolist(), sources.tolist()):
+        rank = seen.get(target, 0)
+        seen[target] = rank + 1
+        if rank == len(layers):
+            layers.append(([], []))
+        layers[rank][0].append(target)
+        layers[rank][1].append(source)
+    return [(np.array(layer_targets, dtype=np.intp),
+             np.array(layer_sources, dtype=np.intp))
+            for layer_targets, layer_sources in layers]
+
+
 class BatchStampContext(StampContext):
     """Assembly workspace for B stacked DC/OP systems of one circuit.
 
-    ``x`` has shape ``(B, n)``; accessors return ``(B,)`` value lanes and the
-    residual/Jacobian accumulate as ``(B, n)`` / ``(B, n, n)`` (dense mode)
-    or as one shared triplet pattern with ``(B,)`` values per triplet (sparse
-    mode).  Batch-safe devices stamp *once* with their scalar arithmetic
-    broadcasting over the lane axis; devices that cannot broadcast (AD-dual
-    behavioral models) stamp per lane through :meth:`lane_context`, whose
-    genuine serial :class:`StampContext` writes straight into this batch's
-    arrays.
+    ``x`` has shape ``(B, n)``; accessors return ``(B,)`` value lanes for
+    nodes and unknown indices.  They also take the *index columns* of a
+    group view (:mod:`repro.circuit.analysis.batch`): a ``(k,)`` integer
+    array, with ground mapped to the padding slot ``n``, reads a
+    ``(k, B)`` block (lanes last), and ``aux_index`` returns the view's
+    ``batch_aux`` column.
+
+    With a :class:`BatchScatter`, :meth:`stamp_all` runs the stamps: their
+    ``add_*`` calls write values into one ``(K, B)`` buffer at the
+    scatter's slots, in call order, and the buffer is then added into the
+    ``(B, n)`` residual and the ``(B, n, n)`` Jacobian (dense mode) or into
+    one ``(K, B)`` triplet value block (sparse mode).  Devices that cannot
+    broadcast stamp afterwards, per lane, through :meth:`lane_context`,
+    whose genuine serial :class:`StampContext` writes straight into this
+    batch's dense arrays.  A context without a scatter only serves
+    accessors (output collection).
 
     Restricted to DC-class analyses (``op``/``dc``): the lane axis replaces
     the time axis, and no integrator state is threaded through.
     """
 
     def __init__(self, system: MNASystem, x: np.ndarray, analysis: str,
-                 options: "SimulationOptions", source_scale: float = 1.0,
-                 want_jacobian: bool = True, force_dense: bool = False) -> None:
+                 options: "SimulationOptions",
+                 scatter: BatchScatter | None = None,
+                 source_scale: float = 1.0, want_jacobian: bool = True,
+                 force_dense: bool = False) -> None:
         if analysis not in ("op", "dc"):
             raise AnalysisError(
                 f"batched assembly supports DC-class analyses only, got "
@@ -664,50 +773,95 @@ class BatchStampContext(StampContext):
             raise AnalysisError(
                 f"batched solution block has shape {self.x.shape}, expected "
                 f"(B, {system.size})")
-        self.batch = self.x.shape[0]
+        batch = self.batch = self.x.shape[0]
         self.analysis = analysis
         self.time = 0.0
         self.integrator = None
         self.options = options
         self.source_scale = source_scale
         self.want_jacobian = want_jacobian
-        n = system.size
-        self.res = np.zeros((self.batch, n))
-        self.use_sparse = options.use_sparse(n) and not force_dense
-        if self.use_sparse or not want_jacobian:
-            self.jac = None
-            self._jac_rows = []
-            self._jac_cols = []
-            self._jac_vals = []
-        else:
-            self.jac = np.zeros((self.batch, n, n))
+        self.use_sparse = options.use_sparse(system.size) and not force_dense
+        self.res = self.jac = None
+        self._x_pad = np.concatenate((self.x.T, np.zeros((1, batch))))
+        self._scatter = scatter
+        if scatter is not None:
+            self._buf = np.empty((scatter.width, batch))
+            self._res_next = self._jac_next = 0
 
     # ------------------------------------------------------------------ access
-    def across(self, node: Node):
+    def node_index(self, node):
+        if isinstance(node, np.ndarray):
+            return node
+        return self.system.index_of(node)
+
+    def aux_index(self, device, name: str):
+        columns = getattr(device, "batch_aux", None)
+        if columns is not None:
+            return columns[name]
+        return self.system.aux_index(device, name)
+
+    def across(self, node):
+        if isinstance(node, np.ndarray):
+            return self._x_pad[node]
         idx = self.system.index_of(node)
         return 0.0 if idx < 0 else self.x[:, idx]
 
-    def aux_value(self, device: "Device | str", name: str):
-        return self.x[:, self.system.aux_index(device, name)]
+    def aux_value(self, device, name: str):
+        return self.unknown_value(self.aux_index(device, name))
 
-    def unknown_value(self, index: int):
+    def unknown_value(self, index):
+        if isinstance(index, np.ndarray):
+            return self._x_pad[index]
         return 0.0 if index < 0 else self.x[:, index]
 
     # --------------------------------------------------------------- stamping
-    def add_res(self, row: int, value) -> None:
-        if row < 0:
-            return
-        self.res[:, row] += value
+    def add_res(self, row, value) -> None:
+        self._buf[self._scatter.res_slots[self._res_next]] = value
+        self._res_next += 1
 
-    def add_jac(self, row: int, col: int, value) -> None:
-        if row < 0 or col < 0 or not self.want_jacobian:
+    def add_jac(self, row, col, value) -> None:
+        if not self.want_jacobian:
             return
-        if self.use_sparse:
-            self._jac_rows.append(row)
-            self._jac_cols.append(col)
-            self._jac_vals.append(value)
-        else:
-            self.jac[:, row, col] += value
+        self._buf[self._scatter.jac_slots[self._jac_next]] = value
+        self._jac_next += 1
+
+    def stamp_all(self, stampers) -> bool:
+        """Stamp every one of ``stampers`` into the value buffer, then add
+        the buffer into the residual and Jacobian.
+
+        Returns False, adding nothing, when the stamps made a different
+        number of calls than the scatter was built from.
+        """
+        sc = self._scatter
+        want_jacobian = self.want_jacobian
+        res_calls = len(sc.res_slots)
+        jac_calls = len(sc.jac_slots) if want_jacobian else 0
+        try:
+            for stamper in stampers:
+                stamper.stamp(self)
+        except IndexError:
+            # Raised by a slot lookup past the end: more calls than slots.
+            if self._res_next == res_calls or (
+                    want_jacobian and self._jac_next == jac_calls):
+                return False
+            raise
+        if self._res_next != res_calls or self._jac_next != jac_calls:
+            return False
+        n, batch, buf = self.system.size, self.batch, self._buf
+        dense = want_jacobian and not self.use_sparse
+        # Lanes last: every layer moves whole contiguous rows.
+        out = np.zeros((n + n * n if dense else n, batch))
+        for target, source in sc.full_layers if dense else sc.res_layers:
+            out[target] += buf[source]
+        self._out = out
+        self.res = out[:n].T
+        if dense:
+            self.jac = out[n:].T.reshape(batch, n, n)
+        elif want_jacobian:
+            self._jac_rows = sc.jac_rows
+            self._jac_cols = sc.jac_cols
+            self._jac_vals = buf[sc.jac_sources]
+        return True
 
     def jacobian(self):
         """``(B, n, n)`` dense stack, or a list of B CSR lanes in sparse mode."""
@@ -716,11 +870,8 @@ class BatchStampContext(StampContext):
                 "this context was assembled residual-only (want_jacobian=False)")
         if not self.use_sparse:
             return self.jac
-        values = np.empty((len(self._jac_vals), self.batch))
-        for i, value in enumerate(self._jac_vals):
-            values[i] = value
         return self.system.structure_cache.assemble_batch(
-            self._jac_rows, self._jac_cols, values, self.system.size)
+            self._jac_rows, self._jac_cols, self._jac_vals, self.system.size)
 
     def residual_finite_lanes(self) -> np.ndarray:
         """``(B,)`` mask of lanes whose residual is entirely finite."""
@@ -731,11 +882,7 @@ class BatchStampContext(StampContext):
         if not self.want_jacobian:
             return np.ones(self.batch, dtype=bool)
         if self.use_sparse:
-            finite = np.ones(self.batch, dtype=bool)
-            for value in self._jac_vals:
-                lanes = np.isfinite(value)
-                finite &= lanes if np.ndim(lanes) else bool(lanes)
-            return finite
+            return np.all(np.isfinite(self._jac_vals), axis=0)
         return np.all(np.isfinite(self.jac), axis=(1, 2))
 
     def apply_gmin(self, gmin: float) -> None:
@@ -746,14 +893,16 @@ class BatchStampContext(StampContext):
             return
         if self.want_jacobian:
             if self.use_sparse:
-                diag = range(n_nodes)
-                self._jac_rows.extend(diag)
-                self._jac_cols.extend(diag)
-                self._jac_vals.extend([gmin] * n_nodes)
+                diag = np.arange(n_nodes)
+                self._jac_rows = np.concatenate((self._jac_rows, diag))
+                self._jac_cols = np.concatenate((self._jac_cols, diag))
+                self._jac_vals = np.concatenate(
+                    (self._jac_vals, np.full((n_nodes, self.batch), gmin)))
             else:
-                idx = np.arange(n_nodes)
-                self.jac[:, idx, idx] += gmin
-        self.res[:, :n_nodes] += gmin * self.x[:, :n_nodes]
+                n = self.system.size
+                self._out[n + np.arange(n_nodes) * (n + 1)] += gmin
+        # The residual rows of the lanes-last block, against x transposed.
+        self._out[:n_nodes] += gmin * self._x_pad[:n_nodes]
 
     # ------------------------------------------------------------- lane access
     def lane_context(self, lane: int) -> StampContext:
@@ -779,6 +928,22 @@ class BatchStampContext(StampContext):
             ctx.use_sparse = False
             ctx.jac = self.jac[lane]
         return ctx
+
+
+class _ProbeContext(BatchStampContext):
+    """Records the stamp calls a :class:`BatchScatter` is built from."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.positions: int | np.ndarray = -1
+        self.res_calls: list = []
+        self.jac_calls: list = []
+
+    def add_res(self, row, value) -> None:
+        self.res_calls.append((self.positions, row))
+
+    def add_jac(self, row, col, value) -> None:
+        self.jac_calls.append((self.positions, row, col))
 
 
 class ACStampContext:

@@ -9,10 +9,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ad.functions import exp
 from repro.campaign import (CampaignRunner, CircuitEvaluator, CornerSet,
                             FunctionEvaluator, GridSweep, MonteCarlo, Normal)
 from repro.circuit import Circuit, SimulationOptions
+from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.errors import CampaignError
+from repro.natures import ELECTRICAL
+from repro.telemetry import registry
 
 SECTIONS = 6
 
@@ -37,6 +41,30 @@ def double_rscale(value):
 
 def last_node(result, params):
     return {"v_last": float(result.column(f"v(n{SECTIONS})")[-1])}
+
+
+def _diode_behavior(ctx):
+    v = ctx.across("e")
+    ctx.contribute("e", ctx.param("isat") * (exp(v / ctx.param("vt")) - 1.0))
+
+
+def build_behavioral_diode(params):
+    """Guard-free behavioral diode behind a resistor."""
+    circuit = Circuit("behavioral diode")
+    circuit.voltage_source("V1", "n1", "0", params.get("vdd", 2.0))
+    circuit.resistor("R1", "n1", "n2", 1e3)
+    circuit.add(BehavioralDevice(
+        "DB", [Port("e", circuit.electrical_node("n2"), circuit.ground,
+                    ELECTRICAL)],
+        _diode_behavior, params={"isat": params.get("isat", 1e-9),
+                                 "vt": 0.05}))
+    return circuit
+
+
+def fallback_counters(before):
+    counters = registry.delta(before)["counters"]
+    return (counters.get("mna.batch.lane_stamps", 0),
+            counters.get("campaign.batch.serial_reruns", 0))
 
 
 def spring_fn(point):
@@ -74,7 +102,10 @@ class TestBatchParity:
                           samples=24, seed=42)
         serial = CampaignRunner(backend="serial").run(
             spec, CircuitEvaluator(build_ladder))
+        before = registry.snapshot()
         batch = CampaignRunner(backend="batch").run(spec, batch_evaluator())
+        # Every ladder device stamps batched; no lane goes back to serial.
+        assert fallback_counters(before) == (0, 0)
         assert_rows_identical(serial, batch)
 
     def test_monte_carlo_op_superlu(self):
@@ -131,10 +162,33 @@ class TestBatchParity:
         spec = GridSweep(vdd=[4.0, float("nan"), 5.0, 6.0])
         serial = CampaignRunner(backend="serial").run(
             spec, CircuitEvaluator(build_ladder))
+        before = registry.snapshot()
         batch = CampaignRunner(backend="batch").run(spec, batch_evaluator())
+        # The one retired lane is the one serial rerun.
+        assert fallback_counters(before) == (0, 1)
         errors = [row.error for row in serial if row.error is not None]
         assert errors, "expected at least one failing point"
         assert_rows_identical(serial, batch)
+
+    @pytest.mark.parametrize("compile_", [True, False],
+                             ids=["compiled", "interpreter"])
+    def test_behavioral_device_honors_compile_option(self, compile_):
+        # With behavioral_compile=False the guard-free behavioral device is
+        # not batch-safe: it must stamp per lane with lane-scalar parameters
+        # instead of handing (B,) lanes to the AD interpreter.
+        options = SimulationOptions(behavioral_compile=compile_)
+        spec = GridSweep(vdd=[1.0, 2.0, 3.0], isat=[1e-9, 3e-9])
+        serial = CampaignRunner(backend="serial").run(
+            spec, CircuitEvaluator(build_behavioral_diode, options=options))
+        before = registry.snapshot()
+        batch = CampaignRunner(backend="batch").run(
+            spec, CircuitEvaluator(build_behavioral_diode, options=options,
+                                   param_map={"vdd": "V1.dc",
+                                              "isat": "DB.isat"}))
+        assert_rows_identical(serial, batch)
+        lane_stamps, reruns = fallback_counters(before)
+        assert reruns == 0
+        assert (lane_stamps > 0) is not compile_
 
     def test_batch_pool_composes(self):
         spec = MonteCarlo({"vdd": Normal(5.0, 0.5)}, samples=16, seed=3)
