@@ -39,8 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 from .. import telemetry
 from ..circuit.analysis.ac import ACAnalysis
-from ..circuit.analysis.batch import (ParameterColumns, batch_supported,
-                                      batched_dcsweeps,
+from ..circuit.analysis.batch import (ParameterColumns, batched_dcsweeps,
                                       batched_operating_points)
 from ..circuit.analysis.dcsweep import DCSweepAnalysis
 from ..circuit.analysis.op import OperatingPointAnalysis
@@ -697,8 +696,8 @@ class CircuitEvaluator:
         batch could not finish (non-convergence, or a per-lane reduction
         error) -- the runner re-runs exactly those through the serial path,
         reproducing the serial error rows.  Returns ``None`` outright when
-        this slice cannot be batched at all (unbatchable options, unmapped
-        varying parameters, ...); a misconfigured ``param_map`` raises
+        this slice cannot be batched at all (differing option overrides,
+        unmapped varying parameters, ...); a misconfigured ``param_map`` raises
         :class:`CampaignError` instead of silently degrading.
         """
         if not self.batch_capable():
@@ -709,8 +708,6 @@ class CircuitEvaluator:
             return None
         options = (self.options or SimulationOptions()).with_(
             **_coerced_overrides(overrides0))
-        if not batch_supported(options):
-            return None
         # Unmapped parameters may steer the netlist factory, so they must
         # be constant across the slice (the circuit is built only once).
         unmapped = set(params0) - set(self.param_map)

@@ -106,9 +106,7 @@ class _Replay:
             if self.options.integration_method == "trapezoidal"
             else Integrator.BACKWARD_EULER)
         self.integrator.capture_raw = True
-        self.solver = FactorizedSolver(self.options.solver_backend(),
-                                       rtol=self.options.linear_solver_rtol,
-                                       cg_fallback=True)
+        self.solver = FactorizedSolver("auto")
         self._factor_store: dict[str, object] = {}
         self.slots: list[tuple[str, object]] = []
         self.num_params = len(refs)

@@ -1,8 +1,8 @@
-"""Batched DC-class analyses: B campaign points through one Newton loop.
+"""Batched DC-class analyses: B campaign points through one Newton engine.
 
 A campaign evaluates the *same* circuit at B parameter points.  The drivers
-here stack those points along a lane axis and run one vectorized Newton
-iteration over the block:
+here stack those points along a lane axis and run the serial solve's
+Newton engine (:func:`~repro.circuit.analysis.op.newton_lanes`) over it:
 
 * every system gets a group plan (:class:`BatchPlan`, built once per
   system and batch-safety split): the batch-safe devices of one
@@ -19,10 +19,10 @@ iteration over the block:
   transducers, controlled sources) are stamped per lane through a genuine
   serial :class:`~repro.circuit.mna.StampContext` aliasing the batch
   arrays, counted as ``mna.batch.lane_stamps`` in the metrics registry,
-* the linear stage factors all B Jacobians in one
-  :func:`repro.linalg.batched_factorize` call,
-* convergence is tested per lane with the exact serial criterion; converged
-  lanes freeze while stragglers iterate,
+* the linear stage (:class:`BatchStage`) factors all B Jacobians in one
+  :func:`repro.linalg.batched_factorize` call, under the same
+  ``jacobian_reuse`` policy and :class:`~repro.circuit.analysis.op.NewtonWorkspace`
+  as the serial solve (a batch's chord tag carries no step),
 * outputs are collected once per batch over the lane axis
   (:func:`~repro.circuit.analysis.op.collect_outputs`).
 
@@ -43,19 +43,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ... import telemetry
-from ...errors import AnalysisError, LinAlgError
+from ...errors import AnalysisError
 from ...linalg import batched_factorize
 from ..devices.sources import CurrentSource, VoltageSource
 from ..mna import BatchScatter, BatchStampContext, MNASystem
 from ..netlist import Circuit, Node
 from ..waveforms import DC
-from .op import collect_outputs
+from .op import NewtonWorkspace, _chord_tag, collect_outputs, newton_lanes
 from .options import SimulationOptions
 from .results import DCSweepResult, OperatingPoint
 
-__all__ = ["ParameterColumns", "BatchPlan", "batch_plan", "batch_supported",
-           "assemble_batch",
-           "batched_newton", "batched_operating_points", "batched_dcsweeps"]
+__all__ = ["ParameterColumns", "BatchPlan", "batch_plan", "assemble_batch",
+           "BatchStage", "batched_newton", "batched_operating_points",
+           "batched_dcsweeps"]
 
 
 class ParameterColumns:
@@ -134,18 +134,6 @@ class ParameterColumns:
 
     def __exit__(self, *exc_info) -> None:
         self.restore()
-
-
-def batch_supported(options: SimulationOptions) -> bool:
-    """Whether the batched drivers can honor these options.
-
-    All ``jacobian_reuse`` policies are supported -- ``"chord"`` holds the
-    batched factorization across iterations (and solves) with residual-only
-    assemblies, mirroring the serial chord-Newton contract lane-wise.  Only
-    the CG backend has no batched counterpart and falls back to the serial
-    path.
-    """
-    return options.solver_backend() != "cg"
 
 
 def _stacked_attributes(cls) -> list[str]:
@@ -270,7 +258,7 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
     broadcast (``columns`` supplies their lane scalars).  Per-lane stamps
     force dense assembly -- per-lane triplet streams may diverge
     (behavioral stamps skip exact-zero derivatives).  ``plan`` defaults to
-    :func:`batch_plan`; :func:`batched_newton` passes the one it prepared.
+    :func:`batch_plan`; :class:`BatchStage` passes the one it prepared.
     """
     if plan is None:
         plan = batch_plan(system, options, columns)
@@ -303,156 +291,67 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
     return ctx
 
 
-def _same_batch_matrix(stored, matrix) -> bool:
-    if stored is None:
-        return False
-    if isinstance(matrix, np.ndarray):
-        return isinstance(stored, np.ndarray) and np.array_equal(stored, matrix)
-    if isinstance(stored, np.ndarray) or len(stored) != len(matrix):
-        return False
-    return all(lane_a.data.size == lane_b.data.size
-               and np.array_equal(lane_a.data, lane_b.data)
-               for lane_a, lane_b in zip(stored, matrix))
+class BatchStage:
+    """The lane-axis linear stage of the Newton engine: :func:`assemble_batch`
+    and :func:`repro.linalg.batched_factorize`."""
 
+    def __init__(self, system: MNASystem, analysis: str,
+                 options: SimulationOptions, columns: ParameterColumns,
+                 source_scale: float, workspace: NewtonWorkspace) -> None:
+        self.system = system
+        self.args = (analysis, options, columns, source_scale)
+        self.plan = batch_plan(system, options, columns)
+        self.backend = "superlu" if options.use_sparse(system.size) else "dense"
+        self.workspace = workspace
+        self.timing = telemetry.enabled()
+        self.ctx: BatchStampContext | None = None
 
-class BatchWorkspace:
-    """Linear-stage carry-over between batched Newton calls (sweep points).
+    def assemble(self, x: np.ndarray, want_jacobian: bool):
+        ctx = self.ctx = assemble_batch(self.system, x, *self.args,
+                                        want_jacobian=want_jacobian,
+                                        plan=self.plan)
+        healthy = ctx.residual_finite_lanes()
+        if want_jacobian:
+            healthy &= ctx.jacobian_finite_lanes()
+        return ctx.res, None if healthy.all() else ~healthy
 
-    Mirrors the serial ``jacobian_reuse="auto"`` behaviour: when the whole
-    assembled batch matches the previously factored one exactly (linear
-    circuits between sweep points, final iterations of a converged batch),
-    the factorization is reused instead of redone.
-    """
+    def factor(self):
+        # A batch has no time steps whose Jacobians could recur: only the
+        # newest stack can match (sweep points of a linear circuit).
+        return self.workspace.factor_with(
+            self.system, self.ctx,
+            lambda matrix: batched_factorize(matrix, self.backend), 1)[0]
 
-    def __init__(self) -> None:
-        self.matrix = None
-        self.factorization = None
-        self.factor_reuses = 0
-        #: ``(analysis, source_scale, generation)`` the held factorization
-        #: belongs to; chord reuse across solves is only valid within it.
-        self.chord_tag: tuple | None = None
-        self.chord_iterations = 0
-        self.stall_refactors = 0
+    def solve(self, factorization, rhs: np.ndarray):
+        t0 = perf_counter() if self.timing else None
+        dx = factorization.solve(rhs)
+        if t0 is not None:
+            telemetry.registry.observe("batch.solve_s", perf_counter() - t0)
+        # Read after the solve: the dense backend flags singular lanes there.
+        return dx, factorization.failed
 
 
 def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
                    options: SimulationOptions, columns: ParameterColumns,
                    source_scale: float = 1.0,
-                   workspace: BatchWorkspace | None = None
+                   workspace: NewtonWorkspace | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton over B stacked systems with per-lane convergence.
 
+    The batched front of :func:`~repro.circuit.analysis.op.newton_lanes`.
     Returns ``(x, solved, iterations)``: the per-lane solutions, a ``(B,)``
     mask of lanes that converged, and the per-lane iteration counts.  Lanes
     that hit any serial failure condition simply come back unsolved --
     nothing raises, so the caller can retire exactly those lanes to the
     serial path.
     """
-    if not batch_supported(options):
-        raise AnalysisError(
-            "batched Newton supports the dense/superlu backends only")
-    ws = workspace if workspace is not None else BatchWorkspace()
-    x = np.array(x0, dtype=float, copy=True)
-    batch = x.shape[0]
-    timing = telemetry.enabled()
-    if timing:
-        telemetry.registry.observe("batch.size", float(batch))
-    plan = batch_plan(system, options, columns)
-    n_nodes = system.num_nodes
-    base_tol = np.where(np.arange(system.size) < n_nodes,
-                        options.vntol, options.abstol)
-    backend = "superlu" if options.use_sparse(system.size) else "dense"
-    alive = np.ones(batch, dtype=bool)
-    converged = np.zeros(batch, dtype=bool)
-    iterations = np.zeros(batch, dtype=int)
-    damping = options.newton_damping
-    # Chord mode mirrors the serial contract: ride the held factorization
-    # with residual-only assemblies, refactor when any active lane's
-    # residual stops contracting (``refactor_threshold``) or the solve
-    # grinds past ``chord_limit``, and give the rest of the solve plain
-    # full Newton in the latter case.
-    tag = (analysis, source_scale, system.structure_cache.generation)
-    chord_allowed = options.jacobian_reuse == "chord"
-    chord = (chord_allowed
-             and ws.factorization is not None and ws.chord_tag == tag)
-    chord_limit = max(3, options.max_newton_iterations // 2)
-    previous_residual = None
-    for iteration in range(1, options.max_newton_iterations + 1):
-        ctx = assemble_batch(system, x, analysis, options, columns,
-                             source_scale, want_jacobian=not chord, plan=plan)
-        healthy = ctx.residual_finite_lanes()
-        if not chord:
-            healthy &= ctx.jacobian_finite_lanes()
-        alive &= healthy | converged
-        if not (alive & ~converged).any():
-            break
-        if chord:
-            active = alive & ~converged
-            res_norm = np.max(np.abs(ctx.res), axis=1)
-            stalled = (previous_residual is not None
-                       and bool(np.any(res_norm[active] >
-                                       options.refactor_threshold
-                                       * previous_residual[active])))
-            if stalled or iteration >= chord_limit:
-                ctx = assemble_batch(system, x, analysis, options, columns,
-                                     source_scale, want_jacobian=True,
-                                     plan=plan)
-                alive &= (ctx.residual_finite_lanes()
-                          & ctx.jacobian_finite_lanes()) | converged
-                if not (alive & ~converged).any():
-                    break
-                ws.stall_refactors += 1
-                previous_residual = None
-                chord = False
-                if iteration >= chord_limit:
-                    chord_allowed = False
-            else:
-                ws.chord_iterations += 1
-                previous_residual = res_norm
-        t0 = perf_counter() if timing else None
-        if chord:
-            factorization = ws.factorization
-        else:
-            matrix = ctx.jacobian()
-            if options.jacobian_reuse != "off" \
-                    and _same_batch_matrix(ws.matrix, matrix):
-                factorization = ws.factorization
-                ws.factor_reuses += 1
-            else:
-                try:
-                    factorization = batched_factorize(matrix, backend)
-                except LinAlgError:
-                    # A batch-level factorization failure (not a per-lane
-                    # one) retires every unfinished lane to the serial path.
-                    alive &= converged
-                    break
-                ws.matrix = matrix
-                ws.factorization = factorization
-            ws.chord_tag = tag
-            if chord_allowed:
-                # Ride this factorization from the next iteration on.
-                chord = True
-        dx = factorization.solve(-ctx.res)
-        # Read after the solve: the dense backend flags singular lanes there.
-        alive &= ~factorization.failed | converged
-        if t0 is not None:
-            telemetry.registry.observe("batch.solve_s", perf_counter() - t0)
-        alive &= np.all(np.isfinite(dx), axis=1) | converged
-        active = alive & ~converged
-        if not active.any():
-            break
-        x_new = x + damping * dx
-        tol = base_tol + options.reltol * np.maximum(np.abs(x), np.abs(x_new))
-        lane_converged = np.all(np.abs(damping * dx) <= tol, axis=1)
-        # Active lanes take the update (the serial loop assigns x = x_new
-        # *before* returning on convergence); frozen lanes keep theirs.
-        x[active] = x_new[active]
-        iterations[active] = iteration
-        converged |= active & lane_converged
-        if not (alive & ~converged).any():
-            break
-    solved = alive & converged
-    return x, solved, iterations
+    ws = NewtonWorkspace(options) if workspace is None else workspace
+    if telemetry.enabled():
+        telemetry.registry.observe("batch.size", float(x0.shape[0]))
+    stage = BatchStage(system, analysis, options, columns, source_scale, ws)
+    lanes = newton_lanes(stage, x0, options, ws,
+                         _chord_tag(system, analysis, None, source_scale))
+    return lanes.x, lanes.converged, lanes.iterations
 
 
 def _collect(system: MNASystem, x: np.ndarray, lanes: np.ndarray,
@@ -520,7 +419,7 @@ def batched_dcsweeps(circuit: Circuit, source_name: str,
     alive = np.ones(batch, dtype=bool)
     rows: list[list[dict[str, float]]] = [[] for _ in range(batch)]
     original_waveform = source.waveform
-    workspace = BatchWorkspace()
+    workspace = NewtonWorkspace(options)
     try:
         with columns:
             for value in sweep_values:

@@ -1,18 +1,26 @@
-"""Operating-point (DC bias) analysis and the shared Newton solver.
+"""Operating-point (DC bias) analysis and the Newton engine.
 
-``newton_solve`` is the single Newton-Raphson implementation used by the
-operating-point, DC-sweep and transient analyses.  Convergence requires every
-unknown's update to fall below ``tol_i = (vntol | abstol) + reltol * |x_i|``
--- the SPICE criterion -- with across-type unknowns (node voltages and
-velocities) using ``vntol`` and auxiliary through-type unknowns using
-``abstol``.
+:func:`newton_lanes` is the single Newton-Raphson iteration of the circuit
+analyses.  It iterates a ``(B, n)`` block of B lanes sharing one circuit:
+the serial solve of the op, DC-sweep and transient analyses is one lane
+(:func:`newton_solve`); the batched campaign drivers stack B parameter
+points (:func:`~repro.circuit.analysis.batch.batched_newton`).  A lane
+converges when every unknown's update falls below ``tol_i = (vntol |
+abstol) + reltol * max(|x_i|, |x_new_i|)`` -- the SPICE criterion, with
+``vntol`` for across-type unknowns (node voltages and velocities) and
+``abstol`` for auxiliary through-type unknowns.  The engine never raises: a
+failing lane retires with a :data:`RETIREMENT_ERRORS` reason, which
+:func:`newton_solve` turns into the typed error and forensic report.
 
 Linear stage
 ------------
-Every Newton update routes through :mod:`repro.linalg`.  A
-:class:`NewtonWorkspace` carries the factorization state across iterations
-*and* across calls (time steps of a transient, points of a DC sweep), which
-is where the ``jacobian_reuse`` policies of
+The engine reaches the circuit through :class:`SerialStage`
+(``MNASystem.assemble`` and :meth:`NewtonWorkspace.factor`) or
+:class:`~repro.circuit.analysis.batch.BatchStage` (``assemble_batch`` and
+:func:`repro.linalg.batched_factorize`).  A :class:`NewtonWorkspace`
+carries the factorization state across iterations *and* across calls (time
+steps of a transient, points of a DC sweep), which is where the
+``jacobian_reuse`` policies of
 :class:`~repro.circuit.analysis.options.SimulationOptions` live:
 
 * ``"off"`` factors every freshly assembled Jacobian,
@@ -27,8 +35,8 @@ is where the ``jacobian_reuse`` policies of
 When plain Newton from a zero initial guess fails (strongly nonlinear bias
 points such as an electrostatic transducer biased close to pull-in), the
 operating-point analysis falls back to **source stepping**: all independent
-sources are ramped from zero to their nominal values over a geometric
-sequence of levels, each level starting from the previous solution.
+sources are ramped from zero to their nominal values over
+``max_source_steps`` evenly spaced levels, each starting from the last.
 """
 
 from __future__ import annotations
@@ -49,29 +57,40 @@ from ..netlist import Circuit
 from .options import SimulationOptions
 from .results import OperatingPoint
 
-__all__ = ["newton_solve", "collect_outputs", "NewtonWorkspace",
-           "OperatingPointAnalysis"]
+__all__ = ["newton_solve", "newton_lanes", "collect_outputs",
+           "NewtonWorkspace", "OperatingPointAnalysis"]
+
+
+def _same_matrix(stored, matrix) -> bool:
+    if isinstance(matrix, list):  # batched sparse: one CSR matrix per lane
+        return isinstance(stored, list) and len(stored) == len(matrix) \
+            and all(map(_same_matrix, stored, matrix))
+    if sp.issparse(matrix):
+        return sp.issparse(stored) and stored.shape == matrix.shape \
+            and stored.data.size == matrix.data.size \
+            and np.array_equal(stored.data, matrix.data)
+    return isinstance(stored, np.ndarray) and stored.shape == matrix.shape \
+        and bool((stored == matrix).all())
 
 
 class NewtonWorkspace:
     """Linear-stage state shared across the Newton solves of one analysis.
 
-    Holds the backend solver, a short equality-matched list of recently
-    factored Jacobians and the chord-Newton bookkeeping (which factorization
-    is held, and for which integrator step / source level it was produced).
-    Analyses create one workspace per run and thread it through every
-    :func:`newton_solve` call so factorizations survive across time steps
-    and sweep points.
+    Holds the serial backend solver, a short equality-matched list of
+    recently factored Jacobians (serial matrices or batched stacks) and the
+    chord-Newton bookkeeping (which factorization is held, and for which
+    integrator step / source level it was produced).  Analyses create one
+    workspace per run and thread it through every Newton call so
+    factorizations survive across time steps and sweep points.
     """
 
-    #: Recent (matrix, factorization) pairs kept for equality matching.
+    #: Recent serial (matrix, factorization) pairs kept for equality
+    #: matching: transient step-size flip-flops revisit older Jacobians.
     _RECENT_LIMIT = 4
 
     def __init__(self, options: SimulationOptions) -> None:
         self.options = options
-        self.solver = FactorizedSolver(options.solver_backend(),
-                                       rtol=options.linear_solver_rtol,
-                                       cg_fallback=True)
+        self.solver = FactorizedSolver("auto")
         #: list of (structure generation, matrix, factorization), most
         #: recent first.  Matching is exact array equality -- a memcmp-speed
         #: check, cheap enough to run every Newton iteration (unlike a
@@ -94,45 +113,39 @@ class NewtonWorkspace:
         #: when ``options.health_check`` is on (capped like diagnostics).
         self.health: list = []
 
-    @staticmethod
-    def _same_matrix(stored, matrix) -> bool:
-        if sp.issparse(matrix):
-            return sp.issparse(stored) and stored.shape == matrix.shape \
-                and stored.data.size == matrix.data.size \
-                and np.array_equal(stored.data, matrix.data)
-        return not sp.issparse(stored) and np.array_equal(stored, matrix)
-
     def factor(self, system: MNASystem, ctx: StampContext):
-        """Factor (or fetch) the Jacobian of a fully assembled context."""
-        matrix = ctx.jacobian()
-        generation = system.structure_cache.generation if ctx.use_sparse else 0
-        fresh = False
-        if self.options.jacobian_reuse == "off":
-            factorization = self.solver.factorize(matrix)
-            fresh = True
-        else:
-            factorization = None
-            for index, (stored_gen, stored, handle) in enumerate(self._recent):
-                # The generation tag pins the sparsity pattern the stored
-                # data array belongs to.
-                if stored_gen == generation and self._same_matrix(stored, matrix):
-                    factorization = handle
-                    if index:
-                        self._recent.insert(0, self._recent.pop(index))
-                    self.factor_reuses += 1
-                    break
-            if factorization is None:
-                factorization = self.solver.factorize(matrix)
-                self._recent.insert(0, (generation, matrix, factorization))
-                del self._recent[self._RECENT_LIMIT:]
-                fresh = True
+        """Factor (or fetch) the Jacobian of a fully assembled serial context."""
+        factorization, fresh = self.factor_with(
+            system, ctx, self.solver.factorize, self._RECENT_LIMIT)
         if fresh and self.options.health_check:
             record = telemetry.health.check_factorization(
                 factorization, limit=self.options.condition_limit)
             if len(self.health) < self.options.telemetry_max_records:
                 self.health.append(record)
-        self.factorization = factorization
         return factorization
+
+    def factor_with(self, system: MNASystem, ctx, factorize, depth: int):
+        """``(factorization, fresh)`` of the context's Jacobian: the handle
+        of an equal matrix among the ``depth`` most recently factored ones
+        (none under ``jacobian_reuse="off"``), else ``factorize(matrix)``."""
+        if self.options.jacobian_reuse == "off":
+            depth = 0
+        matrix = ctx.jacobian()
+        generation = system.structure_cache.generation if ctx.use_sparse else 0
+        for index, (stored_gen, stored, handle) in enumerate(
+                self._recent[:depth]):
+            # The generation tag pins the sparsity pattern the stored data
+            # array belongs to.
+            if stored_gen == generation and _same_matrix(stored, matrix):
+                if index:
+                    self._recent.insert(0, self._recent.pop(index))
+                self.factor_reuses += 1
+                self.factorization = handle
+                return handle, False
+        factorization = self.factorization = factorize(matrix)
+        self._recent.insert(0, (generation, matrix, factorization))
+        del self._recent[depth:]
+        return factorization, True
 
     def statistics(self) -> dict[str, int]:
         """Counters for result statistics and the reuse benchmarks."""
@@ -187,30 +200,68 @@ def _step_only_change(old: tuple | None, new: tuple) -> bool:
     return _STEP_REUSE_RATIO[0] <= ratio <= _STEP_REUSE_RATIO[1]
 
 
-def newton_solve(system: MNASystem, x0: np.ndarray, analysis: str, time: float,
-                 integrator: Integrator | None, options: SimulationOptions,
-                 source_scale: float = 1.0,
-                 workspace: NewtonWorkspace | None = None) -> tuple[np.ndarray, int]:
-    """Solve ``F(x) = 0`` by damped Newton-Raphson starting from ``x0``.
+#: Why a lane retired, and the error :func:`newton_solve` raises for it.
+RETIREMENT_ERRORS = {
+    "nonfinite_residual": ConvergenceError,  # residual or Jacobian
+    "nonfinite_jacobian": ConvergenceError,  # at a chord refactor
+    "singular_factor": SingularMatrixError,
+    "singular_solve": SingularMatrixError,
+    "nonfinite_update": ConvergenceError,
+    "iteration_cap": ConvergenceError,
+}
 
-    Returns the converged solution and the number of iterations used.
-    Raises :class:`~repro.errors.ConvergenceError` when the iteration cap is
-    reached and :class:`~repro.errors.SingularMatrixError` when the Jacobian
-    cannot be factorised.  ``workspace`` carries factorization reuse across
-    calls; a throwaway one is created when omitted.
+
+class NewtonLanes:
+    """Per-lane outcome of :func:`newton_lanes`: last accepted iterates
+    ``x``, the ``converged`` mask, the iteration each lane last updated at,
+    and for an unsolved lane its ``reason`` and ``retired_at`` iteration.
+    ``res`` / ``dx`` are the last residual and update blocks, ``error`` the
+    error behind a ``singular_*`` retirement."""
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = x
+        self.converged = np.zeros(len(x), dtype=bool)
+        self.iterations = np.zeros(len(x), dtype=int)
+        self.reason: list[str | None] = [None] * len(x)
+        self.retired_at = [0] * len(x)
+        self.res = self.dx = self.error = None
+
+    def retire(self, open_: np.ndarray, mask: np.ndarray, reason: str,
+               iteration: int) -> np.ndarray:
+        """Retire the open lanes in ``mask``; returns the lanes still open."""
+        hit = open_ & mask
+        for lane in np.flatnonzero(hit):
+            self.reason[lane] = reason
+            self.retired_at[lane] = iteration
+        return open_ & ~hit
+
+
+def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
+                 workspace: NewtonWorkspace, tag: tuple,
+                 norms: list | None = None) -> NewtonLanes:
+    """Damped Newton-Raphson over the ``(B, n)`` block ``x0``; never raises.
+
+    The linear ``stage`` has ``system``, ``assemble(x, want_jacobian) ->
+    (res, sick)`` (``sick``: None, or the ``(B,)`` mask of lanes with a
+    non-finite residual or Jacobian), ``factor()`` and ``solve(factorization,
+    rhs) -> (dx, singular)`` (``singular``: None or a ``(B,)`` mask); the
+    last two raise :class:`~repro.errors.LinAlgError` when no lane can be
+    solved.  ``tag`` scopes chord reuse of the workspace's held
+    factorization; ``norms`` (optional) receives each iteration's ``(B,)``
+    residual max-norms.  Converged lanes freeze while stragglers iterate;
+    chord mode refactors when any open lane's residual stops contracting.
     """
-    ws = NewtonWorkspace(options) if workspace is None else workspace
-    x = np.array(x0, dtype=float, copy=True)
-    timing = telemetry.enabled()
-    trace = NewtonTrace(context=analysis, time=time) \
-        if timing and ws.convergence is not None else None
-    # Forensics track the residual-norm trajectory (one float/iteration) so
-    # a failure report can show how the solve died, not just that it died.
-    norms: list[float] | None = [] if options.forensics else None
-    n_nodes = system.num_nodes
-    base_tol = np.where(np.arange(system.size) < n_nodes,
-                        options.vntol, options.abstol)
-    tag = _chord_tag(system, analysis, integrator, source_scale)
+    ws = workspace
+    lanes = NewtonLanes(np.array(x0, dtype=float))
+    x = lanes.x
+    size = x.shape[1]
+    open_ = ~lanes.converged  # neither converged nor retired
+    # Every lane open: flags and updates apply to the whole block, with no
+    # mask bookkeeping (always the case for the serial B = 1 solve).
+    whole = True
+    base_tol = np.where(np.arange(size) < stage.system.num_nodes,
+                        options.vntol, options.abstol)[None]  # one (1, n) row
+    damping = options.newton_damping
     chord_allowed = options.jacobian_reuse == "chord"
     chord = (chord_allowed
              and ws.factorization is not None and ws.chord_tag == tag)
@@ -227,159 +278,221 @@ def newton_solve(system: MNASystem, x0: np.ndarray, analysis: str, time: float,
             and _step_only_change(ws.chord_tag, tag)):
         # A rejected (or re-grown) time step changed only ``h``: ride the
         # accepted-step factorization instead of re-assembling from scratch.
-        chord = True
-        require_confirm = True
+        chord = require_confirm = True
         ws.chord_tag = tag
         ws.step_chord_reuses += 1
+    confirmed = False
     # Past this point a chord solve that is still grinding is assumed to be
     # riding a stale Jacobian; refactor instead of burning the iteration cap.
     chord_limit = max(3, options.max_newton_iterations // 2)
-    previous_residual = None
-    confirmed_once = False
+    previous = None
     for iteration in range(1, options.max_newton_iterations + 1):
-        ctx = system.assemble(x, analysis, time, integrator, options,
-                              source_scale, want_jacobian=not chord)
-        if not np.all(np.isfinite(ctx.res)) or not ctx.jacobian_is_finite():
-            message = (f"non-finite residual/Jacobian at iteration "
-                       f"{iteration} (t={time:g})")
-            raise ConvergenceError(
-                message, iterations=iteration,
-                report=_newton_report(ws, system, options, analysis, time,
-                                      norms, message=message,
-                                      error_type="ConvergenceError",
-                                      iterations=iteration, vector=ctx.res))
-        if trace is not None or norms is not None:
-            res_norm = float(np.max(np.abs(ctx.res))) if ctx.res.size else 0.0
-            if trace is not None:
-                trace.residuals.append(res_norm)
+        res, sick = stage.assemble(x, not chord)
+        lanes.res = res
+        if sick is not None:
+            open_ = lanes.retire(open_, sick, "nonfinite_residual", iteration)
+            whole = False
+            if not open_.any():
+                break
+        if chord or norms is not None:
+            res_norm = np.abs(res).max(axis=1, initial=0.0)
             if norms is not None:
                 norms.append(res_norm)
+        stall = False
         if chord:
-            residual_norm = float(np.max(np.abs(ctx.res))) if ctx.res.size else 0.0
-            stalled = (previous_residual is not None
-                       and residual_norm >
-                       options.refactor_threshold * previous_residual)
-            if stalled or iteration >= chord_limit:
-                ctx = system.assemble(x, analysis, time, integrator, options,
-                                      source_scale, want_jacobian=True)
-                if not ctx.jacobian_is_finite():
-                    message = (f"non-finite Jacobian at iteration {iteration} "
-                               f"(t={time:g})")
-                    raise ConvergenceError(
-                        message, iterations=iteration,
-                        report=_newton_report(ws, system, options, analysis,
-                                              time, norms, message=message,
-                                              error_type="ConvergenceError",
-                                              iterations=iteration,
-                                              vector=ctx.res))
-                _factorize(ws, system, ctx, analysis, time)
-                ws.chord_tag = tag
+            if iteration >= chord_limit:
+                stall = True
+            elif previous is not None:
+                grew = res_norm > options.refactor_threshold * previous
+                stall = (grew if whole else grew & open_).any()
+            if stall:
+                res, sick = stage.assemble(x, True)
+                lanes.res = res
+                if sick is not None:
+                    open_ = lanes.retire(open_, sick, "nonfinite_jacobian",
+                                         iteration)
+                    whole = False
+                    if not open_.any():
+                        break
+            else:
+                ws.chord_iterations += 1
+                previous = res_norm
+        if chord and not stall:
+            factorization = ws.factorization
+        else:
+            try:
+                factorization = stage.factor()
+            except LinAlgError as exc:
+                lanes.error = exc
+                lanes.retire(open_, open_, "singular_factor", iteration)
+                break
+            ws.chord_tag = tag
+            if stall:
                 ws.stall_refactors += 1
-                previous_residual = None
+                previous = None
                 require_confirm = False  # fresh factorization for this step
                 if iteration >= chord_limit:
                     # This solve is grinding: give the rest of it plain full
                     # Newton instead of re-assembling twice per iteration.
                     chord_allowed = False
-                    chord = False
-            else:
-                ws.chord_iterations += 1
-                previous_residual = residual_norm
-            factorization = ws.factorization
-        else:
-            factorization = _factorize(ws, system, ctx, analysis, time)
-            ws.chord_tag = tag
-            if chord_allowed:
-                # Ride this factorization from the next iteration on.
-                chord = True
+            # Ride this factorization from the next iteration on.
+            chord = chord_allowed
         try:
-            t0 = perf_counter() if timing else None
-            dx = factorization.solve(-ctx.res)
-            if t0 is not None:
-                telemetry.registry.observe(f"newton.{analysis}.solve_s",
-                                           perf_counter() - t0)
+            dx, singular = stage.solve(factorization, -res)
         except LinAlgError as exc:
-            message = f"MNA solve failed for {analysis} at t={time:g}: {exc}"
-            raise SingularMatrixError(
-                message,
-                report=_newton_report(ws, system, options, analysis, time,
-                                      norms, kind="singular", message=message,
-                                      error_type="SingularMatrixError",
-                                      iterations=iteration,
-                                      vector=ctx.res)) from exc
-        if not np.all(np.isfinite(dx)):
-            message = (f"non-finite Newton update at iteration {iteration} "
-                       f"(t={time:g})")
-            raise ConvergenceError(
-                message, iterations=iteration,
-                report=_newton_report(ws, system, options, analysis, time,
-                                      norms, message=message,
-                                      error_type="ConvergenceError",
-                                      iterations=iteration, vector=dx))
-        x_new = x + options.newton_damping * dx
+            lanes.error = exc
+            lanes.retire(open_, open_, "singular_solve", iteration)
+            break
+        lanes.dx = dx
+        if singular is not None and singular.any():
+            open_ = lanes.retire(open_, singular, "singular_factor", iteration)
+            whole = False
+        if not np.isfinite(dx).all():
+            open_ = lanes.retire(open_, ~np.isfinite(dx).all(axis=1),
+                                 "nonfinite_update", iteration)
+            whole = False
+        if not whole and not open_.any():
+            break
+        step = damping * dx
+        x_new = x + step
         tol = base_tol + options.reltol * np.maximum(np.abs(x), np.abs(x_new))
         if require_confirm:
             tol = _CONFIRM_TIGHTEN * tol
-        converged = bool(np.all(np.abs(options.newton_damping * dx) <= tol))
-        x = x_new
-        if converged and iteration >= 1:
-            if require_confirm and not confirmed_once:
-                confirmed_once = True  # one more below-tolerance pass, please
+        small = (np.abs(step) <= tol).all(axis=1)
+        # Under ``require_confirm``: two below-tolerance passes in a row.
+        done = small & confirmed if require_confirm else small
+        confirmed = small
+        # Open lanes take the update (also on the converging iteration);
+        # frozen and retired lanes keep theirs.
+        if whole:
+            x = lanes.x = x_new
+            lanes.iterations.fill(iteration)
+            finished = np.count_nonzero(done)
+            if not finished:
                 continue
-            if trace is not None:
-                trace.converged = True
-                ws.convergence.add_newton(trace)
-            return x, iteration
-        confirmed_once = False
-    if trace is not None:
-        ws.convergence.add_newton(trace)
-    message = (f"Newton failed to converge in {options.max_newton_iterations} "
-               f"iterations ({analysis}, t={time:g})")
-    raise ConvergenceError(
-        message,
-        iterations=options.max_newton_iterations,
-        residual=float(np.max(np.abs(ctx.res))),
-        report=_newton_report(ws, system, options, analysis, time, norms,
-                              message=message, error_type="ConvergenceError",
-                              iterations=options.max_newton_iterations,
-                              vector=ctx.res))
+            if finished == len(done):
+                lanes.converged.fill(True)
+                break
+        else:
+            x[open_] = x_new[open_]
+            lanes.iterations[open_] = iteration
+        done = done & open_
+        lanes.converged |= done
+        open_ = open_ & ~done
+        whole = False
+        if not open_.any():
+            break
+    else:
+        lanes.retire(open_, open_, "iteration_cap",
+                     options.max_newton_iterations)
+    return lanes
 
 
-def _newton_report(ws: NewtonWorkspace, system: MNASystem,
-                   options: SimulationOptions, analysis: str, time: float,
-                   norms, *, message: str, error_type: str,
-                   kind: str = "newton", iterations: int | None = None,
-                   vector=None, matrix=None):
-    """Build/record a FailureReport for a dying Newton solve (or None)."""
-    if not options.forensics:
-        return None
-    return telemetry.forensics.newton_failure(
-        kind=kind, analysis=analysis, message=message, error_type=error_type,
-        time=time, iterations=iterations, labels=system.unknown_labels(),
-        residual=vector, trajectory=norms or (),
-        factorization=ws.factorization, matrix=matrix, options=options,
-        context={"size": system.size})
+class SerialStage:
+    """The ``B = 1`` linear stage of :func:`newton_lanes`: one
+    :class:`~repro.circuit.mna.StampContext` per assembly and
+    :meth:`NewtonWorkspace.factor`."""
+
+    def __init__(self, system: MNASystem, analysis: str, time: float,
+                 integrator: Integrator | None, options: SimulationOptions,
+                 source_scale: float, workspace: NewtonWorkspace) -> None:
+        self.system = system
+        self.args = (analysis, time, integrator, options, source_scale)
+        self.workspace = workspace
+        self.solve_metric = f"newton.{analysis}.solve_s" \
+            if telemetry.enabled() else None
+        self.ctx: StampContext | None = None
+
+    def assemble(self, x: np.ndarray, want_jacobian: bool):
+        ctx = self.ctx = self.system.assemble(x[0], *self.args,
+                                              want_jacobian=want_jacobian)
+        healthy = np.isfinite(ctx.res).all() and ctx.jacobian_is_finite()
+        return ctx.res[None], None if healthy else np.ones(1, dtype=bool)
+
+    def factor(self):
+        return self.workspace.factor(self.system, self.ctx)
+
+    def solve(self, factorization, rhs: np.ndarray):
+        t0 = perf_counter() if self.solve_metric else None
+        dx = factorization.solve(rhs[0])
+        if t0 is not None:
+            telemetry.registry.observe(self.solve_metric, perf_counter() - t0)
+        return dx[None], None
 
 
-def _factorize(ws: NewtonWorkspace, system: MNASystem, ctx: StampContext,
-               analysis: str, time: float):
-    try:
-        return ws.factor(system, ctx)
-    except LinAlgError as exc:
-        message = (f"singular MNA matrix while solving {analysis} "
-                   f"at t={time:g}: {exc}")
-        report = None
-        if ws.options.forensics:
-            # The structural diagnosis of the unfactorable matrix is the
-            # "which stamp broke the matrix" signal: empty columns name
-            # unconstrained unknowns (floating nodes), empty rows name
-            # equations that constrain nothing.
-            report = telemetry.forensics.newton_failure(
-                kind="singular", analysis=analysis, message=message,
-                error_type="SingularMatrixError", time=time,
-                labels=system.unknown_labels(), matrix=ctx.jacobian(),
-                options=ws.options, context={"size": system.size})
-        raise SingularMatrixError(message, report=report) from exc
+def newton_solve(system: MNASystem, x0: np.ndarray, analysis: str, time: float,
+                 integrator: Integrator | None, options: SimulationOptions,
+                 source_scale: float = 1.0,
+                 workspace: NewtonWorkspace | None = None) -> tuple[np.ndarray, int]:
+    """Solve ``F(x) = 0`` by damped Newton-Raphson starting from ``x0``.
+
+    The serial front of :func:`newton_lanes`: returns the converged solution
+    and the number of iterations used, or raises the error of the retired
+    lane's :data:`RETIREMENT_ERRORS` reason.  ``workspace`` carries
+    factorization reuse across calls; a throwaway one is created when
+    omitted.
+    """
+    ws = NewtonWorkspace(options) if workspace is None else workspace
+    traced = ws.convergence is not None and telemetry.enabled()
+    # Forensics track the residual-norm trajectory (one float/iteration) so
+    # a failure report can show how the solve died, not just that it died.
+    norms = [] if traced or options.forensics else None
+    stage = SerialStage(system, analysis, time, integrator, options,
+                        source_scale, ws)
+    tag = _chord_tag(system, analysis, integrator, source_scale)
+    lanes = newton_lanes(stage, np.asarray(x0)[None], options, ws, tag, norms)
+    reason = lanes.reason[0]
+    trajectory = None if norms is None else [float(norm[0]) for norm in norms]
+    if traced and reason in (None, "iteration_cap"):
+        ws.convergence.add_newton(NewtonTrace(
+            context=analysis, residuals=trajectory, converged=reason is None,
+            time=time))
+    if reason is None:
+        return lanes.x[0], int(lanes.iterations[0])
+    raise _lane_error(lanes, stage, trajectory) from lanes.error
+
+
+def _lane_error(lanes: NewtonLanes, stage: SerialStage, trajectory):
+    """The typed error (with forensic report) of a retired serial lane."""
+    analysis, time, _, options, _ = stage.args
+    reason, iteration = lanes.reason[0], lanes.retired_at[0]
+    error_type = RETIREMENT_ERRORS[reason]
+    at = f"at iteration {iteration} (t={time:g})"
+    message = {
+        "nonfinite_residual": f"non-finite residual/Jacobian {at}",
+        "nonfinite_jacobian": f"non-finite Jacobian {at}",
+        "nonfinite_update": f"non-finite Newton update {at}",
+        "iteration_cap": f"Newton failed to converge in {iteration} "
+                         f"iterations ({analysis}, t={time:g})",
+        "singular_factor": f"singular MNA matrix while solving {analysis} "
+                           f"at t={time:g}: {lanes.error}",
+        "singular_solve": f"MNA solve failed for {analysis} at t={time:g}: "
+                          f"{lanes.error}",
+    }[reason]
+    report = None
+    if options.forensics:
+        # For an unfactorable matrix the structural diagnosis is the "which
+        # stamp broke the matrix" signal: empty columns name unconstrained
+        # unknowns (floating nodes), empty rows name equations that
+        # constrain nothing.
+        state = {"matrix": stage.ctx.jacobian()} \
+            if reason == "singular_factor" else {
+                "iterations": iteration, "trajectory": trajectory or (),
+                "residual": lanes.dx[0] if reason == "nonfinite_update"
+                else lanes.res[0],
+                "factorization": stage.workspace.factorization}
+        report = telemetry.forensics.newton_failure(
+            kind="singular" if error_type is SingularMatrixError else "newton",
+            analysis=analysis, message=message,
+            error_type=error_type.__name__, time=time,
+            labels=stage.system.unknown_labels(), options=options,
+            context={"size": stage.system.size}, **state)
+    if error_type is SingularMatrixError:
+        return SingularMatrixError(message, report=report)
+    residual = float(np.max(np.abs(lanes.res[0]))) \
+        if reason == "iteration_cap" else None
+    return ConvergenceError(message, iterations=iteration, residual=residual,
+                            report=report)
 
 
 def collect_outputs(system: MNASystem, ctx: StampContext,
@@ -533,7 +646,7 @@ class OperatingPointAnalysis:
                          ) -> tuple[np.ndarray, int]:
         """Homotopy on the independent-source amplitudes (0 -> 1)."""
         options = self.options
-        levels = np.linspace(0.0, 1.0, min(options.max_source_steps, 32) + 1)[1:]
+        levels = np.linspace(0.0, 1.0, options.max_source_steps + 1)[1:]
         x = np.array(x0, dtype=float, copy=True)
         total_iterations = 0
         track = telemetry.progress.tracker("op.source_stepping",

@@ -34,7 +34,8 @@ class SimulationOptions:
     max_newton_iterations:
         Iteration cap of a single Newton solve (SPICE ITL1/ITL4).
     max_source_steps:
-        Number of homotopy levels used when plain Newton fails on the OP.
+        Number of source-stepping levels (at least 1) the operating point
+        ramps the independent sources through when plain Newton fails.
     integration_method:
         ``"trapezoidal"`` (default) or ``"backward_euler"``.
     trtol:
@@ -46,13 +47,11 @@ class SimulationOptions:
     newton_damping:
         Damping factor applied to Newton updates (1.0 = full steps).
     linear_solver:
-        Linear-solve routing for the Newton updates: ``"auto"`` picks the
-        sparse direct solver once the unknown count exceeds
-        ``sparse_threshold``; ``"dense"`` forces LAPACK; ``"sparse"`` forces
-        the SuperLU direct solve; ``"cg"`` forces Jacobi-preconditioned
-        conjugate gradients (SPD systems only).
-    linear_solver_rtol:
-        Relative tolerance of the iterative (``"cg"``) linear solver.
+        Linear-solve routing for the Newton updates, serial and batched
+        alike: ``"auto"`` picks the sparse direct solver once the unknown
+        count exceeds ``sparse_threshold``; ``"dense"`` forces LAPACK;
+        ``"sparse"`` forces the SuperLU direct solve.  (MNA Jacobians are
+        not symmetric positive definite, so there is no iterative option.)
     sparse_threshold:
         Unknown count above which ``"auto"`` switches from the dense LAPACK
         solve to sparse assembly + SuperLU.
@@ -135,7 +134,6 @@ class SimulationOptions:
     max_step_growth: float = 2.0
     newton_damping: float = 1.0
     linear_solver: str = "auto"
-    linear_solver_rtol: float = 1e-10
     sparse_threshold: int = 256
     jacobian_reuse: str = "auto"
     refactor_threshold: float = 0.5
@@ -156,6 +154,8 @@ class SimulationOptions:
             raise AnalysisError("gmin must be non-negative")
         if self.max_newton_iterations < 2:
             raise AnalysisError("max_newton_iterations must be at least 2")
+        if self.max_source_steps < 1:
+            raise AnalysisError("max_source_steps must be at least 1")
         if self.integration_method not in ("trapezoidal", "backward_euler"):
             raise AnalysisError(
                 f"unknown integration method {self.integration_method!r}")
@@ -163,12 +163,10 @@ class SimulationOptions:
             raise AnalysisError("newton_damping must be in (0, 1]")
         if self.max_step_growth < 1.1:
             raise AnalysisError("max_step_growth must be at least 1.1")
-        if self.linear_solver not in ("auto", "dense", "sparse", "cg"):
+        if self.linear_solver not in ("auto", "dense", "sparse"):
             raise AnalysisError(
                 f"unknown linear solver {self.linear_solver!r} "
-                "(use 'auto', 'dense', 'sparse' or 'cg')")
-        if self.linear_solver_rtol <= 0.0:
-            raise AnalysisError("linear_solver_rtol must be positive")
+                "(use 'auto', 'dense' or 'sparse')")
         if self.sparse_threshold < 1:
             raise AnalysisError("sparse_threshold must be at least 1")
         if self.jacobian_reuse not in ("off", "auto", "chord"):
@@ -190,18 +188,9 @@ class SimulationOptions:
         """Whether a system of ``size`` unknowns should assemble sparse."""
         if self.linear_solver == "dense":
             return False
-        if self.linear_solver in ("sparse", "cg"):
+        if self.linear_solver == "sparse":
             return True
         return size > self.sparse_threshold
-
-    def solver_backend(self) -> str:
-        """The :class:`repro.linalg.FactorizedSolver` backend to use.
-
-        ``"cg"`` when forced; otherwise ``"auto"``, which resolves to the
-        SuperLU backend for sparse assemblies and dense LAPACK otherwise --
-        matching :meth:`use_sparse` because the assembly type follows it.
-        """
-        return "cg" if self.linear_solver == "cg" else "auto"
 
     def with_(self, **changes) -> "SimulationOptions":
         """Return a copy with the given fields replaced."""

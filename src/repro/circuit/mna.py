@@ -560,7 +560,7 @@ class StampContext:
         if self.use_sparse:
             return bool(np.all(np.isfinite(self._jac_vals))) if self._jac_vals \
                 else True
-        return bool(np.all(np.isfinite(self.jac)))
+        return bool(np.isfinite(self.jac).all())
 
     def add_res(self, row: int, value: float) -> None:
         """Accumulate into the residual row; the ground row is ignored."""

@@ -60,5 +60,5 @@ GMIN = 1e-12
 #: Maximum Newton iterations per solve point.
 MAX_NEWTON_ITERATIONS = 100
 
-#: Maximum number of source-stepping levels for difficult operating points.
-MAX_SOURCE_STEPS = 64
+#: Number of source-stepping levels for difficult operating points.
+MAX_SOURCE_STEPS = 32

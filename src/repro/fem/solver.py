@@ -43,7 +43,7 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, method: str = "direct",
     if method not in ("direct", "cg"):
         raise FEMError(f"unknown solve method {method!r} (use 'direct' or 'cg')")
     solver = FactorizedSolver("superlu" if method == "direct" else "cg",
-                              rtol=rtol, cg_fallback=False)
+                              rtol=rtol)
     try:
         with telemetry.span("fem.solve", method=method, size=int(matrix.shape[0])):
             return solver.solve(sp.csr_matrix(matrix), rhs)

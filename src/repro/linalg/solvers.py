@@ -18,9 +18,9 @@ Backends
 ``superlu``
     SciPy's SuperLU direct factorization of a sparse matrix.
 ``cg``
-    Jacobi-preconditioned conjugate gradients (SPD systems).  No true
-    factorization exists; the handle re-runs the iteration per right-hand
-    side and can fall back to a direct solve when the iteration stalls.
+    Jacobi-preconditioned conjugate gradients (SPD systems such as the FE
+    stiffness matrix).  No true factorization exists; the handle re-runs
+    the iteration per right-hand side and raises when it stalls.
 ``auto``
     ``superlu`` for sparse input, ``dense`` otherwise.
 
@@ -304,18 +304,18 @@ class _SparseLU(Factorization):
 
 
 class _JacobiCG(Factorization):
-    """Jacobi-preconditioned conjugate gradients with optional direct fallback.
+    """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     There is no factorization to hold; the handle keeps the matrix and the
-    preconditioner and re-runs the iteration per right-hand side.  When the
-    iteration fails to converge and ``fallback`` is enabled, the handle
-    factors the matrix with SuperLU once and answers this and every later
-    right-hand side directly.
+    preconditioner and re-runs the iteration per right-hand side.  A
+    missing preconditioner (zero diagonal entry), a stalled iteration and a
+    transposed solve of a non-symmetric matrix raise
+    :class:`~repro.errors.LinAlgError`.
     """
 
     backend = "cg"
 
-    def __init__(self, matrix, rtol: float, fallback: bool) -> None:
+    def __init__(self, matrix, rtol: float) -> None:
         if np.iscomplexobj(matrix):
             raise LinAlgError(
                 "the cg backend handles real symmetric-positive-definite "
@@ -324,22 +324,14 @@ class _JacobiCG(Factorization):
         self._matrix = sp.csr_matrix(matrix)
         super().__init__(self._matrix.shape)
         self._rtol = float(rtol)
-        self._fallback_allowed = bool(fallback)
-        self._direct: _SparseLU | None = None
         self._symmetric: bool | None = None
-        #: Number of right-hand sides answered by the direct fallback.
-        self.fallback_solves = 0
-        self._preconditioner = None
         diagonal = self._matrix.diagonal()
         if np.any(diagonal == 0.0):
             # No Jacobi preconditioner exists (e.g. MNA voltage-source rows).
-            if not self._fallback_allowed:
-                raise LinAlgError(
-                    "zero diagonal entry; cannot build Jacobi preconditioner")
-            self._direct = _SparseLU(self._matrix)
-        else:
-            self._preconditioner = spla.LinearOperator(
-                self._matrix.shape, matvec=lambda x, d=diagonal: x / d)
+            raise LinAlgError(
+                "zero diagonal entry; cannot build Jacobi preconditioner")
+        self._preconditioner = spla.LinearOperator(
+            self._matrix.shape, matvec=lambda x, d=diagonal: x / d)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
@@ -351,20 +343,15 @@ class _JacobiCG(Factorization):
             # and imaginary parts independently.
             return self.solve(np.ascontiguousarray(rhs.real)) \
                 + 1j * self.solve(np.ascontiguousarray(rhs.imag))
-        if self._direct is None:
-            solution, info = spla.cg(self._matrix, np.asarray(rhs, dtype=float),
-                                     rtol=self._rtol, maxiter=_CG_MAXITER,
-                                     M=self._preconditioner)
-            if info == 0:
-                return np.asarray(solution, dtype=float)
-            if not self._fallback_allowed:
-                raise LinAlgError(
-                    f"conjugate-gradient solve did not converge (info={info})")
-            self._direct = _SparseLU(self._matrix)
-        self.fallback_solves += 1
-        return self._direct.solve(rhs)
+        solution, info = spla.cg(self._matrix, np.asarray(rhs, dtype=float),
+                                 rtol=self._rtol, maxiter=_CG_MAXITER,
+                                 M=self._preconditioner)
+        if info != 0:
+            raise LinAlgError(
+                f"conjugate-gradient solve did not converge (info={info})")
+        return np.asarray(solution, dtype=float)
 
-    def _is_symmetric(self) -> bool:
+    def _require_symmetric(self, what: str) -> None:
         if self._symmetric is None:
             difference = (self._matrix - self._matrix.T).tocoo()
             if difference.nnz == 0:
@@ -374,39 +361,24 @@ class _JacobiCG(Factorization):
                     if self._matrix.nnz else 1.0
                 self._symmetric = bool(
                     np.abs(difference.data).max() <= 1e-14 * max(scale, 1e-300))
-        return self._symmetric
+        if not self._symmetric:
+            # CG never applies to A^T != A, and silently answering the
+            # forward system would corrupt adjoint gradients.
+            raise LinAlgError(f"cg {what} needs a symmetric matrix (A^T != A)")
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
         self.transpose_solves += 1
         metrics.record("transpose_solves")
-        if self._direct is None:
-            if self._is_symmetric():
-                # A^T == A: the transposed solve IS the forward CG solve.
-                return self.solve(rhs)
-            # Non-symmetric matrix (e.g. an MNA Jacobian routed through the
-            # cg backend): CG never applied, and silently answering the
-            # forward system would corrupt adjoint gradients.
-            if not self._fallback_allowed:
-                raise LinAlgError(
-                    "cg transposed solve needs a symmetric matrix "
-                    "(A^T != A and the direct fallback is disabled)")
-            self._direct = _SparseLU(self._matrix)
-        self.fallback_solves += 1
-        return self._direct.solve_transposed(rhs)
+        self._require_symmetric("transposed solve")
+        # A^T == A: the transposed solve IS the forward CG solve.
+        return self.solve(rhs)
 
     def _estimate_condition(self) -> float:
         anorm = _norm1(self._matrix)
         if anorm == 0.0:
             return float("inf")
-        if self._direct is None and not self._is_symmetric():
-            if not self._fallback_allowed:
-                raise LinAlgError(
-                    "cg condition estimate needs a symmetric matrix "
-                    "(A^T != A and the direct fallback is disabled)")
-            self._direct = _SparseLU(self._matrix)
-        if self._direct is not None:
-            return self._direct._estimate_condition()
+        self._require_symmetric("condition estimate")
         # Symmetric system: the transposed solve IS the forward CG solve.
         return anorm * _hager_inverse_norm1(self.solve, self.solve,
                                             self.shape[0])
@@ -421,13 +393,9 @@ class FactorizedSolver:
         One of ``"auto"``, ``"dense"``, ``"superlu"``, ``"cg"``.
     rtol:
         Relative tolerance of the iterative (CG) backend.
-    cg_fallback:
-        Whether a stalled CG iteration falls back to a SuperLU direct solve
-        instead of raising.
     """
 
-    def __init__(self, backend: str = "auto", rtol: float = 1e-10,
-                 cg_fallback: bool = True) -> None:
+    def __init__(self, backend: str = "auto", rtol: float = 1e-10) -> None:
         if backend not in BACKENDS:
             raise LinAlgError(
                 f"unknown linear-solver backend {backend!r} (use one of {BACKENDS})")
@@ -435,7 +403,6 @@ class FactorizedSolver:
             raise LinAlgError("rtol must be positive")
         self.backend = backend
         self.rtol = float(rtol)
-        self.cg_fallback = bool(cg_fallback)
         #: Number of factorizations produced (reuse diagnostics).
         self.factorizations = 0
 
@@ -461,7 +428,7 @@ class FactorizedSolver:
         elif backend == "superlu":
             handle = _SparseLU(matrix)
         else:
-            handle = _JacobiCG(matrix, rtol=self.rtol, fallback=self.cg_fallback)
+            handle = _JacobiCG(matrix, rtol=self.rtol)
         if t0 is not None:
             telemetry.registry.observe(f"linalg.factorize.{backend}_s",
                                        time.perf_counter() - t0)

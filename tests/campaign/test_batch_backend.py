@@ -225,20 +225,6 @@ class TestBackendResolution:
         with pytest.raises(CampaignError):
             CampaignRunner(backend="batch", batch_size=0)
 
-    def test_auto_falls_back_serial_for_unbatchable_options(self):
-        # The CG backend has no batched counterpart: the evaluator reports
-        # itself non-capable and auto stays serial/pool.  (Chord-mode
-        # Newton, once in the same boat, is batchable now.)
-        options = SimulationOptions(linear_solver="cg")
-        evaluator = CircuitEvaluator(
-            build_ladder, param_map=PARAM_MAP, options=options)
-        spec = GridSweep(vdd=[3.0, 4.0, 5.0, 6.0])
-        serial = CampaignRunner(backend="serial").run(
-            spec, CircuitEvaluator(build_ladder, options=options))
-        result = CampaignRunner(backend="auto", processes=1).run(
-            spec, evaluator)
-        assert_rows_identical(serial, result)
-
 
 class TestBatchTelemetry:
     def test_batch_metrics_flow_into_campaign_telemetry(self):

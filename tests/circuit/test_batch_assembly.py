@@ -7,7 +7,13 @@ contributions in the same order as stamping device by device, so residual,
 dense Jacobian and CSR lanes must be *bitwise* equal to the per-device loop
 kept below (:func:`golden_assembly`).  The batched op/DC-sweep drivers and
 the campaign batch backend stay within 1e-12 of serial, with byte-equal
-error rows and identical lane iteration counts.
+error rows and identical lane iteration counts.  Under
+``jacobian_reuse="chord"`` the batch refactors on the worst lane, so lanes
+agree with serial chord Newton to the Newton tolerance, and a lane the
+batch retires carries the error type serial Newton raises (when it fails).
+DC sweeps warm-start each point from the last and, with
+``continue_on_failure``, restart a failed lane from zero like the serial
+sweep.
 
 The netlists come from a seeded in-repo generator: R/C/L/D, current and
 voltage sources, the mechanical twins (mass, spring, damper, force and
@@ -24,11 +30,13 @@ import pytest
 from repro.campaign import CampaignRunner, CircuitEvaluator, PointList
 from repro.circuit import Circuit, SimulationOptions
 from repro.circuit.analysis import batch
-from repro.circuit.analysis.batch import (ParameterColumns, assemble_batch,
-                                          batched_dcsweeps,
+from repro.circuit.analysis.batch import (BatchStage, ParameterColumns,
+                                          assemble_batch, batched_dcsweeps,
                                           batched_operating_points)
 from repro.circuit.analysis.dcsweep import DCSweepAnalysis
-from repro.circuit.analysis.op import OperatingPointAnalysis, newton_solve
+from repro.circuit.analysis.op import (RETIREMENT_ERRORS, NewtonWorkspace,
+                                       OperatingPointAnalysis, newton_lanes,
+                                       newton_solve)
 from repro.circuit.devices.base import TwoTerminalDevice
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.circuit.devices.mechanical import Damper
@@ -365,6 +373,91 @@ def test_batched_dcsweep_matches_serial(seed):
             want = reference.column(key)
             assert np.all(np.abs(result.column(key) - want)
                           <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_chord_lanes_match_serial(seed):
+    circuit, _, targets = generate(seed)
+    options = options_for(seed).with_(jacobian_reuse="chord")
+    columns = draw_columns(circuit, targets, np.random.default_rng(seed))
+    system = MNASystem(circuit)
+    workspace = NewtonWorkspace(options)
+    with columns:
+        lanes = newton_lanes(
+            BatchStage(system, "op", options, columns, 1.0, workspace),
+            np.zeros((LANES, system.size)), options, workspace,
+            ("op", None, 1.0, system.structure_cache.generation))
+    for lane, reason in enumerate(lanes.reason):
+        columns.set_lane(lane)
+        try:
+            if reason is None:
+                # Both accept at the Newton update tolerance on a held
+                # Jacobian, each with its own refactor schedule (the serial
+                # analysis may need source stepping to get there).
+                x = OperatingPointAnalysis(circuit, options).run().raw
+                tol = options.vntol + options.reltol * np.abs(x)
+                assert np.all(np.abs(lanes.x[lane] - x) <= tol)
+                continue
+            try:
+                newton_solve(MNASystem(circuit), np.zeros(system.size), "op",
+                             0.0, None, options)
+            except (ConvergenceError, SingularMatrixError) as exc:
+                assert type(exc) is RETIREMENT_ERRORS[reason]
+            # Otherwise the batch-wide refactor schedule retired a lane
+            # that serial chord Newton solves; the campaign re-runs it.
+        finally:
+            columns.restore()
+
+
+@pytest.mark.parametrize("seed", SEEDS[2::4])
+def test_batched_dcsweep_restarts_failed_points_like_serial(seed):
+    circuit, _, targets = generate(seed)
+    targets = [target for target in targets if target[0] != "VS"] or [
+        ("RB1", "resistance", circuit["RB1"].get_parameter("resistance"))]
+    options = options_for(seed).with_(max_newton_iterations=12)
+    columns = draw_columns(circuit, targets, np.random.default_rng(seed))
+    # Warm starts from each solved point; the 30 V and 60 V points fail in
+    # some lanes and restart them from zero.
+    sweep = [0.5, 30.0, 1.0, 2.5, 60.0, 3.0]
+    results = batched_dcsweeps(circuit, "VS", sweep, options, columns,
+                               continue_on_failure=True)
+    for lane, result in enumerate(results):
+        columns.set_lane(lane)
+        try:
+            reference = DCSweepAnalysis(circuit, "VS", sweep, options,
+                                        continue_on_failure=True).run()
+        finally:
+            columns.restore()
+        assert set(result.keys()) == set(reference.keys())
+        for key in reference.keys():
+            want, got = reference.column(key), result.column(key)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.all(np.abs(got - want)[~np.isnan(want)]
+                          <= 1e-12 * np.maximum(1.0, np.abs(want))[
+                              ~np.isnan(want)])
+
+
+@pytest.mark.parametrize("seed", SEEDS[1::4])
+def test_batched_chord_dcsweep_warm_starts_match_serial(seed):
+    circuit, _, targets = generate(seed)
+    targets = [target for target in targets if target[0] != "VS"] or [
+        ("RB1", "resistance", circuit["RB1"].get_parameter("resistance"))]
+    options = options_for(seed).with_(jacobian_reuse="chord")
+    columns = draw_columns(circuit, targets, np.random.default_rng(seed))
+    sweep = np.linspace(0.5, 3.0, 4)
+    results = batched_dcsweeps(circuit, "VS", sweep, options, columns)
+    for lane, result in enumerate(results):
+        columns.set_lane(lane)
+        try:
+            reference = DCSweepAnalysis(circuit, "VS", sweep, options).run()
+        finally:
+            columns.restore()
+        if result is None:
+            continue  # retired to the serial sweep, as above
+        for key in reference.keys():
+            want = reference.column(key)
+            assert np.all(np.abs(result.column(key) - want)
+                          <= options.vntol + options.reltol * np.abs(want))
 
 
 def build_case(params):

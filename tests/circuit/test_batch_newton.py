@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit, SimulationOptions
-from repro.circuit.analysis.batch import (ParameterColumns, batch_supported,
-                                          batched_dcsweeps,
+from repro.circuit.analysis.batch import (ParameterColumns, batched_dcsweeps,
                                           batched_operating_points)
 from repro.circuit.analysis.dcsweep import DCSweepAnalysis
 from repro.circuit.analysis.op import OperatingPointAnalysis
@@ -80,13 +79,6 @@ class TestParameterColumns:
         columns = ParameterColumns(circuit, [("VS", "dc", [1.0])])
         assert columns.targets(circuit["VS"])
         assert not columns.targets(circuit["R0"])
-
-
-class TestBatchSupported:
-    def test_only_cg_falls_back(self):
-        assert batch_supported(SimulationOptions())
-        assert batch_supported(SimulationOptions(jacobian_reuse="chord"))
-        assert not batch_supported(SimulationOptions(linear_solver="cg"))
 
 
 class TestBatchedOperatingPoints:
@@ -219,8 +211,8 @@ class TestBatchedChord:
                 assert abs(op[key] - reference[key]) / scale <= 1e-12
 
     def test_chord_holds_factorization_across_iterations_and_solves(self):
-        from repro.circuit.analysis.batch import (BatchWorkspace,
-                                                  batched_newton)
+        from repro.circuit.analysis.batch import batched_newton
+        from repro.circuit.analysis.op import NewtonWorkspace
         from repro.circuit.mna import MNASystem
 
         circuit = build_ladder()
@@ -228,7 +220,7 @@ class TestBatchedChord:
         columns = ParameterColumns(circuit,
                                    [("VS", "dc", np.array([0.5, 0.7, 0.9]))])
         options = SimulationOptions(jacobian_reuse="chord")
-        ws = BatchWorkspace()
+        ws = NewtonWorkspace(options)
         with columns:
             x0 = np.zeros((3, system.size))
             x, solved, iters = batched_newton(system, x0, "op", options,

@@ -16,13 +16,10 @@ from repro.circuit.mna import MNASystem
 from repro.errors import AnalysisError
 
 
-def _ladder(n: int, current_drive: bool = False) -> Circuit:
-    """An n-section resistive ladder (n+1 nodes, optional aux-free drive)."""
+def _ladder(n: int) -> Circuit:
+    """An n-section resistive ladder (n+1 nodes)."""
     circuit = Circuit(f"ladder-{n}")
-    if current_drive:
-        circuit.current_source("I1", "n0", "0", -1e-3)
-    else:
-        circuit.voltage_source("V1", "n0", "0", 5.0)
+    circuit.voltage_source("V1", "n0", "0", 5.0)
     for i in range(n):
         circuit.resistor(f"R{i}", f"n{i}", f"n{i + 1}", 100.0)
         circuit.resistor(f"Rg{i}", f"n{i + 1}", "0", 1e4)
@@ -38,10 +35,7 @@ class TestOptions:
 
     def test_forced_modes(self):
         assert SimulationOptions(linear_solver="sparse").use_sparse(2)
-        assert SimulationOptions(linear_solver="cg").use_sparse(2)
         assert not SimulationOptions(linear_solver="dense").use_sparse(10_000)
-        assert SimulationOptions(linear_solver="cg").solver_backend() == "cg"
-        assert SimulationOptions(linear_solver="sparse").solver_backend() == "auto"
 
     def test_threshold_is_tunable(self):
         options = SimulationOptions(sparse_threshold=5)
@@ -50,8 +44,9 @@ class TestOptions:
     def test_validation(self):
         with pytest.raises(AnalysisError):
             SimulationOptions(linear_solver="lu")
-        with pytest.raises(AnalysisError):
-            SimulationOptions(linear_solver_rtol=0.0)
+        # MNA is not SPD: circuit solves have no conjugate-gradient option.
+        with pytest.raises(AnalysisError, match="'auto', 'dense' or 'sparse'"):
+            SimulationOptions(linear_solver="cg")
         with pytest.raises(AnalysisError):
             SimulationOptions(sparse_threshold=0)
 
@@ -91,15 +86,6 @@ class TestSparseSolves:
             circuit, SimulationOptions(linear_solver="dense")).run()
         assert auto.voltage("n300") == pytest.approx(dense.voltage("n300"),
                                                      rel=1e-12)
-
-    def test_cg_on_spd_system_matches_dense(self):
-        circuit = _ladder(30, current_drive=True)
-        cg = OperatingPointAnalysis(
-            circuit, SimulationOptions(linear_solver="cg",
-                                       linear_solver_rtol=1e-12)).run()
-        dense = OperatingPointAnalysis(
-            circuit, SimulationOptions(linear_solver="dense")).run()
-        assert cg.voltage("n15") == pytest.approx(dense.voltage("n15"), rel=1e-9)
 
     def test_transient_threads_solver_selection(self):
         def rc(options):

@@ -60,19 +60,9 @@ class TestTransposeSolves:
         np.testing.assert_allclose(spd.T @ solution, rhs, atol=1e-6)
         assert handle.transpose_solves == 1
 
-    def test_cg_nonsymmetric_transpose_uses_direct_fallback(self):
-        # Silently answering A^{-1} b instead of A^{-T} b would corrupt
-        # adjoint gradients; the fallback must solve the true transpose.
-        matrix = np.array([[2.0, 1.0], [0.0, 3.0]])
-        handle = FactorizedSolver("cg").factorize(sp.csr_matrix(matrix))
-        solution = handle.solve_transposed(np.array([1.0, 1.0]))
-        np.testing.assert_allclose(matrix.T @ solution, [1.0, 1.0],
-                                   atol=1e-12)
-
     def test_cg_nonsymmetric_transpose_without_fallback_raises(self):
         matrix = np.array([[2.0, 1.0], [0.0, 3.0]])
-        handle = FactorizedSolver("cg", cg_fallback=False).factorize(
-            sp.csr_matrix(matrix))
+        handle = FactorizedSolver("cg").factorize(sp.csr_matrix(matrix))
         with pytest.raises(LinAlgError, match="symmetric"):
             handle.solve_transposed(np.array([1.0, 1.0]))
 

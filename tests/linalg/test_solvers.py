@@ -148,34 +148,13 @@ class TestCG:
     def test_zero_diagonal_rejected_without_fallback(self):
         matrix = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(LinAlgError):
-            FactorizedSolver("cg", cg_fallback=False).factorize(matrix)
-
-    def test_zero_diagonal_falls_back_to_direct(self):
-        matrix = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        factorization = FactorizedSolver("cg").factorize(matrix)
-        solution = factorization.solve(np.array([2.0, 3.0]))
-        np.testing.assert_allclose(solution, [3.0, 2.0])
-        assert factorization.fallback_solves == 1
-
-    def test_nonconvergence_falls_back_to_direct(self):
-        # An indefinite, wildly scaled system CG cannot solve.
-        rng = np.random.default_rng(11)
-        base = rng.standard_normal((40, 40))
-        matrix = base - base.T + np.diag(np.logspace(-8, 8, 40))
-        rhs = rng.standard_normal(40)
-        factorization = FactorizedSolver("cg", rtol=1e-14,
-                                         cg_fallback=True).factorize(
-            sp.csr_matrix(matrix))
-        solution = factorization.solve(rhs)
-        assert factorization.fallback_solves >= 1
-        np.testing.assert_allclose(matrix @ solution, rhs, atol=1e-6)
+            FactorizedSolver("cg").factorize(matrix)
 
     def test_nonconvergence_raises_without_fallback(self):
         rng = np.random.default_rng(11)
         base = rng.standard_normal((40, 40))
         matrix = base - base.T + np.diag(np.logspace(-8, 8, 40))
-        factorization = FactorizedSolver("cg", rtol=1e-14,
-                                         cg_fallback=False).factorize(
+        factorization = FactorizedSolver("cg", rtol=1e-14).factorize(
             sp.csr_matrix(matrix))
         with pytest.raises(LinAlgError):
             factorization.solve(rng.standard_normal(40))
