@@ -18,7 +18,8 @@ Newton engine (:func:`~repro.circuit.analysis.op.newton_lanes`) over it:
 * devices that cannot broadcast (guarded or interpreted behavioral models,
   transducers, controlled sources) are stamped per lane through a genuine
   serial :class:`~repro.circuit.mna.StampContext` aliasing the batch
-  arrays, counted as ``mna.batch.lane_stamps`` in the metrics registry,
+  arrays -- by their own stamp program, so compiled behavioral models stay
+  compiled -- counted as ``mna.batch.lane_stamps`` in the metrics registry,
 * the linear stage (:class:`BatchStage`) factors all B Jacobians in one
   :func:`repro.linalg.batched_factorize` call, under the same
   ``jacobian_reuse`` policy and :class:`~repro.circuit.analysis.op.NewtonWorkspace`
@@ -46,7 +47,7 @@ from ... import telemetry
 from ...errors import AnalysisError
 from ...linalg import batched_factorize
 from ..devices.sources import CurrentSource, VoltageSource
-from ..mna import BatchScatter, BatchStampContext, MNASystem
+from ..mna import BatchScatter, BatchStampContext, MNASystem, compile_runtime
 from ..netlist import Circuit, Node
 from ..waveforms import DC
 from .op import NewtonWorkspace, _chord_tag, collect_outputs, newton_lanes
@@ -197,13 +198,16 @@ class BatchPlan:
     devices of a ``batch_grouped`` class stamp as one group view per class
     (:class:`_Group`); the other batch-safe devices -- sources holding a
     waveform, behavioral vector-kernel devices -- stamp alone, still
-    through the shared value buffers; ``lane_devices`` stamp per lane.  The
+    through the shared value buffers; ``lane_devices`` stamp per lane,
+    through their stamp programs (``lane_programs``).  The
     :class:`~repro.circuit.mna.BatchScatter` of ``entries`` is probed on
     the first assembly (and again should the stamp calls ever change).
     """
 
     def __init__(self, system: MNASystem, safe: Sequence[bool]) -> None:
         self.lane_devices: list = []
+        #: ``(mode, task) -> StampProgram`` of ``lane_devices``.
+        self.lane_programs: dict = {}
         # Grouped classes and single devices, in order of first appearance.
         members: dict[object, list[tuple[int, object]]] = {}
         for position, (device, ok) in enumerate(zip(system.circuit, safe)):
@@ -280,11 +284,10 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
         return assemble_batch(system, x, analysis, options, columns,
                               source_scale, want_jacobian, plan)
     if plan.lane_devices:
+        stamp = compile_runtime().stamp_devices
         for lane in range(ctx.batch):
             columns.set_unsafe_lane(lane)
-            lane_ctx = ctx.lane_context(lane)
-            for device in plan.lane_devices:
-                device.stamp(lane_ctx)
+            stamp(plan.lane_programs, plan.lane_devices, ctx.lane_context(lane))
         telemetry.registry.inc("mna.batch.lane_stamps",
                                ctx.batch * len(plan.lane_devices))
     ctx.apply_gmin(options.gmin)

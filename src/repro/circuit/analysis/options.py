@@ -88,8 +88,8 @@ class SimulationOptions:
         (:mod:`repro.hdl.compile`) instead of re-interpreting their
         expressions through the AD layer on every stamp.  Results are
         bit-identical; the interpreter remains the verified fallback for
-        anything the tracer cannot follow.  Set False (or export
-        ``REPRO_BEHAVIORAL_INTERP=1``) to force the interpreter everywhere.
+        anything the tracer cannot follow.  Set False to force the
+        interpreter everywhere.
     telemetry:
         Instrumentation level of the run (see :mod:`repro.telemetry`):
         ``"off"`` (default) collects nothing beyond the always-on counters;

@@ -350,8 +350,8 @@ class BehavioralDevice(Device):
         True once the behaviour has compiled to a single guard-free
         operating-point kernel (:mod:`repro.hdl.compile`); reading this
         property triggers that compile attempt.  Guarded or untraceable
-        behaviours stay on the per-lane path, where the batched assembler's
-        ``lane_context`` still reaches the compiled *scalar* kernels.
+        behaviours stay on the per-lane path, where the batched assembler
+        runs the lane devices' stamp program on each ``lane_context``.
         """
         return _compile_runtime().batch_ready(self)
 
@@ -362,6 +362,9 @@ class BehavioralDevice(Device):
 
     # ------------------------------------------------------------------ stamping
     def stamp(self, ctx: StampContext) -> None:
+        # Batch contexts may stamp every lane through the vector kernel;
+        # serial assemblies reach compiled code through stamp programs
+        # (:mod:`repro.hdl.compile.runtime`), so this is the interpreter.
         if _compile_runtime().try_stamp(self, ctx):
             return
         mode = "tran" if ctx.is_transient else "op"
@@ -424,9 +427,6 @@ class BehavioralDevice(Device):
 
     # ------------------------------------------------------------------ outputs
     def record(self, ctx: StampContext) -> dict[str, float]:
-        compiled = _compile_runtime().try_record(self, ctx)
-        if compiled is not None:
-            return compiled
         mode = "tran" if ctx.is_transient else "op"
         # Records read value parts only; the float-mode evaluation produces
         # exactly those values without paying for any sensitivity.

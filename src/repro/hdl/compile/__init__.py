@@ -1,15 +1,16 @@
-"""Behavioral-model compiler: typed IR, passes, and kernel codegen.
+"""Behavioral-model compiler: typed IR, passes, and code generation.
 
 Lowers behavioral models -- Python behaviour closures and elaborated HDL-A
 architectures alike -- to a typed expression IR by concolic tracing
 (:mod:`.trace`), simplifies it with bitwise-exact passes (:mod:`.passes`),
-and emits cached scalar and lane-vectorized kernels for residual, Jacobian
-and ``dF/dp`` evaluation plus the stamp functions MNA assembly runs
-(:mod:`.codegen`).  :mod:`.runtime` wires them into ``BehavioralDevice``
-stamping -- one stamp program per MNA system -- with the interpreter
-retained as the verified fallback.
+and emits the stamp functions MNA assembly runs -- dense and sparse
+residual/Jacobian, residual-only and output-record -- plus a
+lane-vectorized kernel for batched assembly (:mod:`.codegen`).
+:mod:`.runtime` wires them into ``BehavioralDevice`` stamping -- one stamp
+program per device list, mode and task -- with the interpreter retained as
+the verified fallback.
 
-Compiled kernels are cached process-wide by a SHA-256 structural
+Traced variants are cached process-wide by a SHA-256 structural
 fingerprint (:func:`repro.hdl.compile.ir.fingerprint`), the same
 content-keying scheme as :func:`repro.linalg.cache.matrix_fingerprint`;
 stamp functions are cached per kernel, task, mode and geometry shape, so
@@ -21,22 +22,18 @@ generation and ``hdl.fallback.<reason>`` every silent fallback (see
 gets one observation per ``MNASystem.run_stamps`` of a system holding
 behavioral devices: the wall time of that whole stamp pass.
 
-Escape hatches: ``SimulationOptions(behavioral_compile=False)`` per run, or
-``REPRO_BEHAVIORAL_INTERP=1`` in the environment for everything.
+Escape hatch: ``SimulationOptions(behavioral_compile=False)`` per run.
 """
 
 from . import ir, passes
 from .codegen import KernelSet, cache_info, clear_cache, compile_variant
-from .runtime import (MAX_VARIANTS, batch_ready, compilation_enabled,
-                      parameter_gradients, state_for, try_record, try_stamp,
-                      try_stamp_batch)
+from .runtime import MAX_VARIANTS, batch_ready, state_for, try_stamp
 from .trace import TraceError, TracedVariant, trace_behavior
 
 __all__ = [
     "ir", "passes", "KernelSet", "compile_variant", "cache_info",
     "clear_cache", "TraceError", "TracedVariant", "trace_behavior",
-    "compile_device", "compilation_enabled", "state_for", "try_stamp",
-    "try_record", "batch_ready", "try_stamp_batch", "parameter_gradients",
+    "compile_device", "state_for", "try_stamp", "batch_ready",
     "MAX_VARIANTS",
 ]
 

@@ -1,59 +1,49 @@
-"""Kernel code generation from the traced IR.
+"""Code generation from the traced IR.
 
-Four kernel flavors are generated from one :class:`~repro.hdl.compile.trace.
-TracedVariant`, all as plain Python source ``exec``-compiled once and cached
-process-wide by the variant's structural fingerprint (the same
-content-hash idea as :func:`repro.linalg.cache.matrix_fingerprint`):
+Two kinds of function are generated from one :class:`~repro.hdl.compile.
+trace.TracedVariant`, both as plain Python source ``exec``-compiled once and
+cached process-wide (the same content-hash idea as
+:func:`repro.linalg.cache.matrix_fingerprint`):
 
-``jac``
-    Scalar residual + Jacobian kernel.  Mirrors the AD-dual interpreter
-    *formula by formula* -- including the interpreter's own algebra quirks
-    (division computes ``a * (1/b)``, ``d(a*b) = va*db + vb*da`` in that
-    order, subtrees free of seeded unknowns use plain float arithmetic
-    exactly as the interpreter's float/dual coercion does) -- so compiled
-    stamps are bit-identical to interpreted ones.
-``value``
-    Scalar residual/record kernel mirroring the interpreter's *float mode*
-    (``with_jacobian=False``), used by residual-only assemblies and the
-    record pass.
-``vector``
-    Lane-vectorized residual + Jacobian kernel over ``(B,)`` numpy lanes
-    for :class:`~repro.circuit.mna.BatchStampContext`; generated only for
-    guard-free variants.
-``dfdp``
-    Scalar value + ``dF/dp`` kernel differentiating with respect to the
-    device parameters, honoring the same dual-seeding contract the
-    sensitivity layer uses when it seeds parameters as AD duals.
+**Stamp functions** (:func:`bind_stamp`), the scalar path MNA assembly
+runs: input gather, the IR walk, and the residual plus dense Jacobian
+(``jac``), residual plus sparse COO triplets (``triplet``), residual only
+(``value``) or output-record (``record``) accumulation around it, with
+``ddt``/``integ`` lowered straight to the DC forms or the integrator
+arithmetic and pending-state writes.  The walk mirrors the AD-dual
+interpreter *formula by formula* -- including its own algebra quirks
+(division computes ``a * (1/b)``, ``d(a*b) = va*db + vb*da`` in that
+order, subtrees free of seeded unknowns use plain float arithmetic exactly
+as the interpreter's float/dual coercion does) -- and the residual-only and
+record tasks mirror the interpreter's *float mode*
+(``with_jacobian=False``), so compiled stamps are bit-identical to
+interpreted ones.  Per-instance data are arguments, so one function serves
+every device of one kernel and geometry shape.
 
-All kernels share one calling convention::
+**The lane-vectorized kernel** (:meth:`KernelSet.vector`), residual +
+Jacobian over ``(B,)`` numpy lanes for
+:class:`~repro.circuit.mna.BatchStampContext`; generated only for
+guard-free variants.  Its calling convention is::
 
-    kernel(ctx, _keys, *inputs) -> (values, extras) | None
+    kernel(ctx, _keys, *inputs) -> (values, derivs)
 
-where ``inputs`` follow the variant's input layout, ``_keys`` are the
-device-qualified state keys for ``ctx.ddt``/``ctx.integ``, and ``None``
-means a guard failed (caller re-traces or falls back to the interpreter).
-Derivative semantics of the state operators come from the context's
-discretization coefficients, matching the dual chain rule through
-``Integrator.differentiate``/``integrate`` term by term.
-
-**Stamp functions** (:func:`bind_stamp`) are emitted from the same IR walk
-with the input gather and the residual/Jacobian (or output-record)
-accumulation around it, and with ``ddt``/``integ`` lowered straight to the
-DC forms or the integrator arithmetic and pending-state writes.  Their
-per-instance data are arguments, so they are shared by every device of one
-kernel and geometry shape.
+where ``inputs`` follow the variant's input layout and ``_keys`` are the
+device-qualified state keys for ``ctx.ddt``/``ctx.integ``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
+from ...ad import Dual
 from ...telemetry import registry
 from . import ir
 
-__all__ = ["KernelSet", "compile_variant", "cache_info", "clear_cache"]
+__all__ = ["KernelSet", "compile_variant", "bind_stamp", "widen_param",
+           "cache_info", "clear_cache"]
 
 #: Sentinel for a derivative that is exactly the seed (d(leaf)/d(leaf)).
 _ONE = object()
@@ -86,14 +76,15 @@ def _literal(value: float) -> str:
 
 
 class _Writer:
-    """Shared machinery for one generated kernel function."""
+    """Shared machinery for one generated function."""
 
     def __init__(self, variant, flavor: str, state: str | None = None) -> None:
         self.variant = variant
         self.flavor = flavor
         #: How ``ddt``/``integ`` lower: ``None`` calls ``ctx.ddt``/
-        #: ``ctx.integ`` (kernels); ``"op"``/``"tran"`` inline the DC or
-        #: integrator arithmetic (stamp functions, see :func:`bind_stamp`).
+        #: ``ctx.integ`` (the vector kernel); ``"op"``/``"tran"`` inline
+        #: the DC or integrator arithmetic (stamp functions, see
+        #: :func:`bind_stamp`).
         self.state = state
         self.vector = flavor == "vector"
         self.lines: list[str] = []
@@ -103,16 +94,10 @@ class _Writer:
         self.shared: dict[tuple, str] = {}
         self.dmemo: dict[tuple[int, int], object] = {}
         self.math = "np" if self.vector else "math"
-        # Seed leaves: which Input leaves the derivative pass differentiates
-        # against.  jac/vector seed the MNA unknowns, dfdp seeds parameters.
-        if flavor in ("jac", "vector"):
-            kinds = ("across", "unknown")
-        elif flavor == "dfdp":
-            kinds = ("param",)
-        else:
-            kinds = ()
+        # Seed leaves: the MNA unknowns the derivative pass differentiates
+        # against (none in float mode).
         self.seeds = [(kind, name) for kind, name in variant.inputs
-                      if kind in kinds]
+                      if flavor != "value" and kind in ("across", "unknown")]
         self.args = {pair: f"i{pos}" for pos, pair in enumerate(variant.inputs)}
         self.state_index = {suffix: pos for pos, suffix
                             in enumerate(variant.state_suffixes)}
@@ -441,16 +426,18 @@ def _tuple_expr(items: list[str]) -> str:
 
 
 def _generate_parts(variant, flavor: str, state: str | None = None):
-    """Generate the structural pieces of one kernel flavor.
+    """Generate the structural pieces of one function body.
 
-    Returns ``(preamble, body, value_names, extras, deriv_rows)`` where
-    ``body`` is the guard + straight-line computation (with ``return None``
-    guard bails), ``value_names`` name the contribution/equation results in
-    order, ``extras`` are the per-output tuple expressions of the kernel's
-    second return slot, and ``deriv_rows`` (derivative flavors only) keeps
-    the individual per-seed derivative expressions, which stamp functions
-    accumulate one by one.  ``state`` selects the ``ddt``/``integ``
-    lowering (see :class:`_Writer`).
+    ``flavor`` is ``"jac"`` (values and per-seed derivatives), ``"value"``
+    (float-mode values and records) or ``"vector"`` (``"jac"`` over numpy
+    lanes).  Returns ``(preamble, body, value_names, extras, deriv_rows)``
+    where ``body`` is the guard + straight-line computation (with ``return
+    None`` guard bails), ``value_names`` name the contribution/equation
+    results in order, ``extras`` are the per-output record names
+    (``"value"``) or derivative tuple expressions, and ``deriv_rows``
+    (derivative flavors only) keeps the individual per-seed derivative
+    expressions, which stamp functions accumulate one by one.  ``state``
+    selects the ``ddt``/``integ`` lowering (see :class:`_Writer`).
     """
     writer = _Writer(variant, flavor, state)
     if flavor == "vector" and variant.guards:
@@ -492,42 +479,41 @@ def _generate_parts(variant, flavor: str, state: str | None = None):
     return preamble, writer.lines, value_names, extras, deriv_rows
 
 
-def _compose_source(variant, flavor: str, parts) -> str:
-    """Assemble a kernel function's source from its generated parts."""
-    preamble, body, value_names, extras, _ = parts
-    args = ", ".join(f"i{pos}" for pos in range(len(variant.inputs)))
-    header = f"def kernel(ctx, _keys{', ' + args if args else ''}):"
-    ret = f"return {_tuple_expr(value_names)}, {_tuple_expr(extras)}"
-    lines = [header]
-    lines.extend(f"    {line}" for line in preamble)
-    if flavor == "vector":
-        lines.append("    with np.errstate(all='ignore'):")
-        lines.extend(f"        {line}" for line in body)
-        lines.append(f"        {ret}")
-    else:
-        lines.extend(f"    {line}" for line in body)
-        lines.append(f"    {ret}")
+def _vector_source(variant) -> str:
+    """Source of the lane-vectorized kernel of a guard-free variant."""
+    preamble, body, values, derivs, _ = _generate_parts(variant, "vector")
+    args = "".join(f", i{pos}" for pos in range(len(variant.inputs)))
+    lines = [f"def kernel(ctx, _keys{args}):"]
+    lines += [f"    {line}" for line in preamble]
+    lines.append("    with np.errstate(all='ignore'):")
+    lines += [f"        {line}" for line in body]
+    lines.append(f"        return {_tuple_expr(values)}, {_tuple_expr(derivs)}")
     return "\n".join(lines) + "\n"
 
 
-def _generate(variant, flavor: str) -> str:
-    """Generate the Python source of one kernel flavor."""
-    return _compose_source(variant, flavor, _generate_parts(variant, flavor))
+def widen_param(value):
+    """``float(value)`` of a real, non-bool, non-dual parameter value, else
+    None: an ``int`` or ``np.float64`` parameter stamps compiled exactly as
+    the interpreter's float coercion would compute with it."""
+    if isinstance(value, (bool, Dual)) or not isinstance(value, numbers.Real):
+        return None
+    return float(value)
 
 
-def _compile_source(source: str, flavor: str, name: str = "kernel"):
-    namespace = {"math": math, "np": np}
-    exec(compile(source, f"<behavioral-{name}:{flavor}>", "exec"), namespace)
+def _compile_source(source: str, label: str, name: str):
+    namespace = {"math": math, "np": np, "_widen": widen_param}
+    exec(compile(source, f"<behavioral-{name}:{label}>", "exec"), namespace)
     return namespace[name]
 
 
 class KernelSet:
-    """The compiled kernels of one traced variant (process-wide shared)."""
+    """One traced variant's compile products (process-wide shared): the
+    input and output layout its stamp functions bind against, and the
+    lazily generated lane-vectorized kernel."""
 
-    __slots__ = ("fingerprint", "variant", "mode", "inputs", "param_inputs",
-                 "diff_inputs", "state_suffixes", "guarded", "contrib_ports",
-                 "eq_names", "record_names", "param_defaults", "source",
-                 "scalar", "value", "_vector", "_dfdp")
+    __slots__ = ("fingerprint", "variant", "mode", "inputs", "diff_inputs",
+                 "state_suffixes", "guarded", "contrib_ports", "eq_names",
+                 "record_names", "param_defaults", "_vector")
 
     def __init__(self, fp: str, variant) -> None:
         self.fingerprint = fp
@@ -536,39 +522,26 @@ class KernelSet:
         self.inputs = variant.inputs
         self.diff_inputs = tuple(p for p in variant.inputs
                                  if p[0] in ("across", "unknown"))
-        self.param_inputs = tuple(name for kind, name in variant.inputs
-                                  if kind == "param")
         self.state_suffixes = variant.state_suffixes
         self.guarded = bool(variant.guards)
         self.contrib_ports = tuple(name for name, _ in variant.contributions)
         self.eq_names = tuple(name for name, _ in variant.equations)
         self.record_names = tuple(name for name, _ in variant.records)
         self.param_defaults = dict(variant.param_defaults)
-        self.source = {flavor: _generate(variant, flavor)
-                       for flavor in ("jac", "value")}
-        self.scalar = _compile_source(self.source["jac"], "jac")
-        self.value = _compile_source(self.source["value"], "value")
-        self._vector = self._dfdp = _PENDING
+        self._vector = _PENDING
 
     def vector(self):
         """The lane-vectorized kernel, or None when unsupported."""
         if self._vector is _PENDING:
             try:
-                self.source["vector"] = _generate(self.variant, "vector")
-                self._vector = _compile_source(self.source["vector"], "vector")
+                self._vector = _compile_source(
+                    _vector_source(self.variant), "vector", "kernel")
             except _VectorUnsupported:
                 self._vector = None
         return self._vector
 
-    def dfdp(self):
-        """The parameter-derivative kernel (always generatable)."""
-        if self._dfdp is _PENDING:
-            self.source["dfdp"] = _generate(self.variant, "dfdp")
-            self._dfdp = _compile_source(self.source["dfdp"], "dfdp")
-        return self._dfdp
 
-
-#: Marks a lazily generated kernel that has not been generated yet.
+#: Marks a vector kernel that has not been generated yet.
 _PENDING = object()
 
 _CACHE: dict[str, KernelSet] = {}
@@ -602,29 +575,31 @@ _STAMPS: dict[tuple, object] = {}
 def bind_stamp(kernels: KernelSet, task: str, geometry, device, keys):
     """The shared stamp function of one device and its bound arguments.
 
-    ``task`` is ``"jac"`` (residual + dense Jacobian), ``"value"``
-    (residual only) or ``"record"`` (output collection).  ``geometry`` is
-    the device's index map in one MNA system (``plan``, ``contribs``,
-    ``eqs``, ``dep_map``, ``size``; see
-    :class:`repro.hdl.compile.runtime._Geometry`) and ``keys`` its
-    integrator state keys.
+    ``task`` is ``"jac"`` (residual + dense Jacobian), ``"triplet"``
+    (residual + sparse COO triplets), ``"value"`` (residual only) or
+    ``"record"`` (output collection).  ``geometry`` is the device's index
+    map in one MNA system (``plan``, ``contribs``, ``eqs``, ``dep_map``,
+    ``size``; see :class:`repro.hdl.compile.runtime._Geometry`) and
+    ``keys`` its integrator state keys.
 
-    Everything instance-specific -- solution indices, stamp rows, flat
-    Jacobian positions, state keys, parameter owners, output names -- is an
-    *argument*, so the function depends only on the kernel and the shape of
-    the geometry (which indices are ground, the dependency ``(position,
+    Everything instance-specific -- solution indices, stamp rows, Jacobian
+    positions or columns, state keys, parameter owners, output names -- is
+    an *argument*, so the function depends only on the kernel and the shape
+    of the geometry (which indices are ground, the dependency ``(position,
     negate)`` structure, the parameter sources).  It is generated once per
     ``(fingerprint, task, mode, shape)`` and shared process-wide: every
     transducer of an array runs the same function.
 
     Returns ``(fn, args)``; the call is ``fn(ctx, x, out, jac, st, args)``
     with ``x`` the solution as a list, ``out`` the residual array (the
-    output dict when recording), ``jac`` the flat dense Jacobian view and
-    ``st`` the integrator frame (transient mode).  The result is ``True``
-    when done, ``None`` when a guard failed and ``False`` when a parameter
-    is not a plain float.  Accumulation order, the ``!= 0.0`` derivative
-    filter and the ``+=``/``-=`` forms replicate ``StampContext.add_*``
-    element by element, so stamps are bitwise those of the generic path.
+    output dict when recording), ``jac`` the flat dense Jacobian view (the
+    context's ``(rows, cols, vals)`` lists for ``"triplet"``) and ``st``
+    the integrator frame (transient mode).  The result is ``True`` when
+    done, ``None`` when a guard failed and ``False`` when a parameter is
+    not a real number (:func:`widen_param`).  Accumulation order, the
+    ``!= 0.0`` derivative filter and the ``+=``/``-=`` forms replicate
+    ``StampContext.add_*`` element by element, so stamps are bitwise those
+    of the interpreter.
     """
     shape, args = _stamp_layout(kernels, task, geometry, device, keys)
     key = (kernels.fingerprint, task, kernels.mode, shape)
@@ -661,13 +636,16 @@ def _stamp_layout(kernels: KernelSet, task: str, geo, device, keys):
         for p, n in geo.contribs:
             args.extend(i for i in (p, n) if i >= 0)
         args.extend(geo.eqs)
-    dep_map = geo.dep_map if task == "jac" else ()
-    size = geo.size
-    for p, n in geo.contribs:
-        for idx, _, _ in dep_map:
-            args.extend(row * size + idx for row in (p, n) if row >= 0)
-    for row in geo.eqs:
-        args.extend(row * size + idx for idx, _, _ in dep_map)
+    dep_map = geo.dep_map if task in ("jac", "triplet") else ()
+    if task == "triplet":
+        args.extend(idx for idx, _, _ in dep_map)
+    else:
+        size = geo.size
+        for p, n in geo.contribs:
+            for idx, _, _ in dep_map:
+                args.extend(row * size + idx for row in (p, n) if row >= 0)
+        for row in geo.eqs:
+            args.extend(row * size + idx for idx, _, _ in dep_map)
     deps = tuple((pos, neg) for _, pos, neg in dep_map)
     if kernels.mode == "tran":
         for key in keys:
@@ -705,7 +683,8 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
                 names.append(f"o{pos}")
                 gather.append(f"{i} = o{pos}.{name}" if name.isidentifier()
                               else f"{i} = getattr(o{pos}, {name!r})")
-            gather.append(f"if type({i}) is not float: return False")
+            gather.append(f"if type({i}) is not float and "
+                          f"({i} := _widen({i})) is None: return False")
         elif tag == "c":
             gather.append(f"{i} = {entry[1]}")
         else:  # time
@@ -720,15 +699,18 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
                      if not ground)
         names.extend(eqs)
     flats = {}  # (row name, dependency) -> flat Jacobian position name
-    for pair in rows:
-        for m in range(len(deps)):
-            for name, ground in pair:
-                if not ground:
-                    flats[(name, m)] = f"f{len(flats)}"
-    for q in eqs:
-        for m in range(len(deps)):
-            flats[(q, m)] = f"f{len(flats)}"
-    names.extend(flats.values())
+    if task == "triplet":
+        names.extend(f"j{m}" for m in range(len(deps)))
+    else:
+        for pair in rows:
+            for m in range(len(deps)):
+                for name, ground in pair:
+                    if not ground:
+                        flats[(name, m)] = f"f{len(flats)}"
+        for q in eqs:
+            for m in range(len(deps)):
+                flats[(q, m)] = f"f{len(flats)}"
+        names.extend(flats.values())
     mode = kernels.mode
     if mode == "tran":
         for k in range(len(kernels.state_suffixes)):
@@ -737,7 +719,7 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
         + [f"m{r}" for r in range(len(kernels.record_names))]
     if task == "record":
         names.extend(outputs)
-    flavor = "jac" if task == "jac" else "value"
+    flavor = "jac" if task in ("jac", "triplet") else "value"
     preamble, body, values, extras, deriv_rows = _generate_parts(
         kernels.variant, flavor, mode)
     out = "out" if task == "record" else "res"
@@ -746,6 +728,8 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
         lines.append(f"{', '.join(names)}, = a")
     if mode == "tran" and kernels.state_suffixes:
         lines.append(f"{', '.join(_FRAME)} = st")
+    if task == "triplet" and deps:
+        lines.append("_jr, _jc, _jv = jac")
     lines += gather + preamble + body
     if task == "record":
         lines += [f"out[{n}] = float({v})" for n, v in zip(outputs, values)]
@@ -756,13 +740,25 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
             lines.append(f"res[{row}] {'-=' if negate else '+='} "
                          f"{values[out_pos]}")
 
-        def derivative(row: str, m: int, negate: bool, out_pos: int) -> None:
-            # dval = (+/-) d; StampContext filters `dval != 0.0`, which is
-            # sign-independent, and `a += -d` == `a -= d` in IEEE.
+        def derivative(targets: list, m: int, out_pos: int) -> None:
+            # ``targets`` are the (row, negate) pairs of one through or
+            # equation stamp: dval = (+/-) d; StampContext filters
+            # `dval != 0.0`, which is sign-independent, and `a += -d` ==
+            # `a -= d` in IEEE.  Triplets append (row, col, +/-d) in the
+            # order add_through_jac/add_jac would.
             d = deriv_rows[out_pos][deps[m][0]]
-            if d == "0.0":
+            if d == "0.0" or not targets:
                 return
-            stmt = f"jac[{flats[(row, m)]}] {'-=' if negate else '+='} {d}"
+            if task == "jac":
+                stmts = [f"jac[{flats[(row, m)]}] {'-=' if negate else '+='}"
+                         f" {d}" for row, negate in targets]
+            else:
+                stmts = [
+                    f"_jr += {_tuple_expr([row for row, _ in targets])}",
+                    f"_jc += {_tuple_expr([f'j{m}'] * len(targets))}",
+                    "_jv += " + _tuple_expr(
+                        [f"-{d}" if negate else d for _, negate in targets])]
+            stmt = "; ".join(stmts)
             lines.append(stmt if d == "1.0" else f"if {d} != 0.0: {stmt}")
 
         for out_pos, pair in enumerate(rows):
@@ -770,14 +766,14 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
                 if not ground:
                     accumulate(name, negate, out_pos)
             for m in range(len(deps)):
-                for (name, ground), flip in zip(pair, (False, True)):
-                    if not ground:
-                        derivative(name, m, deps[m][1] != flip, out_pos)
+                derivative([(name, deps[m][1] != flip) for (name, ground), flip
+                            in zip(pair, (False, True)) if not ground],
+                           m, out_pos)
         for e, q in enumerate(eqs):
             out_pos = len(rows) + e
             accumulate(q, False, out_pos)
             for m in range(len(deps)):
-                derivative(q, m, deps[m][1], out_pos)
+                derivative([(q, deps[m][1])], m, out_pos)
     lines.append("return True")
     return "\n    ".join(lines) + "\n"
 

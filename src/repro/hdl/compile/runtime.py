@@ -1,97 +1,74 @@
-"""Runtime integration of compiled behavioral kernels into MNA stamping.
+"""Runtime integration of compiled behavioral code into MNA stamping.
 
 This module owns the per-device compile state (traced variants, permanent
-fallbacks) and two ways of running the compiled code:
+fallbacks) and the two ways compiled code stamps:
 
-**Stamp programs** (the steady state).  An MNA system holding behavioral
-devices assembles through a :class:`StampProgram` per ``(mode, task)``:
-a flat list in device order where built-in devices keep ``device.stamp``
-and each compiled behavioral device is one process-shared stamp function
+**Stamp programs**, the one scalar path.  A device list -- an MNA
+system's circuit, or the per-lane devices of a batch plan -- assembles
+through one :class:`StampProgram` per ``(mode, task)``: a flat list in
+device order where built-in devices keep ``device.stamp`` and each
+compiled behavioral device is one process-shared stamp function
 (:func:`.codegen.bind_stamp`, generated from the IR with solution indices,
 stamp rows, state keys and parameter owners as arguments) plus its bound
-argument tuple.  The checks that decide whether compiled code may stamp at
-all -- exact :class:`StampContext`, no residual duals or raw-state capture,
-compile enabled, dense Jacobian -- run once per assembly in
-:func:`run_stamps`; :func:`record_outputs` runs the record functions the
-same way for output collection.  Accumulation stays in device order, so
+argument tuple.  The tasks are dense (``jac``) and sparse (``triplet``)
+Jacobian assemblies, residual-only assemblies (``value``) and output
+collection (``record``).  The checks that decide whether compiled code may
+stamp at all -- exact :class:`StampContext`, no residual duals or
+raw-state capture, compile enabled, not priming the integrator -- run once
+per assembly in :func:`_program`.  Accumulation stays in device order, so
 results are bitwise those of device-by-device stamping.
 
-**The per-device path** (``try_stamp``/``try_record``).  It serves first
-traces, program fallbacks and the assemblies a program does not take.  It
-runs the device's kernels for the current analysis mode; a guard mismatch
-tries the next variant, and when every variant misses the model is
-re-traced against the live context (bounded by :data:`MAX_VARIANTS`) and
-*this* call is stamped by the interpreter -- the trace already wrote the
-identical pending dynamic state, so the interpreter's writes are
-idempotent.
+A behavioral device without a variant for the mode is traced against the
+live context while the program is built.  A guard miss tries the device's
+other variants; when every variant misses, the model is re-traced against
+the live context (bounded by :data:`MAX_VARIANTS`), *this* call is stamped
+by the interpreter -- the trace already wrote the identical pending
+dynamic state, so the interpreter's writes are idempotent -- and the
+program is rebuilt before its next run.
 
-Kernels differentiate with respect to their *across/unknown leaves*
-(circuit-independent, so compiled kernels are shared process-wide); each
-MNA dependency index maps to ``leaf * (+/-1)``.  Negation is exact in IEEE
-arithmetic, so compiled Jacobian stamps are bitwise what the AD-dual
-interpreter produces.  When two leaves land on one index (ports sharing a
-non-ground node) Jacobian stamps fall back to the interpreter, whose
-in-dual summation order is not reconstructable from per-leaf derivatives.
+Stamp functions differentiate with respect to the variant's
+*across/unknown leaves* (circuit-independent, so they are shared
+process-wide); each MNA dependency index maps to ``leaf * (+/-1)``.
+Negation is exact in IEEE arithmetic, so compiled Jacobian stamps are
+bitwise what the AD-dual interpreter produces.  When two leaves land on
+one index (ports sharing a non-ground node) Jacobian stamps fall back to
+the interpreter, whose in-dual summation order is not reconstructable from
+per-leaf derivatives.
 
-The batched path (``try_stamp_batch``) evaluates the lane-vectorized kernel
-once over ``(B,)`` lanes.  It is only offered for devices whose single
-operating-point variant traced without guards (:func:`batch_ready`), which
-is what lets behavioral devices skip the per-lane fallback in campaign
-batches.
+**The batched path** (:func:`try_stamp`, looked up by
+``BehavioralDevice.stamp``) evaluates the lane-vectorized kernel once over
+the ``(B,)`` lanes of a :class:`BatchStampContext`.  It is only offered
+for devices whose single operating-point variant traced without guards
+(:func:`batch_ready`), which is what lets behavioral devices skip the
+per-lane programs in campaign batches.
 
-Every silent fallback bumps a registry counter ``hdl.fallback.<reason>``:
-``sparse``, ``collide`` and ``param`` leave the program for the per-device
-path; ``guard_miss``, ``disabled`` and ``arith`` leave compiled code for
-the interpreter.
-
-Escape hatches: ``SimulationOptions(behavioral_compile=False)`` and the
-``REPRO_BEHAVIORAL_INTERP`` environment variable (checked once per assembly
-context, so tests can flip it between runs) both force the interpreter.
+Every silent fallback to the interpreter bumps a registry counter
+``hdl.fallback.<reason>``: ``collide`` (colliding leaves), ``param`` (a
+parameter that is not a real number), ``guard_miss``, ``disabled`` (an
+untraceable mode) and ``arith`` (an arithmetic error the interpreter
+re-raises).  ``SimulationOptions(behavioral_compile=False)`` forces the
+interpreter.
 """
 
 from __future__ import annotations
 
-import numbers
-import os
 from time import perf_counter
 
 import numpy as np
 
 from ... import telemetry
-from ...ad import Dual
 from ...circuit.mna import BatchStampContext, Integrator, StampContext
 from ...telemetry import registry
 from . import codegen, passes
 from .trace import trace_behavior
 
-__all__ = ["MAX_VARIANTS", "CompileState", "StampProgram",
-           "compilation_enabled", "state_for", "try_stamp", "try_record",
-           "run_stamps", "record_outputs", "batch_ready", "try_stamp_batch"]
+__all__ = ["MAX_VARIANTS", "CompileState", "StampProgram", "state_for",
+           "try_stamp", "stamp_devices", "run_stamps", "record_outputs",
+           "batch_ready"]
 
 #: Re-trace budget per (device, mode): after this many traced variants the
 #: mode permanently falls back to the interpreter.
 MAX_VARIANTS = 8
-
-
-def _interp_forced() -> bool:
-    return bool(os.environ.get("REPRO_BEHAVIORAL_INTERP"))
-
-
-def compilation_enabled(options) -> bool:
-    """Whether kernels may replace the interpreter under these options."""
-    if _interp_forced():
-        return False
-    return bool(getattr(options, "behavioral_compile", True))
-
-
-def _ctx_enabled(ctx) -> bool:
-    """Per-context memo of :func:`compilation_enabled` (contexts are
-    per-assembly, so the environment stays responsive between runs while the
-    ``os.environ`` lookup leaves the per-stamp path)."""
-    on = getattr(ctx, "_hdl_compile_on", None)
-    if on is None:
-        on = ctx._hdl_compile_on = compilation_enabled(ctx.options)
-    return on
 
 
 class CompileState:
@@ -113,16 +90,12 @@ def state_for(device) -> CompileState:
     return state
 
 
-#: Arithmetic errors a kernel shares with the interpreter.
+#: Arithmetic errors compiled code shares with the interpreter.
 _ARITH = (ZeroDivisionError, OverflowError, ValueError)
 
 
-class _ParamFallback(Exception):
-    """A kernel parameter is not a plain number right now (e.g. AD-seeded)."""
-
-
 class _BoundVariant:
-    """A process-shared KernelSet bound to one device.
+    """A process-shared :class:`~.codegen.KernelSet` bound to one device.
 
     ``plan`` pre-resolves every kernel input to its source -- ``("a", p, n)``
     port across, ``("u", name)`` extra unknown, ``("b", owner, attr)``
@@ -162,13 +135,13 @@ class _BoundVariant:
 class _Geometry:
     """Per-(bound variant, MNA system) stamp indices.
 
-    ``dep_map`` is the collision-free scalar fast path: one
-    ``(dependency index, leaf position, negate)`` triple per dependency that
-    a leaf feeds, in the interpreter's dependency order.  ``entries`` keeps
-    the full index -> [(leaf, sign)] map for the batched path, which sums
+    ``dep_map`` drives collision-free stamp functions: one ``(dependency
+    index, leaf position, negate)`` triple per dependency that a leaf
+    feeds, in the interpreter's dependency order.  ``entries`` keeps the
+    full index -> [(leaf, sign)] map for the batched path, which sums
     colliding leaves explicitly.  ``plan`` is the bound gather plan with
     across/unknown sources resolved to solution-vector indices (-1 =
-    ground), so scalar input gathering indexes ``ctx.x`` directly.
+    ground), so stamp functions index the solution directly.
     """
 
     __slots__ = ("system", "size", "deps", "entries", "collide", "dep_map",
@@ -219,50 +192,24 @@ def _geometry(device, bound: _BoundVariant, ctx) -> _Geometry:
     return geo
 
 
-def _check_param(value) -> float:
-    if isinstance(value, (bool, Dual)) or not isinstance(value, numbers.Real):
-        raise _ParamFallback()
-    return float(value)
-
-
-def _gather(device, geo: _Geometry, ctx) -> list:
-    """Kernel inputs in layout order (scalar contexts; index-resolved plan)."""
-    x = ctx.x
-    values = []
-    for tag, a, b in geo.plan:
-        if tag == "a":
-            va = 0.0 if a < 0 else float(x[a])
-            vb = 0.0 if b < 0 else float(x[b])
-            values.append(va - vb)
-        elif tag == "b":
-            v = getattr(a, b)
-            values.append(v if type(v) is float else _check_param(v))
-        elif tag == "u":
-            values.append(float(x[a]))
-        elif tag == "d":
-            v = device.params[a]
-            values.append(v if type(v) is float else _check_param(v))
-        elif tag == "c":
-            values.append(a)
-        else:  # time
-            values.append(ctx.time)
-    return values
-
-
-def _gather_nodes(device, bound: _BoundVariant, ctx) -> list:
-    """Node-based gather for batch contexts (``across`` returns lane arrays)."""
+def _gather_nodes(device, bound: _BoundVariant, ctx) -> list | None:
+    """Vector-kernel inputs over a batch context: ``(B,)`` across and
+    unknown lanes, parameters as floats or swept ``(B,)`` columns; None
+    when a parameter is neither."""
     values = []
     for tag, a, b in bound.plan:
         if tag == "a":
             values.append(ctx.across(a) - ctx.across(b))
-        elif tag == "b":
-            v = getattr(a, b)
-            values.append(v if type(v) is float else _check_param(v))
+        elif tag in ("b", "d"):
+            v = getattr(a, b) if tag == "b" else device.params[a]
+            if type(v) is not float:
+                v = np.asarray(v, dtype=float) if isinstance(v, np.ndarray) \
+                    else codegen.widen_param(v)
+                if v is None:
+                    return None
+            values.append(v)
         elif tag == "u":
             values.append(ctx.aux_value(device, a))
-        elif tag == "d":
-            v = device.params[a]
-            values.append(v if type(v) is float else _check_param(v))
         elif tag == "c":
             values.append(a)
         else:  # time
@@ -306,122 +253,6 @@ def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
     state.variants.setdefault(mode, []).append(_BoundVariant(device, kernels))
 
 
-def _scalar_eligible(ctx) -> bool:
-    if type(ctx) is not StampContext:
-        # Batch and sensitivity-seeded subclasses have their own contracts.
-        return False
-    if ctx.keep_residual_duals or not _ctx_enabled(ctx):
-        return False
-    integrator = ctx.integrator
-    if integrator is not None and integrator.capture_raw:
-        # Raw-state capture must store the AD duals themselves.
-        return False
-    return True
-
-
-def _select_output(state: CompileState, device, mode: str, ctx,
-                   want_jacobian: bool):
-    """Run the first variant whose guards hold; None means interpreter."""
-    bounds = state.variants.get(mode)
-    if bounds is None:
-        _retrace(device, state, mode, ctx)
-        return None
-    for bound in bounds:
-        geo = _geometry(device, bound, ctx)
-        try:
-            inputs = _gather(device, geo, ctx)
-        except _ParamFallback:
-            return None
-        kernels = bound.kernels
-        kernel = kernels.scalar if want_jacobian else kernels.value
-        try:
-            out = kernel(ctx, bound.keys, *inputs)
-        except _ARITH:
-            # The interpreter performs the same arithmetic; let it raise the
-            # properly-worded error (or survive, for dual-order edge cases).
-            registry.inc("hdl.fallback.arith")
-            return None
-        if out is not None:
-            return bound, geo, out
-    registry.inc("hdl.fallback.guard_miss")
-    _retrace(device, state, mode, ctx)
-    return None
-
-
-def _mode_state(device, ctx):
-    """``(mode, state)`` of a compile-eligible scalar stamp, or None."""
-    if not _scalar_eligible(ctx):
-        return None
-    state = state_for(device)
-    mode = "tran" if ctx.is_transient else "op"
-    if mode in state.disabled:
-        registry.inc("hdl.fallback.disabled")
-        return None
-    return mode, state
-
-
-def try_stamp(device, ctx) -> bool:
-    """Compiled ``BehavioralDevice.stamp`` of one device; False = fallback.
-
-    The per-device path: stamp programs cover eligible assemblies, so this
-    runs for first traces, program fallbacks, per-lane batch contexts and
-    assemblies a program does not take (sparse Jacobians, priming)."""
-    if isinstance(ctx, BatchStampContext):
-        return try_stamp_batch(device, ctx)
-    eligible = _mode_state(device, ctx)
-    if eligible is None:
-        return False
-    mode, state = eligible
-    want_jacobian = ctx.want_jacobian
-    picked = _select_output(state, device, mode, ctx, want_jacobian)
-    if picked is None:
-        return False
-    bound, geo, (values, extras) = picked
-    if want_jacobian and geo.collide:
-        # Leaves collide on one unknown: only the interpreter's in-dual
-        # summation reproduces those derivatives bitwise.
-        return False
-    out_pos = 0
-    for ip, in_ in geo.contribs:
-        ctx.add_through(ip, in_, values[out_pos])
-        if want_jacobian:
-            dlist = extras[out_pos]
-            for idx, pos, neg in geo.dep_map:
-                dval = -dlist[pos] if neg else dlist[pos]
-                if dval != 0.0:
-                    ctx.add_through_jac(ip, in_, idx, dval)
-        out_pos += 1
-    for row in geo.eqs:
-        ctx.add_res(row, values[out_pos])
-        if want_jacobian:
-            dlist = extras[out_pos]
-            for idx, pos, neg in geo.dep_map:
-                dval = -dlist[pos] if neg else dlist[pos]
-                if dval != 0.0:
-                    ctx.add_jac(row, idx, dval)
-        out_pos += 1
-    return True
-
-
-def try_record(device, ctx):
-    """Compiled ``BehavioralDevice.record``; None means use the interpreter."""
-    eligible = _mode_state(device, ctx)
-    if eligible is None:
-        return None
-    mode, state = eligible
-    picked = _select_output(state, device, mode, ctx, want_jacobian=False)
-    if picked is None:
-        return None
-    bound, _geo, (values, records) = picked
-    kernels = bound.kernels
-    outputs: dict[str, float] = {}
-    for port_name, value in zip(kernels.contrib_ports, values):
-        outputs[f"i({device.name}.{port_name})"] = float(value)
-    for rec_name, value in zip(kernels.record_names, records):
-        outputs[f"{rec_name}({device.name})"] = float(np.real(value))
-    return outputs
-
-
 # --------------------------------------------------------------------------- #
 # stamp programs                                                              #
 # --------------------------------------------------------------------------- #
@@ -430,53 +261,63 @@ def _device_stamp(device, ctx, out) -> None:
     device.stamp(ctx)
 
 
-def _collide_stamp(device, ctx, out) -> None:
-    registry.inc("hdl.fallback.collide")
-    device.stamp(ctx)
-
-
 def _device_record(device, ctx, out) -> None:
     for key, value in device.record(ctx).items():
         out[key] = float(value)
 
 
+def _counted(reason: str, per_device):
+    """``per_device`` counted as an ``hdl.fallback.<reason>``."""
+    counter = f"hdl.fallback.{reason}"
+
+    def run(device, ctx, out) -> None:
+        registry.inc(counter)
+        per_device(device, ctx, out)
+    return run
+
+
 class StampProgram:
-    """One MNA system's stamps for one ``(mode, task)``, in device order.
+    """The stamps of a device list for one ``(mode, task)``, in order.
 
     ``entries`` holds one ``(fn, args, device)`` per device.  A behavioral
     device with a compiled variant gets the variant's shared stamp function
     (:func:`~.codegen.bind_stamp`) and its bound arguments; every other
     device keeps a per-device call (``args`` None): ``device.stamp`` /
-    ``device.record``, or -- for colliding Jacobian leaves -- a counted
-    ``device.stamp``.  Further variants of a device wait in ``alternates``
-    and are tried when the current one's guards miss.  A stamp function
-    that does not return True hands the device to its per-device path,
-    which keeps the retrace budget and the interpreter; the program is then
-    ``stale`` and rebuilt before the next run, picking up new variants.
+    ``device.record``, counted when a behavioral device's mode is
+    untraceable or its Jacobian leaves collide.  A device without a variant
+    is traced against the building context first.  Further variants of a
+    device wait in ``alternates`` and are tried when the current one's
+    guards miss.  A stamp function that does not return True hands this
+    call to the interpreter; when every variant missed, the device is
+    re-traced and the program is ``stale``, rebuilt before the next run
+    with the new variant.
     """
 
     __slots__ = ("mode", "task", "entries", "alternates", "stale")
 
-    def __init__(self, system, ctx, mode: str, task: str) -> None:
+    def __init__(self, devices, ctx, mode: str, task: str) -> None:
         self.mode, self.task = mode, task
         self.entries: list[tuple] = []
         self.alternates: dict[str, list[tuple]] = {}
         self.stale = False
         per_device = _device_record if task == "record" else _device_stamp
-        for device in system.circuit:
-            bounds = None
-            if device.compiled_stamps:
-                state = state_for(device)
-                if mode not in state.disabled:
-                    bounds = state.variants.get(mode)
-                    # Untraced: the per-device path traces on this run.
-                    self.stale = self.stale or bounds is None
-            if not bounds:
+        for device in devices:
+            if not device.compiled_stamps:
                 self.entries.append((per_device, None, device))
                 continue
+            state = state_for(device)
+            if mode not in state.disabled and mode not in state.variants:
+                _retrace(device, state, mode, ctx)
+            if mode in state.disabled:
+                self.entries.append(
+                    (_counted("disabled", per_device), None, device))
+                continue
+            bounds = state.variants[mode]
             geos = [_geometry(device, bound, ctx) for bound in bounds]
-            if task == "jac" and any(geo.collide for geo in geos):
-                self.entries.append((_collide_stamp, None, device))
+            if task in ("jac", "triplet") and any(geo.collide
+                                                  for geo in geos):
+                self.entries.append(
+                    (_counted("collide", per_device), None, device))
                 continue
             fns = [codegen.bind_stamp(bound.kernels, task, geo, device,
                                       bound.keys)
@@ -485,8 +326,15 @@ class StampProgram:
             if len(fns) > 1:
                 self.alternates[device.name] = fns[1:]
 
-    def run(self, ctx, out, jac) -> None:
+    def run(self, ctx, out) -> None:
         """Stamp (or record into ``out``) every device of the assembly."""
+        task = self.task
+        if task == "jac":
+            jac = ctx.jac.reshape(-1)
+        elif task == "triplet":
+            jac = (ctx._jac_rows, ctx._jac_cols, ctx._jac_vals)
+        else:
+            jac = None
         x = ctx.x.tolist()
         st = _integrator_frame(ctx.integrator) if self.mode == "tran" else None
         for entry in self.entries:
@@ -497,15 +345,13 @@ class StampProgram:
             try:
                 done = fn(ctx, x, out, jac, st, args)
             except _ARITH:
-                # The per-device path meets the same arithmetic and lets
-                # the interpreter raise (or survive) it.
                 done = _ARITH
             if done is not True:
                 self._fallback(entry, done, ctx, x, out, jac, st)
 
     def _fallback(self, entry, done, ctx, x, out, jac, st) -> None:
         """A stamp function did not finish: on a guard miss try the
-        device's other variants, else run its per-device path."""
+        device's other variants, else stamp this call interpreted."""
         fn, args, device = entry
         if done is None:
             alternates = self.alternates.get(device.name, [])
@@ -523,10 +369,15 @@ class StampProgram:
                 if done is not None:
                     break
             else:
-                # Every variant missed: the per-device path retraces.
+                registry.inc("hdl.fallback.guard_miss")
+                _retrace(device, state_for(device), self.mode, ctx)
                 self.stale = True
         if done is False:
             registry.inc("hdl.fallback.param")
+        elif done is _ARITH:
+            # The interpreter performs the same arithmetic; let it raise
+            # the properly-worded error (or survive, for dual-order edges).
+            registry.inc("hdl.fallback.arith")
         if self.task == "record":
             _device_record(device, ctx, out)
         else:
@@ -545,13 +396,22 @@ def _integrator_frame(integrator) -> tuple:
             integrator._pending_integrals)
 
 
-def _program(system, ctx, task: str) -> StampProgram | None:
-    """The system's program for this assembly, or None when the assembly
-    needs the per-device path (checked once here instead of per device)."""
-    if not _scalar_eligible(ctx):
+def _program(programs: dict, devices, ctx,
+             record: bool = False) -> StampProgram | None:
+    """The program of ``devices`` for this assembly (cached in
+    ``programs``), or None when the assembly runs device by device: the
+    interpreter, for contexts compiled code must not take."""
+    if type(ctx) is not StampContext:
+        # Batch and sensitivity-seeded subclasses have their own contracts.
+        return None
+    if ctx.keep_residual_duals or not ctx.options.behavioral_compile:
         return None
     integrator = ctx.integrator
+    if integrator is not None and integrator.capture_raw:
+        # Raw-state capture must store the AD duals themselves.
+        return None
     if ctx.analysis == "tran":
+        # Priming registers the t0 state: one interpreted assembly per run.
         if integrator is None or integrator.priming or integrator.h <= 0.0:
             return None
         mode = "tran"
@@ -559,34 +419,36 @@ def _program(system, ctx, task: str) -> StampProgram | None:
         mode = "op"
     else:
         return None
-    if task == "jac" and ctx.use_sparse:
-        # Sparse assemblies accumulate COO triplets through ctx.add_jac.
-        registry.inc("hdl.fallback.sparse")
-        return None
-    programs = system.stamp_programs
+    if record:
+        task = "record"
+    elif not ctx.want_jacobian:
+        task = "value"
+    else:
+        task = "triplet" if ctx.use_sparse else "jac"
     program = programs.get((mode, task))
     if program is None or program.stale:
-        program = programs[(mode, task)] = StampProgram(system, ctx, mode,
+        program = programs[(mode, task)] = StampProgram(devices, ctx, mode,
                                                         task)
     return program
 
 
-def run_stamps(system, ctx) -> None:
-    """Stamp every device of a system holding behavioral devices.
-
-    Runs the system's program when the assembly qualifies, else each
-    device's ``stamp``; with telemetry on, the whole pass is one
-    ``hdl.kernel.eval_s`` observation.
-    """
-    t0 = perf_counter() if telemetry.enabled() else None
-    want_jacobian = ctx.want_jacobian
-    program = _program(system, ctx, "jac" if want_jacobian else "value")
+def stamp_devices(programs: dict, devices, ctx) -> None:
+    """Stamp ``devices`` into ``ctx`` through their program in
+    ``programs`` when the assembly qualifies, else device by device."""
+    program = _program(programs, devices, ctx)
     if program is None:
-        for device in system.circuit:
+        for device in devices:
             device.stamp(ctx)
     else:
-        program.run(ctx, ctx.res, ctx.jac.reshape(-1) if want_jacobian
-                    else None)
+        program.run(ctx, ctx.res)
+
+
+def run_stamps(system, ctx) -> None:
+    """Stamp every device of a system holding behavioral devices; with
+    telemetry on, the whole pass is one ``hdl.kernel.eval_s``
+    observation."""
+    t0 = perf_counter() if telemetry.enabled() else None
+    stamp_devices(system.stamp_programs, system.circuit, ctx)
     if t0 is not None:
         registry.observe("hdl.kernel.eval_s", perf_counter() - t0)
 
@@ -594,12 +456,13 @@ def run_stamps(system, ctx) -> None:
 def record_outputs(system, ctx, out: dict) -> None:
     """Record every device's outputs into ``out``, through the system's
     record program when the context qualifies."""
-    program = _program(system, ctx, "record")
+    program = _program(system.stamp_programs, system.circuit, ctx,
+                       record=True)
     if program is None:
         for device in system.circuit:
             _device_record(device, ctx, out)
     else:
-        program.run(ctx, out, None)
+        program.run(ctx, out)
 
 
 # --------------------------------------------------------------------------- #
@@ -628,45 +491,26 @@ def _batch_bound(device, state: CompileState):
 
 def batch_ready(device, options=None) -> bool:
     """Whether the device can stamp a whole ``BatchStampContext`` at once."""
-    if _interp_forced():
-        return False
-    if options is not None and not compilation_enabled(options):
+    if options is not None and not options.behavioral_compile:
         return False
     return _batch_bound(device, state_for(device)) is not None
 
 
-def try_stamp_batch(device, ctx: BatchStampContext) -> bool:
-    """Stamp every lane of a batch context with one vector-kernel call."""
-    if not _ctx_enabled(ctx):
+def try_stamp(device, ctx) -> bool:
+    """Stamp every lane of a :class:`BatchStampContext` with one
+    vector-kernel call; False means the interpreter stamps.  Serial
+    contexts always get False here: they reach compiled code through
+    stamp programs only."""
+    if not isinstance(ctx, BatchStampContext) \
+            or not ctx.options.behavioral_compile:
         return False
     bound = _batch_bound(device, state_for(device))
     if bound is None:
         return False
-    kernels = bound.kernels
-    try:
-        inputs = _gather_nodes(device, bound, ctx)
-    except _ParamFallback:
-        # Swept (B,) parameter columns: re-fetch allowing arrays.
-        inputs = []
-        for tag, a, b in bound.plan:
-            if tag in ("b", "d"):
-                value = getattr(a, b) if tag == "b" else device.params[a]
-                if isinstance(value, np.ndarray):
-                    inputs.append(np.asarray(value, dtype=float))
-                elif isinstance(value, (bool, Dual)) \
-                        or not isinstance(value, numbers.Real):
-                    return False
-                else:
-                    inputs.append(float(value))
-            elif tag == "a":
-                inputs.append(ctx.across(a) - ctx.across(b))
-            elif tag == "u":
-                inputs.append(ctx.aux_value(device, a))
-            elif tag == "c":
-                inputs.append(a)
-            else:
-                inputs.append(ctx.time)
-    values, derivs = kernels.vector()(ctx, bound.keys, *inputs)
+    inputs = _gather_nodes(device, bound, ctx)
+    if inputs is None:
+        return False
+    values, derivs = bound.kernels.vector()(ctx, bound.keys, *inputs)
     geo = _geometry(device, bound, ctx)
     # Stamp in the serial (output, dependency) order so same-cell Jacobian
     # accumulations sum in the same sequence as the scalar path.  Per-lane
@@ -695,58 +539,3 @@ def try_stamp_batch(device, ctx: BatchStampContext) -> bool:
                 ctx.add_jac(row, idx, dval)
         out_pos += 1
     return True
-
-
-# --------------------------------------------------------------------------- #
-# dF/dp                                                                       #
-# --------------------------------------------------------------------------- #
-
-def parameter_gradients(device, ctx, parameter_names=None):
-    """Compiled ``dF/dp``: instantaneous partials of the device's residual
-    outputs with respect to its parameters, at the context's state.
-
-    Returns ``{output_name: {param: value}}`` with contribution outputs named
-    by port and equation outputs by unknown, or ``None`` when the device has
-    no applicable compiled variant (guards missed, mode disabled, compile
-    off).  Matches the dual-seeding contract of the sensitivity layer: state
-    operators contribute ``coefficient * dp`` through the active
-    discretization and baked initial values are parameter-independent.
-    """
-    if not _scalar_eligible(ctx):
-        return None
-    state = state_for(device)
-    mode = "tran" if ctx.is_transient else "op"
-    if mode in state.disabled:
-        return None
-    bounds = state.variants.get(mode)
-    if bounds is None:
-        _retrace(device, state, mode, ctx)
-        bounds = state.variants.get(mode)
-        if bounds is None:
-            return None
-    for bound in bounds:
-        try:
-            inputs = _gather_nodes(device, bound, ctx)
-        except _ParamFallback:
-            return None
-        kernels = bound.kernels
-        names = parameter_names
-        if names is None:
-            names = kernels.param_inputs
-        try:
-            out = kernels.dfdp()(ctx, bound.keys, *inputs)
-        except _ARITH:
-            return None
-        if out is None:
-            continue
-        values, derivs = out
-        output_names = kernels.contrib_ports + kernels.eq_names
-        result: dict[str, dict[str, float]] = {}
-        for out_pos, output in enumerate(output_names):
-            row = {}
-            for k, param in enumerate(kernels.param_inputs):
-                if param in names:
-                    row[param] = derivs[out_pos][k]
-            result[output] = row
-        return result
-    return None

@@ -25,7 +25,6 @@ from repro.circuit import (
     TransientAnalysis,
 )
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
-from repro.circuit.mna import MNASystem
 from repro.hdl import compile as hdl_compile
 from repro.hdl.compile import ir, passes
 from repro.natures import ELECTRICAL
@@ -222,22 +221,6 @@ class TestDualSeededGradients:
                 analysis.sensitivities(params, ["v(n2)"]).matrix)
         assert np.array_equal(matrices[0], matrices[1])
 
-    def test_parameter_gradients_analytic(self):
-        # i = v / R so di/dR = -v / R^2 at the operating point.
-        circuit = Circuit()
-        circuit.voltage_source("V1", "in", "0", 6.0)
-        circuit.resistor("R1", "in", "out", 1e3)
-        device = behavioral_resistor(circuit, "X1", "out", "0", 2e3)
-        op = OperatingPointAnalysis(circuit, COMPILED).run()
-        system = MNASystem(circuit)
-        ctx = system.assemble(op.raw, "op", 0.0, None, COMPILED, 1.0,
-                              want_jacobian=False)
-        grads = hdl_compile.parameter_gradients(device, ctx)
-        assert grads is not None
-        (_, per_param), = grads.items()
-        v = op.voltage("out")
-        assert per_param["R"] == pytest.approx(-v / 2e3 ** 2, rel=1e-12)
-
 
 class TestEscapeHatches:
     def test_options_flag_keeps_interpreter(self):
@@ -246,17 +229,7 @@ class TestEscapeHatches:
                                    options=INTERP).run()
         assert len(result.time) > 1
         assert hdl_compile.cache_info()["kernels"] == before
-
-    def test_environment_variable_forces_interpreter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BEHAVIORAL_INTERP", "1")
-        circuit = diode_circuit()
-        before = hdl_compile.cache_info()["kernels"]
-        forced = OperatingPointAnalysis(circuit, COMPILED).run()
-        assert hdl_compile.cache_info()["kernels"] == before
-        assert not hdl_compile.batch_ready(circuit["DB"])
-        monkeypatch.delenv("REPRO_BEHAVIORAL_INTERP")
-        compiled = OperatingPointAnalysis(diode_circuit(), COMPILED).run()
-        assert np.array_equal(forced.raw, compiled.raw)
+        assert not hdl_compile.batch_ready(diode_circuit()["DB"], INTERP)
 
 
 class TestBatchCompiled:
@@ -282,6 +255,53 @@ class TestBatchCompiled:
             for key, value in reference.items():
                 scale = max(1.0, abs(value))
                 assert abs(op[key] - value) / scale <= 1e-12
+
+    def test_guarded_lane_device_matches_serial_bitwise(self, monkeypatch):
+        from repro.circuit.analysis.batch import (ParameterColumns,
+                                                  batched_operating_points)
+        from repro.hdl.compile import runtime
+
+        # A guarded behaviour cannot broadcast: the batch stamps it per lane
+        # through the lane devices' stamp program, and every lane solves to
+        # the serial interpreter's bits.
+        circuit = diode_circuit()
+        circuit.resistor("R2", "n1", "n3", 1e3)
+
+        def behavior(ctx):
+            v = ctx.across("e")
+            if v > 1.0:
+                ctx.contribute("e", (v - 0.5) / ctx.param("R"))
+            else:
+                ctx.contribute("e", v / (2.0 * ctx.param("R")))
+
+        circuit.add(BehavioralDevice(
+            "XG", [Port("e", circuit.electrical_node("n3"), circuit.ground,
+                        ELECTRICAL)], behavior, params={"R": 1e3}))
+        assert circuit["XG"].batch_safe is False
+        interpreted = []
+        try_stamp = runtime.try_stamp
+
+        def counting(device, ctx):
+            if device.name == "XG":
+                interpreted.append(ctx)
+            return try_stamp(device, ctx)
+
+        monkeypatch.setattr(runtime, "try_stamp", counting)
+        columns = ParameterColumns(circuit, [
+            ("V1", "dc", np.array([1.0, 2.0, 3.0])),
+            ("XG", "R", np.array([1e3, 2e3, 5e2]))])
+        results = batched_operating_points(circuit, COMPILED, columns)
+        # The lanes cross the guard: one miss retraces and is interpreted.
+        assert len(interpreted) == 1
+        monkeypatch.undo()
+        for lane, op in enumerate(results):
+            columns.set_lane(lane)
+            try:
+                reference = OperatingPointAnalysis(circuit, INTERP).run()
+            finally:
+                columns.restore()
+            assert op.iterations == reference.iterations
+            assert np.array_equal(op.raw, reference.raw)
 
     def test_batch_safe_honors_options_escape_hatch(self):
         circuit = diode_circuit()

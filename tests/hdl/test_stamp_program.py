@@ -8,7 +8,8 @@ the AD interpreter.  Besides a hand-written figure-5 array, the checks run
 on a seeded generator of small behavioral netlists covering port topologies
 (shared, ground and non-ground negative nodes, colliding leaves), extra
 unknowns, ``ddt``/``integ`` state with non-zero initial values, all three
-parameter sources, and guards the drive ramp crosses.
+parameter sources with float, int and ``np.float64`` values, guards the
+drive ramp crosses, and dense and sparse assembly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.natures import ELECTRICAL, MECHANICAL_TRANSLATION
 from repro.system import PAPER_PARAMETERS, build_drive_waveform
 from repro.telemetry import registry
 
-FALLBACKS = ("sparse", "collide", "param", "guard_miss", "disabled", "arith")
+FALLBACKS = ("collide", "param", "guard_miss", "disabled", "arith")
 
 
 def fallback_counts(before: dict) -> dict[str, float]:
@@ -134,14 +135,14 @@ class TestFigure5Array:
         assert all(len(fns) == 1 for fns in kinds.values()), kinds
 
 
-def op_program(circuit, options=None):
-    """The ``("op", "jac")`` stamp program of a fresh system of ``circuit``
+def op_program(circuit, options=None, task="jac"):
+    """The ``("op", task)`` stamp program of a fresh system of ``circuit``
     (after an operating point traced its behavioral devices)."""
     options = options or SimulationOptions()
     op = OperatingPointAnalysis(circuit, options).run()
     system = MNASystem(circuit)
     system.assemble(op.raw, "op", 0.0, None, options)
-    return system.stamp_programs[("op", "jac")]
+    return system.stamp_programs[("op", task)]
 
 
 # ----------------------------------------------------------- fallbacks
@@ -178,16 +179,19 @@ class TestFallbackCounters:
             options=SimulationOptions(behavioral_compile=False)).run()
         assert_results_identical(compiled, interp)
 
-    def test_sparse_assembly_counts_sparse(self):
+    def test_sparse_assembly_stays_compiled(self):
+        # Sparse Jacobians stamp COO triplets through the program: every
+        # behavioral device runs a stamp function, with no fallback.
+        program = op_program(figure5_array(2),
+                             SimulationOptions(linear_solver="sparse"),
+                             task="triplet")
+        assert all(args is not None for _, args, device in program.entries
+                   if device.compiled_stamps)
         before = registry.snapshot()
-        compiled = TransientAnalysis(
-            _divider(), t_stop=2e-4, t_step=2e-5,
-            options=SimulationOptions(linear_solver="sparse")).run()
-        assert fallback_counts(before)["sparse"] > 0
-        interp = TransientAnalysis(
-            _divider(), t_stop=2e-4, t_step=2e-5,
-            options=SimulationOptions(linear_solver="sparse",
-                                      behavioral_compile=False)).run()
+        compiled = figure5_transient(figure5_array(2), linear_solver="sparse")
+        assert fallback_counts(before) == dict.fromkeys(FALLBACKS, 0)
+        interp = figure5_transient(figure5_array(2), linear_solver="sparse",
+                                   behavioral_compile=False)
         assert_results_identical(compiled, interp)
 
     def test_guard_crossing_counts_guard_miss(self):
@@ -212,7 +216,7 @@ class TestFallbackCounters:
     def test_guard_flips_switch_between_traced_variants(self, monkeypatch):
         # A sine drive crosses the guard in both directions many times:
         # once both branches are traced, the program switches variants by
-        # itself and the per-device path is not entered again.
+        # itself and the interpreter does not stamp again.
         def build():
             circuit = Circuit()
             circuit.voltage_source("V1", "in", "0",
@@ -242,8 +246,9 @@ class TestFallbackCounters:
         before = registry.snapshot()
         compiled = TransientAnalysis(build(), t_stop=5e-3, t_step=5e-5).run()
         assert fallback_counts(before)["guard_miss"] == 1
-        # op: first trace; tran: priming trace, then the one guard miss.
-        assert len(compiled.time) > 100 and len(calls) <= 4, calls
+        # Interpreted stamps: the priming assembly and the one guard miss
+        # (op and tran trace when their programs are built).
+        assert len(compiled.time) > 100 and calls == ["tran", "tran"], calls
         interp = TransientAnalysis(
             build(), t_stop=5e-3, t_step=5e-5,
             options=SimulationOptions(behavioral_compile=False)).run()
@@ -267,7 +272,7 @@ class TestFallbackCounters:
         OperatingPointAnalysis(circuit).run()
         assert fallback_counts(before)["disabled"] > 0
 
-    def test_non_float_parameter_counts_param(self):
+    def test_non_float_parameter_stays_compiled(self):
         circuit = Circuit()
         circuit.voltage_source("V1", "in", "0", 2.0)
         circuit.resistor("R1", "in", "out", 1e3)
@@ -278,14 +283,22 @@ class TestFallbackCounters:
         circuit.add(BehavioralDevice(
             "XR", [Port("e", circuit.electrical_node("out"), circuit.ground,
                         ELECTRICAL)], behavior, params={"R": 2e3}))
-        OperatingPointAnalysis(circuit).run()
-        circuit["XR"].params["R"] = 2000  # an int: the generic path widens
+        reference = OperatingPointAnalysis(circuit).run()
+        for value in (2000, np.float64(2e3)):
+            # The stamp function widens the value as the interpreter would.
+            circuit["XR"].params["R"] = value
+            before = registry.snapshot()
+            widened = OperatingPointAnalysis(circuit).run()
+            assert fallback_counts(before)["param"] == 0
+            assert np.array_equal(widened.raw, reference.raw)
+        # A bool is no number a model means: the interpreter takes it.
+        circuit["XR"].params["R"] = True
         before = registry.snapshot()
-        widened = OperatingPointAnalysis(circuit).run()
+        compiled = OperatingPointAnalysis(circuit).run()
         assert fallback_counts(before)["param"] > 0
-        circuit["XR"].params["R"] = 2e3
-        assert np.array_equal(widened.raw,
-                              OperatingPointAnalysis(circuit).run().raw)
+        interp = OperatingPointAnalysis(
+            circuit, SimulationOptions(behavioral_compile=False)).run()
+        assert np.array_equal(compiled.raw, interp.raw)
 
 
 # ----------------------------------------------- generated netlists
@@ -396,26 +409,48 @@ def generated_netlist(seed: int):
 
 SEEDS = range(40)
 
+#: ``(linear solver, parameter cast)`` runs of every generated netlist.
+#: Stamp functions widen ``int`` and ``np.float64`` parameters exactly as
+#: the interpreter computes with them (the int cast keeps them non-zero).
+CORPUS_RUNS = (("auto", float), ("sparse", float),
+               ("auto", lambda g: max(1, round(g * 1e3))),
+               ("auto", np.float64))
+
+
+def cast_parameters(circuit, cast):
+    for device in circuit:
+        if isinstance(device, BehavioralDevice):
+            for name in device.parameter_names():
+                device.set_parameter(name, cast(device.get_parameter(name)))
+    return circuit
+
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generated_netlist_compiled_matches_interpreter(seed):
-    """Compiled ≡ interpreter: op, one transient (BE or trapezoidal by
-    seed), and forced-sparse assembly on every fourth seed."""
+    """Compiled ≡ interpreter: op and one transient (BE or trapezoidal by
+    seed), under dense and sparse assembly and with float, int and
+    ``np.float64`` parameters -- none of which leaves compiled code."""
     method = "backward_euler" if seed % 2 else "trapezoidal"
-    solver = "sparse" if seed % 4 == 3 else "auto"
-    results = []
-    for compiled in (True, False):
-        options = SimulationOptions(behavioral_compile=compiled,
-                                    integration_method=method,
-                                    linear_solver=solver)
-        op = OperatingPointAnalysis(generated_netlist(seed)[0], options).run()
-        tran = TransientAnalysis(generated_netlist(seed)[0], t_stop=3e-4,
-                                 t_step=2e-5, options=options).run()
-        results.append((op, tran))
-    (op_c, tran_c), (op_i, tran_i) = results
-    assert np.array_equal(op_c.raw, op_i.raw)
-    assert op_c.iterations == op_i.iterations
-    assert_results_identical(tran_c, tran_i)
+    for solver, cast in CORPUS_RUNS:
+        results = []
+        for compiled in (True, False):
+            options = SimulationOptions(behavioral_compile=compiled,
+                                        integration_method=method,
+                                        linear_solver=solver)
+            before = registry.snapshot()
+            op = OperatingPointAnalysis(
+                cast_parameters(generated_netlist(seed)[0], cast), options)
+            results.append((op.run(), TransientAnalysis(
+                cast_parameters(generated_netlist(seed)[0], cast),
+                t_stop=3e-4, t_step=2e-5, options=options).run()))
+            if compiled:
+                assert fallback_counts(before)["param"] == 0
+                assert solver == "auto" \
+                    or ("op", "triplet") in op.system.stamp_programs
+        (op_c, tran_c), (op_i, tran_i) = results
+        assert np.array_equal(op_c.raw, op_i.raw)
+        assert op_c.iterations == op_i.iterations
+        assert_results_identical(tran_c, tran_i)
 
 
 def test_generated_corpus_covers_every_feature():
