@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import CampaignError
 
-__all__ = ["CampaignRow", "CampaignResult"]
+__all__ = ["CampaignRow", "CampaignResult", "SOLVER_STATS"]
 
 
 class CampaignRow(Mapping[str, object]):
@@ -69,6 +69,22 @@ class CampaignRow(Mapping[str, object]):
         return f"CampaignRow(#{self.index}, {state})"
 
 
+#: ``CampaignResult.solver_stats`` key -> metrics-registry counter name, in
+#: reporting order: the linalg cache counters and the behavioral-compiler
+#: kernel-cache counters.
+SOLVER_STATS = {
+    "factorizations": "linalg.factorizations",
+    "factorization_cache_hits": "linalg.factorization_cache_hits",
+    "factorization_cache_misses": "linalg.factorization_cache_misses",
+    "factorization_cache_evictions": "linalg.factorization_cache_evictions",
+    "structure_rebuilds": "linalg.structure_rebuilds",
+    "structure_reuses": "linalg.structure_reuses",
+    "transpose_solves": "linalg.transpose_solves",
+    "hdl_compiles": "hdl.compile.count",
+    "hdl_compile_cache_hits": "hdl.compile.cache_hits",
+}
+
+
 class CampaignResult:
     """Ordered table of campaign rows with columnar accessors.
 
@@ -78,30 +94,28 @@ class CampaignResult:
         The per-point rows in spec order.
     param_names:
         Column order of the swept parameters (defaults to first-row order).
-    solver_stats:
-        Aggregated :mod:`repro.linalg.metrics` counter deltas of the work
-        actually dispatched for this campaign (factorizations,
-        factorization-cache hits/misses/evictions, sparsity-pattern
-        rebuilds/reuses, transposed solves) -- summed over serial execution
-        and every pool worker chunk.  Empty for derived results
+    metrics:
+        The :mod:`repro.telemetry.registry` deltas of the work actually
+        dispatched for this campaign, merged over serial execution and
+        every pool worker chunk at every telemetry level: ``{"counters",
+        "gauges", "histograms"}``.  ``None`` for derived results
         (``filter``/``group_by``), whose work already appears in the
-        parent's counters.
+        parent's metrics.
     telemetry:
         Merged telemetry profile of the dispatched work when the runner was
         created with ``telemetry != "off"``: a dict with ``mode``,
         ``span_totals`` (per-span-name count/total/self aggregates over
-        every worker), ``metrics`` (merged registry deltas) and ``wall_s``
-        (summed worker evaluation time).  ``None`` otherwise and for
-        derived results.
+        every worker), ``metrics`` (the same dict as :attr:`metrics`) and
+        ``wall_s`` (summed worker evaluation time).  ``None`` otherwise and
+        for derived results.
     """
 
     def __init__(self, rows: Iterable[CampaignRow],
                  param_names: Iterable[str] | None = None,
-                 solver_stats: Mapping[str, int] | None = None,
+                 metrics: Mapping | None = None,
                  telemetry: Mapping | None = None) -> None:
         self.rows = list(rows)
-        self.solver_stats: dict[str, int] = \
-            {str(k): int(v) for k, v in (solver_stats or {}).items()}
+        self.metrics = metrics
         self.telemetry = dict(telemetry) if telemetry else None
         #: ID of the RunRecord appended for this run, when the runner had a
         #: ledger attached (set post-construction by the runner).
@@ -117,6 +131,21 @@ class CampaignResult:
             for name in row.outputs:
                 outputs.setdefault(name)
         self.output_names = tuple(outputs)
+
+    @property
+    def solver_stats(self) -> dict[str, int]:
+        """The :data:`SOLVER_STATS` counters of :attr:`metrics`, as a new dict.
+
+        Factorizations, factorization-cache hits/misses/evictions,
+        sparsity-pattern rebuilds/reuses, transposed solves and
+        behavioral-compiler kernel compiles/cache hits -- zero when the
+        campaign never bumped them, empty for derived results.
+        """
+        if self.metrics is None:
+            return {}
+        counters = self.metrics.get("counters", {})
+        return {key: int(counters.get(name, 0))
+                for key, name in SOLVER_STATS.items()}
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
@@ -289,7 +318,7 @@ class CampaignResult:
         ``wall_s`` of every worker appear under a ``telemetry`` key
         (see :meth:`telemetry_report` for the renderable form).
         """
-        stats = dict(self.solver_stats)
+        stats = self.solver_stats
         hits = stats.get("factorization_cache_hits", 0)
         misses = stats.get("factorization_cache_misses", 0)
         reuses = stats.get("structure_reuses", 0)
@@ -338,8 +367,9 @@ class CampaignResult:
 
     def __repr__(self) -> str:
         solver = ""
-        if self.solver_stats.get("factorizations"):
-            solver = f", {self.solver_stats['factorizations']} factorizations"
+        factorizations = self.solver_stats.get("factorizations")
+        if factorizations:
+            solver = f", {factorizations} factorizations"
         return (f"CampaignResult({len(self.rows)} points, "
                 f"{len(self.param_names)} params, {len(self.output_names)} outputs, "
                 f"{self.num_failures} failures, {self.num_cached} cached"

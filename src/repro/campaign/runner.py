@@ -46,7 +46,6 @@ from ..circuit.analysis.op import OperatingPointAnalysis
 from ..circuit.analysis.options import SimulationOptions
 from ..circuit.analysis.transient import TransientAnalysis
 from ..errors import CampaignError, DeviceError, NetlistError
-from ..linalg import metrics as linalg_metrics
 from .cache import ResultCache, canonicalize, scenario_key
 from .results import CampaignResult, CampaignRow
 from .spec import CampaignSpec
@@ -169,26 +168,9 @@ def _evaluate_batch_items(evaluator, items: Sequence[tuple[int, dict]]
     return results
 
 
-#: Behavioral-compiler registry counters shipped alongside the linalg cache
-#: counters in every chunk's solver-stats delta (``solver_stats`` key ->
-#: :mod:`repro.telemetry.registry` counter name).  They ride the same
-#: always-on delta/merge path, so kernel-cache efficacy inside pool workers
-#: is visible on the aggregated :class:`~repro.campaign.results
-#: .CampaignResult` even with telemetry off.
-_HDL_COUNTERS = (("hdl_compiles", "hdl.compile.count"),
-                 ("hdl_compile_cache_hits", "hdl.compile.cache_hits"))
-
-
-def _merge_solver_stats(total: dict[str, int], delta: dict[str, int]) -> None:
-    """Fold one chunk's counter delta (linalg + hdl) into the running total."""
-    linalg_metrics.merge_counters(total, delta)
-    for key, _ in _HDL_COUNTERS:
-        total[key] = total.get(key, 0) + int(delta.get(key, 0))
-
-
 def _evaluate_chunk(task: tuple, on_point=None
                     ) -> tuple[list[tuple[int, dict, str | None, dict | None]],
-                               dict[str, int], dict | None, dict]:
+                               dict, dict | None, dict]:
     """Worker entry point: evaluate one chunk of (index, point) pairs.
 
     ``task`` is ``(evaluator, items, telemetry_mode)`` with an optional
@@ -197,14 +179,16 @@ def _evaluate_chunk(task: tuple, on_point=None
     evaluator's ``evaluate_batch`` (one vectorized solve per slice) instead
     of point by point.
 
-    Besides the per-point results the chunk ships the *delta* of the
-    worker's process-wide :mod:`repro.linalg.metrics` counters back to the
-    parent, so factorization/pattern-cache efficacy inside pool workers
-    becomes visible on the aggregated :class:`CampaignResult`.  With a
+    Besides the per-point results the chunk ships one
+    :func:`repro.telemetry.registry.delta` of the worker's process-wide
+    metrics registry -- taken against a single snapshot before the items,
+    at every telemetry level -- so every counter a pool worker bumps
+    (linalg cache traffic, batch-lane fallbacks, compiler events, ...)
+    reaches the aggregated :attr:`CampaignResult.metrics`.  With a
     telemetry mode requested, the chunk additionally runs inside an
     aggregate-only :func:`repro.telemetry.session` (span trees folded into
     per-name totals -- bounded memory for arbitrarily long campaigns) and
-    ships the session's picklable payload back the same way.
+    ships its span totals and wall time back the same way.
 
     Every chunk also returns a worker *heartbeat* -- ``{"pid", "points",
     "wall_s"}`` -- which the parent folds into its progress events, so a
@@ -215,9 +199,7 @@ def _evaluate_chunk(task: tuple, on_point=None
     evaluator, items, telemetry_mode, *rest = task
     batch_size = rest[0] if rest else None
     t0 = time.perf_counter()
-    before = linalg_metrics.snapshot()
-    hdl_before = {key: telemetry.registry.counter_value(name)
-                  for key, name in _HDL_COUNTERS}
+    before = telemetry.registry.snapshot()
 
     def run_items():
         results = []
@@ -243,11 +225,7 @@ def _evaluate_chunk(task: tuple, on_point=None
         payload = sess.report.aggregate_payload()
     heartbeat = {"pid": os.getpid(), "points": len(items),
                  "wall_s": time.perf_counter() - t0}
-    stats_delta = linalg_metrics.counter_delta(before)
-    stats_delta.update(
-        {key: int(telemetry.registry.counter_value(name) - hdl_before[key])
-         for key, name in _HDL_COUNTERS})
-    return results, stats_delta, payload, heartbeat
+    return results, telemetry.registry.delta(before), payload, heartbeat
 
 
 class CampaignRunner:
@@ -281,8 +259,10 @@ class CampaignRunner:
     telemetry:
         ``"off"`` (default), ``"summary"`` or ``"full"``: run every chunk
         inside an aggregate-only telemetry session and merge the shipped
-        span/metric payloads into ``CampaignResult.telemetry``, making
+        span totals into ``CampaignResult.telemetry``, making
         :meth:`CampaignResult.solver_summary` a full campaign profile.
+        Registry counters need no telemetry: every chunk ships its metrics
+        delta, merged into ``CampaignResult.metrics`` at every level.
         (Chunks never keep span *trees* -- pool payloads stay bounded -- so
         ``"full"`` here only controls detail-span collection inside the
         workers.)
@@ -377,7 +357,7 @@ class CampaignRunner:
                     continue
             pending.append((index, point))
 
-        dispatched, solver_stats, profile = self._dispatch(evaluator, pending)
+        dispatched, metrics, profile = self._dispatch(evaluator, pending)
         for index, outputs, error, forensics in dispatched:
             point = points[index]
             rows[index] = CampaignRow(index, point, outputs, error=error,
@@ -387,8 +367,7 @@ class CampaignRunner:
 
         result = CampaignResult([row for row in rows if row is not None],
                                 param_names=spec.names,
-                                solver_stats=solver_stats,
-                                telemetry=profile)
+                                metrics=metrics, telemetry=profile)
         if self.ledger is not None and profile is not None:
             result.run_record_id = self._record_run(spec, evaluator, points,
                                                     profile)
@@ -433,11 +412,10 @@ class CampaignRunner:
 
     def _dispatch(self, evaluator, pending: Sequence[tuple[int, dict]]
                   ) -> tuple[list[tuple[int, dict, str | None, dict | None]],
-                             dict[str, int], dict | None]:
-        solver_stats = {name: 0 for name in linalg_metrics.COUNTER_NAMES}
-        solver_stats.update({key: 0 for key, _ in _HDL_COUNTERS})
+                             dict, dict | None]:
+        metrics = {"counters": {}, "gauges": {}, "histograms": {}}
         if not pending:
-            return [], solver_stats, None
+            return [], metrics, None
         backend = self._resolve_backend(evaluator, len(pending))
         track = telemetry.progress.tracker("campaign", total=len(pending),
                                            unit="points")
@@ -453,9 +431,9 @@ class CampaignRunner:
             results, delta, payload, _ = _evaluate_chunk(
                 (evaluator, list(pending), self.telemetry, batch_size),
                 on_point=advance)
-            _merge_solver_stats(solver_stats, delta)
+            telemetry.registry.merge(metrics, delta)
             track.finish(len(pending))
-            return results, solver_stats, self._merge_profiles([payload])
+            return results, metrics, self._merge_profiles([payload], metrics)
         processes = self.processes or os.cpu_count() or 1
         processes = min(processes, len(pending))
         if backend == "batch-pool":
@@ -499,7 +477,7 @@ class CampaignRunner:
                     break
                 completed.append(batch)
                 _, delta, _, heartbeat = batch
-                _merge_solver_stats(solver_stats, delta)
+                telemetry.registry.merge(metrics, delta)
                 done_points += heartbeat["points"]
                 track.update(done_points, **heartbeat)
         results = [item for batch, _, _, _ in completed for item in batch]
@@ -512,21 +490,20 @@ class CampaignRunner:
                         f"StallError: no result within {self.stall_timeout:g}s; "
                         "worker abandoned", None))
         track.finish(done_points, message="stalled" if stalled else "")
-        return results, solver_stats, \
-            self._merge_profiles([payload for _, _, payload, _ in completed])
+        return results, metrics, self._merge_profiles(
+            [payload for _, _, payload, _ in completed], metrics)
 
-    def _merge_profiles(self, payloads: Sequence[dict | None]) -> dict | None:
-        """Fold the chunks' telemetry payloads into one campaign profile."""
+    def _merge_profiles(self, payloads: Sequence[dict],
+                        metrics: dict) -> dict | None:
+        """Fold the chunks' span payloads and the merged ``metrics`` into
+        one campaign profile."""
         if self.telemetry == "off":
             return None
-        profile = {"mode": self.telemetry, "span_totals": {}, "metrics": {},
-                   "wall_s": 0.0}
+        profile = {"mode": self.telemetry, "span_totals": {},
+                   "metrics": metrics, "wall_s": 0.0}
         for payload in payloads:
-            if payload is None:
-                continue
             telemetry.merge_span_totals(profile["span_totals"],
                                         payload["span_totals"])
-            telemetry.registry.merge(profile["metrics"], payload["metrics"])
             # Summed worker wall time: CPU-seconds of evaluation, not the
             # campaign's elapsed time (chunks overlap under the pool).
             profile["wall_s"] += payload["wall_s"]

@@ -3,15 +3,24 @@
 One subsystem owns every ``A x = b`` in the reproduction:
 
 * :class:`~repro.linalg.solvers.FactorizedSolver` abstracts the backends
-  (dense LAPACK LU, SuperLU, Jacobi-preconditioned CG with direct fallback)
-  behind :class:`~repro.linalg.solvers.Factorization` handles -- factor
-  once, back-substitute many times,
+  (dense LAPACK LU, SuperLU, and Jacobi-preconditioned CG for symmetric
+  positive-definite systems, which raises
+  :class:`~repro.errors.LinAlgError` when it cannot solve) behind
+  :class:`~repro.linalg.solvers.Factorization` handles -- factor once,
+  back-substitute many times,
 * :class:`~repro.linalg.cache.FactorizationCache` keys those handles on
   exact matrix fingerprints so an unchanged matrix (linear circuit, fixed
   transient step, repeated campaign point) is never factored twice,
 * :class:`~repro.linalg.structure.StructureCache` caches the COO->CSR
   reduction of a repeated triplet assembly so per-iteration sparse assembly
   is a value update instead of a sort-and-deduplicate rebuild.
+
+Besides their per-instance counters, the solvers and caches bump
+process-wide ``linalg.*`` counters in :mod:`repro.telemetry.registry`
+(``linalg.factorizations``, ``linalg.factorization_cache_hits`` /
+``_misses`` / ``_evictions``, ``linalg.structure_rebuilds`` / ``_reuses``,
+``linalg.transpose_solves``); campaign results report them merged over
+every worker.
 
 The circuit analyses (:mod:`repro.circuit.analysis`), the FE solvers
 (:mod:`repro.fem`) and the reduced-order models (:mod:`repro.rom`) all
@@ -21,7 +30,6 @@ semantics exposed on :class:`~repro.circuit.analysis.options.SimulationOptions`.
 
 from __future__ import annotations
 
-from . import metrics
 from .batch import (BATCH_BACKENDS, BatchedDenseLU, BatchedFactorization,
                     BatchedSparseLU, batched_factorize)
 from .cache import FactorizationCache, matrix_fingerprint
@@ -46,7 +54,6 @@ __all__ = [
     "StructureCache",
     "batched_factorize",
     "matrix_fingerprint",
-    "metrics",
     "solve_sensitivities",
     "sweep_spectral_sensitivities",
 ]

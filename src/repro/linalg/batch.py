@@ -24,7 +24,6 @@ import scipy.sparse.linalg as spla
 
 from .. import telemetry
 from ..errors import LinAlgError
-from . import metrics
 
 __all__ = ["BatchedFactorization", "BatchedDenseLU", "BatchedSparseLU",
            "batched_factorize", "BATCH_BACKENDS"]
@@ -125,7 +124,7 @@ class BatchedDenseLU(BatchedFactorization):
         return self._solve(self._matrices, rhs)
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        metrics.record("transpose_solves", self.batch)
+        telemetry.registry.inc("linalg.transpose_solves", self.batch)
         return self._solve(self._matrices.swapaxes(1, 2), rhs)
 
 
@@ -190,7 +189,7 @@ class BatchedSparseLU(BatchedFactorization):
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
-        metrics.record("transpose_solves", self.batch)
+        telemetry.registry.inc("linalg.transpose_solves", self.batch)
         solutions = np.full((self.batch, self.n), np.nan)
         for b, entry in enumerate(self._lus):
             if entry is None:
@@ -211,8 +210,9 @@ def batched_factorize(matrices, backend: str = "auto") -> BatchedFactorization:
     sparse matrices.  ``backend`` mirrors the serial solver names: ``dense``
     (stacked gufunc ``gesv``), ``superlu`` (shared-symbolic SuperLU) or
     ``auto`` (follow the input representation).  Each lane counts as one
-    factorization in the :mod:`repro.linalg.metrics` aggregate, so campaign
-    solver stats stay comparable between the serial and batched paths.
+    ``linalg.factorizations`` in :mod:`repro.telemetry.registry`, so
+    campaign solver stats stay comparable between the serial and batched
+    paths.
     """
     dense_input = isinstance(matrices, np.ndarray)
     if backend not in BATCH_BACKENDS:
@@ -230,5 +230,5 @@ def batched_factorize(matrices, backend: str = "auto") -> BatchedFactorization:
             matrices = [sp.csc_matrix(matrices[b])
                         for b in range(matrices.shape[0])]
         handle = BatchedSparseLU(matrices)
-    metrics.record("factorizations", handle.batch)
+    telemetry.registry.inc("linalg.factorizations", handle.batch)
     return handle

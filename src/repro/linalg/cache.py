@@ -26,7 +26,6 @@ import scipy.sparse as sp
 
 from .. import telemetry
 from ..errors import LinAlgError
-from . import metrics
 from .solvers import Factorization, FactorizedSolver
 
 __all__ = ["matrix_fingerprint", "FactorizationCache"]
@@ -98,16 +97,16 @@ class FactorizationCache:
         if handle is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            metrics.record("factorization_cache_hits")
+            telemetry.registry.inc("linalg.factorization_cache_hits", 1)
             return handle
         self.misses += 1
-        metrics.record("factorization_cache_misses")
+        telemetry.registry.inc("linalg.factorization_cache_misses", 1)
         handle = self.solver.factorize(matrix)
         self._entries[key] = handle
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.evictions += 1
-            metrics.record("factorization_cache_evictions")
+            telemetry.registry.inc("linalg.factorization_cache_evictions", 1)
         return handle
 
     def solve(self, matrix, rhs) -> np.ndarray:

@@ -40,7 +40,6 @@ import scipy.sparse.linalg as spla
 
 from .. import telemetry
 from ..errors import LinAlgError
-from . import metrics
 
 __all__ = ["Factorization", "FactorizedSolver", "BACKENDS"]
 
@@ -219,7 +218,7 @@ class _DenseLU(Factorization):
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
         self.transpose_solves += 1
-        metrics.record("transpose_solves")
+        telemetry.registry.inc("linalg.transpose_solves", 1)
         if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu):
             # Real factorization, complex right-hand side: two real passes.
             return self._getrs(np.ascontiguousarray(rhs.real), trans=1) \
@@ -272,7 +271,7 @@ class _SparseLU(Factorization):
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
         self.transpose_solves += 1
-        metrics.record("transpose_solves")
+        telemetry.registry.inc("linalg.transpose_solves", 1)
         if self._complex:
             solution = self._lu.solve(np.asarray(rhs, dtype=complex), trans="T")
         elif np.iscomplexobj(rhs):
@@ -369,7 +368,7 @@ class _JacobiCG(Factorization):
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         rhs = self._check_rhs(rhs)
         self.transpose_solves += 1
-        metrics.record("transpose_solves")
+        telemetry.registry.inc("linalg.transpose_solves", 1)
         self._require_symmetric("transposed solve")
         # A^T == A: the transposed solve IS the forward CG solve.
         return self.solve(rhs)
@@ -419,7 +418,7 @@ class FactorizedSolver:
             raise LinAlgError(f"system matrix must be square, got {shape}")
         backend = self.resolve_backend(matrix)
         self.factorizations += 1
-        metrics.record("factorizations")
+        telemetry.registry.inc("linalg.factorizations", 1)
         # Timing is only worth two perf_counter calls while someone collects.
         t0 = time.perf_counter() if telemetry.enabled() else None
         if backend == "dense":

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .. import telemetry
 from ..errors import LinAlgError
-from . import metrics
 
 __all__ = ["StructureCache"]
 
@@ -73,7 +73,7 @@ class StructureCache:
             self._rebuild(rows, cols, n)
         else:
             self.reuses += 1
-            metrics.record("structure_reuses")
+            telemetry.registry.inc("linalg.structure_reuses", 1)
         data = np.bincount(self._mapping, weights=values,
                            minlength=self._nnz) if values.size else \
             np.zeros(self._nnz)
@@ -106,7 +106,7 @@ class StructureCache:
             self._rebuild(rows, cols, n)
         else:
             self.reuses += 1
-            metrics.record("structure_reuses")
+            telemetry.registry.inc("linalg.structure_reuses", 1)
         lanes = []
         for b in range(values.shape[1]):
             data = np.bincount(self._mapping, weights=values[:, b],
@@ -151,7 +151,7 @@ class StructureCache:
         ).astype(np.int32, copy=False)
         self.generation += 1
         self.rebuilds += 1
-        metrics.record("structure_rebuilds")
+        telemetry.registry.inc("linalg.structure_rebuilds", 1)
 
     def __repr__(self) -> str:
         return (f"StructureCache(n={self._n}, nnz={self._nnz}, "

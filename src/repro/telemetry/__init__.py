@@ -8,9 +8,10 @@ The subsystem has three moving parts:
   With no session active the factories return a shared no-op handle, so
   permanently-instrumented hot loops pay one thread-local check.
 * **Metrics registry** (:mod:`repro.telemetry.registry`): process-wide
-  counters/gauges/histograms generalizing the old ``linalg.metrics``
-  counters (that module is now a shim over this registry), with
-  delta/merge plumbing for cross-process aggregation.
+  counters/gauges/histograms (``linalg.factorizations``,
+  ``mna.batch.lane_stamps``, ...), with delta/merge plumbing for
+  cross-process aggregation: every campaign chunk ships one registry
+  delta, merged into ``CampaignResult.metrics``.
 * **Convergence diagnostics** (:mod:`repro.telemetry.convergence`): Newton
   residual trajectories, transient step histories and optimizer iterate
   traces, attached to result objects behind ``SimulationOptions.telemetry``.

@@ -17,7 +17,8 @@ still accounts for the work.
 
 Cross-process use: a session constructed with ``keep_spans=False`` retains
 only the per-name aggregates (count / total / self time) instead of the
-span trees -- the form campaign pool workers ship back with result chunks.
+span trees and takes no registry delta -- the form campaign pool workers
+ship back with result chunks, next to the chunk's own metrics delta.
 """
 
 from __future__ import annotations
@@ -233,10 +234,11 @@ def merge_span_totals(total: dict, part: Mapping) -> dict:
 class TelemetryReport:
     """What one session collected: span trees, totals, metric deltas.
 
-    ``spans`` holds the completed root spans (empty for aggregate-only
-    sessions), ``span_totals`` the per-name aggregates, ``metrics`` the
-    registry delta over the session and ``convergence`` the analysis-level
-    convergence diagnostics when the producing analysis attached them.
+    ``spans`` holds the completed root spans and ``metrics`` the registry
+    delta over the session (both empty for aggregate-only sessions),
+    ``span_totals`` the per-name aggregates and ``convergence`` the
+    analysis-level convergence diagnostics when the producing analysis
+    attached them.
     """
 
     def __init__(self, mode: str, spans: list[Span], span_totals: dict,
@@ -279,9 +281,8 @@ class TelemetryReport:
         return profile_summary(self, limit=limit, sort=sort)
 
     def aggregate_payload(self) -> dict:
-        """Picklable cross-process payload: span totals + metric deltas."""
-        return {"span_totals": self.span_totals, "metrics": self.metrics,
-                "wall_s": self.wall_s}
+        """Picklable cross-process payload: span totals + wall time."""
+        return {"span_totals": self.span_totals, "wall_s": self.wall_s}
 
     def __repr__(self) -> str:
         return (f"TelemetryReport(mode={self.mode!r}, {len(self.spans)} root "
@@ -299,7 +300,9 @@ class TelemetrySession:
     keep_spans:
         When False, completed root spans are folded into the per-name
         aggregates and dropped immediately -- bounded memory for arbitrarily
-        long campaigns, at the cost of no flame-graph trees.
+        long campaigns, at the cost of no flame-graph trees -- and the
+        session takes no registry snapshot (``report.metrics`` is empty):
+        the caller owns the metrics delta, as a campaign chunk does.
     """
 
     def __init__(self, mode: str = "full", keep_spans: bool = True) -> None:
@@ -320,7 +323,8 @@ class TelemetrySession:
             aggregate_spans((root,), self._span_totals)
 
     def __enter__(self) -> "TelemetrySession":
-        self._metrics_before = registry.snapshot()
+        if self.keep_spans:
+            self._metrics_before = registry.snapshot()
         self._t0 = _perf_counter()
         _state.sessions.append(self)
         return self
@@ -330,9 +334,12 @@ class TelemetrySession:
         sessions = _state.sessions
         if self in sessions:
             sessions.remove(self)
-        metrics = registry.delta(self._metrics_before)
-        totals = aggregate_spans(self._spans, dict(self._span_totals)) \
-            if self.keep_spans else dict(self._span_totals)
+        if self.keep_spans:
+            metrics = registry.delta(self._metrics_before)
+            totals = aggregate_spans(self._spans, dict(self._span_totals))
+        else:
+            metrics = {}
+            totals = dict(self._span_totals)
         self.report = TelemetryReport(self.mode, list(self._spans), totals,
                                       metrics, wall_s)
         if sessions:

@@ -1,17 +1,17 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
-The registry generalizes the seven module-level cache counters that used to
-live in :mod:`repro.linalg.metrics` (that module is now a thin shim over
-this one): any layer of the stack can bump a **counter** (monotone event
-count), publish a **gauge** (last-written value) or **observe** a value into
-a **histogram** (count / sum / min / max digest -- the form that merges
-across processes without binning decisions).
+Any layer of the stack can bump a **counter** (monotone event count, e.g.
+the ``linalg.*`` factorization- and structure-cache counters), publish a
+**gauge** (last-written value) or **observe** a value into a **histogram**
+(count / sum / min / max digest -- the form that merges across processes
+without binning decisions).
 
-Counters follow the rules the linalg counters established:
+Counters follow two rules:
 
 * plain module-level state, no locks -- each process mutates only its own
-  copy, and campaign pool workers ship *deltas* (:func:`delta`) back to the
-  parent where they are merged (:func:`merge`) into one aggregate view,
+  copy, and every campaign chunk ships one *delta* (:func:`delta`) back to
+  the parent, where they are merged (:func:`merge`) into
+  ``CampaignResult.metrics`` at every telemetry level,
 * recording is unconditional and cheap (one dict lookup + add), so the
   always-on counters cost the same whether telemetry is enabled or not.
 

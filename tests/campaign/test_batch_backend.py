@@ -190,6 +190,22 @@ class TestBatchParity:
         assert reruns == 0
         assert (lane_stamps > 0) is not compile_
 
+    def test_pooled_batch_ships_fallback_counters_without_telemetry(self):
+        # With telemetry off the pool workers' registry counters must still
+        # reach the result: in-process and pooled batches report the same.
+        options = SimulationOptions(behavioral_compile=False)
+        spec = GridSweep(vdd=[1.0, 2.0, 3.0], isat=[1e-9, 3e-9])
+        evaluator = CircuitEvaluator(
+            build_behavioral_diode, options=options,
+            param_map={"vdd": "V1.dc", "isat": "DB.isat"})
+        results = [CampaignRunner(backend="batch", processes=processes,
+                                  batch_size=2).run(spec, evaluator)
+                   for processes in (1, 2)]
+        inline, pooled = (result.metrics["counters"] for result in results)
+        assert inline == pooled
+        assert inline["mna.batch.lane_stamps"] > 0
+        assert inline.get("campaign.batch.serial_reruns", 0) == 0
+
     def test_batch_pool_composes(self):
         spec = MonteCarlo({"vdd": Normal(5.0, 0.5)}, samples=16, seed=3)
         serial = CampaignRunner(backend="serial").run(

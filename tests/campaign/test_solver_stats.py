@@ -1,4 +1,4 @@
-"""Aggregation of linalg cache counters into CampaignResult.solver_stats."""
+"""Linalg/compiler cache counters: recording sites and CampaignResult.solver_stats."""
 
 from __future__ import annotations
 
@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignResult, CampaignRow, CampaignRunner, GridSweep
+from repro.campaign.results import SOLVER_STATS
 from repro.campaign.runner import CircuitEvaluator
 from repro.circuit import Circuit
 from repro.circuit.devices.passive import Resistor
 from repro.circuit.devices.sources import VoltageSource
-from repro.linalg import FactorizationCache, metrics
+from repro.linalg import (FactorizationCache, FactorizedSolver,
+                          StructureCache, batched_factorize)
+from repro.telemetry import registry
 
 
 def build_divider(params: dict) -> Circuit:
@@ -54,22 +57,122 @@ def cached_evaluator(point: dict) -> dict:
     return {"x0": float(solution[0])}
 
 
-class TestMetricsModule:
-    def test_record_snapshot_delta(self):
-        before = metrics.snapshot()
-        metrics.record("factorizations", 3)
-        delta = metrics.counter_delta(before)
-        assert delta["factorizations"] == 3
-        assert delta["structure_reuses"] == 0
+#: The ``solver_stats`` keys the linalg layer records.
+LINALG_KEYS = tuple(key for key, name in SOLVER_STATS.items()
+                    if name.startswith("linalg."))
 
-    def test_unknown_counter_rejected(self):
-        with pytest.raises(KeyError):
-            metrics.record("bogus")
+LANES = 3
 
-    def test_merge(self):
-        total = {name: 1 for name in metrics.COUNTER_NAMES}
-        metrics.merge_counters(total, {"factorizations": 4})
-        assert total["factorizations"] == 5
+
+def _spd(n: int = 4, scale: float = 1.0) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((n, n))
+    return scale * (a @ a.T + n * np.eye(n))
+
+
+def _factorize():
+    solver = FactorizedSolver("dense")
+    return lambda: solver.factorize(_spd())
+
+
+def _batched_factorize():
+    return lambda: batched_factorize(np.stack([_spd()] * LANES))
+
+
+def _transposed(backend):
+    def site():
+        handle = FactorizedSolver(backend).factorize(_spd())
+        return lambda: handle.solve_transposed(np.ones(4))
+    return site
+
+
+def _batched_transposed(backend):
+    def site():
+        handle = batched_factorize(np.stack([_spd()] * LANES), backend)
+        return lambda: handle.solve_transposed(np.ones((LANES, 4)))
+    return site
+
+
+def _cache_miss():
+    cache = FactorizationCache()
+    return lambda: cache.factorize(_spd())
+
+
+def _cache_hit():
+    cache = FactorizationCache()
+    cache.factorize(_spd())
+    return lambda: cache.factorize(_spd())
+
+
+def _cache_eviction():
+    cache = FactorizationCache(maxsize=1)
+    cache.factorize(_spd())
+    return lambda: cache.factorize(_spd(scale=2.0))
+
+
+TRIPLETS = ([0, 1, 1, 0], [0, 1, 0, 0], [2.0, 3.0, -1.0, 1.0])
+
+
+def _structure_rebuild():
+    structure = StructureCache()
+    return lambda: structure.assemble(*TRIPLETS, n=2)
+
+
+def _structure_reuse():
+    structure = StructureCache()
+    structure.assemble(*TRIPLETS, n=2)
+    return lambda: structure.assemble(*TRIPLETS, n=2)
+
+
+def _structure_reuse_batch():
+    structure = StructureCache()
+    structure.assemble(*TRIPLETS, n=2)
+    values = np.column_stack([TRIPLETS[2]] * LANES)
+    return lambda: structure.assemble_batch(*TRIPLETS[:2], values, n=2)
+
+
+#: (site, expected solver_stats movement): every key not listed must stay.
+SITES = {
+    "factorize": (_factorize, {"factorizations": 1}),
+    "batched_factorize": (_batched_factorize, {"factorizations": LANES}),
+    "transposed_dense": (_transposed("dense"), {"transpose_solves": 1}),
+    "transposed_superlu": (_transposed("superlu"), {"transpose_solves": 1}),
+    "transposed_cg": (_transposed("cg"), {"transpose_solves": 1}),
+    "batched_transposed_dense": (_batched_transposed("dense"),
+                                 {"transpose_solves": LANES}),
+    "batched_transposed_superlu": (_batched_transposed("superlu"),
+                                   {"transpose_solves": LANES}),
+    "cache_miss": (_cache_miss, {"factorization_cache_misses": 1,
+                                 "factorizations": 1}),
+    "cache_hit": (_cache_hit, {"factorization_cache_hits": 1}),
+    "cache_eviction": (_cache_eviction, {"factorization_cache_misses": 1,
+                                         "factorizations": 1,
+                                         "factorization_cache_evictions": 1}),
+    "structure_rebuild": (_structure_rebuild, {"structure_rebuilds": 1}),
+    "structure_reuse": (_structure_reuse, {"structure_reuses": 1}),
+    "structure_reuse_batch": (_structure_reuse_batch,
+                              {"structure_reuses": 1}),
+}
+
+
+class TestRecordingSites:
+    @pytest.mark.parametrize("site", SITES)
+    def test_site_moves_its_solver_stats(self, site):
+        # Exact equality over every linalg key: a recording site that
+        # bumps a misspelt registry name leaves its key at zero and fails.
+        prepare, expected = SITES[site]
+        action = prepare()
+        before = registry.snapshot()
+        action()
+        counters = registry.delta(before)["counters"]
+        moved = {key: counters[SOLVER_STATS[key]] for key in LINALG_KEYS
+                 if SOLVER_STATS[key] in counters}
+        assert moved == expected
+
+    def test_sites_cover_every_linalg_key(self):
+        assert len(LINALG_KEYS) == 7
+        covered = set().union(*(expected for _, expected in SITES.values()))
+        assert covered == set(LINALG_KEYS)
 
 
 class TestCampaignAggregation:

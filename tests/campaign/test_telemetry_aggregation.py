@@ -17,6 +17,7 @@ from repro.circuit import Circuit, SimulationOptions
 from repro.circuit.devices.passive import Resistor
 from repro.circuit.devices.sources import VoltageSource
 from repro.errors import CampaignError
+from repro.telemetry import registry
 
 
 def build_divider(params: dict) -> Circuit:
@@ -61,19 +62,47 @@ class TestCampaignTelemetry:
         assert result.telemetry["wall_s"] > 0.0
 
     def test_pool_matches_serial_deterministically(self):
-        serial = CampaignRunner(backend="serial", telemetry="summary").run(
-            SPEC, _evaluator())
-        pool = CampaignRunner(backend="pool", processes=2, chunk_size=2,
-                              telemetry="summary").run(SPEC, _evaluator())
-        assert serial.num_failures == 0 and pool.num_failures == 0
-        assert _span_counts(serial) == _span_counts(pool)
-        assert serial.telemetry["metrics"].get("counters", {}) == \
-            pool.telemetry["metrics"].get("counters", {})
-        serial_hist = serial.telemetry["metrics"].get("histograms", {})
-        pool_hist = pool.telemetry["metrics"].get("histograms", {})
-        assert set(serial_hist) == set(pool_hist)
-        for name in serial_hist:  # counts agree; timings are machine noise
-            assert serial_hist[name]["count"] == pool_hist[name]["count"]
+        for mode in ("summary", "off"):
+            serial = CampaignRunner(backend="serial", telemetry=mode).run(
+                SPEC, _evaluator())
+            pool = CampaignRunner(backend="pool", processes=2, chunk_size=2,
+                                  telemetry=mode).run(SPEC, _evaluator())
+            assert serial.num_failures == 0 and pool.num_failures == 0
+            # Counters cross the process boundary at every telemetry level.
+            assert serial.metrics["counters"] == pool.metrics["counters"]
+            assert serial.metrics["counters"]["linalg.factorizations"] > 0
+            if mode == "off":
+                assert serial.telemetry is None and pool.telemetry is None
+                continue
+            assert serial.telemetry["metrics"] is serial.metrics
+            assert _span_counts(serial) == _span_counts(pool)
+            serial_hist = serial.metrics.get("histograms", {})
+            pool_hist = pool.metrics.get("histograms", {})
+            assert set(serial_hist) == set(pool_hist)
+            for name in serial_hist:  # counts agree; timings are machine noise
+                assert serial_hist[name]["count"] == pool_hist[name]["count"]
+
+    @pytest.mark.parametrize("mode", ["off", "summary"])
+    def test_chunk_takes_one_registry_snapshot(self, mode, monkeypatch):
+        # One snapshot before the chunk's items and one delta after them,
+        # whatever the telemetry level: no per-channel snapshots.
+        calls = {"snapshot": 0, "delta": 0}
+        real_snapshot, real_delta = registry.snapshot, registry.delta
+
+        def snapshot():
+            calls["snapshot"] += 1
+            return real_snapshot()
+
+        def delta(before, after=None):
+            calls["delta"] += 1
+            return real_delta(before,
+                              real_snapshot() if after is None else after)
+
+        monkeypatch.setattr(registry, "snapshot", snapshot)
+        monkeypatch.setattr(registry, "delta", delta)
+        result = CampaignRunner(telemetry=mode).run(SPEC, _evaluator())
+        assert calls == {"snapshot": 1, "delta": 1}
+        assert result.metrics["counters"]["linalg.factorizations"] > 0
 
     def test_solver_summary_includes_profile(self):
         result = CampaignRunner(telemetry="summary").run(SPEC, _evaluator())

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 
 from repro.errors import LinAlgError
 from repro.linalg import (FactorizedSolver, SensitivityResult,
-                          SpectralSensitivities, metrics,
-                          solve_sensitivities, sweep_spectral_sensitivities)
+                          SpectralSensitivities, solve_sensitivities,
+                          sweep_spectral_sensitivities)
+from repro.telemetry import registry
 
 
 def _well_conditioned(n: int, seed: int = 0) -> np.ndarray:
@@ -74,12 +75,12 @@ class TestTransposeSolves:
         np.testing.assert_allclose(matrix.T @ solution, rhs, atol=1e-10)
 
     def test_transpose_solves_counted_globally(self):
-        before = metrics.snapshot()
+        before = registry.snapshot()
         handle = FactorizedSolver("dense").factorize(_well_conditioned(4))
         handle.solve_transposed(np.ones(4))
-        delta = metrics.counter_delta(before)
-        assert delta["transpose_solves"] == 1
-        assert delta["factorizations"] == 1
+        delta = registry.delta(before)["counters"]
+        assert delta["linalg.transpose_solves"] == 1
+        assert delta["linalg.factorizations"] == 1
 
 
 class TestSolveSensitivities:

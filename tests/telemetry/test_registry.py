@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.linalg import metrics
+from repro import telemetry
+from repro.linalg import FactorizedSolver
 from repro.telemetry import registry
 
 
@@ -104,23 +106,8 @@ class TestDeltaMerge:
         assert registry.gauge_value("test.g") == 0.0
 
 
-class TestLinalgMetricsShim:
-    """repro.linalg.metrics keeps its exact legacy contract over the registry."""
-
-    def test_record_lands_in_registry(self):
-        metrics.reset()
-        metrics.record("factorizations")
-        assert metrics.snapshot()["factorizations"] == 1
-        assert registry.counter_value("linalg.factorizations") == 1
-
-    def test_unknown_name_still_rejected(self):
-        with pytest.raises(KeyError):
-            metrics.record("bogus")
-
+class TestLinalgCounters:
     def test_session_delta_sees_linalg_counters(self):
-        from repro import telemetry
-
-        metrics.reset()
         with telemetry.session() as sess:
-            metrics.record("factorizations", 3)
-        assert sess.report.metrics["counters"]["linalg.factorizations"] == 3
+            FactorizedSolver("dense").factorize(np.eye(3))
+        assert sess.report.metrics["counters"]["linalg.factorizations"] == 1
