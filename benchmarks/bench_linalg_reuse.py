@@ -1,19 +1,22 @@
 """Solver-reuse benchmark: pin the speedups of the repro.linalg core.
 
-Two workloads, each comparing ``jacobian_reuse="off"`` (factor every freshly
-assembled Jacobian -- the historical behaviour) against the reuse policies:
+Two workloads, each comparing a reference route against the reuse it pins:
 
 * **Figure-5 transient Newton loop** -- the paper's nonlinear behavioral
-  transducer + resonator pulse response, ``"off"`` versus ``"chord"``
-  (held factorization + residual-only assemblies with stall refactor).
-  Floor: >= 2x on the Newton-loop time.
+  transducer + resonator pulse response, the default ``"auto"`` policy
+  (full Newton) versus ``"chord"`` (held factorization + residual-only
+  assemblies, refactored on a stall or a step-size change).
+  Floor: >= 2x on the Newton-loop time and >= 4x fewer factorizations,
+  with the chord waveform within 1e-6 of full Newton.
 * **AC sweep of a linear circuit** -- a 200-point sweep of a parallel-branch
-  RLC ladder, ``"off"`` (re-stamp every frequency) versus the default
-  G/C/S value-update sweep.  Floor: >= 3x, with results within 1e-9.
+  RLC ladder, per-frequency assembly (re-stamp every frequency, forced by
+  disabling the cached route) versus the default G/C/S value-update sweep.
+  Floor: >= 3x, with results within 1e-9.
 
 The floors are enforced with explicit raises so the CI smoke job fails on a
-regression.  A correctness gate also checks that the default ``"auto"``
-policy is bit-identical to ``"off"`` on the nonlinear transient.
+regression.  A correctness gate also checks that ``"auto"`` is
+bit-identical to factoring every Jacobian (no held matrix matched) on the
+nonlinear transient.
 
 Run standalone (``python benchmarks/bench_linalg_reuse.py``); ``--smoke``
 runs a single repetition and gates on the *deterministic* reuse counters
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from repro.circuit import (
     TransientAnalysis,
 )
 from repro.circuit.analysis.ac import frequency_grid
+from repro.circuit.analysis.op import NewtonWorkspace
 from repro.system import build_behavioral_system
 
 #: Enforced speedup floors (explicit raises below).
@@ -46,14 +51,10 @@ TRANSIENT_NEWTON_FLOOR = 2.0
 AC_SWEEP_FLOOR = 3.0
 
 
-def _figure5_transient(policy: str, step_chord_reuse: bool = False):
+def _figure5_transient(policy: str):
     circuit = build_behavioral_system(
         drive=Pulse(0.0, 10.0, rise=2e-3, width=35e-3))
-    # The pinned chord floors predate step_chord_reuse, so the historical
-    # refactor-on-every-step-change behaviour is measured by default; the
-    # step-reuse variant is reported (and gated) separately below.
-    options = SimulationOptions(trtol=10.0, jacobian_reuse=policy,
-                                step_chord_reuse=step_chord_reuse)
+    options = SimulationOptions(trtol=10.0, jacobian_reuse=policy)
     return TransientAnalysis(circuit, t_stop=60e-3, t_step=4e-4,
                              options=options).run()
 
@@ -87,11 +88,13 @@ def run(repetitions: int, check: bool = True,
     lines: list[str] = []
 
     # ---------------------------------------------------- correctness gate
-    reference = _figure5_transient("off")
+    # No held matrix is ever matched: every Jacobian is factored afresh.
+    with mock.patch.object(NewtonWorkspace, "_RECENT_LIMIT", 0):
+        reference = _figure5_transient("auto")
     auto = _figure5_transient("auto")
     identical = all(np.array_equal(reference[s], auto[s])
                     for s in reference.signals())
-    lines.append(f"auto vs off bit-identical      : {identical}")
+    lines.append(f"auto vs factor-every bit-equal : {identical}")
     if check and not identical:
         raise AssertionError(
             "jacobian_reuse='auto' changed the figure-5 transient result")
@@ -106,18 +109,18 @@ def run(repetitions: int, check: bool = True,
                 best_time = result.statistics["newton_time_s"]
         return best_result, best_time
 
-    off_result, newton_off = best_newton("off")
+    full_result, newton_full = best_newton("auto")
     chord_result, newton_chord = best_newton("chord")
-    newton_speedup = newton_off / newton_chord
+    newton_speedup = newton_full / newton_chord
     probe = np.linspace(1e-3, 55e-3, 40)
     deviation = 0.0
-    for signal in off_result.signals():
-        ref = off_result.sample(signal, probe)
+    for signal in full_result.signals():
+        ref = full_result.sample(signal, probe)
         scale = max(float(np.max(np.abs(ref))), 1e-30)
         deviation = max(deviation, float(np.max(np.abs(
             chord_result.sample(signal, probe) - ref))) / scale)
-    lines.append(f"figure-5 Newton loop (off)     : {newton_off * 1e3:8.1f} ms "
-                 f"({off_result.statistics['factorizations']} factorizations)")
+    lines.append(f"figure-5 Newton loop (auto)    : {newton_full * 1e3:8.1f} ms "
+                 f"({full_result.statistics['factorizations']} factorizations)")
     lines.append(f"figure-5 Newton loop (chord)   : {newton_chord * 1e3:8.1f} ms "
                  f"({chord_result.statistics['factorizations']} factorizations, "
                  f"{chord_result.statistics['chord_iterations']} chord iters)")
@@ -126,45 +129,18 @@ def run(repetitions: int, check: bool = True,
     lines.append(f"chord worst relative deviation : {deviation:.2e}")
     if check:
         # Deterministic gate: chord must actually be riding factorizations.
-        off_factorizations = off_result.statistics["factorizations"]
+        full_factorizations = full_result.statistics["factorizations"]
         chord_factorizations = chord_result.statistics["factorizations"]
-        if chord_factorizations * 4 > off_factorizations \
+        if chord_factorizations * 4 > full_factorizations \
                 or chord_result.statistics["chord_iterations"] == 0:
             raise AssertionError(
                 f"chord-Newton reuse regressed: {chord_factorizations} "
-                f"factorizations vs {off_factorizations} without reuse "
+                f"factorizations vs {full_factorizations} under full Newton "
                 "(expected at least a 4x reduction)")
         if deviation > 1e-6:
             raise AssertionError(
                 f"chord-Newton deviates from full Newton by {deviation:.2e} "
                 "(limit 1e-6) on the figure-5 transient")
-
-    # ------------------------------------------- step-chord reuse variant
-    step_result = _figure5_transient("chord", step_chord_reuse=True)
-    step_stats = step_result.statistics
-    step_deviation = 0.0
-    for signal in off_result.signals():
-        ref = off_result.sample(signal, probe)
-        scale = max(float(np.max(np.abs(ref))), 1e-30)
-        step_deviation = max(step_deviation, float(np.max(np.abs(
-            step_result.sample(signal, probe) - ref))) / scale)
-    lines.append(f"figure-5 chord + step reuse    : "
-                 f"{step_stats['factorizations']} factorizations "
-                 f"({step_stats['step_chord_reuses']} step reuses), "
-                 f"deviation {step_deviation:.2e}")
-    if check:
-        if step_stats["factorizations"] > \
-                chord_result.statistics["factorizations"]:
-            raise AssertionError(
-                "step_chord_reuse did not reduce chord factorizations "
-                f"({step_stats['factorizations']} vs "
-                f"{chord_result.statistics['factorizations']})")
-        # Step reuse follows its own LTE trajectory; the contract is a few
-        # times reltol, not the bit-level agreement of historical chord.
-        if step_deviation > 1e-2:
-            raise AssertionError(
-                f"chord step reuse deviates from full Newton by "
-                f"{step_deviation:.2e} (limit 1e-2) on the figure-5 transient")
         if check_wall_clock and newton_speedup < TRANSIENT_NEWTON_FLOOR:
             raise AssertionError(
                 f"chord-Newton reuse regressed: {newton_speedup:.2f}x < "
@@ -176,14 +152,17 @@ def run(repetitions: int, check: bool = True,
     frequencies = frequency_grid(1e3, 1e8, 40)  # 201 points over 5 decades
     operating_point = OperatingPointAnalysis(circuit).run()
 
-    def sweep(policy: str):
-        analysis = ACAnalysis(circuit, frequencies,
-                              SimulationOptions(jacobian_reuse=policy))
+    def sweep():
+        analysis = ACAnalysis(circuit, frequencies, SimulationOptions())
         return analysis, analysis.run(operating_point)
 
-    (_, ac_reference), t_direct = _best_of(repetitions, lambda: sweep("off"))
-    (cached_analysis, ac_fast), t_cached = _best_of(repetitions,
-                                                    lambda: sweep("auto"))
+    # Reference: the G/C/S decomposition is never built, so every frequency
+    # is re-stamped and solved directly.
+    with mock.patch.object(ACAnalysis, "_sweep_cached",
+                           lambda self, *args: None):
+        (direct_analysis, ac_reference), t_direct = _best_of(repetitions,
+                                                             sweep)
+    (cached_analysis, ac_fast), t_cached = _best_of(repetitions, sweep)
     ac_speedup = t_direct / t_cached
     ac_deviation = 0.0
     for signal in ac_reference.signals():
@@ -191,14 +170,18 @@ def run(repetitions: int, check: bool = True,
         scale = max(float(np.max(np.abs(ref))), 1e-30)
         ac_deviation = max(ac_deviation, float(np.max(np.abs(
             np.asarray(ac_fast[signal]) - ref))) / scale)
-    lines.append(f"AC sweep, {frequencies.size} points (off) : "
-                 f"{t_direct * 1e3:8.1f} ms (re-stamped per frequency)")
-    lines.append(f"AC sweep, {frequencies.size} points (fast): "
+    lines.append(f"AC sweep, {frequencies.size} points (direct): "
+                 f"{t_direct * 1e3:8.1f} ms "
+                 f"(mode={direct_analysis.sweep_mode}, re-stamped per "
+                 "frequency)")
+    lines.append(f"AC sweep, {frequencies.size} points (cached): "
                  f"{t_cached * 1e3:8.1f} ms (mode={cached_analysis.sweep_mode})")
     lines.append(f"AC sweep speedup               : {ac_speedup:8.2f} x "
                  f"(floor {AC_SWEEP_FLOOR:.1f}x)")
     lines.append(f"AC worst relative deviation    : {ac_deviation:.2e}")
     if check:
+        if direct_analysis.sweep_mode != "direct":
+            raise AssertionError("the reference AC sweep did not run direct")
         if cached_analysis.sweep_mode != "cached":
             raise AssertionError(
                 "the AC sweep fell back to per-frequency assembly on a "

@@ -2,9 +2,10 @@
 """Record two figure-5 runs in a run ledger and diff them.
 
 The experiment: reproduce the paper's figure-5 transient twice, once with
-Jacobian reuse disabled (every Newton iteration refactorizes) and once with
-the chord policy (reuse until convergence degrades), each under a summary
-telemetry session.  Both runs land in a run ledger as
+the default ``"auto"`` policy (full Newton: every changed Jacobian is
+refactorized) and once with the chord policy (reuse until convergence
+degrades or the step size changes), each under a summary telemetry
+session.  Both runs land in a run ledger as
 :class:`repro.telemetry.ledger.RunRecord`\\ s, and the structured diff shows
 what the policy bought: fewer factorizations (counter family) against
 near-identical Newton iteration counts and wall time (time family).
@@ -47,7 +48,7 @@ def record_run(ledger: RunLedger, jacobian_reuse: str) -> str:
 def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
         ledger = RunLedger(directory)
-        baseline_id = record_run(ledger, jacobian_reuse="off")
+        baseline_id = record_run(ledger, jacobian_reuse="auto")
         current_id = record_run(ledger, jacobian_reuse="chord")
         print()
         delta_view = diff(ledger.load(baseline_id), ledger.load(current_id))

@@ -18,7 +18,7 @@ The package provides, entirely in Python:
   transducers of the paper (Tables 2/3) in energy-based, closed-form and
   linearized equivalent-circuit forms,
 * :mod:`repro.linalg` -- the shared factorization-caching linear-solver
-  core (dense LU / SuperLU / CG backends, fingerprint-keyed factorization
+  core (dense LU / SuperLU backends, fingerprint-keyed factorization
   reuse, sparsity-pattern caching) behind every analysis layer,
 * :mod:`repro.fem` -- a 2D electrostatic finite-element solver standing in
   for ANSYS, plus structural beam/chain models and harmonic analysis,

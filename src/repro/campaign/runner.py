@@ -676,6 +676,11 @@ class CircuitEvaluator:
         this slice cannot be batched at all (differing option overrides,
         unmapped varying parameters, ...); a misconfigured ``param_map`` raises
         :class:`CampaignError` instead of silently degrading.
+
+        Under ``jacobian_reuse="chord"`` the batch is tolerance-only: the
+        block refactors on its worst lane, so a lane's iterates (and, near
+        the iteration cap, whether its point fails) can differ from the
+        serial run of that point.
         """
         if not self.batch_capable():
             return None

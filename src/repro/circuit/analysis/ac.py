@@ -12,14 +12,15 @@ Sweep caching
 Re-stamping every device at every frequency repeats work: for the device
 classes of this package the small-signal matrix has the exact form
 ``Y(omega) = G + j*omega*C + S/(j*omega)`` (conductances, ``ddt``
-susceptances and ``integ`` terms respectively).  Unless
-``options.jacobian_reuse == "off"``, the sweep assembles that decomposition
-once from probe frequencies, *verifies* it against a direct assembly at an
-independent probe, and then walks the grid as pure value updates + dense
+susceptances and ``integ`` terms respectively).  On a grid of at least 4
+frequencies the sweep assembles that decomposition once from probe
+frequencies, *verifies* it against a direct assembly at an independent
+probe, and then walks the grid as pure value updates + dense
 refactorizations through :mod:`repro.linalg` -- devices are never stamped
 again.  A circuit whose frequency dependence does not fit the decomposition
 fails the verification probe and transparently falls back to per-frequency
-assembly, so the fast path can never change which circuits are solvable.
+assembly (``sweep_mode == "direct"``), so the fast path can never change
+which circuits are solvable.
 
 This is precisely the analysis the paper uses to claim that HDL-A models
 "are valid for the dc, ac and transient SPICE analysis domains": a single
@@ -155,7 +156,7 @@ class ACAnalysis:
         integrator_states = dict(operating_point.integrator_states)
         solutions = None
         with telemetry.span("ac.sweep") as sweep_span:
-            if options.jacobian_reuse != "off" and self.frequencies.size >= 4:
+            if self.frequencies.size >= 4:
                 solutions = self._sweep_cached(system, op_values,
                                                integrator_states)
             if solutions is None:

@@ -339,7 +339,7 @@ def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
                    source_scale: float = 1.0,
                    workspace: NewtonWorkspace | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton over B stacked systems with per-lane convergence.
+    """Newton over B stacked systems with per-lane convergence.
 
     The batched front of :func:`~repro.circuit.analysis.op.newton_lanes`.
     Returns ``(x, solved, iterations)``: the per-lane solutions, a ``(B,)``
@@ -404,6 +404,11 @@ def batched_dcsweeps(circuit: Circuit, source_name: str,
     point records NaN and the lane restarts from zero.  Without it a failing
     lane is retired (``None``) so the serial path reproduces the exact
     error.  Retired lanes stop consuming batch work.
+
+    Under ``jacobian_reuse="chord"`` the lanes match serial only to the
+    Newton tolerance: the block refactors on its worst lane, so with
+    ``continue_on_failure`` a point near the iteration cap can be marked
+    failed in a different set of lanes than the serial sweeps mark.
     """
     sweep_values = np.asarray(list(values), dtype=float)
     if sweep_values.size == 0:

@@ -23,14 +23,15 @@ steps of a transient, points of a DC sweep), which is where the
 ``jacobian_reuse`` policies of
 :class:`~repro.circuit.analysis.options.SimulationOptions` live:
 
-* ``"off"`` factors every freshly assembled Jacobian,
 * ``"auto"`` matches the assembled Jacobian against recently factored
   matrices (exact array equality) and skips the refactor when the values
-  are unchanged -- bit-identical to ``"off"``, and a linear circuit at a
-  fixed step factors exactly once for a whole run,
+  are unchanged -- bit-identical to factoring every Jacobian, and a linear
+  circuit at a fixed step factors exactly once for a whole run,
 * ``"chord"`` keeps solving with the held factorization while assembling
-  the residual only (no derivative propagation at all); a stalling residual
-  or a step-size change triggers an automatic full-Newton refactor.
+  the residual only (no derivative propagation at all); a residual that
+  stops contracting by :data:`REFACTOR_THRESHOLD` per iteration, or a
+  change of step size, source level or analysis, triggers a full-Newton
+  refactor.
 
 When plain Newton from a zero initial guess fails (strongly nonlinear bias
 points such as an electrostatic transducer biased close to pull-in), the
@@ -104,7 +105,6 @@ class NewtonWorkspace:
         self.factor_reuses = 0
         self.chord_iterations = 0
         self.stall_refactors = 0
-        self.step_chord_reuses = 0
         #: Optional :class:`~repro.telemetry.ConvergenceDiagnostics` sink;
         #: analyses install one when ``options.telemetry`` asks for it and
         #: :func:`newton_solve` then records a residual trace per solve.
@@ -126,10 +126,8 @@ class NewtonWorkspace:
 
     def factor_with(self, system: MNASystem, ctx, factorize, depth: int):
         """``(factorization, fresh)`` of the context's Jacobian: the handle
-        of an equal matrix among the ``depth`` most recently factored ones
-        (none under ``jacobian_reuse="off"``), else ``factorize(matrix)``."""
-        if self.options.jacobian_reuse == "off":
-            depth = 0
+        of an equal matrix among the ``depth`` most recently factored ones,
+        else ``factorize(matrix)``."""
         matrix = ctx.jacobian()
         generation = system.structure_cache.generation if ctx.use_sparse else 0
         for index, (stored_gen, stored, handle) in enumerate(
@@ -154,7 +152,6 @@ class NewtonWorkspace:
             "factor_cache_hits": self.factor_reuses,
             "chord_iterations": self.chord_iterations,
             "stall_refactors": self.stall_refactors,
-            "step_chord_reuses": self.step_chord_reuses,
         }
 
 
@@ -166,38 +163,10 @@ def _chord_tag(system: MNASystem, analysis: str,
     return (analysis, step, source_scale, system.structure_cache.generation)
 
 
-#: Step ratios outside this window make the chord iteration matrix
-#: ``I - A(h_old)^-1 A(h_new)`` expansive in the companion-dominated worst
-#: case (the mismatch scales like ``h_old/h_new - 1``), so reuse is pointless
-#: -- the stall detector would refactor immediately anyway.
-_STEP_REUSE_RATIO = (0.5, 2.0)
-
-#: Tightening factor applied to the convergence tolerance while a solve is
-#: riding a step-mismatched factorization: with a contraction of at most 0.5
-#: per chord pass the accepted solution then sits within ~1/20 of the normal
-#: Newton tolerance of the exact answer, preserving the historical chord
-#: accuracy pins at the cost of a few extra residual-only assemblies.
-_CONFIRM_TIGHTEN = 0.02
-
-
-def _step_only_change(old: tuple | None, new: tuple) -> bool:
-    """True when two chord tags differ only in a *moderate* step change.
-
-    The LTE controller softly rejects a step (``h * 0.8 .. 0.9``) and grows
-    it after smooth stretches (up to ``max_step_growth``, default 2x); the
-    Jacobian then changes only through the companion conductances, so the
-    held factorization is still a contractive chord operator -- the residual
-    is assembled exactly at the new step, a confirming iteration guards the
-    convergence test, and the stall detector refactors if the step change
-    was too aggressive after all.  Hard rejections (``h * 0.2 .. 0.25``)
-    fall outside the ratio window and refactor as before.
-    """
-    if not (old is not None and old[0] == new[0] == "tran"
-            and old[1] is not None and new[1] is not None
-            and old[1] != new[1] and old[2:] == new[2:]):
-        return False
-    ratio = new[1] / old[1]
-    return _STEP_REUSE_RATIO[0] <= ratio <= _STEP_REUSE_RATIO[1]
+#: Chord stall criterion: a chord iteration must shrink the residual
+#: max-norm below this fraction of the previous iteration's, otherwise the
+#: Jacobian is refactored.
+REFACTOR_THRESHOLD = 0.5
 
 
 #: Why a lane retired, and the error :func:`newton_solve` raises for it.
@@ -239,7 +208,7 @@ class NewtonLanes:
 def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
                  workspace: NewtonWorkspace, tag: tuple,
                  norms: list | None = None) -> NewtonLanes:
-    """Damped Newton-Raphson over the ``(B, n)`` block ``x0``; never raises.
+    """Newton-Raphson over the ``(B, n)`` block ``x0``; never raises.
 
     The linear ``stage`` has ``system``, ``assemble(x, want_jacobian) ->
     (res, sick)`` (``sick``: None, or the ``(B,)`` mask of lanes with a
@@ -261,27 +230,9 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
     whole = True
     base_tol = np.where(np.arange(size) < stage.system.num_nodes,
                         options.vntol, options.abstol)[None]  # one (1, n) row
-    damping = options.newton_damping
     chord_allowed = options.jacobian_reuse == "chord"
     chord = (chord_allowed
              and ws.factorization is not None and ws.chord_tag == tag)
-    #: While riding a factorization from a *different* step size, a small
-    #: Newton update does not prove convergence (the chord operator is only
-    #: contractive, not exact): drive the cheap residual-only iteration to a
-    #: much tighter update tolerance and require one confirming pass, so the
-    #: accepted solution matches a freshly factored solve to well below the
-    #: Newton tolerance.  Extra residual assemblies cost a small fraction of
-    #: the factorization they replace.
-    require_confirm = False
-    if (chord_allowed and options.step_chord_reuse and not chord
-            and ws.factorization is not None
-            and _step_only_change(ws.chord_tag, tag)):
-        # A rejected (or re-grown) time step changed only ``h``: ride the
-        # accepted-step factorization instead of re-assembling from scratch.
-        chord = require_confirm = True
-        ws.chord_tag = tag
-        ws.step_chord_reuses += 1
-    confirmed = False
     # Past this point a chord solve that is still grinding is assumed to be
     # riding a stale Jacobian; refactor instead of burning the iteration cap.
     chord_limit = max(3, options.max_newton_iterations // 2)
@@ -303,7 +254,7 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
             if iteration >= chord_limit:
                 stall = True
             elif previous is not None:
-                grew = res_norm > options.refactor_threshold * previous
+                grew = res_norm > REFACTOR_THRESHOLD * previous
                 stall = (grew if whole else grew & open_).any()
             if stall:
                 res, sick = stage.assemble(x, True)
@@ -330,7 +281,6 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
             if stall:
                 ws.stall_refactors += 1
                 previous = None
-                require_confirm = False  # fresh factorization for this step
                 if iteration >= chord_limit:
                     # This solve is grinding: give the rest of it plain full
                     # Newton instead of re-assembling twice per iteration.
@@ -353,15 +303,9 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
             whole = False
         if not whole and not open_.any():
             break
-        step = damping * dx
-        x_new = x + step
+        x_new = x + dx
         tol = base_tol + options.reltol * np.maximum(np.abs(x), np.abs(x_new))
-        if require_confirm:
-            tol = _CONFIRM_TIGHTEN * tol
-        small = (np.abs(step) <= tol).all(axis=1)
-        # Under ``require_confirm``: two below-tolerance passes in a row.
-        done = small & confirmed if require_confirm else small
-        confirmed = small
+        done = (np.abs(dx) <= tol).all(axis=1)
         # Open lanes take the update (also on the converging iteration);
         # frozen and retired lanes keep theirs.
         if whole:
@@ -424,7 +368,7 @@ def newton_solve(system: MNASystem, x0: np.ndarray, analysis: str, time: float,
                  integrator: Integrator | None, options: SimulationOptions,
                  source_scale: float = 1.0,
                  workspace: NewtonWorkspace | None = None) -> tuple[np.ndarray, int]:
-    """Solve ``F(x) = 0`` by damped Newton-Raphson starting from ``x0``.
+    """Solve ``F(x) = 0`` by Newton-Raphson starting from ``x0``.
 
     The serial front of :func:`newton_lanes`: returns the converged solution
     and the number of iterations used, or raises the error of the retired

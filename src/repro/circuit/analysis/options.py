@@ -4,7 +4,10 @@ The knobs deliberately mirror the classic SPICE option names (RELTOL, ABSTOL,
 VNTOL, GMIN, ITL1/ITL4, TRTOL) so that option decks from the literature map
 one-to-one.  The defaults are tuned for the microsystem netlists of the
 paper: across variables span volts down to nanometre-per-second velocities,
-hence the fairly tight ``vntol``.
+hence the fairly tight ``vntol``.  Beyond that set, the Newton linear stage
+has two choices only: the solver routing (``linear_solver``) and the
+factorization-reuse policy (``jacobian_reuse``: exact-equality ``"auto"``
+or ``"chord"``).
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ class SimulationOptions:
         Smallest allowed step as a fraction of the requested print step.
     max_step_growth:
         Largest factor by which two consecutive steps may differ.
-    newton_damping:
-        Damping factor applied to Newton updates (1.0 = full steps).
     linear_solver:
         Linear-solve routing for the Newton updates, serial and batched
         alike: ``"auto"`` picks the sparse direct solver once the unknown
@@ -58,31 +59,22 @@ class SimulationOptions:
     jacobian_reuse:
         Factorization-reuse policy of the Newton linear stage:
 
-        * ``"off"`` -- factor the freshly assembled Jacobian on every
-          iteration (the historical behaviour),
         * ``"auto"`` (default) -- compare the assembled Jacobian against
           the recently factored matrices (exact array equality) and reuse
           the held factorization whenever the values are unchanged.
-          Bit-identical to ``"off"``; linear circuits factor once per
-          structure/step-size and sweeps/transients amortize it,
+          Bit-identical to factoring every Jacobian; linear circuits factor
+          once per structure/step-size and sweeps/transients amortize it,
         * ``"chord"`` -- additionally hold the factorization across
           iterations and accepted time steps, assembling residual-only
           (no derivatives) while it converges, with an automatic
-          full-Newton refactor when the residual stalls.  Fastest for
-          smooth nonlinear transients; iterates may differ from full
-          Newton within the convergence tolerance.
-    refactor_threshold:
-        Chord-Newton stall criterion: a chord iteration must shrink the
-        residual norm below ``refactor_threshold`` times the previous
-        iteration's norm, otherwise the Jacobian is refactored.
-    step_chord_reuse:
-        Chord-mode only: when a transient step is rejected (or re-grown) and
-        only the step size ``h`` changed, keep riding the accepted-step
-        factorization instead of refactoring (moderate step ratios only;
-        the solve then runs to a tightened update tolerance with a
-        confirming pass, and the stall detector still refactors when the
-        step change was too aggressive).  Disable to recover the historical
-        refactor-on-every-step-change chord behaviour exactly.
+          full-Newton refactor when the residual stalls and on every
+          step-size change.  Fastest for smooth nonlinear transients;
+          iterates may differ from full Newton within the convergence
+          tolerance.
+
+        AC sweeps of at least 4 frequencies take the cached
+        ``G + jwC + S/(jw)`` path under either policy (see
+        :mod:`repro.circuit.analysis.ac`).
     behavioral_compile:
         Compile behavioral models to generated kernels
         (:mod:`repro.hdl.compile`) instead of re-interpreting their
@@ -132,12 +124,9 @@ class SimulationOptions:
     trtol: float = 7.0
     min_step_ratio: float = 1e-9
     max_step_growth: float = 2.0
-    newton_damping: float = 1.0
     linear_solver: str = "auto"
     sparse_threshold: int = 256
     jacobian_reuse: str = "auto"
-    refactor_threshold: float = 0.5
-    step_chord_reuse: bool = True
     behavioral_compile: bool = True
     telemetry: str = "off"
     telemetry_max_records: int = 10000
@@ -159,8 +148,6 @@ class SimulationOptions:
         if self.integration_method not in ("trapezoidal", "backward_euler"):
             raise AnalysisError(
                 f"unknown integration method {self.integration_method!r}")
-        if not (0.0 < self.newton_damping <= 1.0):
-            raise AnalysisError("newton_damping must be in (0, 1]")
         if self.max_step_growth < 1.1:
             raise AnalysisError("max_step_growth must be at least 1.1")
         if self.linear_solver not in ("auto", "dense", "sparse"):
@@ -169,12 +156,10 @@ class SimulationOptions:
                 "(use 'auto', 'dense' or 'sparse')")
         if self.sparse_threshold < 1:
             raise AnalysisError("sparse_threshold must be at least 1")
-        if self.jacobian_reuse not in ("off", "auto", "chord"):
+        if self.jacobian_reuse not in ("auto", "chord"):
             raise AnalysisError(
                 f"unknown jacobian_reuse policy {self.jacobian_reuse!r} "
-                "(use 'off', 'auto' or 'chord')")
-        if not (0.0 < self.refactor_threshold < 1.0):
-            raise AnalysisError("refactor_threshold must be in (0, 1)")
+                "(use 'auto' or 'chord')")
         if self.telemetry not in ("off", "summary", "full"):
             raise AnalysisError(
                 f"unknown telemetry level {self.telemetry!r} "

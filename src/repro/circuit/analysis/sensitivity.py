@@ -537,8 +537,8 @@ def ac_sensitivities(analysis: "ACAnalysis", params: Iterable,
     adjoint/direct machinery -- is formed by *assembly-level* central
     differences along the combined direction ``(dp_k, dx0/dp_k)``.
 
-    Unless ``options.jacobian_reuse == "off"``, those differences are taken
-    only at three probe frequencies per parameter: the derivative matrix is
+    On a grid of at least 4 frequencies those differences are taken only
+    at three probe frequencies per parameter: the derivative matrix is
     split into its own verified ``dG + jw*dC + dS/(jw)`` decomposition (see
     :func:`_ac_parameter_decomposition`) and the sweep applies it as pure
     value updates, never re-stamping devices per frequency.  Circuits whose
@@ -583,7 +583,7 @@ def ac_sensitivities(analysis: "ACAnalysis", params: Iterable,
 
     frequencies = analysis.frequencies
     decomposition = None
-    if options.jacobian_reuse != "off" and frequencies.size >= 4:
+    if frequencies.size >= 4:
         decomposition = _ac_parameter_decomposition(
             system, refs, base_values, steps, x0, dx0, integrator_states,
             options, frequencies)

@@ -95,8 +95,7 @@ def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray,
     constrained row or column, and a unit diagonal on the constrained
     nodes is added: the sparse sum drops the zeroed entries and inserts a
     diagonal the input did not store.  The elimination keeps the matrix
-    symmetric, which matters for the conjugate-gradient option of the
-    solver.
+    symmetric.
     """
     if not node_values:
         raise FEMError("at least one Dirichlet constraint is required")

@@ -171,7 +171,7 @@ class ParallelPlateProblem:
         """Fringe-free attractive force ``eps A V^2 / (2 gap^2)``."""
         return 0.5 * self.permittivity * self.area * voltage * voltage / (self.gap * self.gap)
 
-    def solve(self, voltage: float, method: str = "direct") -> ElectrostaticSolution:
+    def solve(self, voltage: float) -> ElectrostaticSolution:
         """Solve the potential problem with the top electrode at ``voltage``."""
         mesh = self.mesh
         stiffness = assemble_stiffness(mesh, permittivity=self.permittivity)
@@ -179,7 +179,7 @@ class ParallelPlateProblem:
         constraints = dict.fromkeys(mesh.bottom_nodes().tolist(), 0.0)
         constraints.update(dict.fromkeys(mesh.top_nodes().tolist(), float(voltage)))
         matrix, rhs = apply_dirichlet(stiffness, rhs, constraints)
-        potential = solve_sparse(matrix, rhs, method=method)
+        potential = solve_sparse(matrix, rhs)
         connectivity = mesh.element_connectivity()
         field = -element_gradient(mesh.node_coordinates()[connectivity],
                                   potential[connectivity])

@@ -1,8 +1,8 @@
 """Sparse linear solves and eigensolves for the FE problems.
 
-The plain linear solves are thin wrappers over :mod:`repro.linalg` -- the
-shared factorization-caching solver core -- keeping the historical FE-facing
-signature and :class:`~repro.errors.FEMError` semantics.  Callers that solve
+The plain linear solve is a thin wrapper over :mod:`repro.linalg` -- the
+shared factorization-caching solver core -- giving the FE layer one SuperLU
+direct solve with :class:`~repro.errors.FEMError` semantics.  Callers that solve
 the same matrix repeatedly should hold a
 :class:`~repro.linalg.FactorizedSolver` factorization (or a
 :class:`~repro.linalg.FactorizationCache`) instead of calling
@@ -23,16 +23,11 @@ from ..linalg import FactorizedSolver
 __all__ = ["solve_sparse", "solve_generalized_eig"]
 
 
-def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, method: str = "direct",
-                 rtol: float = 1e-10) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` with a sparse direct or iterative method.
+def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` by SuperLU.
 
-    ``method`` is ``"direct"`` (SuperLU, default) or ``"cg"`` (conjugate
-    gradients with a Jacobi preconditioner -- the assembled Laplace matrices
-    are symmetric positive definite after Dirichlet elimination).  ``rtol``
-    is the relative tolerance of the iterative method.  A non-converging CG
-    iteration raises (no silent fallback): the FE callers choose ``"cg"``
-    deliberately and the failure usually indicates a modelling error.
+    A singular matrix (usually missing boundary conditions, i.e. a modelling
+    error) raises :class:`~repro.errors.FEMError` with a forensic report.
     """
     rhs = np.asarray(rhs, dtype=float)
     if matrix.shape[0] != matrix.shape[1]:
@@ -40,21 +35,18 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, method: str = "direct",
     if rhs.shape != (matrix.shape[0],):
         raise FEMError(
             f"right-hand side has shape {rhs.shape}, expected ({matrix.shape[0]},)")
-    if method not in ("direct", "cg"):
-        raise FEMError(f"unknown solve method {method!r} (use 'direct' or 'cg')")
-    solver = FactorizedSolver("superlu" if method == "direct" else "cg",
-                              rtol=rtol)
     try:
-        with telemetry.span("fem.solve", method=method, size=int(matrix.shape[0])):
-            return solver.solve(sp.csr_matrix(matrix), rhs)
+        with telemetry.span("fem.solve", size=int(matrix.shape[0])):
+            return FactorizedSolver("superlu").solve(sp.csr_matrix(matrix),
+                                                     rhs)
     except LinAlgError as exc:
         # The failure path always captures forensics (no knob: FE callers
         # have no SimulationOptions, and the diagnosis only runs on failure).
-        message = f"sparse {method} solve failed: {exc}"
+        message = f"sparse direct solve failed: {exc}"
         report = telemetry.forensics.newton_failure(
-            kind="fem", analysis=f"fem.{method}", message=message,
+            kind="fem", analysis="fem.direct", message=message,
             error_type="FEMError", matrix=matrix,
-            context={"size": int(matrix.shape[0]), "rtol": rtol})
+            context={"size": int(matrix.shape[0])})
         error = FEMError(message)
         error.report = report
         raise error from exc

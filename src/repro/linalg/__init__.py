@@ -2,10 +2,9 @@
 
 One subsystem owns every ``A x = b`` in the reproduction:
 
-* :class:`~repro.linalg.solvers.FactorizedSolver` abstracts the backends
-  (dense LAPACK LU, SuperLU, and Jacobi-preconditioned CG for symmetric
-  positive-definite systems, which raises
-  :class:`~repro.errors.LinAlgError` when it cannot solve) behind
+* :class:`~repro.linalg.solvers.FactorizedSolver` abstracts the two direct
+  backends (dense LAPACK LU and SuperLU, both raising
+  :class:`~repro.errors.LinAlgError` on a singular matrix) behind
   :class:`~repro.linalg.solvers.Factorization` handles -- factor once,
   back-substitute many times,
 * :class:`~repro.linalg.cache.FactorizationCache` keys those handles on

@@ -17,10 +17,6 @@ Backends
     ``np.linalg.solve``), real or complex.
 ``superlu``
     SciPy's SuperLU direct factorization of a sparse matrix.
-``cg``
-    Jacobi-preconditioned conjugate gradients (SPD systems such as the FE
-    stiffness matrix).  No true factorization exists; the handle re-runs
-    the iteration per right-hand side and raises when it stalls.
 ``auto``
     ``superlu`` for sparse input, ``dense`` otherwise.
 
@@ -43,11 +39,7 @@ from ..errors import LinAlgError
 
 __all__ = ["Factorization", "FactorizedSolver", "BACKENDS"]
 
-BACKENDS = ("auto", "dense", "superlu", "cg")
-
-#: Iteration cap of the conjugate-gradient backend (matches the historical
-#: FE solver setting).
-_CG_MAXITER = 20000
+BACKENDS = ("auto", "dense", "superlu")
 
 #: Iteration cap of the Hager/Higham 1-norm inverse estimator.  Convergence
 #: in 2-3 iterations is typical; the cap only bounds pathological cycling.
@@ -112,7 +104,7 @@ def _hager_inverse_norm1(solve, solve_transposed, n: int) -> float:
 
 
 class Factorization:
-    """Handle to a factored (or otherwise solvable) system matrix."""
+    """Handle to a factored system matrix."""
 
     #: Name of the backend that produced this handle.
     backend: str = "abstract"
@@ -131,9 +123,9 @@ class Factorization:
     def condition_estimate(self) -> float:
         """Cheap 1-norm condition-number estimate of the factored matrix.
 
-        Dense LU uses LAPACK ``gecon`` on the stored factors; the sparse and
-        iterative backends run a deterministic Hager/Higham iteration on
-        forward/transposed back-substitutions.  Costs a handful of
+        Dense LU uses LAPACK ``gecon`` on the stored factors; SuperLU runs a
+        deterministic Hager/Higham iteration on forward/transposed
+        back-substitutions.  Costs a handful of
         back-substitutions, is cached on the handle, and never refactors.
         Returns ``inf`` for a numerically singular matrix.
         """
@@ -302,106 +294,20 @@ class _SparseLU(Factorization):
         return anorm * _hager_inverse_norm1(forward, transposed, self.shape[0])
 
 
-class _JacobiCG(Factorization):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
-
-    There is no factorization to hold; the handle keeps the matrix and the
-    preconditioner and re-runs the iteration per right-hand side.  A
-    missing preconditioner (zero diagonal entry), a stalled iteration and a
-    transposed solve of a non-symmetric matrix raise
-    :class:`~repro.errors.LinAlgError`.
-    """
-
-    backend = "cg"
-
-    def __init__(self, matrix, rtol: float) -> None:
-        if np.iscomplexobj(matrix):
-            raise LinAlgError(
-                "the cg backend handles real symmetric-positive-definite "
-                "systems only; use the dense or superlu backend for complex "
-                "matrices")
-        self._matrix = sp.csr_matrix(matrix)
-        super().__init__(self._matrix.shape)
-        self._rtol = float(rtol)
-        self._symmetric: bool | None = None
-        diagonal = self._matrix.diagonal()
-        if np.any(diagonal == 0.0):
-            # No Jacobi preconditioner exists (e.g. MNA voltage-source rows).
-            raise LinAlgError(
-                "zero diagonal entry; cannot build Jacobi preconditioner")
-        self._preconditioner = spla.LinearOperator(
-            self._matrix.shape, matvec=lambda x, d=diagonal: x / d)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = self._check_rhs(rhs)
-        if rhs.ndim == 2:
-            return np.column_stack([self.solve(rhs[:, j])
-                                    for j in range(rhs.shape[1])])
-        if np.iscomplexobj(rhs):
-            # The matrix is real (enforced at construction): solve the real
-            # and imaginary parts independently.
-            return self.solve(np.ascontiguousarray(rhs.real)) \
-                + 1j * self.solve(np.ascontiguousarray(rhs.imag))
-        solution, info = spla.cg(self._matrix, np.asarray(rhs, dtype=float),
-                                 rtol=self._rtol, maxiter=_CG_MAXITER,
-                                 M=self._preconditioner)
-        if info != 0:
-            raise LinAlgError(
-                f"conjugate-gradient solve did not converge (info={info})")
-        return np.asarray(solution, dtype=float)
-
-    def _require_symmetric(self, what: str) -> None:
-        if self._symmetric is None:
-            difference = (self._matrix - self._matrix.T).tocoo()
-            if difference.nnz == 0:
-                self._symmetric = True
-            else:
-                scale = float(np.abs(self._matrix.data).max()) \
-                    if self._matrix.nnz else 1.0
-                self._symmetric = bool(
-                    np.abs(difference.data).max() <= 1e-14 * max(scale, 1e-300))
-        if not self._symmetric:
-            # CG never applies to A^T != A, and silently answering the
-            # forward system would corrupt adjoint gradients.
-            raise LinAlgError(f"cg {what} needs a symmetric matrix (A^T != A)")
-
-    def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = self._check_rhs(rhs)
-        self.transpose_solves += 1
-        telemetry.registry.inc("linalg.transpose_solves", 1)
-        self._require_symmetric("transposed solve")
-        # A^T == A: the transposed solve IS the forward CG solve.
-        return self.solve(rhs)
-
-    def _estimate_condition(self) -> float:
-        anorm = _norm1(self._matrix)
-        if anorm == 0.0:
-            return float("inf")
-        self._require_symmetric("condition estimate")
-        # Symmetric system: the transposed solve IS the forward CG solve.
-        return anorm * _hager_inverse_norm1(self.solve, self.solve,
-                                            self.shape[0])
-
-
 class FactorizedSolver:
     """Factory for :class:`Factorization` handles with backend selection.
 
     Parameters
     ----------
     backend:
-        One of ``"auto"``, ``"dense"``, ``"superlu"``, ``"cg"``.
-    rtol:
-        Relative tolerance of the iterative (CG) backend.
+        One of ``"auto"``, ``"dense"``, ``"superlu"``.
     """
 
-    def __init__(self, backend: str = "auto", rtol: float = 1e-10) -> None:
+    def __init__(self, backend: str = "auto") -> None:
         if backend not in BACKENDS:
             raise LinAlgError(
                 f"unknown linear-solver backend {backend!r} (use one of {BACKENDS})")
-        if rtol <= 0.0:
-            raise LinAlgError("rtol must be positive")
         self.backend = backend
-        self.rtol = float(rtol)
         #: Number of factorizations produced (reuse diagnostics).
         self.factorizations = 0
 
@@ -424,10 +330,8 @@ class FactorizedSolver:
         if backend == "dense":
             dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
             handle = _DenseLU(dense)
-        elif backend == "superlu":
-            handle = _SparseLU(matrix)
         else:
-            handle = _JacobiCG(matrix, rtol=self.rtol)
+            handle = _SparseLU(matrix)
         if t0 is not None:
             telemetry.registry.observe(f"linalg.factorize.{backend}_s",
                                        time.perf_counter() - t0)

@@ -321,7 +321,10 @@ def replay(bundle, build=None, circuit=None) -> ReplayResult:
     ``bundle`` is a :class:`ReproductionBundle` or a path to one.  The
     circuit is rebuilt from ``circuit`` (given directly), ``build`` (a
     factory called with the bundled parameter point), or the factory
-    recorded in the bundle by qualified name -- in that order.
+    recorded in the bundle by qualified name -- in that order.  A bundle
+    whose options name a field :class:`SimulationOptions` no longer has
+    (dumped by an older version) raises :class:`~repro.errors.AnalysisError`
+    naming those fields.
     """
     if not isinstance(bundle, ReproductionBundle):
         bundle = ReproductionBundle.load(bundle)
@@ -330,8 +333,14 @@ def replay(bundle, build=None, circuit=None) -> ReplayResult:
     from ..circuit.analysis.op import OperatingPointAnalysis
     from ..circuit.analysis.options import SimulationOptions
     from ..circuit.analysis.transient import TransientAnalysis
-    from ..errors import ReproError
+    from ..errors import AnalysisError, ReproError
 
+    unknown = sorted(set(bundle.options)
+                     - {f.name for f in dataclasses.fields(SimulationOptions)})
+    if unknown:
+        raise AnalysisError(
+            f"bundle options name unknown SimulationOptions fields {unknown} "
+            "(dumped by an older version?)")
     if circuit is None:
         factory = build if build is not None else (
             _resolve_qualified(bundle.build) if bundle.build else None)

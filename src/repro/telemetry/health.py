@@ -5,7 +5,7 @@ Three ingredients, all cheap enough to run on demand:
 
 - :func:`check_factorization` turns the 1-norm condition estimate a
   :class:`repro.linalg.Factorization` handle can compute (LAPACK ``gecon``
-  for dense LU, a deterministic Hager/Higham iteration for SuperLU/CG) into
+  for dense LU, a deterministic Hager/Higham iteration for SuperLU) into
   a :class:`ConditionRecord`, feeds the ``linalg.condition_estimate``
   histogram, and emits a :class:`NumericalHealthWarning` when the estimate
   crosses the caller's limit.  Opt-in via ``SimulationOptions.health_check``

@@ -137,7 +137,6 @@ SITES = {
     "batched_factorize": (_batched_factorize, {"factorizations": LANES}),
     "transposed_dense": (_transposed("dense"), {"transpose_solves": 1}),
     "transposed_superlu": (_transposed("superlu"), {"transpose_solves": 1}),
-    "transposed_cg": (_transposed("cg"), {"transpose_solves": 1}),
     "batched_transposed_dense": (_batched_transposed("dense"),
                                  {"transpose_solves": LANES}),
     "batched_transposed_superlu": (_batched_transposed("superlu"),

@@ -108,13 +108,11 @@ TRAN_PINS = {
     "auto": ("bedd64d4085268b9a0a621abf25f41fb8ba10288d66f578d7344edae31befbb0",
              {"accepted": 300, "rejected": 0, "newton_iterations": 435,
               "points": 301, "factorizations": 411, "factor_cache_hits": 24,
-              "chord_iterations": 0, "stall_refactors": 0,
-              "step_chord_reuses": 0}),
-    "chord": ("3e97e0c23e9e9b1414efdbd35f565be9e1e07cf905cfb05702fead08e2a1d1d9",
-              {"accepted": 300, "rejected": 0, "newton_iterations": 451,
-               "points": 301, "factorizations": 3, "factor_cache_hits": 0,
-               "chord_iterations": 448, "stall_refactors": 2,
-               "step_chord_reuses": 9}),
+              "chord_iterations": 0, "stall_refactors": 0}),
+    "chord": ("10178d80f834d90396f22164fc4b5b6f5e4bb72f69e47b47ac139797b243088a",
+              {"accepted": 300, "rejected": 0, "newton_iterations": 435,
+               "points": 301, "factorizations": 9, "factor_cache_hits": 1,
+               "chord_iterations": 425, "stall_refactors": 0}),
 }
 
 
@@ -139,7 +137,7 @@ def test_source_stepping_op_pinned():
     assert op.iterations == 78
     assert workspace.statistics() == {
         "factorizations": 82, "factor_cache_hits": 4, "chord_iterations": 0,
-        "stall_refactors": 0, "step_chord_reuses": 0}
+        "stall_refactors": 0}
     assert digest(op.raw) == \
         "a4d3aa9f5e4011f2d4b8810268b2bd4ff4b4e527d4298603673a8e2245bb3069"
 

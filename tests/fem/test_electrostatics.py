@@ -45,23 +45,6 @@ class TestAssemblyAndSolver:
         with pytest.raises(FEMError):
             apply_dirichlet(stiffness, np.zeros(mesh.num_nodes), {})
 
-    def test_cg_solver_agrees_with_direct(self):
-        mesh = RectangularMesh(1.0, 1.0, 6, 6)
-        stiffness = assemble_stiffness(mesh)
-        rhs = np.zeros(mesh.num_nodes)
-        constraints = {int(n): 0.0 for n in mesh.bottom_nodes()}
-        constraints.update({int(n): 1.0 for n in mesh.top_nodes()})
-        matrix, rhs = apply_dirichlet(stiffness, rhs, constraints)
-        direct = solve_sparse(matrix, rhs, method="direct")
-        iterative = solve_sparse(matrix, rhs, method="cg")
-        assert np.allclose(direct, iterative, atol=1e-8)
-
-    def test_unknown_method_rejected(self):
-        mesh = RectangularMesh(1.0, 1.0, 2, 2)
-        stiffness = assemble_stiffness(mesh)
-        with pytest.raises(FEMError):
-            solve_sparse(stiffness, np.zeros(mesh.num_nodes), method="magic")
-
 
 class TestParallelPlateSolution:
     def test_potential_varies_linearly_across_gap(self, solution):

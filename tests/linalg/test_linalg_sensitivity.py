@@ -51,22 +51,6 @@ class TestTransposeSolves:
         np.testing.assert_allclose(matrix.T @ solution, rhs, atol=1e-10)
         assert not np.allclose(np.conj(matrix).T @ solution, rhs)
 
-    def test_cg_symmetric_transpose_is_forward(self):
-        rng = np.random.default_rng(3)
-        half = rng.standard_normal((7, 7))
-        spd = half @ half.T + 7 * np.eye(7)
-        handle = FactorizedSolver("cg").factorize(sp.csr_matrix(spd))
-        rhs = rng.standard_normal(7)
-        solution = handle.solve_transposed(rhs)
-        np.testing.assert_allclose(spd.T @ solution, rhs, atol=1e-6)
-        assert handle.transpose_solves == 1
-
-    def test_cg_nonsymmetric_transpose_without_fallback_raises(self):
-        matrix = np.array([[2.0, 1.0], [0.0, 3.0]])
-        handle = FactorizedSolver("cg").factorize(sp.csr_matrix(matrix))
-        with pytest.raises(LinAlgError, match="symmetric"):
-            handle.solve_transposed(np.array([1.0, 1.0]))
-
     def test_block_rhs(self):
         matrix = _well_conditioned(5, seed=4)
         handle = FactorizedSolver("dense").factorize(matrix)

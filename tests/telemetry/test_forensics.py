@@ -18,7 +18,7 @@ import pytest
 from repro import telemetry
 from repro.circuit import Circuit, SimulationOptions
 from repro.circuit.analysis.op import OperatingPointAnalysis
-from repro.errors import ConvergenceError
+from repro.errors import AnalysisError, ConvergenceError
 from repro.telemetry import forensics, registry
 
 
@@ -248,6 +248,15 @@ class TestBundles:
         path, _ = self._dump(tmp_path, drive=0.5)
         outcome = forensics.replay(path, circuit=build_starved_diode(0.7))
         assert outcome.fingerprint_match is False
+
+    def test_replay_names_unknown_option_fields(self, tmp_path):
+        # A bundle dumped by a version with other SimulationOptions fields.
+        path, _ = self._dump(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["options"]["retired_knob"] = 0.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(AnalysisError, match="retired_knob"):
+            forensics.replay(path, build=build_starved_diode)
 
     def test_replay_without_any_factory_raises(self):
         bundle = forensics.ReproductionBundle(analysis="op")
