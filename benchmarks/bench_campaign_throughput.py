@@ -25,7 +25,11 @@ than serially, at per-point parity within 1e-12, with no device stamped
 per lane (``mna.batch.lane_stamps`` in the batch run's own
 ``result.metrics`` must stay 0).  Unlike the pool
 comparison this floor holds on a single CPU -- the win is vectorization,
-not parallelism -- so CI enforces it unconditionally.
+not parallelism -- so CI enforces it unconditionally.  A third benchmark
+holds the behavioral batch path to the same gates: the ladder with every
+diode a behavioral model ``isat * (exp(v / vt) - 1)`` (``vdd ~ N(1,
+0.1)``), each stamping all lanes through one call of its compiled
+``"lanes"`` stamp function, with no failed point.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ import time
 import pytest
 
 from conftest import report
+from repro.ad.functions import exp
 from repro.campaign import (CampaignRunner, CircuitEvaluator, MonteCarlo,
                             Normal, ResultCache)
 from repro.circuit import Circuit
+from repro.circuit.devices.behavioral import BehavioralDevice, Port
+from repro.natures import ELECTRICAL
 from repro.pxt import ParameterExtractor
 from repro.system import PAPER_PARAMETERS
 
@@ -158,14 +165,32 @@ def _build_ladder(params: dict) -> Circuit:
     return circuit
 
 
-def test_batched_backend_throughput(benchmark):
-    spec = MonteCarlo({"vdd": Normal(5.0, 0.5),
-                       "rscale": Normal(100.0, 10.0)},
-                      samples=BATCH_POINTS, seed=42)
-    serial_evaluator = CircuitEvaluator(_build_ladder)
-    batch_evaluator = CircuitEvaluator(
-        _build_ladder,
-        param_map={"vdd": "VS.dc", "rscale": "R0.resistance"})
+def _behavioral_diode(ctx):
+    v = ctx.across("e")
+    ctx.contribute("e", ctx.param("isat") * (exp(v / ctx.param("vt")) - 1.0))
+
+
+def _build_behavioral_ladder(params: dict) -> Circuit:
+    """The diode ladder with behavioral diodes; every device stamps
+    batch-vectorized."""
+    circuit = Circuit("behavioral ladder")
+    circuit.voltage_source("VS", "n0", "0", params.get("vdd", 1.0))
+    for i in range(BATCH_SECTIONS):
+        circuit.resistor(f"R{i}", f"n{i}", f"n{i + 1}", 100.0)
+        circuit.add(BehavioralDevice(
+            f"D{i}", [Port("e", circuit.electrical_node(f"n{i + 1}"),
+                           circuit.ground, ELECTRICAL)],
+            _behavioral_diode, params={"isat": 1e-9, "vt": 0.05}))
+    return circuit
+
+
+def _check_batched_throughput(benchmark, title, circuit_line, spec, build,
+                              param_map):
+    """Gate the batch backend against serial on one Monte-Carlo campaign:
+    >= the speedup floor, parity within 1e-12, no failed point and no
+    per-lane device stamp."""
+    serial_evaluator = CircuitEvaluator(build)
+    batch_evaluator = CircuitEvaluator(build, param_map=param_map)
 
     batch_result = benchmark.pedantic(
         lambda: CampaignRunner(backend="batch").run(spec, batch_evaluator),
@@ -187,9 +212,8 @@ def test_batched_backend_throughput(benchmark):
     assert worst <= 1e-12, f"batched results drifted: {worst:.2e}"
 
     speedup = serial_s / batch_s
-    report("Batched campaign throughput: 256-point Monte-Carlo op", [
-        f"circuit: {BATCH_SECTIONS}-section diode ladder, "
-        f"{BATCH_POINTS} Monte-Carlo samples (seed 42)",
+    report(title, [
+        circuit_line,
         f"serial backend : {serial_s:8.3f} s  "
         f"({BATCH_POINTS / serial_s:7.1f} points/s)",
         f"batch backend  : {batch_s:8.3f} s  "
@@ -208,3 +232,23 @@ def test_batched_backend_throughput(benchmark):
         f"batched backend ({batch_s:.3f} s) should be >= "
         f"{BATCH_SPEEDUP_FLOOR:.0f}x faster than serial ({serial_s:.3f} s); "
         f"measured {speedup:.2f}x")
+
+
+def test_batched_backend_throughput(benchmark):
+    _check_batched_throughput(
+        benchmark, "Batched campaign throughput: 256-point Monte-Carlo op",
+        f"circuit: {BATCH_SECTIONS}-section diode ladder, "
+        f"{BATCH_POINTS} Monte-Carlo samples (seed 42)",
+        MonteCarlo({"vdd": Normal(5.0, 0.5), "rscale": Normal(100.0, 10.0)},
+                   samples=BATCH_POINTS, seed=42),
+        _build_ladder, {"vdd": "VS.dc", "rscale": "R0.resistance"})
+
+
+def test_batched_behavioral_backend_throughput(benchmark):
+    _check_batched_throughput(
+        benchmark,
+        "Batched behavioral campaign throughput: 256-point Monte-Carlo op",
+        f"circuit: {BATCH_SECTIONS}-section behavioral diode ladder, "
+        f"{BATCH_POINTS} Monte-Carlo samples (seed 42)",
+        MonteCarlo({"vdd": Normal(1.0, 0.1)}, samples=BATCH_POINTS, seed=42),
+        _build_behavioral_ladder, {"vdd": "VS.dc"})

@@ -10,7 +10,8 @@ Newton engine (:func:`~repro.circuit.analysis.op.newton_lanes`) over it:
   stamp with *one* call of their unchanged ``stamp`` on a group view --
   index-column terminals, stacked ``(k, 1)`` / ``(k, B)`` parameter
   columns -- while the other batch-safe devices (sources holding a
-  waveform, behavioral vector kernels) stamp alone with ``(B,)`` lanes,
+  waveform, behavioral devices with a ``"lanes"`` stamp function) stamp
+  alone with ``(B,)`` lanes,
 * every ``add_*`` call writes a value buffer at a precomputed slot, and an
   ordered scatter (:class:`~repro.circuit.mna.BatchScatter`) adds each
   entry's contributions in device order -- bitwise equal to stamping
@@ -197,9 +198,9 @@ class BatchPlan:
     Built once per system and split (:func:`batch_plan`).  Batch-safe
     devices of a ``batch_grouped`` class stamp as one group view per class
     (:class:`_Group`); the other batch-safe devices -- sources holding a
-    waveform, behavioral vector-kernel devices -- stamp alone, still
-    through the shared value buffers; ``lane_devices`` stamp per lane,
-    through their stamp programs (``lane_programs``).  The
+    waveform, behavioral devices with a ``"lanes"`` stamp function --
+    stamp alone, still through the shared value buffers; ``lane_devices``
+    stamp per lane, through their stamp programs (``lane_programs``).  The
     :class:`~repro.circuit.mna.BatchScatter` of ``entries`` is probed on
     the first assembly (and again should the stamp calls ever change).
     """

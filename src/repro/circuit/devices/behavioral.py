@@ -345,13 +345,16 @@ class BehavioralDevice(Device):
     # --------------------------------------------------------------- batching
     @property
     def batch_safe(self) -> bool:
-        """Whether one vectorized stamp covers a whole batch of lanes.
+        """Whether one stamp call covers a whole batch of lanes.
 
         True once the behaviour has compiled to a single guard-free
-        operating-point kernel (:mod:`repro.hdl.compile`); reading this
-        property triggers that compile attempt.  Guarded or untraceable
-        behaviours stay on the per-lane path, where the batched assembler
-        runs the lane devices' stamp program on each ``lane_context``.
+        operating-point variant (:mod:`repro.hdl.compile`), whose
+        ``"lanes"`` stamp function then stamps every lane, and every
+        parameter it reads is a float, a lane column or a widenable
+        number; reading this property triggers that compile attempt.
+        Guarded or untraceable behaviours, and parameters such as a bool,
+        stay on the per-lane path, where the batched assembler runs the
+        lane devices' stamp program on each ``lane_context``.
         """
         return _compile_runtime().batch_ready(self)
 
@@ -362,7 +365,7 @@ class BehavioralDevice(Device):
 
     # ------------------------------------------------------------------ stamping
     def stamp(self, ctx: StampContext) -> None:
-        # Batch contexts may stamp every lane through the vector kernel;
+        # Batch contexts may stamp every lane through a lanes stamp function;
         # serial assemblies reach compiled code through stamp programs
         # (:mod:`repro.hdl.compile.runtime`), so this is the interpreter.
         if _compile_runtime().try_stamp(self, ctx):

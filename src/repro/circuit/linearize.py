@@ -7,13 +7,14 @@ conductance matrix ``G`` and capacitance/susceptance matrix ``C`` such that
 ``Y(omega) = G + j*omega*C`` around the DC bias, and computes driving-point
 or transfer quantities from them.
 
-The extraction solves the complex small-signal system at two angular
-frequencies and separates the real part (frequency independent for the device
-classes supported here) from the imaginary part (proportional to ``omega``).
-This is exact for circuits whose reactive elements are linear-in-``omega``
-admittances -- true for every built-in device and for behavioral models whose
-``ddt``/``integ`` operators appear linearly, which covers the paper's
-transducers.
+The extraction assembles the complex small-signal system at two angular
+frequencies and splits it with the AC analysis' own
+:func:`~repro.circuit.analysis.ac.gcs_decompose` into ``G + j*omega*C +
+S/(j*omega)``.  ``G``/``C`` is exact for circuits whose reactive elements
+are linear-in-``omega`` admittances -- every built-in device and behavioral
+``ddt`` terms.  An ``integ`` term (a behavioral spring, a transducer's
+displacement state) puts a non-zero ``S`` on the system, which no ``(G, C)``
+pair can represent, so the extraction refuses it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from ..errors import AnalysisError, LinAlgError
 from ..linalg import FactorizedSolver
+from .analysis.ac import gcs_decompose
 from .analysis.op import OperatingPointAnalysis
 from .analysis.options import SimulationOptions
 from .analysis.results import OperatingPoint
@@ -38,7 +40,10 @@ def small_signal_matrices(circuit: Circuit, operating_point: OperatingPoint | No
     """Extract the (G, C) small-signal matrices of ``circuit`` around its bias.
 
     Returns ``(G, C, system)`` where the matrices are dense numpy arrays in
-    the MNA unknown ordering of ``system``.
+    the MNA unknown ordering of ``system`` and ``Y(omega) = G + j*omega*C``.
+    Raises :class:`~repro.errors.AnalysisError` naming the unknowns of the
+    non-zero ``S/(j*omega)`` entries when the admittance has ``integ``
+    terms.
     """
     options = options or SimulationOptions()
     system = MNASystem(circuit)
@@ -50,9 +55,15 @@ def small_signal_matrices(circuit: Circuit, operating_point: OperatingPoint | No
     omega = 2.0 * np.pi * probe_frequency
     y1 = system.assemble_ac(operating_point.raw, omega, states, options).matrix
     y2 = system.assemble_ac(operating_point.raw, 2.0 * omega, states, options).matrix
-    # Y(w) = G + j w C  =>  C = Im(Y2 - Y1) / w,  G = Re(Y1)
-    conductance = np.real(y1)
-    capacitance = np.imag(y2 - y1) / omega
+    conductance, capacitance, integ_map = gcs_decompose(y1, y2, omega,
+                                                        2.0 * omega)
+    if np.any(integ_map):
+        labels = system.unknown_labels()
+        rows, cols = np.nonzero(integ_map)
+        unknowns = sorted({labels[i] for i in np.concatenate((rows, cols))})
+        raise AnalysisError(
+            f"small-signal admittance has integ terms (S/(jw)) at "
+            f"{', '.join(unknowns)}; Y = G + jwC cannot represent them")
     return conductance, capacitance, system
 
 

@@ -3,9 +3,9 @@
 Lowers behavioral models -- Python behaviour closures and elaborated HDL-A
 architectures alike -- to a typed expression IR by concolic tracing
 (:mod:`.trace`), simplifies it with bitwise-exact passes (:mod:`.passes`),
-and emits the stamp functions MNA assembly runs -- dense and sparse
-residual/Jacobian, residual-only and output-record -- plus a
-lane-vectorized kernel for batched assembly (:mod:`.codegen`).
+and emits, from one printer, the stamp functions MNA assembly runs --
+dense and sparse residual/Jacobian, residual-only, output-record, and the
+batch-lane residual/Jacobian of a ``BatchStampContext`` (:mod:`.codegen`).
 :mod:`.runtime` wires them into ``BehavioralDevice`` stamping -- one stamp
 program per device list, mode and task -- with the interpreter retained as
 the verified fallback.

@@ -1,34 +1,29 @@
 """Code generation from the traced IR.
 
-Two kinds of function are generated from one :class:`~repro.hdl.compile.
-trace.TracedVariant`, both as plain Python source ``exec``-compiled once and
-cached process-wide (the same content-hash idea as
-:func:`repro.linalg.cache.matrix_fingerprint`):
+One printer, :func:`bind_stamp`, turns a :class:`~repro.hdl.compile.trace.
+TracedVariant` into *stamp functions*: plain Python source ``exec``-compiled
+once and cached process-wide (the same content-hash idea as
+:func:`repro.linalg.cache.matrix_fingerprint`).  A stamp function is the
+input gather, the IR walk, and one task's accumulation around it:
 
-**Stamp functions** (:func:`bind_stamp`), the scalar path MNA assembly
-runs: input gather, the IR walk, and the residual plus dense Jacobian
-(``jac``), residual plus sparse COO triplets (``triplet``), residual only
-(``value``) or output-record (``record``) accumulation around it, with
-``ddt``/``integ`` lowered straight to the DC forms or the integrator
-arithmetic and pending-state writes.  The walk mirrors the AD-dual
-interpreter *formula by formula* -- including its own algebra quirks
-(division computes ``a * (1/b)``, ``d(a*b) = va*db + vb*da`` in that
-order, subtrees free of seeded unknowns use plain float arithmetic exactly
-as the interpreter's float/dual coercion does) -- and the residual-only and
-record tasks mirror the interpreter's *float mode*
+* ``jac`` (residual plus dense Jacobian), ``triplet`` (residual plus sparse
+  COO triplets), ``value`` (residual only) and ``record`` (output
+  collection) -- the scalar tasks of MNA assembly, with ``ddt``/``integ``
+  lowered straight to the DC forms or to the integrator arithmetic and
+  pending-state writes;
+* ``lanes`` -- residual plus Jacobian over the ``(B,)`` lanes of a
+  :class:`~repro.circuit.mna.BatchStampContext`: the same walk printed
+  over numpy arrays, accumulated through ``ctx.add_res``/``ctx.add_jac``,
+  for guard-free operating-point variants (:attr:`KernelSet.lanes`).
+
+The walk mirrors the AD-dual interpreter *formula by formula* -- including
+its own algebra quirks (division computes ``a * (1/b)``, ``d(a*b) = va*db +
+vb*da`` in that order, subtrees free of seeded unknowns use plain float
+arithmetic exactly as the interpreter's float/dual coercion does) -- and
+the residual-only and record tasks mirror the interpreter's *float mode*
 (``with_jacobian=False``), so compiled stamps are bit-identical to
 interpreted ones.  Per-instance data are arguments, so one function serves
 every device of one kernel and geometry shape.
-
-**The lane-vectorized kernel** (:meth:`KernelSet.vector`), residual +
-Jacobian over ``(B,)`` numpy lanes for
-:class:`~repro.circuit.mna.BatchStampContext`; generated only for
-guard-free variants.  Its calling convention is::
-
-    kernel(ctx, _keys, *inputs) -> (values, derivs)
-
-where ``inputs`` follow the variant's input layout and ``_keys`` are the
-device-qualified state keys for ``ctx.ddt``/``ctx.integ``.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from ...telemetry import registry
 from . import ir
 
 __all__ = ["KernelSet", "compile_variant", "bind_stamp", "widen_param",
-           "cache_info", "clear_cache"]
+           "widen_lanes", "cache_info", "clear_cache"]
 
 #: Sentinel for a derivative that is exactly the seed (d(leaf)/d(leaf)).
 _ONE = object()
@@ -66,10 +61,6 @@ _DFN = {
 }
 
 
-class _VectorUnsupported(Exception):
-    """The variant needs scalar-only constructs (guards, dual exponents)."""
-
-
 def _literal(value: float) -> str:
     """Python source literal that round-trips the float exactly."""
     return repr(float(value))
@@ -78,22 +69,19 @@ def _literal(value: float) -> str:
 class _Writer:
     """Shared machinery for one generated function."""
 
-    def __init__(self, variant, flavor: str, state: str | None = None) -> None:
+    def __init__(self, variant, flavor: str, state: str) -> None:
         self.variant = variant
         self.flavor = flavor
-        #: How ``ddt``/``integ`` lower: ``None`` calls ``ctx.ddt``/
-        #: ``ctx.integ`` (the vector kernel); ``"op"``/``"tran"`` inline
-        #: the DC or integrator arithmetic (stamp functions, see
-        #: :func:`bind_stamp`).
+        #: How ``ddt``/``integ`` lower: ``"op"`` to the DC forms, ``"tran"``
+        #: to the inlined integrator arithmetic.
         self.state = state
-        self.vector = flavor == "vector"
+        self.lanes = flavor == "lanes"
         self.lines: list[str] = []
         self.names: dict[int, str] = {}
-        self.emitted: set[int] = set()
         self.serial = 0
         self.shared: dict[tuple, str] = {}
         self.dmemo: dict[tuple[int, int], object] = {}
-        self.math = "np" if self.vector else "math"
+        self.math = "np" if self.lanes else "math"
         # Seed leaves: the MNA unknowns the derivative pass differentiates
         # against (none in float mode).
         self.seeds = [(kind, name) for kind, name in variant.inputs
@@ -174,7 +162,7 @@ class _Writer:
         if isinstance(node, ir.Select):
             cond = self.emit(node.cond)
             a, b = self.emit(node.a), self.emit(node.b)
-            if self.vector:
+            if self.lanes:
                 return self.assign(f"np.where({cond}, {a}, {b})")
             return self.assign(f"{a} if {cond} else {b}")
         if isinstance(node, ir.Call):
@@ -187,13 +175,11 @@ class _Writer:
         return self._emit_binary(node)
 
     def _emit_ddt(self, node: ir.Ddt) -> str:
-        """``ctx.ddt`` -- or, inlined, the DC ``0.0 * x`` and the exact
-        arithmetic and pending-state writes of ``Integrator.differentiate``
-        (state key ``_k<k>``, integrator frame names of :data:`_FRAME`)."""
+        """The DC ``0.0 * x``, or inlined, the exact arithmetic and
+        pending-state writes of ``Integrator.differentiate`` (state key
+        ``_k<k>``, integrator frame names of :data:`_FRAME`)."""
         x = self.emit(node.x)
         k = self.state_index[node.state]
-        if self.state is None:
-            return self.assign(f"ctx.ddt(_keys[{k}], {x})")
         if self.state == "op":
             return self.assign(f"0.0 * {x}")
         t = self.assign(f"({x} - _vals.get(_k{k}, {x})) * _c0")
@@ -203,14 +189,12 @@ class _Writer:
         return t
 
     def _emit_integ(self, node: ir.Integ) -> str:
-        """``ctx.integ`` -- or, inlined, the DC held initial value and the
-        exact arithmetic and pending-state writes of
-        ``Integrator.integrate`` (integrand key ``_i<k>``)."""
+        """The DC held initial value, or inlined, the exact arithmetic and
+        pending-state writes of ``Integrator.integrate`` (integrand key
+        ``_i<k>``)."""
         x = self.emit(node.x)
         k = self.state_index[node.state]
         init = _literal(node.initial)
-        if self.state is None:
-            return self.assign(f"ctx.integ(_keys[{k}], {x}, {init})")
         if self.state == "op":
             return self.assign(f"0.0 * {x} + {init}")
         t = self.fresh()
@@ -230,13 +214,13 @@ class _Writer:
                 v = self.emit(node.args[0])
                 cond = self.shared_temp(("absc", id(node)),
                                         lambda: f"{v} < 0.0")
-                if self.vector:
+                if self.lanes:
                     return self.assign(f"np.where({cond}, -{v}, {v})")
                 return self.assign(f"-{v} if {cond} else {v}")
-            return self.assign(f"np.abs({args})" if self.vector
+            return self.assign(f"np.abs({args})" if self.lanes
                                else f"abs({args})")
         if node.fn == "sign":
-            if self.vector:
+            if self.lanes:
                 return self.assign(f"np.sign({args})")
             return self.assign(f"float(np.sign({args}))")
         return self.assign(f"{self.math}.{node.fn}({args})")
@@ -260,14 +244,13 @@ class _Writer:
             return self.assign(f"{a} ** {b}")
         if self.is_dual(node.b):
             # dual ** dual: the interpreter raises for non-positive bases;
-            # bail to it so the error surfaces identically.
-            if self.vector:
-                raise _VectorUnsupported("dual exponent")
+            # bail to it so the error surfaces identically (per call, so
+            # such variants have no lanes flavour: :func:`_lane_ready`).
             self.line(f"if {a} <= 0.0: return None")
             return self.assign(f"{a} ** {b}")
         # Runtime exponent that carries no seeds: Dual.__pow__'s constant-
         # exponent branch with its e == 0 special case, decided per call.
-        if self.vector:
+        if self.lanes:
             return self.assign(f"np.where({b} == 0.0, 1.0, {a} ** {b})")
         return self.assign(f"1.0 if {b} == 0.0 else {a} ** {b}")
 
@@ -301,7 +284,7 @@ class _Writer:
                 return None
             da = "1.0" if da is _ONE else (da or "0.0")
             db = "1.0" if db is _ONE else (db or "0.0")
-            if self.vector:
+            if self.lanes:
                 return self._dname(f"np.where({cond}, {da}, {db})")
             return self._dname(f"{da} if {cond} else {db}")
         if isinstance(node, ir.Call):
@@ -329,7 +312,7 @@ class _Writer:
             v = self.emit(node.args[0])
             cond = self.shared_temp(("absc", id(node)), lambda: f"{v} < 0.0")
             da = "1.0" if dx is _ONE else dx
-            if self.vector:
+            if self.lanes:
                 return self._dname(f"np.where({cond}, -{da}, {da})")
             return self._dname(f"-{da} if {cond} else {da}")
         template = _DFN[node.fn]
@@ -391,7 +374,7 @@ class _Writer:
                 factor = self.shared_temp(
                     ("pows", id(node)),
                     lambda: f"{_literal(e)} * {va} ** {em1}")
-            elif self.vector:
+            elif self.lanes:
                 factor = self.shared_temp(
                     ("pows", id(node)),
                     lambda: f"np.where({vb} == 0.0, 0.0, "
@@ -425,23 +408,20 @@ def _tuple_expr(items: list[str]) -> str:
     return f"({', '.join(items)})"
 
 
-def _generate_parts(variant, flavor: str, state: str | None = None):
+def _generate_parts(variant, flavor: str, state: str):
     """Generate the structural pieces of one function body.
 
     ``flavor`` is ``"jac"`` (values and per-seed derivatives), ``"value"``
-    (float-mode values and records) or ``"vector"`` (``"jac"`` over numpy
-    lanes).  Returns ``(preamble, body, value_names, extras, deriv_rows)``
-    where ``body`` is the guard + straight-line computation (with ``return
-    None`` guard bails), ``value_names`` name the contribution/equation
-    results in order, ``extras`` are the per-output record names
-    (``"value"``) or derivative tuple expressions, and ``deriv_rows``
-    (derivative flavors only) keeps the individual per-seed derivative
-    expressions, which stamp functions accumulate one by one.  ``state``
-    selects the ``ddt``/``integ`` lowering (see :class:`_Writer`).
+    (float-mode values and records) or ``"lanes"`` (``"jac"`` over numpy
+    lanes).  Returns ``(preamble, body, value_names, extras)`` where
+    ``body`` is the guard + straight-line computation (with ``return None``
+    guard bails), ``value_names`` name the contribution/equation results in
+    order and ``extras`` are the record names (``"value"``) or, per output,
+    the per-seed derivative expressions, which stamp functions accumulate
+    one by one.  ``state`` selects the ``ddt``/``integ`` lowering (see
+    :class:`_Writer`).
     """
     writer = _Writer(variant, flavor, state)
-    if flavor == "vector" and variant.guards:
-        raise _VectorUnsupported("guarded variant")
     # Guards first, each as soon as its operands exist: the behavior checked
     # them before computing anything that depends on the guarded condition
     # (e.g. a positivity check before dividing), so hoisting them preserves
@@ -452,43 +432,40 @@ def _generate_parts(variant, flavor: str, state: str | None = None):
     outputs = ([node for _, node in variant.contributions]
                + [node for _, node in variant.equations])
     value_names = [writer.emit(node) for node in outputs]
-    deriv_rows = None
     if flavor == "value":
         extras = [writer.emit(node) for _, node in variant.records]
     else:
-        deriv_rows = []
+        extras = []
         for node in outputs:
             row = []
             for k in range(len(writer.seeds)):
                 d = writer.deriv(node, k)
                 row.append("1.0" if d is _ONE else (d or "0.0"))
-            deriv_rows.append(row)
-        extras = [_tuple_expr(row) for row in deriv_rows]
-    # The coefficient temps are referenced by derivative lines only, which
-    # always come after every guard/value line that could return early --
-    # hoist them to the top for simplicity.  Inlined transient state reads
-    # them from the integrator frame instead.
+            extras.append(row)
+    # The DC coefficient temps are referenced by derivative lines only,
+    # which always come after every guard/value line that could return
+    # early -- hoist them to the top for simplicity.  Inlined transient
+    # state reads them from the integrator frame instead.
     preamble = []
     if state != "tran":
         if writer.need_c0:
-            preamble.append("_c0 = 0.0" if state else
-                            "_c0 = ctx.ddt_coefficient()")
+            preamble.append("_c0 = 0.0")
         if writer.need_ci:
-            preamble.append("_ci = 0.0" if state else
-                            "_ci = ctx.integ_coefficient()")
-    return preamble, writer.lines, value_names, extras, deriv_rows
+            preamble.append("_ci = 0.0")
+    return preamble, writer.lines, value_names, extras
 
 
-def _vector_source(variant) -> str:
-    """Source of the lane-vectorized kernel of a guard-free variant."""
-    preamble, body, values, derivs, _ = _generate_parts(variant, "vector")
-    args = "".join(f", i{pos}" for pos in range(len(variant.inputs)))
-    lines = [f"def kernel(ctx, _keys{args}):"]
-    lines += [f"    {line}" for line in preamble]
-    lines.append("    with np.errstate(all='ignore'):")
-    lines += [f"        {line}" for line in body]
-    lines.append(f"        return {_tuple_expr(values)}, {_tuple_expr(derivs)}")
-    return "\n".join(lines) + "\n"
+def _lane_ready(variant) -> bool:
+    """Whether ``variant`` has a ``lanes`` stamp function: it is guard-free
+    (a guard picks one branch per call, not per lane) and no exponent
+    depends on an unknown (``dual ** dual`` bails per call)."""
+    if variant.guards:
+        return False
+    writer = _Writer(variant, "lanes", variant.mode)
+    outputs = [node for _, node in variant.contributions + variant.equations]
+    return not any(isinstance(node, ir.Binary) and node.op == "**"
+                   and not isinstance(node.b, ir.Const)
+                   and writer.is_dual(node.b) for node in ir.walk(outputs))
 
 
 def widen_param(value):
@@ -500,20 +477,30 @@ def widen_param(value):
     return float(value)
 
 
+def widen_lanes(value):
+    """A parameter value as a ``lanes`` stamp function takes it: a float
+    array for a lane column, else :func:`widen_param`."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float)
+    return widen_param(value)
+
+
 def _compile_source(source: str, label: str, name: str):
-    namespace = {"math": math, "np": np, "_widen": widen_param}
+    namespace = {"math": math, "np": np, "_widen": widen_param,
+                 "_widen_lanes": widen_lanes}
     exec(compile(source, f"<behavioral-{name}:{label}>", "exec"), namespace)
     return namespace[name]
 
 
 class KernelSet:
     """One traced variant's compile products (process-wide shared): the
-    input and output layout its stamp functions bind against, and the
-    lazily generated lane-vectorized kernel."""
+    input and output layout its stamp functions bind against, and whether
+    it stamps batch lanes (``lanes``: a guard-free op variant, see
+    :func:`_lane_ready`)."""
 
     __slots__ = ("fingerprint", "variant", "mode", "inputs", "diff_inputs",
-                 "state_suffixes", "guarded", "contrib_ports", "eq_names",
-                 "record_names", "param_defaults", "_vector")
+                 "state_suffixes", "lanes", "contrib_ports", "eq_names",
+                 "record_names", "param_defaults")
 
     def __init__(self, fp: str, variant) -> None:
         self.fingerprint = fp
@@ -523,26 +510,12 @@ class KernelSet:
         self.diff_inputs = tuple(p for p in variant.inputs
                                  if p[0] in ("across", "unknown"))
         self.state_suffixes = variant.state_suffixes
-        self.guarded = bool(variant.guards)
+        self.lanes = variant.mode == "op" and _lane_ready(variant)
         self.contrib_ports = tuple(name for name, _ in variant.contributions)
         self.eq_names = tuple(name for name, _ in variant.equations)
         self.record_names = tuple(name for name, _ in variant.records)
         self.param_defaults = dict(variant.param_defaults)
-        self._vector = _PENDING
 
-    def vector(self):
-        """The lane-vectorized kernel, or None when unsupported."""
-        if self._vector is _PENDING:
-            try:
-                self._vector = _compile_source(
-                    _vector_source(self.variant), "vector", "kernel")
-            except _VectorUnsupported:
-                self._vector = None
-        return self._vector
-
-
-#: Marks a vector kernel that has not been generated yet.
-_PENDING = object()
 
 _CACHE: dict[str, KernelSet] = {}
 
@@ -576,8 +549,9 @@ def bind_stamp(kernels: KernelSet, task: str, geometry, device, keys):
     """The shared stamp function of one device and its bound arguments.
 
     ``task`` is ``"jac"`` (residual + dense Jacobian), ``"triplet"``
-    (residual + sparse COO triplets), ``"value"`` (residual only) or
-    ``"record"`` (output collection).  ``geometry`` is the device's index
+    (residual + sparse COO triplets), ``"value"`` (residual only),
+    ``"record"`` (output collection) or ``"lanes"`` (residual + Jacobian
+    of every lane of a batch context).  ``geometry`` is the device's index
     map in one MNA system (``plan``, ``contribs``, ``eqs``, ``dep_map``,
     ``size``; see :class:`repro.hdl.compile.runtime._Geometry`) and
     ``keys`` its integrator state keys.
@@ -585,10 +559,10 @@ def bind_stamp(kernels: KernelSet, task: str, geometry, device, keys):
     Everything instance-specific -- solution indices, stamp rows, Jacobian
     positions or columns, state keys, parameter owners, output names -- is
     an *argument*, so the function depends only on the kernel and the shape
-    of the geometry (which indices are ground, the dependency ``(position,
-    negate)`` structure, the parameter sources).  It is generated once per
-    ``(fingerprint, task, mode, shape)`` and shared process-wide: every
-    transducer of an array runs the same function.
+    of the geometry (which indices are ground, the per-dependency
+    ``(position, negate)`` leaf pairs, the parameter sources).  It is
+    generated once per ``(fingerprint, task, mode, shape)`` and shared
+    process-wide: every transducer of an array runs the same function.
 
     Returns ``(fn, args)``; the call is ``fn(ctx, x, out, jac, st, args)``
     with ``x`` the solution as a list, ``out`` the residual array (the
@@ -600,6 +574,14 @@ def bind_stamp(kernels: KernelSet, task: str, geometry, device, keys):
     ``!= 0.0`` derivative filter and the ``+=``/``-=`` forms replicate
     ``StampContext.add_*`` element by element, so stamps are bitwise those
     of the interpreter.
+
+    A ``"lanes"`` function is called with ``x`` the batch context's padded
+    ``(n + 1, B)`` solution block and no ``out``, ``jac`` or ``st``;
+    parameters may be floats or ``(B,)`` columns (:func:`widen_lanes`).
+    It makes the ``ctx.add_res``/``ctx.add_jac`` calls of
+    ``StampContext.add_through``/``add_through_jac`` -- ground rows
+    included, colliding leaves summed in leaf order, a scalar exact-zero
+    derivative skipped -- so the batch scatter sees one call stream.
     """
     shape, args = _stamp_layout(kernels, task, geometry, device, keys)
     key = (kernels.fingerprint, task, kernels.mode, shape)
@@ -636,17 +618,17 @@ def _stamp_layout(kernels: KernelSet, task: str, geo, device, keys):
         for p, n in geo.contribs:
             args.extend(i for i in (p, n) if i >= 0)
         args.extend(geo.eqs)
-    dep_map = geo.dep_map if task in ("jac", "triplet") else ()
-    if task == "triplet":
-        args.extend(idx for idx, _, _ in dep_map)
+    dep_map = geo.dep_map if task in ("jac", "triplet", "lanes") else ()
+    if task in ("triplet", "lanes"):
+        args.extend(idx for idx, _ in dep_map)
     else:
         size = geo.size
         for p, n in geo.contribs:
-            for idx, _, _ in dep_map:
+            for idx, _ in dep_map:
                 args.extend(row * size + idx for row in (p, n) if row >= 0)
         for row in geo.eqs:
-            args.extend(row * size + idx for idx, _, _ in dep_map)
-    deps = tuple((pos, neg) for _, pos, neg in dep_map)
+            args.extend(row * size + idx for idx, _ in dep_map)
+    deps = tuple(leaves for _, leaves in dep_map)
     if kernels.mode == "tran":
         for key in keys:
             args.extend((key, ("integ", key)))
@@ -660,6 +642,8 @@ def _stamp_layout(kernels: KernelSet, task: str, geo, device, keys):
 def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
     """Generate the stamp function of one (kernel, task, shape)."""
     plan, contribs, n_eqs, deps = shape
+    lanes = task == "lanes"
+    widen = "_widen_lanes" if lanes else "_widen"
     names, gather = [], []
     for pos, entry in enumerate(plan):
         tag, i = entry[0], f"i{pos}"
@@ -684,7 +668,7 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
                 gather.append(f"{i} = o{pos}.{name}" if name.isidentifier()
                               else f"{i} = getattr(o{pos}, {name!r})")
             gather.append(f"if type({i}) is not float and "
-                          f"({i} := _widen({i})) is None: return False")
+                          f"({i} := {widen}({i})) is None: return False")
         elif tag == "c":
             gather.append(f"{i} = {entry[1]}")
         else:  # time
@@ -698,8 +682,12 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
         names.extend(name for pair in rows for name, ground in pair
                      if not ground)
         names.extend(eqs)
+    if lanes:
+        # A batch context counts every call: ground rows stamp as -1.
+        rows = [tuple(("-1" if ground else name, False)
+                      for name, ground in pair) for pair in rows]
     flats = {}  # (row name, dependency) -> flat Jacobian position name
-    if task == "triplet":
+    if task in ("triplet", "lanes"):
         names.extend(f"j{m}" for m in range(len(deps)))
     else:
         for pair in rows:
@@ -719,9 +707,10 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
         + [f"m{r}" for r in range(len(kernels.record_names))]
     if task == "record":
         names.extend(outputs)
-    flavor = "jac" if task in ("jac", "triplet") else "value"
-    preamble, body, values, extras, deriv_rows = _generate_parts(
-        kernels.variant, flavor, mode)
+    flavor = "lanes" if lanes else \
+        "jac" if task in ("jac", "triplet") else "value"
+    preamble, body, values, extras = _generate_parts(kernels.variant, flavor,
+                                                     mode)
     out = "out" if task == "record" else "res"
     lines = [f"def stamp(ctx, x, {out}, jac, st, a):"]
     if names:
@@ -737,16 +726,37 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
                   for n, r in zip(outputs[len(contribs):], extras)]
     else:
         def accumulate(row: str, negate: bool, out_pos: int) -> None:
-            lines.append(f"res[{row}] {'-=' if negate else '+='} "
-                         f"{values[out_pos]}")
+            value = values[out_pos]
+            if lanes:
+                lines.append(f"ctx.add_res({row}, {'-' if negate else ''}"
+                             f"{value})")
+            else:
+                lines.append(f"res[{row}] {'-=' if negate else '+='} {value}")
 
         def derivative(targets: list, m: int, out_pos: int) -> None:
-            # ``targets`` are the (row, negate) pairs of one through or
-            # equation stamp: dval = (+/-) d; StampContext filters
-            # `dval != 0.0`, which is sign-independent, and `a += -d` ==
-            # `a -= d` in IEEE.  Triplets append (row, col, +/-d) in the
-            # order add_through_jac/add_jac would.
-            d = deriv_rows[out_pos][deps[m][0]]
+            # ``targets`` are the (row, flip) pairs of one through (+, -)
+            # or equation (+) stamp.
+            if lanes:
+                # add_through_jac/add_jac calls of d = the leaves' signed
+                # sum in leaf order; a scalar exact zero is skipped.
+                terms = [(extras[out_pos][pos], neg) for pos, neg in deps[m]]
+                if all(d == "0.0" for d, _ in terms):
+                    return
+                lines.append("_d = " + " + ".join(f"-{d}" if neg else d
+                                                  for d, neg in terms))
+                stmt = "; ".join(f"ctx.add_jac({row}, j{m}, "
+                                 f"{'-_d' if flip else '_d'})"
+                                 for row, flip in targets)
+                lines.append(stmt if terms == [("1.0", False)]
+                             else f"if np.ndim(_d) or _d != 0.0: {stmt}")
+                return
+            # One leaf: dval = (+/-) d; StampContext filters `dval !=
+            # 0.0`, which is sign-independent, and `a += -d` == `a -= d` in
+            # IEEE.  Triplets append (row, col, +/-d) in the order
+            # add_through_jac/add_jac would.
+            (pos, neg), = deps[m]
+            targets = [(row, neg != flip) for row, flip in targets]
+            d = extras[out_pos][pos]
             if d == "0.0" or not targets:
                 return
             if task == "jac":
@@ -766,14 +776,14 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
                 if not ground:
                     accumulate(name, negate, out_pos)
             for m in range(len(deps)):
-                derivative([(name, deps[m][1] != flip) for (name, ground), flip
+                derivative([(name, flip) for (name, ground), flip
                             in zip(pair, (False, True)) if not ground],
                            m, out_pos)
         for e, q in enumerate(eqs):
             out_pos = len(rows) + e
             accumulate(q, False, out_pos)
             for m in range(len(deps)):
-                derivative([(q, deps[m][1])], m, out_pos)
+                derivative([(q, False)], m, out_pos)
     lines.append("return True")
     return "\n    ".join(lines) + "\n"
 

@@ -3,8 +3,8 @@
 The IR is a small, immutable expression language the concolic tracer
 (:mod:`repro.hdl.compile.trace`) builds while a behavioral model runs once
 through the interpreter, and the code generator
-(:mod:`repro.hdl.compile.codegen`) lowers to scalar or lane-vectorized
-Python kernels.  Nodes are hash-consed by an :class:`IRBuilder`, so
+(:mod:`repro.hdl.compile.codegen`) lowers to scalar or batch-lane
+Python stamp functions.  Nodes are hash-consed by an :class:`IRBuilder`, so
 structurally identical subexpressions are *the same object* -- common
 subexpression elimination falls out of construction, and fingerprinting /
 equality are identity-cheap.

@@ -1,7 +1,8 @@
 """Runtime integration of compiled behavioral code into MNA stamping.
 
 This module owns the per-device compile state (traced variants, permanent
-fallbacks) and the two ways compiled code stamps:
+fallbacks) and the two ways compiled code stamps, both through stamp
+functions of one printer (:func:`.codegen.bind_stamp`):
 
 **Stamp programs**, the one scalar path.  A device list -- an MNA
 system's circuit, or the per-lane devices of a batch plan -- assembles
@@ -36,11 +37,14 @@ the interpreter, whose in-dual summation order is not reconstructable from
 per-leaf derivatives.
 
 **The batched path** (:func:`try_stamp`, looked up by
-``BehavioralDevice.stamp``) evaluates the lane-vectorized kernel once over
-the ``(B,)`` lanes of a :class:`BatchStampContext`.  It is only offered
-for devices whose single operating-point variant traced without guards
-(:func:`batch_ready`), which is what lets behavioral devices skip the
-per-lane programs in campaign batches.
+``BehavioralDevice.stamp``) calls the device's ``"lanes"`` stamp function
+once over the ``(B,)`` lanes of a :class:`BatchStampContext`: the same
+gather plan and IR walk as the scalar tasks, printed over numpy arrays,
+making the context's ``add_res``/``add_jac`` calls in device order.  It is
+only offered for devices whose single operating-point variant traced
+without guards and whose parameters are floats, ``(B,)`` columns or
+widenable numbers (:func:`batch_ready`), which is what lets behavioral
+devices skip the per-lane programs in campaign batches.
 
 Every silent fallback to the interpreter bumps a registry counter
 ``hdl.fallback.<reason>``: ``collide`` (colliding leaves), ``param`` (a
@@ -135,17 +139,19 @@ class _BoundVariant:
 class _Geometry:
     """Per-(bound variant, MNA system) stamp indices.
 
-    ``dep_map`` drives collision-free stamp functions: one ``(dependency
-    index, leaf position, negate)`` triple per dependency that a leaf
-    feeds, in the interpreter's dependency order.  ``entries`` keeps the
-    full index -> [(leaf, sign)] map for the batched path, which sums
-    colliding leaves explicitly.  ``plan`` is the bound gather plan with
-    across/unknown sources resolved to solution-vector indices (-1 =
-    ground), so stamp functions index the solution directly.
+    ``dep_map`` holds one ``(dependency index, leaves)`` pair per
+    dependency that a leaf feeds, in the interpreter's dependency order;
+    ``leaves`` are its ``(leaf position, negate)`` pairs in leaf order.
+    Scalar Jacobian stamps need exactly one leaf per dependency
+    (``collide`` is False); the ``"lanes"`` task sums colliding leaves.
+    ``plan`` is the bound gather plan with across/unknown sources resolved
+    to solution-vector indices (-1 = ground), so stamp functions index the
+    solution directly.  ``lanes`` caches the bound ``"lanes"`` stamp
+    function of :func:`try_stamp`.
     """
 
-    __slots__ = ("system", "size", "deps", "entries", "collide", "dep_map",
-                 "contribs", "eqs", "plan")
+    __slots__ = ("system", "size", "collide", "dep_map", "contribs", "eqs",
+                 "plan", "lanes")
 
     def __init__(self, device, bound: _BoundVariant, ctx) -> None:
         kernels = bound.kernels
@@ -160,29 +166,30 @@ class _Geometry:
             else:
                 plan.append((tag, a, b))
         self.plan = tuple(plan)
-        self.deps = device._dependency_indices(ctx.node_index, ctx.aux_index)
-        entries: dict[int, list[tuple[int, float]]] = {}
+        leaves: dict[int, list[tuple[int, bool]]] = {}
         for pos, (kind, name) in enumerate(kernels.diff_inputs):
             if kind == "across":
                 port = device.port(name)
-                for node, sign in ((port.p, 1.0), (port.n, -1.0)):
+                for node, negate in ((port.p, False), (port.n, True)):
                     idx = ctx.node_index(node)
                     if idx >= 0:
-                        entries.setdefault(idx, []).append((pos, sign))
+                        leaves.setdefault(idx, []).append((pos, negate))
             else:
                 idx = ctx.aux_index(device, name)
-                entries.setdefault(idx, []).append((pos, 1.0))
-        self.entries = entries
-        self.collide = any(len(pairs) > 1 for pairs in entries.values())
+                leaves.setdefault(idx, []).append((pos, False))
+        self.collide = any(len(pairs) > 1 for pairs in leaves.values())
         self.dep_map = tuple(
-            (idx, entries[idx][0][0], entries[idx][0][1] < 0.0)
-            for idx in self.deps if idx in entries)
+            (idx, tuple(leaves[idx]))
+            for idx in device._dependency_indices(ctx.node_index,
+                                                  ctx.aux_index)
+            if idx in leaves)
         self.contribs = tuple(
             (ctx.node_index(device.port(name).p),
              ctx.node_index(device.port(name).n))
             for name in kernels.contrib_ports)
         self.eqs = tuple(ctx.aux_index(device, name)
                          for name in kernels.eq_names)
+        self.lanes = None
 
 
 def _geometry(device, bound: _BoundVariant, ctx) -> _Geometry:
@@ -190,43 +197,6 @@ def _geometry(device, bound: _BoundVariant, ctx) -> _Geometry:
     if geo is None or geo.system is not ctx.system:
         geo = bound.geometry = _Geometry(device, bound, ctx)
     return geo
-
-
-def _gather_nodes(device, bound: _BoundVariant, ctx) -> list | None:
-    """Vector-kernel inputs over a batch context: ``(B,)`` across and
-    unknown lanes, parameters as floats or swept ``(B,)`` columns; None
-    when a parameter is neither."""
-    values = []
-    for tag, a, b in bound.plan:
-        if tag == "a":
-            values.append(ctx.across(a) - ctx.across(b))
-        elif tag in ("b", "d"):
-            v = getattr(a, b) if tag == "b" else device.params[a]
-            if type(v) is not float:
-                v = np.asarray(v, dtype=float) if isinstance(v, np.ndarray) \
-                    else codegen.widen_param(v)
-                if v is None:
-                    return None
-            values.append(v)
-        elif tag == "u":
-            values.append(ctx.aux_value(device, a))
-        elif tag == "c":
-            values.append(a)
-        else:  # time
-            values.append(ctx.time)
-    return values
-
-
-def _dep_value(entries, idx: int, dlist):
-    """Derivative w.r.t. unknown ``idx`` from the per-leaf derivatives."""
-    pairs = entries.get(idx)
-    if not pairs:
-        return 0.0
-    total = None
-    for pos, sign in pairs:
-        term = dlist[pos] if sign > 0 else -dlist[pos]
-        total = term if total is None else total + term
-    return total
 
 
 def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
@@ -466,12 +436,12 @@ def record_outputs(system, ctx, out: dict) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# batched (lane-vectorized) path                                              #
+# batched (lane-axis) path                                                    #
 # --------------------------------------------------------------------------- #
 
 def _batch_bound(device, state: CompileState):
-    """The single guard-free op variant, or None if the device is not
-    batch-vectorizable."""
+    """The single guard-free op variant with a ``"lanes"`` stamp function,
+    or None."""
     if "op" in state.disabled:
         return None
     variants = state.variants.get("op")
@@ -481,61 +451,40 @@ def _batch_bound(device, state: CompileState):
         state.probed = True
         _retrace(device, state, "op", None)
         variants = state.variants.get("op")
-    if not variants or len(variants) != 1:
+    if not variants or len(variants) != 1 or not variants[0].kernels.lanes:
         return None
-    bound = variants[0]
-    if bound.kernels.guarded or bound.kernels.vector() is None:
-        return None
-    return bound
+    return variants[0]
 
 
 def batch_ready(device, options=None) -> bool:
-    """Whether the device can stamp a whole ``BatchStampContext`` at once."""
+    """Whether the device can stamp a whole ``BatchStampContext`` at once:
+    it has a ``"lanes"`` stamp function and every parameter it reads is a
+    float, a ``(B,)`` column or a widenable number; otherwise it stamps
+    per lane through its stamp program."""
     if options is not None and not options.behavioral_compile:
         return False
-    return _batch_bound(device, state_for(device)) is not None
+    bound = _batch_bound(device, state_for(device))
+    return bound is not None and all(
+        codegen.widen_lanes(getattr(a, b) if tag == "b"
+                            else device.params[a]) is not None
+        for tag, a, b in bound.plan if tag in ("b", "d"))
 
 
 def try_stamp(device, ctx) -> bool:
-    """Stamp every lane of a :class:`BatchStampContext` with one
-    vector-kernel call; False means the interpreter stamps.  Serial
-    contexts always get False here: they reach compiled code through
-    stamp programs only."""
+    """Stamp every lane of a :class:`BatchStampContext` with one call of
+    the device's ``"lanes"`` stamp function; False means the interpreter
+    stamps.  Serial contexts always get False here: they reach compiled
+    code through stamp programs only."""
     if not isinstance(ctx, BatchStampContext) \
             or not ctx.options.behavioral_compile:
         return False
     bound = _batch_bound(device, state_for(device))
     if bound is None:
         return False
-    inputs = _gather_nodes(device, bound, ctx)
-    if inputs is None:
-        return False
-    values, derivs = bound.kernels.vector()(ctx, bound.keys, *inputs)
     geo = _geometry(device, bound, ctx)
-    # Stamp in the serial (output, dependency) order so same-cell Jacobian
-    # accumulations sum in the same sequence as the scalar path.  Per-lane
-    # zero derivatives are added as zeros rather than skipped -- dense batch
-    # accumulation tolerates that (the scalar path's ``!= 0.0`` skip only
-    # avoids no-op adds).
-    out_pos = 0
-    for ip, in_ in geo.contribs:
-        ctx.add_through(ip, in_, values[out_pos])
-        if ctx.want_jacobian:
-            dlist = derivs[out_pos]
-            for idx in geo.deps:
-                dval = _dep_value(geo.entries, idx, dlist)
-                if dval is not None and np.ndim(dval) == 0 and dval == 0.0:
-                    continue
-                ctx.add_through_jac(ip, in_, idx, dval)
-        out_pos += 1
-    for row in geo.eqs:
-        ctx.add_res(row, values[out_pos])
-        if ctx.want_jacobian:
-            dlist = derivs[out_pos]
-            for idx in geo.deps:
-                dval = _dep_value(geo.entries, idx, dlist)
-                if dval is not None and np.ndim(dval) == 0 and dval == 0.0:
-                    continue
-                ctx.add_jac(row, idx, dval)
-        out_pos += 1
-    return True
+    if geo.lanes is None:
+        geo.lanes = codegen.bind_stamp(bound.kernels, "lanes", geo, device,
+                                       bound.keys)
+    fn, args = geo.lanes
+    with np.errstate(all="ignore"):
+        return fn(ctx, ctx._x_pad, None, None, None, args) is True

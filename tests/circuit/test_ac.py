@@ -9,13 +9,16 @@ from repro.circuit import (
     ACAnalysis,
     Circuit,
     OperatingPointAnalysis,
+    SimulationOptions,
     frequency_grid,
     input_admittance,
     input_impedance,
     equivalent_capacitance,
     small_signal_matrices,
 )
+from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.errors import AnalysisError
+from repro.natures import MECHANICAL_TRANSLATION
 
 
 def rc_lowpass(r=1e3, c=1e-6):
@@ -146,6 +149,36 @@ class TestLinearization:
         i_out = system.index_of(circuit.node("out"))
         assert conductance[i_out, i_out] == pytest.approx(1e-3, rel=1e-3)
         assert capacitance[i_out, i_out] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_small_signal_matrices_refuse_behavioral_spring(self):
+        # A behavioral mass alone is G + jwC; its k * integ(v) spring adds
+        # S/(jw), which no (G, C) pair represents.
+        circuit = Circuit()
+        mech = circuit.mechanical_node("m")
+        circuit.force_source("F", "m", "0", 1e-6)
+        circuit.damper("D", "m", "0", 1e-3)
+
+        def mass(ctx):
+            ctx.contribute("mech", ctx.param("m")
+                           * ctx.ddt(ctx.across("mech"), key="p"))
+
+        def spring(ctx):
+            ctx.contribute("mech", ctx.param("k")
+                           * ctx.integ(ctx.across("mech"), key="x"))
+
+        port = [Port("mech", mech, circuit.ground, MECHANICAL_TRANSLATION)]
+        circuit.add(BehavioralDevice("XM", port, mass, params={"m": 1e-9}))
+        conductance, capacitance, system = small_signal_matrices(circuit)
+        op = OperatingPointAnalysis(circuit).run()
+        for frequency in (1.0, 10.0, 1e3):
+            omega = 2.0 * np.pi * frequency
+            y = system.assemble_ac(op.raw, omega, op.integrator_states,
+                                   SimulationOptions()).matrix
+            assert np.allclose(conductance + 1j * omega * capacitance, y,
+                               rtol=1e-9, atol=0.0)
+        circuit.add(BehavioralDevice("XK", port, spring, params={"k": 2.0}))
+        with pytest.raises(AnalysisError, match=r"v\(m\)"):
+            small_signal_matrices(circuit)
 
     def test_probing_ground_rejected(self):
         circuit = rc_lowpass()

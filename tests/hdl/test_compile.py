@@ -303,6 +303,36 @@ class TestBatchCompiled:
             assert op.iterations == reference.iterations
             assert np.array_equal(op.raw, reference.raw)
 
+    def test_non_real_parameter_stamps_per_lane_like_serial(self):
+        from repro.circuit.analysis.batch import (ParameterColumns,
+                                                  batched_operating_points)
+
+        # A bool is no number a model means: the batch stamps the device
+        # per lane through its stamp program, which hands the call to the
+        # interpreter exactly as the serial op does.
+        circuit = Circuit()
+        circuit.voltage_source("V1", "n1", "0", 2.0)
+        circuit.resistor("R1", "n1", "n2", 1e3)
+
+        def behavior(ctx):
+            ctx.contribute("e", ctx.across("e") / ctx.param("R"))
+
+        circuit.add(BehavioralDevice(
+            "XR", [Port("e", circuit.electrical_node("n2"), circuit.ground,
+                        ELECTRICAL)], behavior, params={"R": True}))
+        assert circuit["XR"].batch_safe_for(COMPILED) is False
+        columns = ParameterColumns(circuit, [
+            ("V1", "dc", np.array([1.0, 2.0, 3.0]))])
+        results = batched_operating_points(circuit, COMPILED, columns)
+        for lane, op in enumerate(results):
+            columns.set_lane(lane)
+            try:
+                reference = OperatingPointAnalysis(circuit, COMPILED).run()
+            finally:
+                columns.restore()
+            assert op.iterations == reference.iterations
+            assert np.array_equal(op.raw, reference.raw)
+
     def test_batch_safe_honors_options_escape_hatch(self):
         circuit = diode_circuit()
         assert circuit["DB"].batch_safe_for(COMPILED) is True
