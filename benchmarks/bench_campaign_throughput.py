@@ -23,7 +23,9 @@ operating-point campaign over a nonlinear diode ladder must run **>= 5x
 more points/s** with ``backend="batch"`` (block-factorized lockstep Newton)
 than serially, at per-point parity within 1e-12, with no device stamped
 per lane (``mna.batch.lane_stamps`` in the batch run's own
-``result.metrics`` must stay 0).  Unlike the pool
+``result.metrics`` must stay 0).  The built-in ladder also gates the
+diode's junction limiting on counters of that result: at most 16
+factorizations per point and no ``op.source_stepping`` entry.  Unlike the pool
 comparison this floor holds on a single CPU -- the win is vectorization,
 not parallelism -- so CI enforces it unconditionally.  A third benchmark
 holds the behavioral batch path to the same gates: the ladder with every
@@ -54,6 +56,9 @@ GRID_POINTS = 64  # 8 x 8; the acceptance floor for the pool comparison
 BATCH_POINTS = 256          # Monte-Carlo samples for the batched comparison
 BATCH_SECTIONS = 12         # diode-ladder sections (49 MNA unknowns)
 BATCH_SPEEDUP_FLOOR = 5.0   # batch must deliver >= this many x serial
+#: Junction limiting gate on the built-in ladder: factorizations per point
+#: (63 when the diode had no limiting, ~12 with it).
+MAX_FACTORIZATIONS_PER_POINT = 16
 
 
 def _extractor() -> ParameterExtractor:
@@ -188,7 +193,7 @@ def _check_batched_throughput(benchmark, title, circuit_line, spec, build,
                               param_map):
     """Gate the batch backend against serial on one Monte-Carlo campaign:
     >= the speedup floor, parity within 1e-12, no failed point and no
-    per-lane device stamp."""
+    per-lane device stamp.  Returns the timed batch run's result."""
     serial_evaluator = CircuitEvaluator(build)
     batch_evaluator = CircuitEvaluator(build, param_map=param_map)
 
@@ -232,16 +237,28 @@ def _check_batched_throughput(benchmark, title, circuit_line, spec, build,
         f"batched backend ({batch_s:.3f} s) should be >= "
         f"{BATCH_SPEEDUP_FLOOR:.0f}x faster than serial ({serial_s:.3f} s); "
         f"measured {speedup:.2f}x")
+    return timed_result
 
 
 def test_batched_backend_throughput(benchmark):
-    _check_batched_throughput(
+    result = _check_batched_throughput(
         benchmark, "Batched campaign throughput: 256-point Monte-Carlo op",
         f"circuit: {BATCH_SECTIONS}-section diode ladder, "
         f"{BATCH_POINTS} Monte-Carlo samples (seed 42)",
         MonteCarlo({"vdd": Normal(5.0, 0.5), "rscale": Normal(100.0, 10.0)},
                    samples=BATCH_POINTS, seed=42),
         _build_ladder, {"vdd": "VS.dc", "rscale": "R0.resistance"})
+    # The junction-limiting lever, gated on counters rather than the clock.
+    per_point = result.solver_stats["factorizations"] / len(result)
+    source_steps = result.metrics["counters"].get("op.source_stepping", 0)
+    print(f"factorizations per point: {per_point:.2f} "
+          f"(<= {MAX_FACTORIZATIONS_PER_POINT}); source-stepping entries: "
+          f"{source_steps:.0f} (must be 0)")
+    assert per_point <= MAX_FACTORIZATIONS_PER_POINT, (
+        f"{per_point:.2f} factorizations per ladder point: junction "
+        f"limiting should hold Newton to <= {MAX_FACTORIZATIONS_PER_POINT}")
+    assert source_steps == 0, (
+        f"{source_steps:.0f} ladder points fell back to source stepping")
 
 
 def test_batched_behavioral_backend_throughput(benchmark):

@@ -6,9 +6,10 @@ The diagnostics loop of PR 7 in one script:
 1. a parameter campaign over a current-driven diode ladder runs with a
    live progress reporter installed -- per-point events with ETA land on
    stdout through the stdlib-logging bridge;
-2. one sweep point is poisoned (iteration budget starved far below what
-   the exponential needs), so its operating point diverges: the campaign
-   row carries the forensic digest naming the offending unknown;
+2. one sweep point is poisoned (iteration budget starved below the four
+   iterations junction-limited Newton needs), so its operating point fails
+   to converge: the campaign row carries the forensic digest naming the
+   offending unknown;
 3. the failure is re-run standalone with forensics on, the structured
    ``FailureReport`` post-mortem is printed, dumped as a self-contained
    reproduction bundle and replayed from the JSON to prove the bundle
@@ -45,9 +46,9 @@ def build_diode_ladder(drive: float = 0.1) -> Circuit:
 
 
 def options_for(drive: float) -> SimulationOptions:
-    """Starve the poisoned point's Newton budget so it genuinely diverges."""
+    """Starve the poisoned point's Newton budget so it genuinely fails."""
     if drive == POISONED_DRIVE:
-        return SimulationOptions(forensics=True, max_newton_iterations=4,
+        return SimulationOptions(forensics=True, max_newton_iterations=3,
                                  max_source_steps=1)
     return SimulationOptions(forensics=True)
 

@@ -677,10 +677,11 @@ class CircuitEvaluator:
         unmapped varying parameters, ...); a misconfigured ``param_map`` raises
         :class:`CampaignError` instead of silently degrading.
 
-        Under ``jacobian_reuse="chord"`` the batch is tolerance-only: the
-        block refactors on its worst lane, so a lane's iterates (and, near
-        the iteration cap, whether its point fails) can differ from the
-        serial run of that point.
+        Under ``jacobian_reuse="chord"`` each lane keeps its own chord
+        schedule, so an operating point follows its serial run; DC sweeps
+        stay tolerance-only across sweep points, so a lane's iterates (and,
+        near the iteration cap, whether its point fails) can differ from
+        the serial run of that point.
         """
         if not self.batch_capable():
             return None

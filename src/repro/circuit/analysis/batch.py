@@ -24,7 +24,11 @@ Newton engine (:func:`~repro.circuit.analysis.op.newton_lanes`) over it:
 * the linear stage (:class:`BatchStage`) factors all B Jacobians in one
   :func:`repro.linalg.batched_factorize` call, under the same
   ``jacobian_reuse`` policy and :class:`~repro.circuit.analysis.op.NewtonWorkspace`
-  as the serial solve (a batch's chord tag carries no step),
+  as the serial solve (a batch's chord tag carries no step; a chord
+  refactor replaces only the refreshing lanes' Jacobians in the stack),
+* the diode's junction limiting runs on the group view's ``(k, B)``
+  blocks, keyed by the view in the solve's
+  :class:`~repro.circuit.mna.LimitState`,
 * outputs are collected once per batch over the lane axis
   (:func:`~repro.circuit.analysis.op.collect_outputs`).
 
@@ -48,7 +52,8 @@ from ... import telemetry
 from ...errors import AnalysisError
 from ...linalg import batched_factorize
 from ..devices.sources import CurrentSource, VoltageSource
-from ..mna import BatchScatter, BatchStampContext, MNASystem, compile_runtime
+from ..mna import (BatchScatter, BatchStampContext, LimitState, MNASystem,
+                   compile_runtime)
 from ..netlist import Circuit, Node
 from ..waveforms import DC
 from .op import NewtonWorkspace, _chord_tag, collect_outputs, newton_lanes
@@ -156,7 +161,10 @@ class _Group:
     ``(k,)`` index columns (ground -> the padding slot ``system.size``),
     whose auxiliary unknowns are ``batch_aux`` index columns, and whose
     tunable attributes hold the members' values stacked by :meth:`stack`.
-    Its one ``stamp`` call computes ``(k, B)`` blocks.
+    Its one ``stamp`` call computes ``(k, B)`` blocks; inside a Newton
+    solve the view is the group's key in the solve's
+    :class:`~repro.circuit.mna.LimitState`, so a limiting class (the diode)
+    limits all members and lanes in one elementwise call.
     """
 
     def __init__(self, system: MNASystem, members: list, positions: list[int]
@@ -254,7 +262,8 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
                    options: SimulationOptions, columns: ParameterColumns,
                    source_scale: float = 1.0,
                    want_jacobian: bool = True,
-                   plan: BatchPlan | None = None) -> BatchStampContext:
+                   plan: BatchPlan | None = None,
+                   limits: LimitState | None = None) -> BatchStampContext:
     """Assemble residuals (and Jacobians) for all B lanes at once.
 
     Runs the system's group plan: one ``stamp`` per group view and per
@@ -263,7 +272,8 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
     broadcast (``columns`` supplies their lane scalars).  Per-lane stamps
     force dense assembly -- per-lane triplet streams may diverge
     (behavioral stamps skip exact-zero derivatives).  ``plan`` defaults to
-    :func:`batch_plan`; :class:`BatchStage` passes the one it prepared.
+    :func:`batch_plan`; :class:`BatchStage` passes the one it prepared,
+    and the junction-limiting state of its Newton solve as ``limits``.
     """
     if plan is None:
         plan = batch_plan(system, options, columns)
@@ -274,7 +284,8 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
     ctx = BatchStampContext(system, x, analysis, options, plan.scatter,
                             source_scale=source_scale,
                             want_jacobian=want_jacobian,
-                            force_dense=bool(plan.lane_devices))
+                            force_dense=bool(plan.lane_devices),
+                            limits=limits)
     if not ctx.stamp_all(plan.stampers):
         if probed:
             raise AnalysisError(
@@ -283,7 +294,7 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
         # The stamps changed their calls since the probe: probe again.
         plan.scatter = None
         return assemble_batch(system, x, analysis, options, columns,
-                              source_scale, want_jacobian, plan)
+                              source_scale, want_jacobian, plan, limits)
     if plan.lane_devices:
         stamp = compile_runtime().stamp_devices
         for lane in range(ctx.batch):
@@ -310,21 +321,33 @@ class BatchStage:
         self.timing = telemetry.enabled()
         self.ctx: BatchStampContext | None = None
 
-    def assemble(self, x: np.ndarray, want_jacobian: bool):
+    def assemble(self, x: np.ndarray, want_jacobian: bool,
+                 limits: LimitState):
         ctx = self.ctx = assemble_batch(self.system, x, *self.args,
                                         want_jacobian=want_jacobian,
-                                        plan=self.plan)
+                                        plan=self.plan, limits=limits)
         healthy = ctx.residual_finite_lanes()
         if want_jacobian:
             healthy &= ctx.jacobian_finite_lanes()
-        return ctx.res, None if healthy.all() else ~healthy
+        return ctx.res, None if healthy.all() else ~healthy, limits.limited
 
-    def factor(self):
+    def factor(self, refresh: np.ndarray | None = None):
+        """Factor the assembled Jacobian stack; with a ``refresh`` mask,
+        the other lanes keep the Jacobian of the held factorization (chord
+        lanes ride it exactly as their own serial solves would)."""
+        matrix = self.ctx.jacobian()
+        held = None if refresh is None else self.workspace.matrix
+        if held is not None and len(held) == len(matrix):
+            if isinstance(matrix, list):
+                matrix = [new if take else old
+                          for new, old, take in zip(matrix, held, refresh)]
+            else:
+                matrix = np.where(refresh[:, None, None], matrix, held)
         # A batch has no time steps whose Jacobians could recur: only the
         # newest stack can match (sweep points of a linear circuit).
         return self.workspace.factor_with(
-            self.system, self.ctx,
-            lambda matrix: batched_factorize(matrix, self.backend), 1)[0]
+            self.system, matrix, self.ctx.use_sparse,
+            lambda stack: batched_factorize(stack, self.backend), 1)[0]
 
     def solve(self, factorization, rhs: np.ndarray):
         t0 = perf_counter() if self.timing else None
@@ -407,9 +430,11 @@ def batched_dcsweeps(circuit: Circuit, source_name: str,
     error.  Retired lanes stop consuming batch work.
 
     Under ``jacobian_reuse="chord"`` the lanes match serial only to the
-    Newton tolerance: the block refactors on its worst lane, so with
-    ``continue_on_failure`` a point near the iteration cap can be marked
-    failed in a different set of lanes than the serial sweeps mark.
+    Newton tolerance: each lane keeps its own chord schedule within a
+    point, but across points the held stack and its structure tags can
+    differ from the serial sweep's, so with ``continue_on_failure`` a point
+    near the iteration cap can be marked failed in a different set of lanes
+    than the serial sweeps mark.
     """
     sweep_values = np.asarray(list(values), dtype=float)
     if sweep_values.size == 0:

@@ -12,6 +12,17 @@ abstol) + reltol * max(|x_i|, |x_new_i|)`` -- the SPICE criterion, with
 failing lane retires with a :data:`RETIREMENT_ERRORS` reason, which
 :func:`newton_solve` turns into the typed error and forensic report.
 
+Junction limiting
+-----------------
+Each call owns a :class:`~repro.circuit.mna.LimitState` that the stage's
+assemblies hand to the stamps: the built-in diode limits its junction
+voltage with SPICE's ``pnjlim`` against the voltage it was evaluated at on
+the previous iteration (:func:`~repro.circuit.devices.nonlinear.pnjlim`).
+The state starts from ``x0``, so the first iteration never limits, and
+advances once per iteration.  A lane in which a device limited is not
+accepted as converged on that iteration, and its Jacobian is never ridden
+by chord iterations.
+
 Linear stage
 ------------
 The engine reaches the circuit through :class:`SerialStage`
@@ -31,7 +42,8 @@ steps of a transient, points of a DC sweep), which is where the
   the residual only (no derivative propagation at all); a residual that
   stops contracting by :data:`REFACTOR_THRESHOLD` per iteration, or a
   change of step size, source level or analysis, triggers a full-Newton
-  refactor.
+  refactor.  Each lane keeps its own chord schedule, so a batch lane
+  follows the serial solve of that lane.
 
 When plain Newton from a zero initial guess fails (strongly nonlinear bias
 points such as an electrostatic transducer biased close to pull-in), the
@@ -53,7 +65,8 @@ from ... import telemetry
 from ...errors import ConvergenceError, LinAlgError, SingularMatrixError
 from ...linalg import FactorizedSolver
 from ...telemetry import NewtonTrace
-from ..mna import BatchStampContext, Integrator, MNASystem, StampContext
+from ..mna import (BatchStampContext, Integrator, LimitState, MNASystem,
+                   StampContext)
 from ..netlist import Circuit
 from .options import SimulationOptions
 from .results import OperatingPoint
@@ -99,9 +112,14 @@ class NewtonWorkspace:
         #: trying to skip).
         self._recent: list[tuple[int, object, object]] = []
         self.factorization = None
+        #: The matrix (serial) or stack (batch) of ``factorization``.
+        self.matrix = None
         #: (analysis, step, source_scale, structure generation) the held
         #: factorization belongs to; chord reuse is only valid within it.
         self.chord_tag: tuple | None = None
+        #: ``(B,)`` mask of the lanes whose held Jacobian chord iterations
+        #: may ride (it was not assembled at limited junction voltages).
+        self.chord_lanes = np.zeros(0, dtype=bool)
         self.factor_reuses = 0
         self.chord_iterations = 0
         self.stall_refactors = 0
@@ -116,7 +134,8 @@ class NewtonWorkspace:
     def factor(self, system: MNASystem, ctx: StampContext):
         """Factor (or fetch) the Jacobian of a fully assembled serial context."""
         factorization, fresh = self.factor_with(
-            system, ctx, self.solver.factorize, self._RECENT_LIMIT)
+            system, ctx.jacobian(), ctx.use_sparse, self.solver.factorize,
+            self._RECENT_LIMIT)
         if fresh and self.options.health_check:
             record = telemetry.health.check_factorization(
                 factorization, limit=self.options.condition_limit)
@@ -124,12 +143,12 @@ class NewtonWorkspace:
                 self.health.append(record)
         return factorization
 
-    def factor_with(self, system: MNASystem, ctx, factorize, depth: int):
-        """``(factorization, fresh)`` of the context's Jacobian: the handle
+    def factor_with(self, system: MNASystem, matrix, sparse: bool,
+                    factorize, depth: int):
+        """``(factorization, fresh)`` of an assembled Jacobian: the handle
         of an equal matrix among the ``depth`` most recently factored ones,
         else ``factorize(matrix)``."""
-        matrix = ctx.jacobian()
-        generation = system.structure_cache.generation if ctx.use_sparse else 0
+        generation = system.structure_cache.generation if sparse else 0
         for index, (stored_gen, stored, handle) in enumerate(
                 self._recent[:depth]):
             # The generation tag pins the sparsity pattern the stored data
@@ -138,8 +157,9 @@ class NewtonWorkspace:
                 if index:
                     self._recent.insert(0, self._recent.pop(index))
                 self.factor_reuses += 1
-                self.factorization = handle
+                self.factorization, self.matrix = handle, stored
                 return handle, False
+        self.matrix = matrix
         factorization = self.factorization = factorize(matrix)
         self._recent.insert(0, (generation, matrix, factorization))
         del self._recent[depth:]
@@ -210,20 +230,35 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
                  norms: list | None = None) -> NewtonLanes:
     """Newton-Raphson over the ``(B, n)`` block ``x0``; never raises.
 
-    The linear ``stage`` has ``system``, ``assemble(x, want_jacobian) ->
-    (res, sick)`` (``sick``: None, or the ``(B,)`` mask of lanes with a
-    non-finite residual or Jacobian), ``factor()`` and ``solve(factorization,
-    rhs) -> (dx, singular)`` (``singular``: None or a ``(B,)`` mask); the
-    last two raise :class:`~repro.errors.LinAlgError` when no lane can be
-    solved.  ``tag`` scopes chord reuse of the workspace's held
-    factorization; ``norms`` (optional) receives each iteration's ``(B,)``
-    residual max-norms.  Converged lanes freeze while stragglers iterate;
-    chord mode refactors when any open lane's residual stops contracting.
+    The linear ``stage`` has ``system``, ``assemble(x, want_jacobian,
+    limits) -> (res, sick, limited)``, ``factor(refresh)`` and
+    ``solve(factorization, rhs) -> (dx, singular)`` (``singular``: None or a
+    ``(B,)`` mask); the last two raise :class:`~repro.errors.LinAlgError`
+    when no lane can be solved.  ``sick`` is None, or the ``(B,)`` mask of
+    lanes with a non-finite residual or Jacobian.
+
+    ``limited`` is None when no device limited its junction voltage on this
+    iteration -- always so for a circuit without a limiting device, which
+    pays nothing for limiting -- else the ``(B,)`` mask of the lanes in
+    which one did (:class:`~repro.circuit.mna.LimitState`, created here for
+    each call and advanced once per iteration).  A limited lane takes its
+    update but is never accepted as converged on that iteration, even when
+    ``|dx| <= tol``, and a Jacobian assembled while a lane limited is never
+    ridden by that lane's chord iterations: ``G(v_lim)`` contracts too
+    slowly to trust the update test.
+
+    ``tag`` scopes chord reuse of the workspace's held factorization;
+    ``norms`` (optional) receives each iteration's ``(B,)`` residual
+    max-norms.  Converged lanes freeze while stragglers iterate.  Chord
+    mode keeps its schedule per lane: a lane refactors when its own
+    residual stops contracting, and ``factor(refresh)`` then replaces only
+    the ``refresh`` lanes' Jacobians (None: all of them).
     """
     ws = workspace
     lanes = NewtonLanes(np.array(x0, dtype=float))
     x = lanes.x
-    size = x.shape[1]
+    batch, size = x.shape
+    limits = LimitState(batch)
     open_ = ~lanes.converged  # neither converged nor retired
     # Every lane open: flags and updates apply to the whole block, with no
     # mask bookkeeping (always the case for the serial B = 1 solve).
@@ -231,33 +266,57 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
     base_tol = np.where(np.arange(size) < stage.system.num_nodes,
                         options.vntol, options.abstol)[None]  # one (1, n) row
     chord_allowed = options.jacobian_reuse == "chord"
-    chord = (chord_allowed
-             and ws.factorization is not None and ws.chord_tag == tag)
-    # Past this point a chord solve that is still grinding is assumed to be
-    # riding a stale Jacobian; refactor instead of burning the iteration cap.
-    chord_limit = max(3, options.max_newton_iterations // 2)
-    previous = None
+    if chord_allowed:
+        # Chord bookkeeping per lane, as the lane's own serial solve keeps
+        # it: whether it rides the held factorization (``ride``), whether
+        # it may still ride (``allowed``) and the residual norm of its last
+        # chord iteration (``previous``; NaN after a refactor).
+        if ws.factorization is None or ws.chord_tag != tag \
+                or ws.chord_lanes.shape != (batch,):
+            ws.chord_lanes = np.zeros(batch, dtype=bool)
+        ride = ws.chord_lanes.copy()
+        allowed = np.ones(batch, dtype=bool)
+        previous = np.full(batch, np.nan)
+        # Past this point a chord solve that is still grinding is assumed
+        # to be riding a stale Jacobian; refactor instead of burning the
+        # iteration cap.
+        chord_limit = max(3, options.max_newton_iterations // 2)
     for iteration in range(1, options.max_newton_iterations + 1):
-        res, sick = stage.assemble(x, not chord)
+        limits.advance()
+        riding = ride & open_ if chord_allowed else None
+        if riding is not None and not riding.any():
+            riding = None
+        # Residual-only while every open lane rides.
+        full = riding is None or not np.array_equal(riding, open_)
+        res, sick, limited = stage.assemble(x, full, limits)
         lanes.res = res
         if sick is not None:
             open_ = lanes.retire(open_, sick, "nonfinite_residual", iteration)
             whole = False
             if not open_.any():
                 break
-        if chord or norms is not None:
+        if limited is not None and not whole:
+            limited = limited & open_
+            if not limited.any():
+                limited = None
+        if riding is not None or norms is not None:
             res_norm = np.abs(res).max(axis=1, initial=0.0)
             if norms is not None:
                 norms.append(res_norm)
-        stall = False
-        if chord:
+        # Open lanes that factor this iteration's Jacobian.
+        refresh = open_
+        stall = None
+        if riding is not None:
             if iteration >= chord_limit:
-                stall = True
-            elif previous is not None:
-                grew = res_norm > REFACTOR_THRESHOLD * previous
-                stall = (grew if whole else grew & open_).any()
-            if stall:
-                res, sick = stage.assemble(x, True)
+                stall = riding & open_
+            else:
+                stall = riding & open_ & (res_norm > REFACTOR_THRESHOLD
+                                          * previous)
+            if not stall.any():
+                stall = None
+            elif not full:
+                # Same iterate, same limiting state: the same values.
+                res, sick, _ = stage.assemble(x, True, limits)
                 lanes.res = res
                 if sick is not None:
                     open_ = lanes.retire(open_, sick, "nonfinite_jacobian",
@@ -265,28 +324,41 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
                     whole = False
                     if not open_.any():
                         break
-            else:
+            chorded = riding & open_
+            if stall is not None:
+                chorded &= ~stall
+            if chorded.any():
                 ws.chord_iterations += 1
-                previous = res_norm
-        if chord and not stall:
+                previous = np.where(chorded, res_norm, previous)
+            refresh = open_ & ~chorded
+        if riding is not None and not refresh.any():
             factorization = ws.factorization
         else:
             try:
-                factorization = stage.factor()
+                # A chord solve refactors only its refreshing lanes; the
+                # others keep the Jacobian they hold.
+                factorization = stage.factor(
+                    None if not chord_allowed or refresh.all() else refresh)
             except LinAlgError as exc:
                 lanes.error = exc
                 lanes.retire(open_, open_, "singular_factor", iteration)
                 break
             ws.chord_tag = tag
-            if stall:
-                ws.stall_refactors += 1
-                previous = None
-                if iteration >= chord_limit:
-                    # This solve is grinding: give the rest of it plain full
-                    # Newton instead of re-assembling twice per iteration.
-                    chord_allowed = False
-            # Ride this factorization from the next iteration on.
-            chord = chord_allowed
+            if chord_allowed:
+                if stall is not None:
+                    ws.stall_refactors += 1
+                    previous[stall] = np.nan
+                    if iteration >= chord_limit:
+                        # This lane is grinding: give the rest of its solve
+                        # plain full Newton instead of re-assembling twice
+                        # per iteration.
+                        allowed &= ~stall
+                # A Jacobian assembled at limited voltages is not ridden,
+                # in this solve or a later one.
+                fresh = refresh if limited is None else refresh & ~limited
+                ws.chord_lanes = (ws.chord_lanes & ~refresh) | fresh
+                # Ride this factorization from the next iteration on.
+                ride = (ride & ~refresh) | (fresh & allowed)
         try:
             dx, singular = stage.solve(factorization, -res)
         except LinAlgError as exc:
@@ -306,6 +378,8 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
         x_new = x + dx
         tol = base_tol + options.reltol * np.maximum(np.abs(x), np.abs(x_new))
         done = (np.abs(dx) <= tol).all(axis=1)
+        if limited is not None:
+            done &= ~limited
         # Open lanes take the update (also on the converging iteration);
         # frozen and retired lanes keep theirs.
         if whole:
@@ -347,13 +421,17 @@ class SerialStage:
             if telemetry.enabled() else None
         self.ctx: StampContext | None = None
 
-    def assemble(self, x: np.ndarray, want_jacobian: bool):
+    def assemble(self, x: np.ndarray, want_jacobian: bool,
+                 limits: LimitState):
         ctx = self.ctx = self.system.assemble(x[0], *self.args,
-                                              want_jacobian=want_jacobian)
+                                              want_jacobian=want_jacobian,
+                                              limits=limits)
         healthy = np.isfinite(ctx.res).all() and ctx.jacobian_is_finite()
-        return ctx.res[None], None if healthy else np.ones(1, dtype=bool)
+        return (ctx.res[None], None if healthy else np.ones(1, dtype=bool),
+                limits.limited)
 
-    def factor(self):
+    def factor(self, refresh=None):
+        # One lane: a factoring iteration always refreshes it.
         return self.workspace.factor(self.system, self.ctx)
 
     def solve(self, factorization, rhs: np.ndarray):
@@ -588,7 +666,9 @@ class OperatingPointAnalysis:
     def _source_stepping(self, x0: np.ndarray,
                          workspace: NewtonWorkspace | None = None
                          ) -> tuple[np.ndarray, int]:
-        """Homotopy on the independent-source amplitudes (0 -> 1)."""
+        """Homotopy on the independent-source amplitudes (0 -> 1); each
+        entry counts ``op.source_stepping`` in the metrics registry."""
+        telemetry.registry.inc("op.source_stepping")
         options = self.options
         levels = np.linspace(0.0, 1.0, options.max_source_steps + 1)[1:]
         x = np.array(x0, dtype=float, copy=True)

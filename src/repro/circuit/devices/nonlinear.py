@@ -1,9 +1,17 @@
 """Nonlinear two-terminal primitives (junction diode).
 
 The diode is not needed by the paper's transducer netlists themselves but it
-exercises the Newton machinery (exponential nonlinearity, junction-voltage
-limiting, gmin) and is used by the test suite and by the electronics examples
-(e.g. a rectifying readout around the transducer).
+exercises the Newton machinery (exponential nonlinearity, gmin) and is used
+by the test suite and by the electronics examples (e.g. a rectifying readout
+around the transducer).
+
+Inside a Newton solve the diode limits its junction voltage with SPICE3's
+``pnjlim`` (Nagel, *SPICE2*, UCB ERL-M520, 1975; :func:`pnjlim`): a forward
+step is cut to a logarithmic one, and the diode evaluates and linearizes at
+the limited voltage.  The solve owns the previous limited voltage and hands
+it to the stamp through the context's ``limits``
+(:class:`~repro.circuit.mna.LimitState`); every other assembly (output
+records, AC, sensitivities) evaluates the exact exponential at ``x``.
 """
 
 from __future__ import annotations
@@ -19,11 +27,37 @@ from ..mna import ACStampContext, StampContext
 from ..netlist import Node
 from .base import TwoTerminalDevice
 
-__all__ = ["Diode"]
+__all__ = ["Diode", "pnjlim"]
 
-#: Above this junction voltage the exponential is continued linearly to keep
-#: the Newton iteration from overflowing (standard SPICE-style limiting).
+#: Above ``v / (n Vt)`` = this the exponential is continued linearly, so no
+#: evaluation overflows.  It is only an overflow guard: Newton steps are
+#: steered by the junction limiting of :func:`pnjlim`.
 _EXPLOSION_LIMIT = 80.0
+
+
+def pnjlim(v_new, v_old, vt, v_crit):
+    """SPICE3 ``DEVpnjlim`` junction-voltage limiting, elementwise.
+
+    Above ``v_crit`` a step of more than ``2 vt`` from the previous
+    junction voltage ``v_old`` is cut: from a forward-biased ``v_old`` to
+    ``v_old + vt ln(1 + (v_new - v_old) / vt)`` (to ``v_crit`` when that
+    logarithm's argument is not positive), from ``v_old <= 0`` to
+    ``vt ln(v_new / vt)``.  Works on floats and on broadcasting arrays
+    alike; returns ``(v_lim, limited)``, where ``v_lim`` is ``v_new`` itself
+    wherever ``limited`` is False.
+    """
+    limited = (v_new > v_crit) & (abs(v_new - v_old) > vt + vt)
+    if not np.count_nonzero(limited):
+        return v_new, limited
+    arg = 1.0 + (v_new - v_old) / vt
+    # Logarithms of positive stand-ins where a branch is not taken (and
+    # for v_new <= 0 under a negative v_crit, where SPICE's log is NaN).
+    v_lim = np.where(
+        v_old > 0.0,
+        np.where(arg > 0.0, v_old + vt * np.log(np.where(arg > 0.0, arg, 1.0)),
+                 v_crit),
+        vt * np.log(np.where(v_new > 0.0, v_new, vt) / vt))
+    return np.where(limited, v_lim, v_new), limited
 
 
 class Diode(TwoTerminalDevice):
@@ -42,6 +76,8 @@ class Diode(TwoTerminalDevice):
             raise DeviceError(f"diode {name!r}: saturation current must be positive")
         if emission_coefficient <= 0.0:
             raise DeviceError(f"diode {name!r}: emission coefficient must be positive")
+        if temperature_voltage <= 0.0:
+            raise DeviceError(f"diode {name!r}: temperature voltage must be positive")
         self.saturation_current = float(saturation_current)
         self.emission_coefficient = float(emission_coefficient)
         self.vt = float(temperature_voltage)
@@ -53,7 +89,7 @@ class Diode(TwoTerminalDevice):
         nvt = self.emission_coefficient * self.vt
         arg = v / nvt
         if isinstance(arg, np.ndarray):
-            # Batched lanes: the scalar limiting below vectorizes as a
+            # Batched lanes: the scalar continuation below vectorizes as a
             # where() blend with the exponent clipped so no lane overflows.
             exp_lim = math.exp(_EXPLOSION_LIMIT)
             over = arg > _EXPLOSION_LIMIT
@@ -77,10 +113,20 @@ class Diode(TwoTerminalDevice):
             conductance = self.saturation_current * exp_term / nvt
         return current, conductance
 
+    def _limit(self, v, v_old):
+        """:func:`pnjlim` at this diode's ``n Vt`` and critical voltage."""
+        nvt = self.emission_coefficient * self.vt
+        v_crit = nvt * np.log(nvt / (math.sqrt(2.0) * self.saturation_current))
+        return pnjlim(v, v_old, nvt, v_crit)
+
     def stamp(self, ctx: StampContext) -> None:
         ip, in_ = ctx.node_index(self.p), ctx.node_index(self.n)
         v = self.branch_across(ctx)
-        current, conductance = self._current_and_conductance(v)
+        v_j = v if ctx.limits is None else ctx.limits.limit(self, v, self._limit)
+        current, conductance = self._current_and_conductance(v_j)
+        if v_j is not v:
+            # Linearized at the limited voltage: I(v_j) + G(v_j) (v - v_j).
+            current = current + conductance * (v - v_j)
         ctx.add_through(ip, in_, current)
         ctx.add_through_jac(ip, in_, ip, conductance)
         ctx.add_through_jac(ip, in_, in_, -conductance)

@@ -48,7 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .devices.base import Device
 
 __all__ = ["MNASystem", "Integrator", "StampContext", "BatchStampContext",
-           "BatchScatter", "ACStampContext", "canonical_signal_name"]
+           "BatchScatter", "ACStampContext", "LimitState",
+           "canonical_signal_name"]
 
 
 def canonical_signal_name(label: str) -> str:
@@ -399,17 +400,21 @@ class MNASystem:
     def assemble(self, x: np.ndarray, analysis: str, time: float,
                  integrator: Integrator | None, options: "SimulationOptions",
                  source_scale: float = 1.0,
-                 want_jacobian: bool = True) -> "StampContext":
+                 want_jacobian: bool = True,
+                 limits: "LimitState | None" = None) -> "StampContext":
         """Build the residual (and, unless disabled, the Jacobian) at ``x``.
 
         ``want_jacobian=False`` assembles the residual only: Jacobian stamps
         are dropped and behavioral devices evaluate on plain floats instead
         of AD duals.  Used for record passes and chord-Newton iterations,
-        where the Jacobian is never read.
+        where the Jacobian is never read.  ``limits`` is the junction
+        limiting state of the Newton solve assembling (see
+        :class:`LimitState`).
         """
         ctx = StampContext(self, x, analysis=analysis, time=time,
                            integrator=integrator, options=options,
-                           source_scale=source_scale, want_jacobian=want_jacobian)
+                           source_scale=source_scale, want_jacobian=want_jacobian,
+                           limits=limits)
         if not telemetry.enabled():
             return self.run_stamps(ctx)
         # The full/residual split is the AD-overhead measurement: a full
@@ -460,6 +465,55 @@ class MNASystem:
         return ctx
 
 
+class LimitState:
+    """Junction-limiting state of one Newton solve over B lanes.
+
+    :func:`~repro.circuit.analysis.op.newton_lanes` creates one per solve
+    and threads it through its assemblies; device stamps reach it as the
+    context's ``limits`` (None outside a Newton solve, so those assemblies
+    never limit).  Per limiting stamper -- a device, or a batch group view
+    whose values are ``(k, B)`` blocks -- it keeps the junction voltage the
+    previous iteration was evaluated at.  The first assembly of a solve
+    takes the voltages of its initial iterate, so it never limits, and
+    :meth:`advance` moves the state on once per Newton iteration: every
+    assembly of one iteration (a chord stall re-assembly included) limits
+    against the same previous values and stamps the same numbers.
+    """
+
+    def __init__(self, batch: int) -> None:
+        self.batch = batch
+        self._previous: dict = {}
+        self._current: dict = {}
+        #: ``(B,)`` mask of the lanes in which a stamp limited on this
+        #: iteration; None while none did.
+        self.limited: np.ndarray | None = None
+
+    def limit(self, key, v, limiter):
+        """``v`` limited against ``key``'s previous value by ``limiter(v,
+        v_old) -> (v_lim, limited)``, which returns ``v`` itself when no
+        element limits (as :func:`~repro.circuit.devices.nonlinear.pnjlim`
+        does).  A float ``v`` (serial context) comes back as a float."""
+        v_old = self._previous.get(key)
+        if v_old is not None:
+            v_lim, hit = limiter(v, v_old)
+            if v_lim is not v:
+                lanes = np.reshape(hit, (-1, self.batch)).any(axis=0)
+                self.limited = lanes if self.limited is None \
+                    else self.limited | lanes
+                if not isinstance(v, np.ndarray):
+                    v_lim = float(v_lim)
+                self._current[key] = v_lim
+                return v_lim
+        self._current[key] = v
+        return v
+
+    def advance(self) -> None:
+        """Start the next Newton iteration: this one's limited voltages
+        become the previous ones."""
+        self._previous.update(self._current)
+        self.limited = None
+
+
 class StampContext:
     """Mutable assembly workspace handed to every device's :meth:`stamp`."""
 
@@ -470,8 +524,12 @@ class StampContext:
 
     def __init__(self, system: MNASystem, x: np.ndarray, analysis: str, time: float,
                  integrator: Integrator | None, options: "SimulationOptions",
-                 source_scale: float = 1.0, want_jacobian: bool = True) -> None:
+                 source_scale: float = 1.0, want_jacobian: bool = True,
+                 limits: LimitState | None = None) -> None:
         self.system = system
+        #: The :class:`LimitState` of the Newton solve assembling through
+        #: this context; None (nothing limits) for every other assembly.
+        self.limits = limits
         self.x = np.asarray(x, dtype=float)
         if self.x.shape != (system.size,):
             raise AnalysisError(
@@ -752,7 +810,9 @@ class BatchStampContext(StampContext):
     broadcast stamp afterwards, per lane, through :meth:`lane_context`,
     whose genuine serial :class:`StampContext` writes straight into this
     batch's dense arrays.  A context without a scatter only serves
-    accessors (output collection).
+    accessors (output collection).  ``limits`` reaches the lane-axis stamps
+    only: lane contexts do not limit (the junction-limiting diode always
+    stamps on the lane axis).
 
     Restricted to DC-class analyses (``op``/``dc``): the lane axis replaces
     the time axis, and no integrator state is threaded through.
@@ -762,7 +822,8 @@ class BatchStampContext(StampContext):
                  options: "SimulationOptions",
                  scatter: BatchScatter | None = None,
                  source_scale: float = 1.0, want_jacobian: bool = True,
-                 force_dense: bool = False) -> None:
+                 force_dense: bool = False,
+                 limits: LimitState | None = None) -> None:
         if analysis not in ("op", "dc"):
             raise AnalysisError(
                 f"batched assembly supports DC-class analyses only, got "
@@ -780,6 +841,7 @@ class BatchStampContext(StampContext):
         self.options = options
         self.source_scale = source_scale
         self.want_jacobian = want_jacobian
+        self.limits = limits
         self.use_sparse = options.use_sparse(system.size) and not force_dense
         self.res = self.jac = None
         self._x_pad = np.concatenate((self.x.T, np.zeros((1, batch))))

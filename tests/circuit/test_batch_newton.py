@@ -240,12 +240,14 @@ class TestBatchedChord:
             assert np.all(iters2 <= iters)
 
     def test_chord_hostile_lane_retired_others_solve(self):
-        # Deep forward conduction defeats chord Newton (serially too); the
-        # batch retires exactly that lane so the campaign's serial re-run
-        # can rescue it with source stepping.
-        options = SimulationOptions(jacobian_reuse="chord")
+        # Within a starved budget chord Newton cannot climb into deep
+        # forward conduction (serially too); the batch retires exactly that
+        # lane so the campaign's serial re-run can rescue it with source
+        # stepping.
+        options = SimulationOptions(jacobian_reuse="chord",
+                                    max_newton_iterations=10)
         circuit = build_ladder()
-        vdd = np.array([0.6, 5.0, 1.0])
+        vdd = np.array([0.6, 5.0, 0.5])
         columns = ParameterColumns(circuit, [("VS", "dc", vdd)])
         results = batched_operating_points(circuit, options, columns)
         assert results[1] is None

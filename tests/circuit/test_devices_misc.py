@@ -60,6 +60,15 @@ class TestDeviceValidation:
         with pytest.raises(DeviceError):
             Diode("D1", a, gnd, emission_coefficient=-1.0)
 
+    @pytest.mark.parametrize("vt", [0.0, -0.025])
+    def test_diode_rejects_non_positive_temperature_voltage(self, vt):
+        # 0 used to divide by zero on the first stamp; a negative value
+        # "solved" a forward-biased divider with the diode blocking.
+        circuit = Circuit()
+        a, gnd = circuit.electrical_node("a"), circuit.ground
+        with pytest.raises(DeviceError, match="temperature voltage"):
+            Diode("D1", a, gnd, temperature_voltage=vt)
+
     def test_describe_strings(self):
         circuit = Circuit()
         r = circuit.resistor("R1", "a", "0", 42.0)
