@@ -268,13 +268,13 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
     chord_allowed = options.jacobian_reuse == "chord"
     if chord_allowed:
         # Chord bookkeeping per lane, as the lane's own serial solve keeps
-        # it: whether it rides the held factorization (``ride``), whether
-        # it may still ride (``allowed``) and the residual norm of its last
-        # chord iteration (``previous``; NaN after a refactor).
+        # it: whether its held Jacobian may be ridden (``ws.chord_lanes``),
+        # whether it may still ride in this solve (``allowed``) and the
+        # residual norm of its last chord iteration (``previous``; NaN
+        # after a refactor).
         if ws.factorization is None or ws.chord_tag != tag \
                 or ws.chord_lanes.shape != (batch,):
             ws.chord_lanes = np.zeros(batch, dtype=bool)
-        ride = ws.chord_lanes.copy()
         allowed = np.ones(batch, dtype=bool)
         previous = np.full(batch, np.nan)
         # Past this point a chord solve that is still grinding is assumed
@@ -283,7 +283,7 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
         chord_limit = max(3, options.max_newton_iterations // 2)
     for iteration in range(1, options.max_newton_iterations + 1):
         limits.advance()
-        riding = ride & open_ if chord_allowed else None
+        riding = ws.chord_lanes & allowed & open_ if chord_allowed else None
         if riding is not None and not riding.any():
             riding = None
         # Residual-only while every open lane rides.
@@ -356,9 +356,8 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
                 # A Jacobian assembled at limited voltages is not ridden,
                 # in this solve or a later one.
                 fresh = refresh if limited is None else refresh & ~limited
-                ws.chord_lanes = (ws.chord_lanes & ~refresh) | fresh
                 # Ride this factorization from the next iteration on.
-                ride = (ride & ~refresh) | (fresh & allowed)
+                ws.chord_lanes = (ws.chord_lanes & ~refresh) | fresh
         try:
             dx, singular = stage.solve(factorization, -res)
         except LinAlgError as exc:
@@ -420,9 +419,11 @@ class SerialStage:
         self.solve_metric = f"newton.{analysis}.solve_s" \
             if telemetry.enabled() else None
         self.ctx: StampContext | None = None
+        self.limits: LimitState | None = None
 
     def assemble(self, x: np.ndarray, want_jacobian: bool,
                  limits: LimitState):
+        self.limits = limits
         ctx = self.ctx = self.system.assemble(x[0], *self.args,
                                               want_jacobian=want_jacobian,
                                               limits=limits)
@@ -491,6 +492,12 @@ def _lane_error(lanes: NewtonLanes, stage: SerialStage, trajectory):
         "singular_solve": f"MNA solve failed for {analysis} at t={time:g}: "
                           f"{lanes.error}",
     }[reason]
+    residual = lanes.dx[0] if reason == "nonfinite_update" else lanes.res[0]
+    if reason == "iteration_cap" and stage.limits.limited is not None:
+        # The last assembly linearized a device at its limited junction
+        # voltage: report the circuit's own residual at that iterate.
+        residual = stage.system.assemble(stage.ctx.x, *stage.args,
+                                         want_jacobian=False).res
     report = None
     if options.forensics:
         # For an unfactorable matrix the structural diagnosis is the "which
@@ -500,8 +507,7 @@ def _lane_error(lanes: NewtonLanes, stage: SerialStage, trajectory):
         state = {"matrix": stage.ctx.jacobian()} \
             if reason == "singular_factor" else {
                 "iterations": iteration, "trajectory": trajectory or (),
-                "residual": lanes.dx[0] if reason == "nonfinite_update"
-                else lanes.res[0],
+                "residual": residual,
                 "factorization": stage.workspace.factorization}
         report = telemetry.forensics.newton_failure(
             kind="singular" if error_type is SingularMatrixError else "newton",
@@ -511,10 +517,10 @@ def _lane_error(lanes: NewtonLanes, stage: SerialStage, trajectory):
             context={"size": stage.system.size}, **state)
     if error_type is SingularMatrixError:
         return SingularMatrixError(message, report=report)
-    residual = float(np.max(np.abs(lanes.res[0]))) \
-        if reason == "iteration_cap" else None
-    return ConvergenceError(message, iterations=iteration, residual=residual,
-                            report=report)
+    return ConvergenceError(
+        message, iterations=iteration, report=report,
+        residual=float(np.max(np.abs(residual)))
+        if reason == "iteration_cap" else None)
 
 
 def collect_outputs(system: MNASystem, ctx: StampContext,

@@ -47,7 +47,7 @@ def pnjlim(v_new, v_old, vt, v_crit):
     wherever ``limited`` is False.
     """
     limited = (v_new > v_crit) & (abs(v_new - v_old) > vt + vt)
-    if not np.count_nonzero(limited):
+    if not (limited.any() if isinstance(limited, np.ndarray) else limited):
         return v_new, limited
     arg = 1.0 + (v_new - v_old) / vt
     # Logarithms of positive stand-ins where a branch is not taken (and
@@ -116,8 +116,10 @@ class Diode(TwoTerminalDevice):
     def _limit(self, v, v_old):
         """:func:`pnjlim` at this diode's ``n Vt`` and critical voltage."""
         nvt = self.emission_coefficient * self.vt
-        v_crit = nvt * np.log(nvt / (math.sqrt(2.0) * self.saturation_current))
-        return pnjlim(v, v_old, nvt, v_crit)
+        ratio = nvt / (math.sqrt(2.0) * self.saturation_current)
+        # A group view's parameters are (k, B) blocks; a device's are floats.
+        log = np.log if isinstance(ratio, np.ndarray) else math.log
+        return pnjlim(v, v_old, nvt, nvt * log(ratio))
 
     def stamp(self, ctx: StampContext) -> None:
         ip, in_ = ctx.node_index(self.p), ctx.node_index(self.n)

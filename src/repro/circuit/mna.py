@@ -465,6 +465,11 @@ class MNASystem:
         return ctx
 
 
+#: A junction voltage that moved by no more than this (relative) since the
+#: previous Newton iteration counts as held in place (rounding only).
+_HELD_RTOL = 64 * np.finfo(float).eps
+
+
 class LimitState:
     """Junction-limiting state of one Newton solve over B lanes.
 
@@ -473,11 +478,18 @@ class LimitState:
     context's ``limits`` (None outside a Newton solve, so those assemblies
     never limit).  Per limiting stamper -- a device, or a batch group view
     whose values are ``(k, B)`` blocks -- it keeps the junction voltage the
-    previous iteration was evaluated at.  The first assembly of a solve
-    takes the voltages of its initial iterate, so it never limits, and
-    :meth:`advance` moves the state on once per Newton iteration: every
-    assembly of one iteration (a chord stall re-assembly included) limits
-    against the same previous values and stamps the same numbers.
+    previous iteration was evaluated at and the one its iterate had.  The
+    first assembly of a solve takes the voltages of its initial iterate, so
+    it never limits, and :meth:`advance` moves the state on once per Newton
+    iteration: every assembly of one iteration (a chord stall re-assembly
+    included) limits against the same previous values and stamps the same
+    numbers.
+
+    A junction whose iterate voltage the last iteration left in place (to
+    rounding, :data:`_HELD_RTOL`) is held there by the rest of the circuit
+    -- ideal sources across it -- so its own linearization cannot steer it:
+    it is evaluated where it is instead of being walked up through ever
+    larger, ill-conditioned conductances.
     """
 
     def __init__(self, batch: int) -> None:
@@ -493,23 +505,29 @@ class LimitState:
         v_old) -> (v_lim, limited)``, which returns ``v`` itself when no
         element limits (as :func:`~repro.circuit.devices.nonlinear.pnjlim`
         does).  A float ``v`` (serial context) comes back as a float."""
-        v_old = self._previous.get(key)
-        if v_old is not None:
-            v_lim, hit = limiter(v, v_old)
-            if v_lim is not v:
-                lanes = np.reshape(hit, (-1, self.batch)).any(axis=0)
-                self.limited = lanes if self.limited is None \
-                    else self.limited | lanes
-                if not isinstance(v, np.ndarray):
-                    v_lim = float(v_lim)
-                self._current[key] = v_lim
-                return v_lim
-        self._current[key] = v
-        return v
+        previous = self._previous.get(key)
+        self._current[key] = (v, v)
+        if previous is None:
+            return v
+        v_old, v_seen = previous
+        held = abs(v - v_seen) <= _HELD_RTOL * abs(v)
+        if isinstance(v, np.ndarray):
+            v_old = np.where(held, v, v_old)
+        elif held:
+            return v
+        v_lim, hit = limiter(v, v_old)
+        if v_lim is v:
+            return v
+        lanes = np.reshape(hit, (-1, self.batch)).any(axis=0)
+        self.limited = lanes if self.limited is None else self.limited | lanes
+        if not isinstance(v, np.ndarray):
+            v_lim = float(v_lim)
+        self._current[key] = (v_lim, v)
+        return v_lim
 
     def advance(self) -> None:
-        """Start the next Newton iteration: this one's limited voltages
-        become the previous ones."""
+        """Start the next Newton iteration: this one's voltages become the
+        previous ones."""
         self._previous.update(self._current)
         self.limited = None
 

@@ -4,8 +4,9 @@
 written once on arrays: the serial stamp is its one-element case and a
 batch group view limits ``(k, B)`` blocks with the same code.  The Newton
 solve owns the limiting state (:class:`~repro.circuit.mna.LimitState`),
-advances it once per iteration and never accepts a lane as converged on an
-iteration in which it limited.  Limited operating points agree with a
+advances it once per iteration, never accepts a lane as converged on an
+iteration in which it limited, and stops limiting a junction that ideal
+sources hold in place.  Limited operating points agree with a
 ``reltol=1e-12`` reference to the SPICE tolerance they were solved at.
 """
 
@@ -203,6 +204,47 @@ def test_batch_group_view_limits_each_lane_like_its_serial_stamp():
                                atol=0.0)
             assert np.allclose(serial.jac, ctx.jac[lane], rtol=1e-13,
                                atol=0.0)
+
+
+def test_a_junction_held_in_place_is_not_limited():
+    limits = LimitState(3)
+    key = object()
+    pnjlim_at = lambda v, v_old: pnjlim(v, v_old, VT, VCRIT)  # noqa: E731
+    limits.limit(key, np.array([0.5, 0.5, 0.5]), pnjlim_at)
+    limits.advance()
+    # Every lane steps far forward: all limit.
+    v = np.array([30.0, 2.1, 5.0])
+    v_lim = limits.limit(key, v, pnjlim_at)
+    assert list(limits.limited) == [True, True, True]
+    assert np.all(v_lim < 1.0)
+    limits.advance()
+    # Lanes 0 and 1 come back to within rounding of the same voltage (held
+    # by ideal sources); lane 2 moved, so it keeps limiting.
+    again = np.array([np.nextafter(30.0, 31.0), 2.1, 4.9])
+    v_lim2 = limits.limit(key, again, pnjlim_at)
+    assert list(limits.limited) == [False, False, True]
+    assert v_lim2[0] == again[0] and v_lim2[1] == again[1]
+    assert v_lim[2] < v_lim2[2] < 1.5
+    # The serial (float) form follows the same rule.
+    serial = LimitState(1)
+    serial.limit(key, 0.5, pnjlim_at)
+    for volts in (2.1, np.nextafter(2.1, 3.0)):
+        serial.advance()
+        out = serial.limit(key, volts, pnjlim_at)
+    assert out == np.nextafter(2.1, 3.0) and serial.limited is None
+
+
+def test_junction_held_by_an_ideal_source_solves_at_the_source_voltage():
+    # 2.1 V straight across a bare diode: limiting cannot steer the
+    # junction, so the solve evaluates it at 2.1 V on the third iteration
+    # instead of walking G(v_lim) up for ~27 iterations.
+    circuit = Circuit("held")
+    circuit.voltage_source("V1", "a", "0", 2.1)
+    circuit.diode("D1", "a", "0")
+    op = OperatingPointAnalysis(circuit).run()
+    assert op.iterations <= 4
+    current, _ = circuit["D1"]._current_and_conductance(2.1)
+    assert op.raw[1] == pytest.approx(-current, rel=1e-12)
 
 
 def chord_ladder_sweep_events(monkeypatch) -> list:

@@ -175,10 +175,14 @@ def test_iteration_cap_error_and_report_pinned():
     message = "Newton failed to converge in 5 iterations (op, t=0)"
     assert type(error) is ConvergenceError and str(error) == message
     assert error.iterations == 5
-    assert error.residual == 0.0020682467536887903
+    # The trajectory holds the residuals Newton iterated on (the diode
+    # linearized at its limited voltage); the error and the report carry
+    # the circuit's own residual at the last iterate.
+    assert error.residual == 6.333569419133078e+22
     report = error.report
     assert (report.kind, report.error_type, report.message,
             report.iterations) == ("newton", "ConvergenceError", message, 5)
+    assert report.residual_norm == error.residual
     assert report.residual_trajectory == [
         5.0, 3.6350867983983714e-10, 6.680666334245069e-08,
         1.192921614681887e-05, 0.0020682467536887903]
