@@ -1,11 +1,15 @@
 """AC small-signal analysis.
 
-The circuit is first solved for its DC operating point; every device is then
-linearized around that bias and the complex system ``Y(omega) x = b`` is
-solved at each requested frequency.  For behavioral (HDL-A) devices the
-linearization is exact: their contributions are evaluated with complex-seeded
-dual numbers in which ``ddt`` multiplies the sensitivity by ``j*omega``
-(see :class:`repro.circuit.devices.behavioral.BehaviorContext`).
+The circuit is first solved for its DC operating point; the complex system
+``Y(omega) x = b`` is then solved at each requested frequency.  ``Y`` is
+not written per device: :meth:`~repro.circuit.mna.MNASystem.assemble_ac`
+runs every device's one ``stamp`` through an
+:class:`~repro.circuit.mna.ACStampContext` that reads the operating point,
+keeps the Jacobian (complex) and drops the residual, and turns ``ddt`` into
+``j*omega`` times the sensitivity -- the SPICE2 AC load, which reuses the
+conductances linearized at the bias.  The conductance part of ``Y`` is
+therefore the operating-point Jacobian itself, and for behavioral (HDL-A)
+devices the linearization is exact through their complex-seeded duals.
 
 Sweep caching
 -------------
@@ -150,9 +154,10 @@ class ACAnalysis:
         if op_values.shape != (system.size,):
             raise AnalysisError(
                 "operating point does not match this circuit (unknown count differs)")
-        # Integral states at the bias point: behavioral models read them via
-        # ``op_state`` so that e.g. a transducer biased at displacement x0
-        # keeps that displacement in its small-signal capacitance.
+        # Integral states at the bias point: ``integ`` reads them through
+        # the AC context's ``state_value`` so that e.g. a transducer biased
+        # at displacement x0 keeps that displacement in its small-signal
+        # capacitance.
         integrator_states = dict(operating_point.integrator_states)
         solutions = None
         with telemetry.span("ac.sweep") as sweep_span:

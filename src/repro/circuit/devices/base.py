@@ -1,14 +1,16 @@
 """Device base classes and the stamping contract.
 
-Every device implements three methods used by the analyses:
+Every device implements two methods used by the analyses:
 
 ``stamp(ctx)``
-    Add the device's contribution to the residual and Jacobian of the real
-    (OP / DC-sweep / transient) system at the iterate ``ctx.x``.
-``stamp_ac(ctx)``
-    Add the device's linearized complex admittance (and AC excitation for
-    sources) to the small-signal system at ``ctx.omega``, evaluated around
-    the operating point stored in the context.
+    Add the device's contribution to the residual and Jacobian at the
+    iterate ``ctx.x``.  The one stamp serves every analysis: OP, DC sweep
+    and transient assemble the real system through a
+    :class:`~repro.circuit.mna.StampContext`; AC runs the same stamp
+    through an :class:`~repro.circuit.mna.ACStampContext` linearized at the
+    operating point, whose ``ddt`` is ``j*omega`` and whose Jacobian is
+    the complex small-signal matrix.  Independent sources add their AC
+    phasor in :meth:`Device.ac_excitation`.
 ``record(ctx)``
     Return named output quantities (branch currents, internal states,
     forces) to be stored alongside the node across values in the analysis
@@ -115,9 +117,8 @@ class Device(ABC):
     def stamp(self, ctx: StampContext) -> None:
         """Stamp residual and Jacobian contributions for OP/DC/transient."""
 
-    @abstractmethod
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        """Stamp the small-signal admittance (and AC sources) at ``ctx.omega``."""
+    def ac_excitation(self, ctx: ACStampContext) -> None:
+        """Add the device's AC phasor to ``ctx.rhs`` (default: none)."""
 
     # -- outputs -----------------------------------------------------------------
     def record(self, ctx: StampContext) -> dict[str, float]:

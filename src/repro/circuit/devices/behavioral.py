@@ -21,9 +21,10 @@ analysis       semantics of the operators
 =============  =============================================================
 op / dc        ``ddt`` -> 0, ``integ`` -> the state's initial/bias value
 transient      discretized by the analysis :class:`~repro.circuit.mna.Integrator`
-ac             linearized around the operating point; ``ddt`` multiplies the
-               small-signal sensitivity by ``j*omega`` and ``integ`` divides
-               by ``j*omega``
+ac             the same stamp, linearized around the operating point by the
+               :class:`~repro.circuit.mna.ACStampContext`: ``ddt``
+               multiplies the sensitivity by ``j*omega``, ``integ`` holds
+               the bias state and divides it by ``j*omega``
 =============  =============================================================
 
 Jacobians are exact: the context seeds the port across values and extra
@@ -42,12 +43,17 @@ import numpy as np
 from ...ad import Dual
 from ...errors import DeviceError
 from ...natures import Nature, get_nature
-from ..mna import ACStampContext, StampContext
+from ..mna import StampContext
 from ..mna import compile_runtime as _compile_runtime
 from ..netlist import Node
 from .base import Device
 
 __all__ = ["Port", "BehaviorContext", "BehavioralDevice"]
+
+
+def _real(value) -> float:
+    """A Jacobian entry of a real (op/dc/transient) assembly."""
+    return float(np.real(value))
 
 
 @dataclass(frozen=True)
@@ -70,13 +76,11 @@ class BehaviorContext:
 
     def __init__(self, device: "BehavioralDevice", mode: str, *,
                  stamp_ctx: StampContext | None = None,
-                 ac_ctx: ACStampContext | None = None,
                  dep_positions: Mapping[int, int] | None = None,
                  nvars: int = 0, with_jacobian: bool = True) -> None:
         self._device = device
         self.analysis = mode
         self._stamp_ctx = stamp_ctx
-        self._ac_ctx = ac_ctx
         self._dep_positions = dict(dep_positions or {})
         self._nvars = nvars
         #: When False the context seeds plain floats instead of AD duals:
@@ -100,9 +104,7 @@ class BehaviorContext:
     @property
     def omega(self) -> float:
         """Angular frequency of the AC analysis (0 otherwise)."""
-        if self._ac_ctx is not None:
-            return self._ac_ctx.omega
-        return 0.0
+        return getattr(self._stamp_ctx, "omega", 0.0)
 
     def param(self, name: str, default: float | None = None) -> float:
         """Value of a device generic/parameter."""
@@ -123,9 +125,6 @@ class BehaviorContext:
         return Dual.variable(value, index=position, nvars=self._nvars, dtype=dtype)
 
     def _node_value(self, node: Node) -> tuple[float, int]:
-        if self.analysis == "ac":
-            assert self._ac_ctx is not None
-            return self._ac_ctx.op_across(node), self._ac_ctx.node_index(node)
         assert self._stamp_ctx is not None
         return self._stamp_ctx.across(node), self._stamp_ctx.node_index(node)
 
@@ -145,14 +144,9 @@ class BehaviorContext:
         if name not in self._device.extra_unknowns:
             raise DeviceError(
                 f"{self._device.name!r}: {name!r} is not a declared extra unknown")
-        if self.analysis == "ac":
-            assert self._ac_ctx is not None
-            value = self._ac_ctx.op_aux(self._device, name)
-            index = self._ac_ctx.aux_index(self._device, name)
-        else:
-            assert self._stamp_ctx is not None
-            value = self._stamp_ctx.aux_value(self._device, name)
-            index = self._stamp_ctx.aux_index(self._device, name)
+        assert self._stamp_ctx is not None
+        value = self._stamp_ctx.aux_value(self._device, name)
+        index = self._stamp_ctx.aux_index(self._device, name)
         return self._seed(value, index)
 
     # ------------------------------------------------------------- dynamics
@@ -165,11 +159,6 @@ class BehaviorContext:
     def ddt(self, expression, key: str | None = None):
         """Time derivative of ``expression`` (HDL-A ``ddt``)."""
         full_key = self._full_key(key, "ddt")
-        if self.analysis == "ac":
-            omega = max(self.omega, 1e-30)
-            if isinstance(expression, Dual):
-                return Dual(0.0, 1j * omega * expression.deriv)
-            return 0.0
         assert self._stamp_ctx is not None
         return self._stamp_ctx.ddt(full_key, expression)
 
@@ -184,13 +173,6 @@ class BehaviorContext:
         if initial is None:
             initial = self._device.state_initials.get(
                 key if key is not None else full_key[1], 0.0)
-        if self.analysis == "ac":
-            assert self._ac_ctx is not None
-            omega = max(self.omega, 1e-30)
-            op_value = self._ac_ctx.op_state(full_key, initial)
-            if isinstance(expression, Dual):
-                return Dual(op_value, expression.deriv / (1j * omega))
-            return op_value
         assert self._stamp_ctx is not None
         return self._stamp_ctx.integ(full_key, expression, initial=initial)
 
@@ -322,22 +304,16 @@ class BehavioralDevice(Device):
                 indices.append(idx)
         return indices
 
-    def _run(self, mode: str, stamp_ctx: StampContext | None,
-             ac_ctx: ACStampContext | None,
+    def _run(self, mode: str, stamp_ctx: StampContext,
              with_jacobian: bool = True) -> tuple[BehaviorContext, list[int]]:
         if not with_jacobian:
-            ctx = BehaviorContext(self, mode, stamp_ctx=stamp_ctx, ac_ctx=ac_ctx,
+            ctx = BehaviorContext(self, mode, stamp_ctx=stamp_ctx,
                                   with_jacobian=False)
             self.behavior(ctx)
             return ctx, []
-        if mode == "ac":
-            assert ac_ctx is not None
-            deps = self._dependency_indices(ac_ctx.node_index, ac_ctx.aux_index)
-        else:
-            assert stamp_ctx is not None
-            deps = self._dependency_indices(stamp_ctx.node_index, stamp_ctx.aux_index)
+        deps = self._dependency_indices(stamp_ctx.node_index, stamp_ctx.aux_index)
         positions = {idx: pos for pos, idx in enumerate(deps)}
-        ctx = BehaviorContext(self, mode, stamp_ctx=stamp_ctx, ac_ctx=ac_ctx,
+        ctx = BehaviorContext(self, mode, stamp_ctx=stamp_ctx,
                               dep_positions=positions, nvars=len(deps))
         self.behavior(ctx)
         return ctx, deps
@@ -370,9 +346,11 @@ class BehavioralDevice(Device):
         # (:mod:`repro.hdl.compile.runtime`), so this is the interpreter.
         if _compile_runtime().try_stamp(self, ctx):
             return
-        mode = "tran" if ctx.is_transient else "op"
-        bctx, deps = self._run(mode, ctx, None, with_jacobian=ctx.want_jacobian)
+        mode = "op" if ctx.is_dc else ctx.analysis  # "tran" or "ac"
+        bctx, deps = self._run(mode, ctx, with_jacobian=ctx.want_jacobian)
         keep_duals = ctx.keep_residual_duals
+        # The small-signal context keeps the complex (j*omega) derivatives.
+        entry = complex if mode == "ac" else _real
         for port_name, value in bctx.contributions.items():
             port = self._ports[port_name]
             ip, in_ = ctx.node_index(port.p), ctx.node_index(port.n)
@@ -386,7 +364,7 @@ class BehavioralDevice(Device):
             ctx.add_through(ip, in_, plain)
             if isinstance(value, Dual):
                 for pos, idx in enumerate(deps):
-                    dval = float(np.real(value.deriv[pos]))
+                    dval = entry(value.deriv[pos])
                     if dval != 0.0:
                         ctx.add_through_jac(ip, in_, idx, dval)
         for unknown_name, value in bctx.equations.items():
@@ -398,7 +376,7 @@ class BehavioralDevice(Device):
             ctx.add_res(row, plain)
             if isinstance(value, Dual):
                 for pos, idx in enumerate(deps):
-                    dval = float(np.real(value.deriv[pos]))
+                    dval = entry(value.deriv[pos])
                     if dval != 0.0:
                         ctx.add_jac(row, idx, dval)
         # Equations must be supplied for every declared extra unknown,
@@ -409,31 +387,12 @@ class BehavioralDevice(Device):
                 f"behavioral device {self.name!r} declared unknowns without "
                 f"equations: {sorted(missing)}")
 
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        bctx, deps = self._run("ac", None, ctx)
-        for port_name, value in bctx.contributions.items():
-            port = self._ports[port_name]
-            ip, in_ = ctx.node_index(port.p), ctx.node_index(port.n)
-            if isinstance(value, Dual):
-                for pos, idx in enumerate(deps):
-                    dval = complex(value.deriv[pos])
-                    if dval != 0.0:
-                        ctx.add(ip, idx, dval)
-                        ctx.add(in_, idx, -dval)
-        for unknown_name, value in bctx.equations.items():
-            row = ctx.aux_index(self, unknown_name)
-            if isinstance(value, Dual):
-                for pos, idx in enumerate(deps):
-                    dval = complex(value.deriv[pos])
-                    if dval != 0.0:
-                        ctx.add(row, idx, dval)
-
     # ------------------------------------------------------------------ outputs
     def record(self, ctx: StampContext) -> dict[str, float]:
         mode = "tran" if ctx.is_transient else "op"
         # Records read value parts only; the float-mode evaluation produces
         # exactly those values without paying for any sensitivity.
-        bctx, _ = self._run(mode, ctx, None, with_jacobian=False)
+        bctx, _ = self._run(mode, ctx, with_jacobian=False)
         outputs: dict[str, float] = {}
         for port_name, value in bctx.contributions.items():
             plain = value.value if isinstance(value, Dual) else float(value)

@@ -12,7 +12,7 @@ unknown), as in SPICE.
 from __future__ import annotations
 
 from ...errors import DeviceError
-from ..mna import ACStampContext, StampContext
+from ..mna import StampContext
 from ..netlist import Node
 from .base import Device, TwoTerminalDevice
 
@@ -39,15 +39,6 @@ class VCCS(Device):
         ctx.add_through(ip, in_, gm * control)
         ctx.add_through_jac(ip, in_, icp, gm)
         ctx.add_through_jac(ip, in_, icn, -gm)
-
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        gm = self.transconductance
-        ip, in_ = ctx.node_index(self.p), ctx.node_index(self.n)
-        icp, icn = ctx.node_index(self.cp), ctx.node_index(self.cn)
-        ctx.add(ip, icp, gm)
-        ctx.add(ip, icn, -gm)
-        ctx.add(in_, icp, -gm)
-        ctx.add(in_, icn, gm)
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         control = ctx.across(self.cp) - ctx.across(self.cn)
@@ -85,17 +76,6 @@ class VCVS(Device):
         ctx.add_jac(ib, icp, -self.gain)
         ctx.add_jac(ib, icn, self.gain)
 
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        ip, in_ = ctx.node_index(self.p), ctx.node_index(self.n)
-        icp, icn = ctx.node_index(self.cp), ctx.node_index(self.cn)
-        ib = ctx.aux_index(self, "i")
-        ctx.add(ip, ib, 1.0)
-        ctx.add(in_, ib, -1.0)
-        ctx.add(ib, ip, 1.0)
-        ctx.add(ib, in_, -1.0)
-        ctx.add(ib, icp, -self.gain)
-        ctx.add(ib, icn, self.gain)
-
     def record(self, ctx: StampContext) -> dict[str, float]:
         return {f"i({self.name})": ctx.aux_value(self, "i")}
 
@@ -127,12 +107,6 @@ class CCCS(_CurrentControlled):
         ctx.add_through(ip, in_, self.factor * control)
         ctx.add_through_jac(ip, in_, ic, self.factor)
 
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        ip, in_ = ctx.node_index(self.p), ctx.node_index(self.n)
-        ic = self._control_index(ctx)
-        ctx.add(ip, ic, self.factor)
-        ctx.add(in_, ic, -self.factor)
-
     def record(self, ctx: StampContext) -> dict[str, float]:
         return {f"i({self.name})": self.factor * ctx.unknown_value(self._control_index(ctx))}
 
@@ -158,16 +132,6 @@ class CCVS(_CurrentControlled):
         ctx.add_jac(ib, ip, 1.0)
         ctx.add_jac(ib, in_, -1.0)
         ctx.add_jac(ib, ic, -self.factor)
-
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        ip, in_ = ctx.node_index(self.p), ctx.node_index(self.n)
-        ib = ctx.aux_index(self, "i")
-        ic = self._control_index(ctx)
-        ctx.add(ip, ib, 1.0)
-        ctx.add(in_, ib, -1.0)
-        ctx.add(ib, ip, 1.0)
-        ctx.add(ib, in_, -1.0)
-        ctx.add(ib, ic, -self.factor)
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         return {f"i({self.name})": ctx.aux_value(self, "i")}

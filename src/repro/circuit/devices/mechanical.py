@@ -23,7 +23,7 @@ numerical post-processing by the user.
 from __future__ import annotations
 
 from ...errors import DeviceError
-from ..mna import ACStampContext, StampContext
+from ..mna import StampContext
 from ..netlist import Node
 from ..waveforms import Waveform
 from .passive import Capacitor, Inductor, Resistor

@@ -23,7 +23,7 @@ import numpy as np
 from ...ad import exp as _ad_exp, value_of
 from ...constants import THERMAL_VOLTAGE
 from ...errors import DeviceError
-from ..mna import ACStampContext, StampContext
+from ..mna import StampContext
 from ..netlist import Node
 from .base import TwoTerminalDevice
 
@@ -132,15 +132,6 @@ class Diode(TwoTerminalDevice):
         ctx.add_through(ip, in_, current)
         ctx.add_through_jac(ip, in_, ip, conductance)
         ctx.add_through_jac(ip, in_, in_, -conductance)
-
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        v = ctx.op_across(self.p) - ctx.op_across(self.n)
-        _, conductance = self._current_and_conductance(v)
-        ip, in_ = ctx.node_index(self.p), ctx.node_index(self.n)
-        ctx.add(ip, ip, conductance)
-        ctx.add(ip, in_, -conductance)
-        ctx.add(in_, ip, -conductance)
-        ctx.add(in_, in_, conductance)
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         current, _ = self._current_and_conductance(self.branch_across(ctx))

@@ -10,7 +10,7 @@ subclasses).  Stamps follow the residual/Jacobian convention documented in
 from __future__ import annotations
 
 from ...errors import DeviceError
-from ..mna import ACStampContext, StampContext
+from ..mna import StampContext
 from ..netlist import Node
 from .base import TwoTerminalDevice
 
@@ -43,15 +43,6 @@ class Resistor(TwoTerminalDevice):
         ctx.add_through(ip, in_, current)
         ctx.add_through_jac(ip, in_, ip, g)
         ctx.add_through_jac(ip, in_, in_, -g)
-
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        g = self.conductance
-        ip = ctx.node_index(self.p)
-        in_ = ctx.node_index(self.n)
-        ctx.add(ip, ip, g)
-        ctx.add(ip, in_, -g)
-        ctx.add(in_, ip, -g)
-        ctx.add(in_, in_, g)
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         return {f"i({self.name})": self.conductance * self.branch_across(ctx)}
@@ -94,15 +85,6 @@ class Capacitor(TwoTerminalDevice):
         geq = self.capacitance * c0
         ctx.add_through_jac(ip, in_, ip, geq)
         ctx.add_through_jac(ip, in_, in_, -geq)
-
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        y = 1j * ctx.omega * self.capacitance
-        ip = ctx.node_index(self.p)
-        in_ = ctx.node_index(self.n)
-        ctx.add(ip, ip, y)
-        ctx.add(ip, in_, -y)
-        ctx.add(in_, ip, -y)
-        ctx.add(in_, in_, y)
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         v = self.branch_across(ctx)
@@ -157,16 +139,6 @@ class Inductor(TwoTerminalDevice):
         ctx.add_jac(ib_index, ip, 1.0)
         ctx.add_jac(ib_index, in_, -1.0)
         ctx.add_jac(ib_index, ib_index, -self.inductance * c0)
-
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        ip = ctx.node_index(self.p)
-        in_ = ctx.node_index(self.n)
-        ib_index = ctx.aux_index(self, "i")
-        ctx.add(ip, ib_index, 1.0)
-        ctx.add(in_, ib_index, -1.0)
-        ctx.add(ib_index, ip, 1.0)
-        ctx.add(ib_index, in_, -1.0)
-        ctx.add(ib_index, ib_index, -1j * ctx.omega * self.inductance)
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         current = ctx.aux_value(self, "i")

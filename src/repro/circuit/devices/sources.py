@@ -24,6 +24,12 @@ from .base import TwoTerminalDevice
 __all__ = ["VoltageSource", "CurrentSource"]
 
 
+def _phasor(source) -> complex:
+    """The AC phasor ``ac * exp(j * phase)`` of an independent source."""
+    phase = math.radians(source.ac_phase_deg)
+    return source.ac * complex(math.cos(phase), math.sin(phase))
+
+
 class _DCLevelParameter:
     """Shared ``"dc"`` tunable-parameter implementation for sources.
 
@@ -89,17 +95,9 @@ class VoltageSource(_DCLevelParameter, TwoTerminalDevice):
         ctx.add_jac(ib, ip, 1.0)
         ctx.add_jac(ib, in_, -1.0)
 
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        ip = ctx.node_index(self.p)
-        in_ = ctx.node_index(self.n)
-        ib = ctx.aux_index(self, "i")
-        ctx.add(ip, ib, 1.0)
-        ctx.add(in_, ib, -1.0)
-        ctx.add(ib, ip, 1.0)
-        ctx.add(ib, in_, -1.0)
+    def ac_excitation(self, ctx: ACStampContext) -> None:
         if self.ac != 0.0:
-            phase = math.radians(self.ac_phase_deg)
-            ctx.add_rhs(ib, self.ac * complex(math.cos(phase), math.sin(phase)))
+            ctx.add_rhs(ctx.aux_index(self, "i"), _phasor(self))
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         current = ctx.aux_value(self, "i")
@@ -134,18 +132,15 @@ class CurrentSource(_DCLevelParameter, TwoTerminalDevice):
         current = self.waveform.value(ctx.time) * ctx.source_scale
         ctx.add_through(ip, in_, current)
 
-    def stamp_ac(self, ctx: ACStampContext) -> None:
+    def ac_excitation(self, ctx: ACStampContext) -> None:
         if self.ac == 0.0:
             return
-        ip = ctx.node_index(self.p)
-        in_ = ctx.node_index(self.n)
-        phase = math.radians(self.ac_phase_deg)
-        phasor = self.ac * complex(math.cos(phase), math.sin(phase))
+        phasor = _phasor(self)
         # The source injects current into node n and removes it from node p
         # (flow from p to n through the source), hence the right-hand side
         # signs below (rhs = -residual contribution).
-        ctx.add_rhs(ip, -phasor)
-        ctx.add_rhs(in_, phasor)
+        ctx.add_rhs(ctx.node_index(self.p), -phasor)
+        ctx.add_rhs(ctx.node_index(self.n), phasor)
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         return {f"i({self.name})": self.waveform.value(ctx.time) * ctx.source_scale}

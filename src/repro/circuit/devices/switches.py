@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ...errors import DeviceError
-from ..mna import ACStampContext, StampContext
+from ..mna import StampContext
 from ..netlist import Node
 from .base import Device
 
@@ -75,15 +75,6 @@ class VoltageControlledSwitch(Device):
         ctx.add_through_jac(ip, in_, in_, -g)
         ctx.add_through_jac(ip, in_, icp, dg * v)
         ctx.add_through_jac(ip, in_, icn, -dg * v)
-
-    def stamp_ac(self, ctx: ACStampContext) -> None:
-        control = ctx.op_across(self.cp) - ctx.op_across(self.cn)
-        g, _ = self._conductance(control)
-        ip, in_ = ctx.node_index(self.p), ctx.node_index(self.n)
-        ctx.add(ip, ip, g)
-        ctx.add(ip, in_, -g)
-        ctx.add(in_, ip, -g)
-        ctx.add(in_, in_, g)
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         control = ctx.across(self.cp) - ctx.across(self.cn)

@@ -41,10 +41,14 @@ def small_signal_matrices(circuit: Circuit, operating_point: OperatingPoint | No
 
     Returns ``(G, C, system)`` where the matrices are dense numpy arrays in
     the MNA unknown ordering of ``system`` and ``Y(omega) = G + j*omega*C``.
-    Raises :class:`~repro.errors.AnalysisError` naming the unknowns of the
-    non-zero ``S/(j*omega)`` entries when the admittance has ``integ``
+    Raises :class:`~repro.errors.AnalysisError` for a ``probe_frequency``
+    that is not positive (before any solve), and naming the unknowns of
+    the non-zero ``S/(j*omega)`` entries when the admittance has ``integ``
     terms.
     """
+    if not probe_frequency > 0.0:
+        raise AnalysisError(
+            f"probe_frequency must be positive, got {probe_frequency}")
     options = options or SimulationOptions()
     system = MNASystem(circuit)
     if operating_point is None:
@@ -75,14 +79,14 @@ def input_admittance(circuit: Circuit, node: str | Node, frequency: float,
     The admittance is computed by injecting a unit AC current into the node
     and reading the resulting node voltage: ``Y = I / V = 1 / V``.
     """
+    omega = 2.0 * np.pi * float(frequency)
+    if not omega > 0.0:
+        raise AnalysisError(f"frequency must be positive, got {frequency}")
     options = options or SimulationOptions()
     system = MNASystem(circuit)
     if operating_point is None:
         operating_point = OperatingPointAnalysis(circuit, options).run()
     states = dict(operating_point.integrator_states)
-    omega = 2.0 * np.pi * float(frequency)
-    if omega <= 0.0:
-        raise AnalysisError("frequency must be positive")
     ctx = system.assemble_ac(operating_point.raw, omega, states, options)
     node_obj = circuit.node(node) if isinstance(node, str) else node
     index = system.index_of(node_obj)

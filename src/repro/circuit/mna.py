@@ -28,7 +28,8 @@ Time integration
 of ``d/dt`` and of running integrals, with per-key state histories.  Devices
 never see the method directly -- they call :meth:`StampContext.ddt` /
 :meth:`StampContext.integ` which dispatch on the analysis mode (zero
-derivative at DC, ``j*omega`` in AC handled by the separate AC context).
+derivative at DC; ``j*omega`` in the small-signal :class:`ACStampContext`,
+which runs the same stamps linearized at the operating point).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable
 import numpy as np
 
 from .. import telemetry
+from ..ad import Dual
 from ..errors import AnalysisError, NetlistError
 from ..linalg import StructureCache
 from .netlist import Circuit, Node
@@ -140,16 +142,6 @@ class Integrator:
         if self.method == self.BACKWARD_EULER:
             return 1.0 / self.h
         return 2.0 / self.h
-
-    def integral_coefficient(self) -> float:
-        """Coefficient ``dI/dx_new`` of the discretized running integral."""
-        if self.priming:
-            return 0.0
-        if self.h <= 0.0:
-            raise AnalysisError("integrator step has not been set")
-        if self.method == self.BACKWARD_EULER:
-            return self.h
-        return 0.5 * self.h
 
     def differentiate(self, key: Hashable, value):
         """Discretized time derivative of ``value`` identified by ``key``.
@@ -453,12 +445,18 @@ class MNASystem:
     def assemble_ac(self, op_values: np.ndarray, omega: float,
                     integrator_states: dict | None,
                     options: "SimulationOptions") -> "ACStampContext":
-        """Build the complex small-signal system at angular frequency ``omega``."""
+        """Build the complex small-signal system at angular frequency
+        ``omega``: every device's :meth:`stamp` linearized at ``op_values``
+        (:class:`ACStampContext`), then its AC excitation."""
+        if not omega > 0.0:
+            raise AnalysisError(
+                f"small-signal angular frequency must be positive, got {omega}")
         t0 = perf_counter() if telemetry.enabled() else None
         ctx = ACStampContext(self, op_values, omega=omega,
                              integrator_states=integrator_states or {}, options=options)
         for device in self.circuit:
-            device.stamp_ac(ctx)
+            device.stamp(ctx)
+            device.ac_excitation(ctx)
         ctx.apply_gmin(options.gmin)
         if t0 is not None:
             telemetry.registry.observe("mna.assembly.ac_s", perf_counter() - t0)
@@ -688,12 +686,6 @@ class StampContext:
         if self.is_dc or self.integrator is None:
             return 0.0
         return self.integrator.coefficient()
-
-    def integ_coefficient(self) -> float:
-        """``d(integ(x))/dx`` of the active discretization (0 at DC)."""
-        if self.is_dc or self.integrator is None:
-            return 0.0
-        return self.integrator.integral_coefficient()
 
     def ddt(self, key: Hashable, value):
         """Discretized time derivative of ``value`` (0 at DC)."""
@@ -1026,63 +1018,72 @@ class _ProbeContext(BatchStampContext):
         self.jac_calls.append((self.positions, row, col))
 
 
-class ACStampContext:
-    """Complex small-signal assembly workspace for AC analysis.
+class ACStampContext(StampContext):
+    """Small-signal assembly: every device's own :meth:`stamp`, linearized.
 
-    Devices stamp their linearized admittances into ``matrix`` and AC source
-    excitations into ``rhs``; the linearization point is the operating-point
-    solution ``op_values`` (same layout as the real unknown vector).
+    The context sits at the operating point ``op_values``: the accessors
+    read it (with the committed bias states behind :meth:`state_value`),
+    ``add_jac`` accumulates into the complex ``matrix`` and ``add_res``
+    drops its value -- a stamp's residual is the large-signal part, which
+    the small-signal system does not have.  ``ddt`` keeps only the
+    derivative part, times ``j*omega``; ``integ`` holds the bias state and
+    divides the derivative part by ``j*omega``.  Independent sources add
+    their phasors to ``rhs`` in :meth:`~repro.circuit.devices.base.Device.ac_excitation`.
+    Nothing limits (``limits`` is None).
     """
-
-    analysis = "ac"
 
     def __init__(self, system: MNASystem, op_values: np.ndarray, omega: float,
                  integrator_states: dict, options: "SimulationOptions") -> None:
         self.system = system
-        self.op_values = np.asarray(op_values, dtype=float)
+        self.x = np.asarray(op_values, dtype=float)
+        if self.x.shape != (system.size,):
+            raise AnalysisError(
+                f"operating point has shape {self.x.shape}, expected "
+                f"({system.size},)")
+        self.analysis = "ac"
+        self.time = 0.0
+        self.integrator = None
+        self.options = options
+        self.source_scale = 1.0
+        self.want_jacobian = True
+        self.limits = None
+        self.use_sparse = False
         self.omega = float(omega)
         self.integrator_states = integrator_states
-        self.options = options
         n = system.size
-        self.matrix = np.zeros((n, n), dtype=complex)
+        self.matrix = self.jac = np.zeros((n, n), dtype=complex)
         self.rhs = np.zeros(n, dtype=complex)
 
-    def node_index(self, node: Node) -> int:
-        """Unknown index of ``node`` (-1 for ground)."""
-        return self.system.index_of(node)
+    def add_jac(self, row: int, col: int, value: complex) -> None:
+        if row >= 0 and col >= 0:
+            self.matrix[row, col] += value
 
-    def aux_index(self, device: "Device | str", name: str) -> int:
-        """Unknown index of a device auxiliary variable."""
-        return self.system.aux_index(device, name)
-
-    def op_across(self, node: Node) -> float:
-        """Operating-point across value of ``node``."""
-        idx = self.system.index_of(node)
-        return 0.0 if idx < 0 else float(self.op_values[idx])
-
-    def op_aux(self, device: "Device | str", name: str) -> float:
-        """Operating-point value of an auxiliary unknown."""
-        return float(self.op_values[self.system.aux_index(device, name)])
-
-    def op_state(self, key: Hashable, default: float = 0.0) -> float:
-        """Committed integral state at the operating point."""
-        return float(self.integrator_states.get(key, default))
-
-    def add(self, row: int, col: int, value: complex) -> None:
-        """Accumulate a complex admittance entry (ground indices ignored)."""
-        if row < 0 or col < 0:
-            return
-        self.matrix[row, col] += value
+    def add_res(self, row: int, value) -> None:
+        pass
 
     def add_rhs(self, row: int, value: complex) -> None:
         """Accumulate an AC excitation into the right-hand side."""
-        if row < 0:
-            return
-        self.rhs[row] += value
+        if row >= 0:
+            self.rhs[row] += value
 
     def apply_gmin(self, gmin: float) -> None:
-        """Tie every node to ground with ``gmin`` (numerical conditioning)."""
-        if gmin <= 0.0:
-            return
-        for i in range(self.system.num_nodes):
-            self.matrix[i, i] += gmin
+        if gmin > 0.0:
+            idx = np.arange(self.system.num_nodes)
+            self.matrix[idx, idx] += gmin
+
+    def ddt_coefficient(self) -> complex:
+        return 1j * self.omega
+
+    def ddt(self, key: Hashable, value):
+        if isinstance(value, Dual):
+            return Dual(0.0, 1j * self.omega * value.deriv)
+        return 0.0
+
+    def integ(self, key: Hashable, value, initial: float = 0.0):
+        bias = self.state_value(key, initial)
+        if isinstance(value, Dual):
+            return Dual(bias, value.deriv / (1j * self.omega))
+        return bias
+
+    def state_value(self, key: Hashable, default: float = 0.0) -> float:
+        return float(self.integrator_states.get(key, default))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.circuit import (
     equivalent_capacitance,
     small_signal_matrices,
 )
+from repro.circuit import linearize
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.errors import AnalysisError
 from repro.natures import MECHANICAL_TRANSLATION
@@ -184,3 +187,17 @@ class TestLinearization:
         circuit = rc_lowpass()
         with pytest.raises(AnalysisError):
             input_admittance(circuit, "0", 1e3)
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.0])
+    def test_non_positive_frequency_rejected_before_any_solve(
+            self, monkeypatch, frequency):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the operating point was solved")
+
+        monkeypatch.setattr(linearize, "OperatingPointAnalysis", no_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnalysisError, match="probe_frequency"):
+                small_signal_matrices(rc_lowpass(), probe_frequency=frequency)
+            with pytest.raises(AnalysisError, match="frequency"):
+                input_admittance(rc_lowpass(), "out", frequency)

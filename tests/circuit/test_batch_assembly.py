@@ -530,9 +530,6 @@ class _Taps(TwoTerminalDevice):
             ctx.add_through_jac(ip, in_, ip, 1e-3)
             ctx.add_through_jac(ip, in_, in_, -1e-3)
 
-    def stamp_ac(self, ctx):
-        pass
-
 
 def test_changed_stamp_calls_are_probed_again():
     circuit, _, targets = generate(2)

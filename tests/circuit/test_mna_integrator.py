@@ -135,15 +135,47 @@ class TestStampContext:
 
 
 class TestACStampContext:
-    def test_complex_assembly_and_ground_handling(self):
+    def _context(self, omega=2.0 * np.pi * 1e3):
         circuit, system = _simple_system()
-        ctx = ACStampContext(system, np.zeros(system.size), omega=2.0 * np.pi * 1e3,
-                             integrator_states={"s": 2.0}, options=SimulationOptions())
-        ctx.add(-1, 0, 1.0)
+        x = np.arange(1.0, system.size + 1.0)
+        return circuit, system, ACStampContext(
+            system, x, omega=omega, integrator_states={"s": 2.0},
+            options=SimulationOptions())
+
+    def test_complex_assembly_and_ground_handling(self):
+        circuit, system, ctx = self._context()
+        assert isinstance(ctx, StampContext) and ctx.limits is None
+        ctx.add_jac(-1, 0, 1.0)
+        ctx.add_jac(0, -1, 1.0)
         ctx.add_rhs(-1, 1.0)
         assert not np.any(ctx.matrix) and not np.any(ctx.rhs)
-        ctx.add(0, 0, 1j)
-        assert ctx.matrix[0, 0] == 1j
-        assert ctx.op_state("s") == 2.0
-        assert ctx.op_state("missing", 7.0) == 7.0
-        assert ctx.op_across(circuit.ground) == 0.0
+        ctx.add_jac(0, 0, 1j)
+        ctx.add_res(0, 5.0)
+        assert ctx.matrix[0, 0] == 1j and ctx.jacobian() is ctx.matrix
+        # Accessors read the operating point and the committed bias states.
+        assert ctx.across(circuit.ground) == 0.0
+        b = circuit.node("b")
+        assert ctx.across(b) == ctx.x[system.index_of(b)] != 0.0
+        assert ctx.aux_value("V1", "i") == ctx.x[system.aux_index("V1", "i")]
+        assert ctx.state_value("s") == 2.0
+        assert ctx.state_value("missing", 7.0) == 7.0
+
+    def test_small_signal_operators(self):
+        _, _, ctx = self._context(omega=3.0)
+        assert ctx.ddt_coefficient() == 3j
+        v = seed(0.5, index=0, nvars=2)
+        derivative = ctx.ddt("key", 4.0 * v)
+        assert derivative.value == 0.0
+        assert np.array_equal(derivative.deriv, [12j, 0.0])
+        assert ctx.ddt("key", 4.0) == 0.0
+        integral = ctx.integ("s", 6.0 * v, initial=1.5)
+        assert integral.value == 2.0
+        assert np.array_equal(integral.deriv, [6.0 / 3j, 0.0])
+        assert ctx.integ("missing", 6.0, initial=1.5) == 1.5
+
+    def test_rejects_non_positive_frequency(self):
+        circuit, system = _simple_system()
+        for omega in (0.0, -1.0, float("nan")):
+            with pytest.raises(AnalysisError):
+                system.assemble_ac(np.zeros(system.size), omega, None,
+                                   SimulationOptions())
