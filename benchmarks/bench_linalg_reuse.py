@@ -43,7 +43,7 @@ from repro.circuit import (
     TransientAnalysis,
 )
 from repro.circuit.analysis.ac import frequency_grid
-from repro.circuit.analysis.op import NewtonWorkspace
+from repro.linalg import cache as linalg_cache
 from repro.system import build_behavioral_system
 
 #: Enforced speedup floors (explicit raises below).
@@ -89,7 +89,8 @@ def run(repetitions: int, check: bool = True,
 
     # ---------------------------------------------------- correctness gate
     # No held matrix is ever matched: every Jacobian is factored afresh.
-    with mock.patch.object(NewtonWorkspace, "_RECENT_LIMIT", 0):
+    with mock.patch.object(linalg_cache, "_same_matrix",
+                           lambda held, matrix: False):
         reference = _figure5_transient("auto")
     auto = _figure5_transient("auto")
     identical = all(np.array_equal(reference[s], auto[s])

@@ -18,8 +18,9 @@ The package provides, entirely in Python:
   transducers of the paper (Tables 2/3) in energy-based, closed-form and
   linearized equivalent-circuit forms,
 * :mod:`repro.linalg` -- the shared factorization-caching linear-solver
-  core (dense LU / SuperLU backends, fingerprint-keyed factorization
-  reuse, sparsity-pattern caching) behind every analysis layer,
+  core (dense LU / SuperLU backends, a held factorization reused while
+  the matrix repeats, sparsity-pattern caching) behind every analysis
+  layer,
 * :mod:`repro.fem` -- a 2D electrostatic finite-element solver standing in
   for ANSYS, plus structural beam/chain models and harmonic analysis,
 * :mod:`repro.pxt` -- the parameter extraction and HDL model generation tool,

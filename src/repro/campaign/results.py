@@ -76,7 +76,6 @@ SOLVER_STATS = {
     "factorizations": "linalg.factorizations",
     "factorization_cache_hits": "linalg.factorization_cache_hits",
     "factorization_cache_misses": "linalg.factorization_cache_misses",
-    "factorization_cache_evictions": "linalg.factorization_cache_evictions",
     "structure_rebuilds": "linalg.structure_rebuilds",
     "structure_reuses": "linalg.structure_reuses",
     "transpose_solves": "linalg.transpose_solves",
@@ -136,8 +135,8 @@ class CampaignResult:
     def solver_stats(self) -> dict[str, int]:
         """The :data:`SOLVER_STATS` counters of :attr:`metrics`, as a new dict.
 
-        Factorizations, factorization-cache hits/misses/evictions,
-        sparsity-pattern rebuilds/reuses, transposed solves and
+        Factorizations, factorization-cache hits/misses (Newton reuse
+        included), sparsity-pattern rebuilds/reuses, transposed solves and
         behavioral-compiler kernel compiles/cache hits -- zero when the
         campaign never bumped them, empty for derived results.
         """

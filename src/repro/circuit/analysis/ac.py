@@ -154,20 +154,13 @@ class ACAnalysis:
         if op_values.shape != (system.size,):
             raise AnalysisError(
                 "operating point does not match this circuit (unknown count differs)")
-        # Integral states at the bias point: ``integ`` reads them through
-        # the AC context's ``state_value`` so that e.g. a transducer biased
-        # at displacement x0 keeps that displacement in its small-signal
-        # capacitance.
-        integrator_states = dict(operating_point.integrator_states)
         solutions = None
         with telemetry.span("ac.sweep") as sweep_span:
             if self.frequencies.size >= 4:
-                solutions = self._sweep_cached(system, op_values,
-                                               integrator_states)
+                solutions = self._sweep_cached(system, op_values)
             if solutions is None:
                 self.sweep_mode = "direct"
-                solutions = self._sweep_direct(system, op_values,
-                                               integrator_states)
+                solutions = self._sweep_direct(system, op_values)
             else:
                 self.sweep_mode = "cached"
             sweep_span.annotate(mode=self.sweep_mode,
@@ -207,8 +200,8 @@ class ACAnalysis:
                     context={"frequency_hz": frequency})
             raise SingularMatrixError(message, report=report) from exc
 
-    def _sweep_direct(self, system: MNASystem, op_values: np.ndarray,
-                      integrator_states: dict) -> np.ndarray:
+    def _sweep_direct(self, system: MNASystem,
+                      op_values: np.ndarray) -> np.ndarray:
         """Reference path: stamp and solve every frequency independently."""
         solver = FactorizedSolver("dense")
         solutions = np.zeros((self.frequencies.size, system.size), dtype=complex)
@@ -217,16 +210,15 @@ class ACAnalysis:
         for k, frequency in enumerate(self.frequencies):
             with telemetry.detail_span("ac.point", f=float(frequency)):
                 omega = 2.0 * np.pi * float(frequency)
-                ctx = system.assemble_ac(op_values, omega, integrator_states,
-                                         self.options)
+                ctx = system.assemble_ac(op_values, omega, self.options)
                 solutions[k] = self._solve_point(system, ctx.matrix, ctx.rhs,
                                                  solver, float(frequency))
             track.update(k + 1, message=f"f={frequency:g} Hz")
         track.finish(self.frequencies.size)
         return solutions
 
-    def _sweep_cached(self, system: MNASystem, op_values: np.ndarray,
-                      integrator_states: dict) -> np.ndarray | None:
+    def _sweep_cached(self, system: MNASystem,
+                      op_values: np.ndarray) -> np.ndarray | None:
         """Extract ``Y = G + jwC + S/(jw)`` once and sweep as value updates.
 
         Returns ``None`` when the verification probe rejects the
@@ -237,8 +229,7 @@ class ACAnalysis:
             float(np.min(self.frequencies)), float(np.max(self.frequencies)))
 
         def probe(omega: float):
-            ctx = system.assemble_ac(op_values, omega, integrator_states,
-                                     self.options)
+            ctx = system.assemble_ac(op_values, omega, self.options)
             return ctx.matrix, ctx.rhs
 
         y_a, rhs = probe(omega_a)

@@ -13,9 +13,10 @@ discrete sensitivity equations.  The implementation replays the stored
 solution trajectory once; at each step it
 
 1. re-assembles the step Jacobian ``J_k = dF_k/dx_k`` through the normal
-   device stamps and factors it through a fingerprint-keyed store, so a
-   linear (or chord-reused) transient resolves to a handful of distinct
-   factorizations -- the replay is then mostly cache hits, and
+   device stamps and factors it through a held factorization
+   (:class:`~repro.linalg.FactorizationCache`), so the consecutive steps of
+   a linear (or chord-reused) transient that repeat a Jacobian share one
+   LU -- the replay is then mostly cache hits, and
 2. performs ONE jointly dual-seeded residual assembly (unknowns, committed
    states and parameters seeded in a single derivative space), which yields
    ``dF_k/dm_{k-1}``, ``dF_k/dp`` *and* -- through the integrator's
@@ -42,8 +43,7 @@ import numpy as np
 
 from ...ad import Dual
 from ...errors import LinAlgError, SensitivityError, SingularMatrixError
-from ...linalg import (FactorizedSolver, SensitivityResult,
-                       matrix_fingerprint)
+from ...linalg import FactorizationCache, FactorizedSolver, SensitivityResult
 from ..mna import Integrator, MNASystem
 from .sensitivity import (SeededStampContext, _run_seeded, output_selectors,
                           parameter_residual_derivatives, resolve_parameters,
@@ -107,7 +107,7 @@ class _Replay:
             else Integrator.BACKWARD_EULER)
         self.integrator.capture_raw = True
         self.solver = FactorizedSolver("auto")
-        self._factor_store: dict[str, object] = {}
+        self.cache = FactorizationCache(self.solver)
         self.slots: list[tuple[str, object]] = []
         self.num_params = len(refs)
         #: ``d m_0 / d x_0`` and ``d m_0 / d p`` from the priming assembly.
@@ -179,24 +179,18 @@ class _Replay:
         return values
 
     def _factor(self, x: np.ndarray, time: float):
-        """Factor the step Jacobian, deduplicated on exact fingerprints."""
+        """Factor the step Jacobian, reusing the held factorization when
+        the Jacobian repeats."""
         ctx = self.system.assemble(x, "tran", time, self.integrator,
                                    self.options, 1.0, want_jacobian=True)
-        matrix = ctx.jacobian()
         self.integrator.discard()
-        key = matrix_fingerprint(matrix)
-        handle = self._factor_store.get(key)
-        if handle is None:
-            try:
-                handle = self.solver.factorize(matrix)
-            except LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"singular transient Jacobian at t={time:g} in the "
-                    f"sensitivity replay: {exc}") from exc
-            self._factor_store[key] = handle
-            self.stats["factorizations"] += 1
-        else:
-            self.stats["factor_cache_hits"] += 1
+        try:
+            handle, fresh = self.cache.fetch(ctx.jacobian())
+        except LinAlgError as exc:
+            raise SingularMatrixError(
+                f"singular transient Jacobian at t={time:g} in the "
+                f"sensitivity replay: {exc}") from exc
+        self.stats["factorizations" if fresh else "factor_cache_hits"] += 1
         return handle
 
     # ------------------------------------------------------------------ replay

@@ -336,18 +336,15 @@ class BatchStage:
         the other lanes keep the Jacobian of the held factorization (chord
         lanes ride it exactly as their own serial solves would)."""
         matrix = self.ctx.jacobian()
-        held = None if refresh is None else self.workspace.matrix
+        held = None if refresh is None else self.workspace.cache.matrix
         if held is not None and len(held) == len(matrix):
             if isinstance(matrix, list):
                 matrix = [new if take else old
                           for new, old, take in zip(matrix, held, refresh)]
             else:
                 matrix = np.where(refresh[:, None, None], matrix, held)
-        # A batch has no time steps whose Jacobians could recur: only the
-        # newest stack can match (sweep points of a linear circuit).
-        return self.workspace.factor_with(
-            self.system, matrix, self.ctx.use_sparse,
-            lambda stack: batched_factorize(stack, self.backend), 1)[0]
+        return self.workspace.cache.fetch(
+            matrix, lambda stack: batched_factorize(stack, self.backend))[0]
 
     def solve(self, factorization, rhs: np.ndarray):
         t0 = perf_counter() if self.timing else None

@@ -34,10 +34,11 @@ steps of a transient, points of a DC sweep), which is where the
 ``jacobian_reuse`` policies of
 :class:`~repro.circuit.analysis.options.SimulationOptions` live:
 
-* ``"auto"`` matches the assembled Jacobian against recently factored
-  matrices (exact array equality) and skips the refactor when the values
-  are unchanged -- bit-identical to factoring every Jacobian, and a linear
-  circuit at a fixed step factors exactly once for a whole run,
+* ``"auto"`` matches the assembled Jacobian against the held one (a
+  :class:`~repro.linalg.FactorizationCache`, exact array equality) and
+  skips the refactor when the values are unchanged -- bit-identical to
+  factoring every Jacobian, and a linear circuit at a fixed step factors
+  exactly once for a whole run,
 * ``"chord"`` keeps solving with the held factorization while assembling
   the residual only (no derivative propagation at all); a residual that
   stops contracting by :data:`REFACTOR_THRESHOLD` per iteration, or a
@@ -59,11 +60,9 @@ from typing import Callable
 
 import numpy as np
 
-import scipy.sparse as sp
-
 from ... import telemetry
 from ...errors import ConvergenceError, LinAlgError, SingularMatrixError
-from ...linalg import FactorizedSolver
+from ...linalg import FactorizationCache, FactorizedSolver
 from ...telemetry import NewtonTrace
 from ..mna import (BatchStampContext, Integrator, LimitState, MNASystem,
                    StampContext)
@@ -75,52 +74,28 @@ __all__ = ["newton_solve", "newton_lanes", "collect_outputs",
            "NewtonWorkspace", "OperatingPointAnalysis"]
 
 
-def _same_matrix(stored, matrix) -> bool:
-    if isinstance(matrix, list):  # batched sparse: one CSR matrix per lane
-        return isinstance(stored, list) and len(stored) == len(matrix) \
-            and all(map(_same_matrix, stored, matrix))
-    if sp.issparse(matrix):
-        return sp.issparse(stored) and stored.shape == matrix.shape \
-            and stored.data.size == matrix.data.size \
-            and np.array_equal(stored.data, matrix.data)
-    return isinstance(stored, np.ndarray) and stored.shape == matrix.shape \
-        and bool((stored == matrix).all())
-
-
 class NewtonWorkspace:
     """Linear-stage state shared across the Newton solves of one analysis.
 
-    Holds the serial backend solver, a short equality-matched list of
-    recently factored Jacobians (serial matrices or batched stacks) and the
-    chord-Newton bookkeeping (which factorization is held, and for which
-    integrator step / source level it was produced).  Analyses create one
-    workspace per run and thread it through every Newton call so
-    factorizations survive across time steps and sweep points.
+    Holds the serial backend solver, the held factorization (a
+    :class:`~repro.linalg.FactorizationCache` of the last factored serial
+    Jacobian or batched stack) and the chord-Newton bookkeeping (for which
+    integrator step / source level the held factorization was produced).
+    Analyses create one workspace per run and thread it through every
+    Newton call so the factorization survives across time steps and sweep
+    points.
     """
-
-    #: Recent serial (matrix, factorization) pairs kept for equality
-    #: matching: transient step-size flip-flops revisit older Jacobians.
-    _RECENT_LIMIT = 4
 
     def __init__(self, options: SimulationOptions) -> None:
         self.options = options
         self.solver = FactorizedSolver("auto")
-        #: list of (structure generation, matrix, factorization), most
-        #: recent first.  Matching is exact array equality -- a memcmp-speed
-        #: check, cheap enough to run every Newton iteration (unlike a
-        #: content hash, which costs a sizable fraction of the LU it is
-        #: trying to skip).
-        self._recent: list[tuple[int, object, object]] = []
-        self.factorization = None
-        #: The matrix (serial) or stack (batch) of ``factorization``.
-        self.matrix = None
+        self.cache = FactorizationCache(self.solver)
         #: (analysis, step, source_scale, structure generation) the held
         #: factorization belongs to; chord reuse is only valid within it.
         self.chord_tag: tuple | None = None
         #: ``(B,)`` mask of the lanes whose held Jacobian chord iterations
         #: may ride (it was not assembled at limited junction voltages).
         self.chord_lanes = np.zeros(0, dtype=bool)
-        self.factor_reuses = 0
         self.chord_iterations = 0
         self.stall_refactors = 0
         #: Optional :class:`~repro.telemetry.ConvergenceDiagnostics` sink;
@@ -131,11 +106,9 @@ class NewtonWorkspace:
         #: when ``options.health_check`` is on (capped like diagnostics).
         self.health: list = []
 
-    def factor(self, system: MNASystem, ctx: StampContext):
+    def factor(self, ctx: StampContext):
         """Factor (or fetch) the Jacobian of a fully assembled serial context."""
-        factorization, fresh = self.factor_with(
-            system, ctx.jacobian(), ctx.use_sparse, self.solver.factorize,
-            self._RECENT_LIMIT)
+        factorization, fresh = self.cache.fetch(ctx.jacobian())
         if fresh and self.options.health_check:
             record = telemetry.health.check_factorization(
                 factorization, limit=self.options.condition_limit)
@@ -143,33 +116,11 @@ class NewtonWorkspace:
                 self.health.append(record)
         return factorization
 
-    def factor_with(self, system: MNASystem, matrix, sparse: bool,
-                    factorize, depth: int):
-        """``(factorization, fresh)`` of an assembled Jacobian: the handle
-        of an equal matrix among the ``depth`` most recently factored ones,
-        else ``factorize(matrix)``."""
-        generation = system.structure_cache.generation if sparse else 0
-        for index, (stored_gen, stored, handle) in enumerate(
-                self._recent[:depth]):
-            # The generation tag pins the sparsity pattern the stored data
-            # array belongs to.
-            if stored_gen == generation and _same_matrix(stored, matrix):
-                if index:
-                    self._recent.insert(0, self._recent.pop(index))
-                self.factor_reuses += 1
-                self.factorization, self.matrix = handle, stored
-                return handle, False
-        self.matrix = matrix
-        factorization = self.factorization = factorize(matrix)
-        self._recent.insert(0, (generation, matrix, factorization))
-        del self._recent[depth:]
-        return factorization, True
-
     def statistics(self) -> dict[str, int]:
         """Counters for result statistics and the reuse benchmarks."""
         return {
             "factorizations": self.solver.factorizations,
-            "factor_cache_hits": self.factor_reuses,
+            "factor_cache_hits": self.cache.hits,
             "chord_iterations": self.chord_iterations,
             "stall_refactors": self.stall_refactors,
         }
@@ -272,7 +223,7 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
         # whether it may still ride in this solve (``allowed``) and the
         # residual norm of its last chord iteration (``previous``; NaN
         # after a refactor).
-        if ws.factorization is None or ws.chord_tag != tag \
+        if ws.cache.handle is None or ws.chord_tag != tag \
                 or ws.chord_lanes.shape != (batch,):
             ws.chord_lanes = np.zeros(batch, dtype=bool)
         allowed = np.ones(batch, dtype=bool)
@@ -332,7 +283,7 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
                 previous = np.where(chorded, res_norm, previous)
             refresh = open_ & ~chorded
         if riding is not None and not refresh.any():
-            factorization = ws.factorization
+            factorization = ws.cache.handle
         else:
             try:
                 # A chord solve refactors only its refreshing lanes; the
@@ -433,7 +384,7 @@ class SerialStage:
 
     def factor(self, refresh=None):
         # One lane: a factoring iteration always refreshes it.
-        return self.workspace.factor(self.system, self.ctx)
+        return self.workspace.factor(self.ctx)
 
     def solve(self, factorization, rhs: np.ndarray):
         t0 = perf_counter() if self.solve_metric else None
@@ -508,7 +459,7 @@ def _lane_error(lanes: NewtonLanes, stage: SerialStage, trajectory):
             if reason == "singular_factor" else {
                 "iterations": iteration, "trajectory": trajectory or (),
                 "residual": residual,
-                "factorization": stage.workspace.factorization}
+                "factorization": stage.workspace.cache.handle}
         report = telemetry.forensics.newton_failure(
             kind="singular" if error_type is SingularMatrixError else "newton",
             analysis=analysis, message=message,

@@ -60,8 +60,8 @@ class SimulationOptions:
         Factorization-reuse policy of the Newton linear stage:
 
         * ``"auto"`` (default) -- compare the assembled Jacobian against
-          the recently factored matrices (exact array equality) and reuse
-          the held factorization whenever the values are unchanged.
+          the last factored matrix (exact array equality) and reuse the
+          held factorization whenever the values are unchanged.
           Bit-identical to factoring every Jacobian; linear circuits factor
           once per structure/step-size and sweeps/transients amortize it,
         * ``"chord"`` -- additionally hold the factorization across

@@ -64,13 +64,11 @@ class OperatingPoint(_SignalMapping):
     """
 
     def __init__(self, data: dict[str, float], raw: np.ndarray,
-                 labels: list[str], iterations: int,
-                 integrator_states: dict | None = None) -> None:
+                 labels: list[str], iterations: int) -> None:
         super().__init__(data)
         self.raw = np.asarray(raw, dtype=float)
         self.labels = list(labels)
         self.iterations = int(iterations)
-        self.integrator_states = dict(integrator_states or {})
 
     def voltage(self, node: str) -> float:
         """Across value of a node (voltage or velocity)."""

@@ -315,7 +315,7 @@ def _factor_at(system: MNASystem, x: np.ndarray, analysis: str,
     ctx = system.assemble(x, analysis, 0.0, None, options, source_scale,
                           want_jacobian=True)
     try:
-        return workspace.factor(system, ctx)
+        return workspace.factor(ctx)
     except LinAlgError as exc:
         raise SingularMatrixError(
             f"singular Jacobian at the {analysis} solution: {exc}") from exc
@@ -462,7 +462,6 @@ _AC_ASSEMBLY_STEP = 1e-6
 
 def _ac_parameter_decomposition(system: MNASystem, refs, base_values, steps,
                                 x0: np.ndarray, dx0: np.ndarray,
-                                integrator_states: dict,
                                 options: SimulationOptions,
                                 frequencies: np.ndarray):
     """Frequency-flat split of every parameter's AC assembly derivative.
@@ -491,12 +490,10 @@ def _ac_parameter_decomposition(system: MNASystem, refs, base_values, steps,
             shifted = list(base_values)
             shifted[k] = base_values[k] + h
             with seeded_parameters(refs, nvars=0, values=shifted):
-                up = system.assemble_ac(x0 + h * dx0[:, k], omega,
-                                        integrator_states, options)
+                up = system.assemble_ac(x0 + h * dx0[:, k], omega, options)
             shifted[k] = base_values[k] - h
             with seeded_parameters(refs, nvars=0, values=shifted):
-                down = system.assemble_ac(x0 - h * dx0[:, k], omega,
-                                          integrator_states, options)
+                down = system.assemble_ac(x0 - h * dx0[:, k], omega, options)
             return ((up.matrix - down.matrix) / (2.0 * h),
                     (up.rhs - down.rhs) / (2.0 * h))
 
@@ -560,7 +557,6 @@ def ac_sensitivities(analysis: "ACAnalysis", params: Iterable,
     x0 = np.asarray(operating_point.raw, dtype=float)
     if x0.shape != (system.size,):
         raise AnalysisError("operating point does not match this circuit")
-    integrator_states = dict(operating_point.integrator_states)
     refs = resolve_parameters(circuit, params)
     names, selectors = output_selectors(system, outputs)
     num_params = len(refs)
@@ -585,13 +581,12 @@ def ac_sensitivities(analysis: "ACAnalysis", params: Iterable,
     decomposition = None
     if frequencies.size >= 4:
         decomposition = _ac_parameter_decomposition(
-            system, refs, base_values, steps, x0, dx0, integrator_states,
-            options, frequencies)
+            system, refs, base_values, steps, x0, dx0, options, frequencies)
     stats["assembly_mode"] = "cached" if decomposition is not None \
         else "direct"
 
     def system_at(f: int, omega: float):
-        ctx = system.assemble_ac(x0, omega, integrator_states, options)
+        ctx = system.assemble_ac(x0, omega, options)
         return ctx.matrix, ctx.rhs
 
     if decomposition is not None:
@@ -611,11 +606,11 @@ def ac_sensitivities(analysis: "ACAnalysis", params: Iterable,
                 shifted[k] = base_values[k] + h
                 with seeded_parameters(refs, nvars=0, values=shifted):
                     up = system.assemble_ac(x0 + h * dx0[:, k], omega,
-                                            integrator_states, options)
+                                            options)
                 shifted[k] = base_values[k] - h
                 with seeded_parameters(refs, nvars=0, values=shifted):
                     down = system.assemble_ac(x0 - h * dx0[:, k], omega,
-                                              integrator_states, options)
+                                              options)
                 residual_up = up.matrix @ solution - up.rhs
                 residual_down = down.matrix @ solution - down.rhs
                 dres[:, k] = (residual_up - residual_down) / (2.0 * h)

@@ -24,7 +24,7 @@ transient      discretized by the analysis :class:`~repro.circuit.mna.Integrator
 ac             the same stamp, linearized around the operating point by the
                :class:`~repro.circuit.mna.ACStampContext`: ``ddt``
                multiplies the sensitivity by ``j*omega``, ``integ`` holds
-               the bias state and divides it by ``j*omega``
+               its initial value and divides it by ``j*omega``
 =============  =============================================================
 
 Jacobians are exact: the context seeds the port across values and extra

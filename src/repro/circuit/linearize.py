@@ -55,10 +55,9 @@ def small_signal_matrices(circuit: Circuit, operating_point: OperatingPoint | No
         operating_point = OperatingPointAnalysis(circuit, options).run()
     if operating_point.raw.shape != (system.size,):
         raise AnalysisError("operating point does not match this circuit")
-    states = dict(operating_point.integrator_states)
     omega = 2.0 * np.pi * probe_frequency
-    y1 = system.assemble_ac(operating_point.raw, omega, states, options).matrix
-    y2 = system.assemble_ac(operating_point.raw, 2.0 * omega, states, options).matrix
+    y1 = system.assemble_ac(operating_point.raw, omega, options).matrix
+    y2 = system.assemble_ac(operating_point.raw, 2.0 * omega, options).matrix
     conductance, capacitance, integ_map = gcs_decompose(y1, y2, omega,
                                                         2.0 * omega)
     if np.any(integ_map):
@@ -86,8 +85,7 @@ def input_admittance(circuit: Circuit, node: str | Node, frequency: float,
     system = MNASystem(circuit)
     if operating_point is None:
         operating_point = OperatingPointAnalysis(circuit, options).run()
-    states = dict(operating_point.integrator_states)
-    ctx = system.assemble_ac(operating_point.raw, omega, states, options)
+    ctx = system.assemble_ac(operating_point.raw, omega, options)
     node_obj = circuit.node(node) if isinstance(node, str) else node
     index = system.index_of(node_obj)
     if index < 0:

@@ -120,14 +120,6 @@ class Integrator:
         self._values[key] = float(value)
         self._derivs[key] = float(derivative)
 
-    def set_initial_integral(self, key: Hashable, value: float) -> None:
-        """Initialise the committed value of an integrated quantity."""
-        self._integrals[key] = float(value)
-
-    def previous_value(self, key: Hashable, default: float = 0.0) -> float:
-        """Committed value of a differentiated quantity at the last time point."""
-        return self._values.get(key, default)
-
     def previous_integral(self, key: Hashable, default: float = 0.0) -> float:
         """Committed value of an integrated quantity at the last time point."""
         return self._integrals.get(key, default)
@@ -212,10 +204,6 @@ class Integrator:
         self._pending_derivs = {}
         self._pending_integrals = {}
         self.clear_raw()
-
-    def state_snapshot(self) -> dict[Hashable, float]:
-        """Committed integral states (used to seed AC/record contexts)."""
-        return dict(self._integrals)
 
     # ------------------------------------------------------- sensitivity hooks
     #: Slot kinds of the dynamic-state vector seen by the sensitivity layer:
@@ -443,7 +431,6 @@ class MNASystem:
             compile_runtime().record_outputs(self, ctx, out)
 
     def assemble_ac(self, op_values: np.ndarray, omega: float,
-                    integrator_states: dict | None,
                     options: "SimulationOptions") -> "ACStampContext":
         """Build the complex small-signal system at angular frequency
         ``omega``: every device's :meth:`stamp` linearized at ``op_values``
@@ -452,8 +439,7 @@ class MNASystem:
             raise AnalysisError(
                 f"small-signal angular frequency must be positive, got {omega}")
         t0 = perf_counter() if telemetry.enabled() else None
-        ctx = ACStampContext(self, op_values, omega=omega,
-                             integrator_states=integrator_states or {}, options=options)
+        ctx = ACStampContext(self, op_values, omega=omega, options=options)
         for device in self.circuit:
             device.stamp(ctx)
             device.ac_excitation(ctx)
@@ -587,10 +573,6 @@ class StampContext:
         idx = self.system.index_of(node)
         return 0.0 if idx < 0 else float(self.x[idx])
 
-    def across_pair(self, p: Node, n: Node) -> float:
-        """Across difference ``across(p) - across(n)``."""
-        return self.across(p) - self.across(n)
-
     def aux_value(self, device: "Device | str", name: str) -> float:
         """Value of a device auxiliary unknown at the current iterate."""
         return float(self.x[self.system.aux_index(device, name)])
@@ -698,12 +680,6 @@ class StampContext:
         if self.is_dc or self.integrator is None:
             return 0.0 * value + initial
         return self.integrator.integrate(key, value, initial=initial)
-
-    def state_value(self, key: Hashable, default: float = 0.0) -> float:
-        """Committed integral state (used by record passes and DC)."""
-        if self.integrator is None:
-            return default
-        return self.integrator.previous_integral(key, default)
 
 
 class BatchScatter:
@@ -1022,18 +998,18 @@ class ACStampContext(StampContext):
     """Small-signal assembly: every device's own :meth:`stamp`, linearized.
 
     The context sits at the operating point ``op_values``: the accessors
-    read it (with the committed bias states behind :meth:`state_value`),
-    ``add_jac`` accumulates into the complex ``matrix`` and ``add_res``
-    drops its value -- a stamp's residual is the large-signal part, which
-    the small-signal system does not have.  ``ddt`` keeps only the
-    derivative part, times ``j*omega``; ``integ`` holds the bias state and
-    divides the derivative part by ``j*omega``.  Independent sources add
+    read it, ``add_jac`` accumulates into the complex ``matrix`` and
+    ``add_res`` drops its value -- a stamp's residual is the large-signal
+    part, which the small-signal system does not have.  ``ddt`` keeps only
+    the derivative part, times ``j*omega``; ``integ`` holds its initial
+    value (what it returns at the operating point) and divides the
+    derivative part by ``j*omega``.  Independent sources add
     their phasors to ``rhs`` in :meth:`~repro.circuit.devices.base.Device.ac_excitation`.
     Nothing limits (``limits`` is None).
     """
 
     def __init__(self, system: MNASystem, op_values: np.ndarray, omega: float,
-                 integrator_states: dict, options: "SimulationOptions") -> None:
+                 options: "SimulationOptions") -> None:
         self.system = system
         self.x = np.asarray(op_values, dtype=float)
         if self.x.shape != (system.size,):
@@ -1049,7 +1025,6 @@ class ACStampContext(StampContext):
         self.limits = None
         self.use_sparse = False
         self.omega = float(omega)
-        self.integrator_states = integrator_states
         n = system.size
         self.matrix = self.jac = np.zeros((n, n), dtype=complex)
         self.rhs = np.zeros(n, dtype=complex)
@@ -1080,10 +1055,6 @@ class ACStampContext(StampContext):
         return 0.0
 
     def integ(self, key: Hashable, value, initial: float = 0.0):
-        bias = self.state_value(key, initial)
         if isinstance(value, Dual):
-            return Dual(bias, value.deriv / (1j * self.omega))
-        return bias
-
-    def state_value(self, key: Hashable, default: float = 0.0) -> float:
-        return float(self.integrator_states.get(key, default))
+            return Dual(initial, value.deriv / (1j * self.omega))
+        return initial

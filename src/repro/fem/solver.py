@@ -5,8 +5,8 @@ shared factorization-caching solver core -- giving the FE layer one SuperLU
 direct solve with :class:`~repro.errors.FEMError` semantics.  Callers that solve
 the same matrix repeatedly should hold a
 :class:`~repro.linalg.FactorizedSolver` factorization (or a
-:class:`~repro.linalg.FactorizationCache`) instead of calling
-:func:`solve_sparse` per right-hand side.
+:class:`~repro.linalg.FactorizationCache`, which refactors only when the
+matrix changes) instead of calling :func:`solve_sparse` per right-hand side.
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ program per device list, mode and task -- with the interpreter retained as
 the verified fallback.
 
 Traced variants are cached process-wide by a SHA-256 structural
-fingerprint (:func:`repro.hdl.compile.ir.fingerprint`), the same
-content-keying scheme as :func:`repro.linalg.cache.matrix_fingerprint`;
-stamp functions are cached per kernel, task, mode and geometry shape, so
+fingerprint (:func:`repro.hdl.compile.ir.fingerprint`), keyed by content
+rather than identity; stamp functions are cached per kernel, task, mode and geometry shape, so
 instances share them (``cache_info()`` reports both caches).  Registry
 counters: ``hdl.compile.count`` / ``hdl.compile.cache_hits`` track kernel
 compiles vs. cache reuse, ``hdl.stamp_fn.compiles`` stamp-function

@@ -2,9 +2,9 @@
 
 One printer, :func:`bind_stamp`, turns a :class:`~repro.hdl.compile.trace.
 TracedVariant` into *stamp functions*: plain Python source ``exec``-compiled
-once and cached process-wide (the same content-hash idea as
-:func:`repro.linalg.cache.matrix_fingerprint`).  A stamp function is the
-input gather, the IR walk, and one task's accumulation around it:
+once and cached process-wide, keyed by the traced kernels' content
+fingerprint.  A stamp function is the input gather, the IR walk, and one
+task's accumulation around it:
 
 * ``jac`` (residual plus dense Jacobian), ``triplet`` (residual plus sparse
   COO triplets), ``value`` (residual only) and ``record`` (output

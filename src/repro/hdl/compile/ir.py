@@ -24,8 +24,7 @@ Node kinds
 ``Integ``    -- the HDL-A ``integ`` operator with its initial value.
 
 Fingerprints are stable SHA-256 digests of the canonical serialization, so
-process-wide kernel caching keys the same way :func:`repro.linalg.cache.
-matrix_fingerprint` keys factorizations: by content, not identity.
+process-wide kernel caching keys by content, not identity.
 """
 
 from __future__ import annotations

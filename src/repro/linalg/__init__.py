@@ -7,9 +7,10 @@ One subsystem owns every ``A x = b`` in the reproduction:
   :class:`~repro.errors.LinAlgError` on a singular matrix) behind
   :class:`~repro.linalg.solvers.Factorization` handles -- factor once,
   back-substitute many times,
-* :class:`~repro.linalg.cache.FactorizationCache` keys those handles on
-  exact matrix fingerprints so an unchanged matrix (linear circuit, fixed
-  transient step, repeated campaign point) is never factored twice,
+* :class:`~repro.linalg.cache.FactorizationCache` holds the last handle and
+  its matrix, and returns that handle while the matrix repeats exactly
+  (Newton iterations, a linear circuit at a fixed transient step, a
+  repeated campaign point) instead of factoring it again,
 * :class:`~repro.linalg.structure.StructureCache` caches the COO->CSR
   reduction of a repeated triplet assembly so per-iteration sparse assembly
   is a value update instead of a sort-and-deduplicate rebuild.
@@ -17,7 +18,7 @@ One subsystem owns every ``A x = b`` in the reproduction:
 Besides their per-instance counters, the solvers and caches bump
 process-wide ``linalg.*`` counters in :mod:`repro.telemetry.registry`
 (``linalg.factorizations``, ``linalg.factorization_cache_hits`` /
-``_misses`` / ``_evictions``, ``linalg.structure_rebuilds`` / ``_reuses``,
+``_misses``, ``linalg.structure_rebuilds`` / ``_reuses``,
 ``linalg.transpose_solves``); campaign results report them merged over
 every worker.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from .batch import (BATCH_BACKENDS, BatchedDenseLU, BatchedFactorization,
                     BatchedSparseLU, batched_factorize)
-from .cache import FactorizationCache, matrix_fingerprint
+from .cache import FactorizationCache
 from .sensitivity import (SENSITIVITY_METHODS, SensitivityResult,
                           SpectralSensitivities, solve_sensitivities,
                           sweep_spectral_sensitivities)
@@ -52,7 +53,6 @@ __all__ = [
     "SpectralSensitivities",
     "StructureCache",
     "batched_factorize",
-    "matrix_fingerprint",
     "solve_sensitivities",
     "sweep_spectral_sensitivities",
 ]

@@ -27,11 +27,10 @@ import scipy.linalg as la
 from ..errors import FEMError, LinAlgError
 from ..linalg import FactorizationCache, FactorizedSolver
 
-#: Shared cache of transient iteration-matrix factorizations: repeated
-#: integrations of the same reduced model at the same step (campaign points,
-#: convergence sweeps) skip the LU entirely.
-_TRANSIENT_FACTOR_CACHE = FactorizationCache(FactorizedSolver("dense"),
-                                             maxsize=16)
+#: The held transient iteration-matrix factorization: a repeated
+#: integration of the same reduced model at the same step (campaign points
+#: of one model) skips the LU entirely.
+_TRANSIENT_FACTOR_CACHE = FactorizationCache(FactorizedSolver("dense"))
 
 __all__ = ["ReducedModel", "harmonic_error"]
 
@@ -188,8 +187,8 @@ class ReducedModel:
         lhs = e - 0.5 * h * a
         rhs_matrix = e + 0.5 * h * a
         try:
-            # Fingerprint-keyed: re-integrating the same model at the same
-            # step (campaign points, parameter studies) reuses the LU.
+            # Held: re-integrating the same model at the same step
+            # (campaign points, parameter studies) reuses the LU.
             factorization = _TRANSIENT_FACTOR_CACHE.factorize(lhs)
         except LinAlgError as exc:
             raise FEMError(f"transient system is singular: {exc}") from exc

@@ -175,8 +175,7 @@ class TestLinearization:
         op = OperatingPointAnalysis(circuit).run()
         for frequency in (1.0, 10.0, 1e3):
             omega = 2.0 * np.pi * frequency
-            y = system.assemble_ac(op.raw, omega, op.integrator_states,
-                                   SimulationOptions()).matrix
+            y = system.assemble_ac(op.raw, omega, SimulationOptions()).matrix
             assert np.allclose(conductance + 1j * omega * capacitance, y,
                                rtol=1e-9, atol=0.0)
         circuit.add(BehavioralDevice("XK", port, spring, params={"k": 2.0}))

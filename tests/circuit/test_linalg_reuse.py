@@ -16,9 +16,9 @@ from repro.circuit import (
 )
 from repro.campaign import CircuitEvaluator
 from repro.circuit.analysis.ac import frequency_grid
-from repro.circuit.analysis.op import NewtonWorkspace
 from repro.circuit.analysis.results import canonical_signal_name
 from repro.errors import AnalysisError, CampaignError
+from repro.linalg import cache as linalg_cache
 
 
 def _rc(drive=None) -> Circuit:
@@ -66,7 +66,8 @@ def _diode_c() -> Circuit:
 def _factor_every_jacobian(monkeypatch) -> None:
     """Reference Newton stage: no held matrix is ever matched for reuse,
     so every assembled Jacobian is factored afresh."""
-    monkeypatch.setattr(NewtonWorkspace, "_RECENT_LIMIT", 0)
+    monkeypatch.setattr(linalg_cache, "_same_matrix",
+                        lambda held, matrix: False)
 
 
 def _force_direct_ac(monkeypatch) -> None:

@@ -74,13 +74,6 @@ class TestIntegrator:
         assert result.value == pytest.approx(10.0)
         assert result.partial() == pytest.approx(10.0)
 
-    def test_state_snapshot(self):
-        integrator = Integrator()
-        integrator.set_step(1.0)
-        integrator.integrate("q", 3.0)
-        integrator.commit()
-        assert integrator.state_snapshot() == {"q": pytest.approx(3.0)}
-
 
 def _simple_system():
     circuit = Circuit()
@@ -139,8 +132,7 @@ class TestACStampContext:
         circuit, system = _simple_system()
         x = np.arange(1.0, system.size + 1.0)
         return circuit, system, ACStampContext(
-            system, x, omega=omega, integrator_states={"s": 2.0},
-            options=SimulationOptions())
+            system, x, omega=omega, options=SimulationOptions())
 
     def test_complex_assembly_and_ground_handling(self):
         circuit, system, ctx = self._context()
@@ -152,13 +144,11 @@ class TestACStampContext:
         ctx.add_jac(0, 0, 1j)
         ctx.add_res(0, 5.0)
         assert ctx.matrix[0, 0] == 1j and ctx.jacobian() is ctx.matrix
-        # Accessors read the operating point and the committed bias states.
+        # Accessors read the operating point.
         assert ctx.across(circuit.ground) == 0.0
         b = circuit.node("b")
         assert ctx.across(b) == ctx.x[system.index_of(b)] != 0.0
         assert ctx.aux_value("V1", "i") == ctx.x[system.aux_index("V1", "i")]
-        assert ctx.state_value("s") == 2.0
-        assert ctx.state_value("missing", 7.0) == 7.0
 
     def test_small_signal_operators(self):
         _, _, ctx = self._context(omega=3.0)
@@ -168,14 +158,15 @@ class TestACStampContext:
         assert derivative.value == 0.0
         assert np.array_equal(derivative.deriv, [12j, 0.0])
         assert ctx.ddt("key", 4.0) == 0.0
+        # ``integ`` holds its initial value, as at the operating point.
         integral = ctx.integ("s", 6.0 * v, initial=1.5)
-        assert integral.value == 2.0
+        assert integral.value == 1.5
         assert np.array_equal(integral.deriv, [6.0 / 3j, 0.0])
-        assert ctx.integ("missing", 6.0, initial=1.5) == 1.5
+        assert ctx.integ("s", 6.0, initial=1.5) == 1.5
 
     def test_rejects_non_positive_frequency(self):
         circuit, system = _simple_system()
         for omega in (0.0, -1.0, float("nan")):
             with pytest.raises(AnalysisError):
-                system.assemble_ac(np.zeros(system.size), omega, None,
+                system.assemble_ac(np.zeros(system.size), omega,
                                    SimulationOptions())

@@ -110,11 +110,11 @@ def raised(system, options: SimulationOptions):
 TRAN_PINS = {
     "auto": ("bedd64d4085268b9a0a621abf25f41fb8ba10288d66f578d7344edae31befbb0",
              {"accepted": 300, "rejected": 0, "newton_iterations": 435,
-              "points": 301, "factorizations": 411, "factor_cache_hits": 24,
+              "points": 301, "factorizations": 412, "factor_cache_hits": 23,
               "chord_iterations": 0, "stall_refactors": 0}),
     "chord": ("10178d80f834d90396f22164fc4b5b6f5e4bb72f69e47b47ac139797b243088a",
               {"accepted": 300, "rejected": 0, "newton_iterations": 435,
-               "points": 301, "factorizations": 9, "factor_cache_hits": 1,
+               "points": 301, "factorizations": 10, "factor_cache_hits": 0,
                "chord_iterations": 425, "stall_refactors": 0}),
 }
 

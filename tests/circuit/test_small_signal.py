@@ -102,7 +102,7 @@ def ac_digest(circuit: Circuit) -> str:
     x = rng.uniform(-0.5, 0.5, system.size)
     digest = hashlib.sha256()
     for frequency in FREQUENCIES:
-        ctx = system.assemble_ac(x, 2.0 * math.pi * frequency, {}, OPTIONS)
+        ctx = system.assemble_ac(x, 2.0 * math.pi * frequency, OPTIONS)
         digest.update((ctx.matrix + 0.0).tobytes())
         digest.update((ctx.rhs + 0.0).tobytes())
     return digest.hexdigest()
@@ -115,8 +115,7 @@ def test_conductance_part_is_the_operating_point_jacobian(case):
     op = OperatingPointAnalysis(circuit, OPTIONS).run()
     jacobian = system.assemble(op.raw, "op", 0.0, None, OPTIONS).jacobian()
     for frequency in FREQUENCIES:
-        ctx = system.assemble_ac(op.raw, 2.0 * math.pi * frequency,
-                                 op.integrator_states, OPTIONS)
+        ctx = system.assemble_ac(op.raw, 2.0 * math.pi * frequency, OPTIONS)
         assert np.array_equal(ctx.matrix.real + 0.0, jacobian + 0.0), frequency
 
 

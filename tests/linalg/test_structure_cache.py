@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from repro.errors import LinAlgError
 from repro.linalg import (FactorizationCache, FactorizedSolver, StructureCache,
-                          matrix_fingerprint)
+                          batched_factorize)
 
 
 class TestStructureCache:
@@ -76,7 +76,7 @@ class TestStructureCache:
 
 class TestFactorizationCache:
     def test_identical_matrix_hits(self):
-        cache = FactorizationCache(FactorizedSolver("dense"), maxsize=2)
+        cache = FactorizationCache(FactorizedSolver("dense"))
         matrix = np.array([[2.0, 0.0], [0.0, 4.0]])
         first = cache.factorize(matrix)
         second = cache.factorize(matrix.copy())
@@ -84,27 +84,62 @@ class TestFactorizationCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_value_change_misses(self):
-        cache = FactorizationCache(FactorizedSolver("dense"), maxsize=2)
-        cache.factorize(np.eye(2))
-        cache.factorize(2.0 * np.eye(2))
+        cache = FactorizationCache(FactorizedSolver("dense"))
+        first = cache.factorize(np.eye(2))
+        second = cache.factorize(2.0 * np.eye(2))
+        assert second is not first and cache.misses == 2
+        assert cache.handle is second
+        np.testing.assert_array_equal(cache.matrix, 2.0 * np.eye(2))
+
+    def test_only_the_last_matrix_is_held(self):
+        cache = FactorizationCache(FactorizedSolver("dense"))
+        for scale in (1.0, 2.0, 1.0):
+            cache.factorize(scale * np.eye(2))
+        assert cache.misses == 3 and cache.hits == 0
+
+    def test_sparse_structure_change_misses(self):
+        cache = FactorizationCache(FactorizedSolver("superlu"))
+        diagonal = sp.csr_matrix((np.array([1.0, 2.0]), np.array([0, 1]),
+                                  np.array([0, 1, 2])), shape=(2, 2))
+        # Equal data array, entries in other columns.
+        antidiagonal = sp.csr_matrix((np.array([1.0, 2.0]), np.array([1, 0]),
+                                      np.array([0, 1, 2])), shape=(2, 2))
+        cache.factorize(diagonal)
+        cache.factorize(antidiagonal)
+        assert cache.misses == 2 and cache.hits == 0
+        cache.factorize(antidiagonal.copy())
+        assert cache.hits == 1
+
+    def test_dense_and_sparse_forms_do_not_match(self):
+        cache = FactorizationCache()
+        cache.factorize(np.eye(3))
+        cache.factorize(sp.csr_matrix(np.eye(3)))
         assert cache.misses == 2
 
-    def test_lru_eviction(self):
-        cache = FactorizationCache(FactorizedSolver("dense"), maxsize=2)
-        for scale in (1.0, 2.0, 3.0):
-            cache.factorize(scale * np.eye(2))
-        assert cache.evictions == 1
-        cache.factorize(np.eye(2))  # evicted: must miss again
-        assert cache.misses == 4
-
-    def test_fingerprint_distinguishes_structure(self):
-        dense = np.eye(3)
-        sparse = sp.csr_matrix(dense)
-        assert matrix_fingerprint(dense) != matrix_fingerprint(sparse)
-        shifted = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]) + np.diag([0.0] * 3))
-        assert matrix_fingerprint(sparse) != matrix_fingerprint(shifted)
-
-    def test_fingerprint_equal_for_equal_content(self):
+    def test_stacks_and_lane_lists_hit_on_equality(self):
         rng = np.random.default_rng(0)
-        matrix = rng.standard_normal((4, 4))
-        assert matrix_fingerprint(matrix) == matrix_fingerprint(matrix.copy())
+        stack = rng.standard_normal((3, 4, 4)) + 4.0 * np.eye(4)
+        cache = FactorizationCache()
+        dense, fresh = cache.fetch(stack, batched_factorize)
+        assert fresh
+        assert cache.fetch(stack.copy(), batched_factorize) == (dense, False)
+
+        def superlu(lanes):
+            return batched_factorize(lanes, "superlu")
+
+        lanes = [sp.csr_matrix(matrix) for matrix in stack]
+        held, fresh = cache.fetch(lanes, superlu)
+        assert fresh and held is not dense
+        copies = [lane.copy() for lane in lanes]
+        assert cache.fetch(copies, superlu) == (held, False)
+        copies[1].data[0] += 1.0
+        assert cache.fetch(copies, superlu)[1]
+        assert cache.hits == 2 and cache.misses == 3
+
+    def test_failed_factorization_keeps_the_held_pair(self):
+        cache = FactorizationCache(FactorizedSolver("dense"))
+        handle = cache.factorize(np.eye(2))
+        with pytest.raises(LinAlgError):
+            cache.factorize(np.zeros((2, 2)))
+        assert cache.handle is handle
+        assert cache.factorize(np.eye(2)) is handle
