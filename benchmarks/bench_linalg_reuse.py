@@ -9,9 +9,10 @@ Two workloads, each comparing a reference route against the reuse it pins:
   Floor: >= 2x on the Newton-loop time and >= 4x fewer factorizations,
   with the chord waveform within 1e-6 of full Newton.
 * **AC sweep of a linear circuit** -- a 200-point sweep of a parallel-branch
-  RLC ladder, per-frequency assembly (re-stamp every frequency, forced by
-  disabling the cached route) versus the default G/C/S value-update sweep.
-  Floor: >= 3x, with results within 1e-9.
+  RLC ladder, per-frequency assembly (an explicit loop here: re-stamp and
+  solve every frequency) versus ``ACAnalysis``, which assembles the exact
+  coefficients of the powers of ``s`` once and only evaluates and solves
+  ``Y(j*omega)`` per frequency.  Floor: >= 3x, with results within 1e-9.
 
 The floors are enforced with explicit raises so the CI smoke job fails on a
 regression.  A correctness gate also checks that ``"auto"`` is
@@ -20,7 +21,7 @@ nonlinear transient.
 
 Run standalone (``python benchmarks/bench_linalg_reuse.py``); ``--smoke``
 runs a single repetition and gates on the *deterministic* reuse counters
-(factorization counts, sweep mode, result deviations) instead of the
+(factorization and assembly counts, result deviations) instead of the
 wall-clock floors, so a noisy shared CI runner cannot fail the job
 spuriously -- wall-clock floors are enforced on the full 3-repetition run.
 """
@@ -42,8 +43,13 @@ from repro.circuit import (
     SimulationOptions,
     TransientAnalysis,
 )
+from repro import telemetry
 from repro.circuit.analysis.ac import frequency_grid
+from repro.circuit.analysis.results import canonical_signal_name
+from repro.circuit.mna import MNASystem
+from repro.linalg import FactorizedSolver
 from repro.linalg import cache as linalg_cache
+from repro.telemetry import registry
 from repro.system import build_behavioral_system
 
 #: Enforced speedup floors (explicit raises below).
@@ -154,46 +160,53 @@ def run(repetitions: int, check: bool = True,
     operating_point = OperatingPointAnalysis(circuit).run()
 
     def sweep():
-        analysis = ACAnalysis(circuit, frequencies, SimulationOptions())
-        return analysis, analysis.run(operating_point)
+        with telemetry.session(mode="summary"):
+            before = registry.snapshot()
+            result = ACAnalysis(circuit, frequencies,
+                                SimulationOptions()).run(operating_point)
+            digest = registry.delta(before)["histograms"]["mna.assembly.ac_s"]
+        return result, digest["count"]
 
-    # Reference: the G/C/S decomposition is never built, so every frequency
-    # is re-stamped and solved directly.
-    with mock.patch.object(ACAnalysis, "_sweep_cached",
-                           lambda self, *args: None):
-        (direct_analysis, ac_reference), t_direct = _best_of(repetitions,
-                                                             sweep)
-    (cached_analysis, ac_fast), t_cached = _best_of(repetitions, sweep)
-    ac_speedup = t_direct / t_cached
+    def per_frequency():
+        """Reference: every frequency re-stamped and solved on its own."""
+        system = MNASystem(circuit)
+        options = SimulationOptions()
+        solver = FactorizedSolver("dense")
+        solutions = np.zeros((frequencies.size, system.size), dtype=complex)
+        for k, frequency in enumerate(frequencies):
+            ctx = system.assemble_ac(operating_point.raw, options)
+            solutions[k] = solver.solve(ctx.at(2.0 * np.pi * frequency),
+                                        ctx.rhs)
+        return {canonical_signal_name(label): solutions[:, i]
+                for i, label in enumerate(system.unknown_labels())}
+
+    ac_reference, t_direct = _best_of(repetitions, per_frequency)
+    (ac_fast, assemblies), t_sweep = _best_of(repetitions, sweep)
+    ac_speedup = t_direct / t_sweep
     ac_deviation = 0.0
-    for signal in ac_reference.signals():
-        ref = np.asarray(ac_reference[signal])
+    for signal, ref in ac_reference.items():
         scale = max(float(np.max(np.abs(ref))), 1e-30)
         ac_deviation = max(ac_deviation, float(np.max(np.abs(
             np.asarray(ac_fast[signal]) - ref))) / scale)
     lines.append(f"AC sweep, {frequencies.size} points (direct): "
-                 f"{t_direct * 1e3:8.1f} ms "
-                 f"(mode={direct_analysis.sweep_mode}, re-stamped per "
-                 "frequency)")
-    lines.append(f"AC sweep, {frequencies.size} points (cached): "
-                 f"{t_cached * 1e3:8.1f} ms (mode={cached_analysis.sweep_mode})")
+                 f"{t_direct * 1e3:8.1f} ms (re-stamped per frequency)")
+    lines.append(f"AC sweep, {frequencies.size} points (sweep) : "
+                 f"{t_sweep * 1e3:8.1f} ms ({assemblies} assembly)")
     lines.append(f"AC sweep speedup               : {ac_speedup:8.2f} x "
                  f"(floor {AC_SWEEP_FLOOR:.1f}x)")
     lines.append(f"AC worst relative deviation    : {ac_deviation:.2e}")
     if check:
-        if direct_analysis.sweep_mode != "direct":
-            raise AssertionError("the reference AC sweep did not run direct")
-        if cached_analysis.sweep_mode != "cached":
+        if assemblies != 1:
             raise AssertionError(
-                "the AC sweep fell back to per-frequency assembly on a "
-                "linear circuit; the G/C/S decomposition should have verified")
+                f"the AC sweep made {assemblies} small-signal assemblies; "
+                "one must serve every frequency")
         if ac_deviation > 1e-9:
             raise AssertionError(
-                f"cached AC sweep deviates by {ac_deviation:.2e} "
+                f"the AC sweep deviates by {ac_deviation:.2e} "
                 "(limit 1e-9) from direct assembly")
         if check_wall_clock and ac_speedup < AC_SWEEP_FLOOR:
             raise AssertionError(
-                f"AC value-update sweep regressed: {ac_speedup:.2f}x < "
+                f"the one-assembly AC sweep regressed: {ac_speedup:.2f}x < "
                 f"{AC_SWEEP_FLOOR:.1f}x floor on the {frequencies.size}-point "
                 "linear sweep")
     return lines

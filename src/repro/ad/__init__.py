@@ -8,9 +8,10 @@ user-supplied energy functions with these dual numbers instead of requiring
 hand-derived expressions.
 
 The same machinery provides exact Jacobians of behavioral-device
-contributions for the Newton solver and, with complex derivative parts, the
-small-signal admittances needed by the AC analysis (``ddt`` becomes a
-multiplication of the derivative part by ``j*omega``).
+contributions for the Newton solver and, with each derivative laid out as
+real coefficients of the powers of ``s``, the small-signal admittances
+needed by the AC analysis (``ddt`` shifts the derivative part one power
+of ``s`` up).
 """
 
 from .dual import (Dual, seed, seed_many, seed_dict, value_of,

@@ -10,10 +10,9 @@ Design notes
 ------------
 * The derivative part is always a 1-D numpy array.  Scalars passed as the
   derivative are promoted to length-1 arrays.
-* The derivative dtype may be complex: the AC small-signal linearization
-  seeds real operating-point values with complex sensitivities
-  (``ddt`` multiplies the derivative by ``j*omega``), which falls out of the
-  same arithmetic with no special cases.
+* The derivative dtype may be complex; the arithmetic needs no special
+  cases for it.  (The AC small-signal linearization does not use it: it
+  seeds real derivatives laid out as coefficients of the powers of ``s``.)
 * Comparison operators compare values only, so existing ``if x > 0`` style
   model code keeps working on duals (the derivative of a piecewise function
   is taken on the active branch, the standard sub-gradient convention).

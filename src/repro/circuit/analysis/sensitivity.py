@@ -42,7 +42,8 @@ from ...errors import (AnalysisError, LinAlgError, SensitivityError,
 from ...linalg import (FactorizedSolver, SensitivityResult,
                        SpectralSensitivities, solve_sensitivities,
                        sweep_spectral_sensitivities)
-from ..mna import Integrator, MNASystem, StampContext, canonical_signal_name
+from ..mna import (Integrator, MNASystem, StampContext, canonical_signal_name,
+                   evaluate_powers)
 from .op import NewtonWorkspace
 from .options import SimulationOptions
 
@@ -460,66 +461,6 @@ class ACSensitivities(SpectralSensitivities):
 _AC_ASSEMBLY_STEP = 1e-6
 
 
-def _ac_parameter_decomposition(system: MNASystem, refs, base_values, steps,
-                                x0: np.ndarray, dx0: np.ndarray,
-                                options: SimulationOptions,
-                                frequencies: np.ndarray):
-    """Frequency-flat split of every parameter's AC assembly derivative.
-
-    The directional derivative of ``Y(omega) x - b(omega)`` along
-    ``(dp_k, dx0/dp_k)`` inherits the small-signal model's structure:
-    ``dY_k(omega) = dG_k + j*omega*dC_k + dS_k/(j*omega)`` with a
-    frequency-flat ``drhs_k``.  Two probe frequencies pin the split per
-    parameter (the same algebra as the cached AC sweep) and a third,
-    independent probe verifies it -- six re-stamps per parameter for the
-    whole sweep instead of two per parameter *and frequency*.
-
-    Returns ``[(dG, dC, dS, drhs), ...]`` per parameter, or ``None`` when
-    any parameter fails verification (the caller then falls back to
-    per-frequency differencing, which is always correct).
-    """
-    from .ac import _VERIFY_RTOL, gcs_decompose, gcs_predict, probe_omegas
-
-    omega_a, omega_b, omega_c = probe_omegas(float(np.min(frequencies)),
-                                             float(np.max(frequencies)))
-    decomposition = []
-    for k in range(len(refs)):
-        h = steps[k]
-
-        def delta(omega: float):
-            shifted = list(base_values)
-            shifted[k] = base_values[k] + h
-            with seeded_parameters(refs, nvars=0, values=shifted):
-                up = system.assemble_ac(x0 + h * dx0[:, k], omega, options)
-            shifted[k] = base_values[k] - h
-            with seeded_parameters(refs, nvars=0, values=shifted):
-                down = system.assemble_ac(x0 - h * dx0[:, k], omega, options)
-            return ((up.matrix - down.matrix) / (2.0 * h),
-                    (up.rhs - down.rhs) / (2.0 * h))
-
-        dy_a, drhs_a = delta(omega_a)
-        dy_b, drhs_b = delta(omega_b)
-        dg, dc, ds = gcs_decompose(dy_a, dy_b, omega_a, omega_b)
-        dy_c, drhs_c = delta(omega_c)
-        predicted = gcs_predict(dg, dc, ds, omega_c)
-        # One global scale per parameter: unlike the full matrix, the
-        # derivative matrix is mostly exact zeros with a handful of
-        # same-magnitude entries, and a per-row scale would measure
-        # finite-difference noise on the zero rows against itself.
-        scale = float(np.max(np.abs(dy_c)))
-        tolerance = _VERIFY_RTOL * (scale if scale > 0.0 else 1.0)
-        rhs_scale = _VERIFY_RTOL * float(max(np.max(np.abs(drhs_a)),
-                                             np.max(np.abs(drhs_b)),
-                                             np.max(np.abs(drhs_c))))
-        if not (np.all(np.abs(predicted - dy_c) <= tolerance)
-                and np.all(np.abs(np.real(dy_b) - dg) <= tolerance)
-                and np.all(np.abs(drhs_b - drhs_a) <= rhs_scale)
-                and np.all(np.abs(drhs_c - drhs_a) <= rhs_scale)):
-            return None
-        decomposition.append((dg, dc, ds, drhs_a))
-    return decomposition
-
-
 def ac_sensitivities(analysis: "ACAnalysis", params: Iterable,
                      outputs: Iterable[str], method: str = "auto",
                      operating_point=None,
@@ -534,14 +475,10 @@ def ac_sensitivities(analysis: "ACAnalysis", params: Iterable,
     adjoint/direct machinery -- is formed by *assembly-level* central
     differences along the combined direction ``(dp_k, dx0/dp_k)``.
 
-    On a grid of at least 4 frequencies those differences are taken only
-    at three probe frequencies per parameter: the derivative matrix is
-    split into its own verified ``dG + jw*dC + dS/(jw)`` decomposition (see
-    :func:`_ac_parameter_decomposition`) and the sweep applies it as pure
-    value updates, never re-stamping devices per frequency.  Circuits whose
-    parameter dependence falls outside the model fail the verification
-    probe and transparently keep the two-re-stamps-per-parameter-and-
-    frequency reference path; ``stats["assembly_mode"]`` records which ran.
+    Each assembly is frequency-free (the exact coefficients of the powers
+    of ``s``, :meth:`~repro.circuit.mna.MNASystem.assemble_ac`), so the
+    differences are taken once per parameter on the coefficient stacks and
+    evaluated at every frequency: 1 + 2 P assemblies for any grid.
     """
     from .op import OperatingPointAnalysis
 
@@ -577,54 +514,39 @@ def ac_sensitivities(analysis: "ACAnalysis", params: Iterable,
     base_values = [ref.value for ref in refs]
     steps = [rel_step * (abs(v) if v != 0.0 else 1.0) for v in base_values]
 
-    frequencies = analysis.frequencies
-    decomposition = None
-    if frequencies.size >= 4:
-        decomposition = _ac_parameter_decomposition(
-            system, refs, base_values, steps, x0, dx0, options, frequencies)
-    stats["assembly_mode"] = "cached" if decomposition is not None \
-        else "direct"
+    # The assembly derivative along (dp_k, dx0/dp_k), as coefficient stacks
+    # of the powers of s (the rhs excitation is frequency-free).
+    differences = []
+    for k, h in enumerate(steps):
+        shifted = list(base_values)
+        shifted[k] = base_values[k] + h
+        with seeded_parameters(refs, nvars=0, values=shifted):
+            up = system.assemble_ac(x0 + h * dx0[:, k], options)
+        shifted[k] = base_values[k] - h
+        with seeded_parameters(refs, nvars=0, values=shifted):
+            down = system.assemble_ac(x0 - h * dx0[:, k], options)
+        differences.append(((up.coefficients - down.coefficients) / (2.0 * h),
+                            (up.rhs - down.rhs) / (2.0 * h)))
+    base = system.assemble_ac(x0, options)
 
     def system_at(f: int, omega: float):
-        ctx = system.assemble_ac(x0, omega, options)
-        return ctx.matrix, ctx.rhs
+        return base.at(omega), base.rhs
 
-    if decomposition is not None:
-        from .ac import gcs_predict
-
-        def dres_at(f: int, omega: float, solution: np.ndarray) -> np.ndarray:
-            dres = np.zeros((system.size, num_params), dtype=complex)
-            for k, (dg, dc, ds, drhs) in enumerate(decomposition):
-                dres[:, k] = gcs_predict(dg, dc, ds, omega) @ solution - drhs
-            return dres
-    else:
-        def dres_at(f: int, omega: float, solution: np.ndarray) -> np.ndarray:
-            dres = np.zeros((system.size, num_params), dtype=complex)
-            for k in range(num_params):
-                h = steps[k]
-                shifted = list(base_values)
-                shifted[k] = base_values[k] + h
-                with seeded_parameters(refs, nvars=0, values=shifted):
-                    up = system.assemble_ac(x0 + h * dx0[:, k], omega,
-                                            options)
-                shifted[k] = base_values[k] - h
-                with seeded_parameters(refs, nvars=0, values=shifted):
-                    down = system.assemble_ac(x0 - h * dx0[:, k], omega,
-                                              options)
-                residual_up = up.matrix @ solution - up.rhs
-                residual_down = down.matrix @ solution - down.rhs
-                dres[:, k] = (residual_up - residual_down) / (2.0 * h)
-            return dres
+    def dres_at(f: int, omega: float, solution: np.ndarray) -> np.ndarray:
+        dres = np.zeros((system.size, num_params), dtype=complex)
+        for k, (coefficients, drhs) in enumerate(differences):
+            dres[:, k] = evaluate_powers(coefficients, omega) @ solution - drhs
+        return dres
 
     solver = FactorizedSolver("dense")
     values, matrix, resolved = sweep_spectral_sensitivities(
-        frequencies, selectors, system_at, dres_at, method=method,
+        analysis.frequencies, selectors, system_at, dres_at, method=method,
         solver=solver, stats=stats,
         solve_error=lambda frequency, exc: SingularMatrixError(
             f"singular small-signal matrix at f={frequency:g} Hz: {exc}"))
     stats["factorizations"] = solver.factorizations \
         + workspace.solver.factorizations
-    return ACSensitivities(frequencies, names,
+    return ACSensitivities(analysis.frequencies, names,
                            tuple(ref.label for ref in refs), values, matrix,
                            resolved, stats)
 

@@ -8,9 +8,10 @@ Every device implements two methods used by the analyses:
     and transient assemble the real system through a
     :class:`~repro.circuit.mna.StampContext`; AC runs the same stamp
     through an :class:`~repro.circuit.mna.ACStampContext` linearized at the
-    operating point, whose ``ddt`` is ``j*omega`` and whose Jacobian is
-    the complex small-signal matrix.  Independent sources add their AC
-    phasor in :meth:`Device.ac_excitation`.
+    operating point, whose ``ddt_coefficient()`` is ``s`` and whose
+    Jacobian is the small-signal matrix as real coefficients of the powers
+    of ``s``.  Independent sources add their AC phasor in
+    :meth:`Device.ac_excitation`.
 ``record(ctx)``
     Return named output quantities (branch currents, internal states,
     forces) to be stored alongside the node across values in the analysis

@@ -22,9 +22,10 @@ analysis       semantics of the operators
 op / dc        ``ddt`` -> 0, ``integ`` -> the state's initial/bias value
 transient      discretized by the analysis :class:`~repro.circuit.mna.Integrator`
 ac             the same stamp, linearized around the operating point by the
-               :class:`~repro.circuit.mna.ACStampContext`: ``ddt``
-               multiplies the sensitivity by ``j*omega``, ``integ`` holds
-               its initial value and divides it by ``j*omega``
+               :class:`~repro.circuit.mna.ACStampContext` as real
+               coefficients of the powers of ``s``: ``ddt`` multiplies the
+               sensitivity by ``s``, ``integ`` holds its initial value and
+               divides it by ``s``
 =============  =============================================================
 
 Jacobians are exact: the context seeds the port across values and extra
@@ -38,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from ...ad import Dual
 from ...errors import DeviceError
 from ...natures import Nature, get_nature
@@ -49,11 +48,6 @@ from ..netlist import Node
 from .base import Device
 
 __all__ = ["Port", "BehaviorContext", "BehavioralDevice"]
-
-
-def _real(value) -> float:
-    """A Jacobian entry of a real (op/dc/transient) assembly."""
-    return float(np.real(value))
 
 
 @dataclass(frozen=True)
@@ -101,11 +95,6 @@ class BehaviorContext:
             return self._stamp_ctx.time
         return 0.0
 
-    @property
-    def omega(self) -> float:
-        """Angular frequency of the AC analysis (0 otherwise)."""
-        return getattr(self._stamp_ctx, "omega", 0.0)
-
     def param(self, name: str, default: float | None = None) -> float:
         """Value of a device generic/parameter."""
         params = self._device.params
@@ -118,11 +107,8 @@ class BehaviorContext:
     def _seed(self, value: float, index: int):
         if not self._with_jacobian:
             return value
-        dtype = complex if self.analysis == "ac" else float
-        position = self._dep_positions.get(index)
-        if position is None:
-            return Dual(value, np.zeros(self._nvars, dtype=dtype))
-        return Dual.variable(value, index=position, nvars=self._nvars, dtype=dtype)
+        return self._stamp_ctx.seed(value, self._dep_positions.get(index),
+                                    self._nvars)
 
     def _node_value(self, node: Node) -> tuple[float, int]:
         assert self._stamp_ctx is not None
@@ -167,7 +153,7 @@ class BehaviorContext:
 
         ``initial`` defaults to the device's declared initial state value for
         ``key`` (or zero).  At DC the integral is held at that initial value;
-        the AC small-signal integral divides the sensitivity by ``j*omega``.
+        the AC small-signal integral divides the sensitivity by ``s``.
         """
         full_key = self._full_key(key, "integ")
         if initial is None:
@@ -194,8 +180,8 @@ class BehaviorContext:
 
     def record(self, name: str, expression) -> None:
         """Expose a named internal quantity in the analysis results."""
-        value = expression.value if isinstance(expression, Dual) else float(expression)
-        self.recorded[name] = float(np.real(value))
+        self.recorded[name] = float(
+            expression.value if isinstance(expression, Dual) else expression)
 
 
 class BehavioralDevice(Device):
@@ -349,8 +335,6 @@ class BehavioralDevice(Device):
         mode = "op" if ctx.is_dc else ctx.analysis  # "tran" or "ac"
         bctx, deps = self._run(mode, ctx, with_jacobian=ctx.want_jacobian)
         keep_duals = ctx.keep_residual_duals
-        # The small-signal context keeps the complex (j*omega) derivatives.
-        entry = complex if mode == "ac" else _real
         for port_name, value in bctx.contributions.items():
             port = self._ports[port_name]
             ip, in_ = ctx.node_index(port.p), ctx.node_index(port.n)
@@ -363,10 +347,8 @@ class BehavioralDevice(Device):
             plain = value.value if isinstance(value, Dual) else float(value)
             ctx.add_through(ip, in_, plain)
             if isinstance(value, Dual):
-                for pos, idx in enumerate(deps):
-                    dval = entry(value.deriv[pos])
-                    if dval != 0.0:
-                        ctx.add_through_jac(ip, in_, idx, dval)
+                for idx, dval in ctx.jacobian_entries(value, deps):
+                    ctx.add_through_jac(ip, in_, idx, dval)
         for unknown_name, value in bctx.equations.items():
             row = ctx.aux_index(self, unknown_name)
             if keep_duals:
@@ -375,10 +357,8 @@ class BehavioralDevice(Device):
             plain = value.value if isinstance(value, Dual) else float(value)
             ctx.add_res(row, plain)
             if isinstance(value, Dual):
-                for pos, idx in enumerate(deps):
-                    dval = entry(value.deriv[pos])
-                    if dval != 0.0:
-                        ctx.add_jac(row, idx, dval)
+                for idx, dval in ctx.jacobian_entries(value, deps):
+                    ctx.add_jac(row, idx, dval)
         # Equations must be supplied for every declared extra unknown,
         # otherwise the MNA matrix has an empty row and becomes singular.
         missing = set(self.extra_unknowns) - set(bctx.equations)

@@ -19,7 +19,7 @@ unknowns with the implicit equations
 
 built on the :class:`~repro.circuit.devices.behavioral.BehavioralDevice`
 engine, which supplies exact dual-number Jacobians and the op/ac/tran
-operator semantics (``ddt -> 0`` at DC, ``j*omega`` in AC, discretized by the
+operator semantics (``ddt -> 0`` at DC, ``s`` in AC, discretized by the
 transient integrator) without any ROM-specific solver code.
 """
 

@@ -4,17 +4,17 @@ The paper contrasts nonlinear behavioral models with *linearized equivalent
 circuits*.  This module provides the bridge between the two worlds: given any
 circuit (including behavioral transducers), it extracts the small-signal
 conductance matrix ``G`` and capacitance/susceptance matrix ``C`` such that
-``Y(omega) = G + j*omega*C`` around the DC bias, and computes driving-point
-or transfer quantities from them.
+``Y(s) = G + s*C`` around the DC bias, and computes driving-point or
+transfer quantities from them.
 
-The extraction assembles the complex small-signal system at two angular
-frequencies and splits it with the AC analysis' own
-:func:`~repro.circuit.analysis.ac.gcs_decompose` into ``G + j*omega*C +
-S/(j*omega)``.  ``G``/``C`` is exact for circuits whose reactive elements
-are linear-in-``omega`` admittances -- every built-in device and behavioral
-``ddt`` terms.  An ``integ`` term (a behavioral spring, a transducer's
-displacement state) puts a non-zero ``S`` on the system, which no ``(G, C)``
-pair can represent, so the extraction refuses it.
+The extraction reads the coefficients of ``s**0`` and ``s**1`` straight off
+the one small-signal assembly
+(:meth:`~repro.circuit.mna.MNASystem.assemble_ac`), which keeps every
+Jacobian entry as exact real coefficients of the powers of ``s``: every
+built-in device and behavioral ``ddt`` term lands on those two.  An
+``integ`` term (a behavioral spring, a transducer's displacement state) is
+a power ``s**-1``, and ``ddt(ddt(x))`` is ``s**2``; no ``(G, C)`` pair can
+represent either, so the extraction refuses them.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ import numpy as np
 
 from ..errors import AnalysisError, LinAlgError
 from ..linalg import FactorizedSolver
-from .analysis.ac import gcs_decompose
 from .analysis.op import OperatingPointAnalysis
 from .analysis.options import SimulationOptions
 from .analysis.results import OperatingPoint
-from .mna import MNASystem
+from .mna import MAX_S_POWER, MNASystem
 from .netlist import Circuit, Node
 
 __all__ = ["small_signal_matrices", "input_admittance", "input_impedance",
@@ -35,39 +34,35 @@ __all__ = ["small_signal_matrices", "input_admittance", "input_impedance",
 
 
 def small_signal_matrices(circuit: Circuit, operating_point: OperatingPoint | None = None,
-                          options: SimulationOptions | None = None,
-                          probe_frequency: float = 1.0) -> tuple[np.ndarray, np.ndarray, MNASystem]:
+                          options: SimulationOptions | None = None
+                          ) -> tuple[np.ndarray, np.ndarray, MNASystem]:
     """Extract the (G, C) small-signal matrices of ``circuit`` around its bias.
 
     Returns ``(G, C, system)`` where the matrices are dense numpy arrays in
-    the MNA unknown ordering of ``system`` and ``Y(omega) = G + j*omega*C``.
-    Raises :class:`~repro.errors.AnalysisError` for a ``probe_frequency``
-    that is not positive (before any solve), and naming the unknowns of
-    the non-zero ``S/(j*omega)`` entries when the admittance has ``integ``
-    terms.
+    the MNA unknown ordering of ``system`` and ``Y(s) = G + s*C``.  Raises
+    :class:`~repro.errors.AnalysisError` naming the unknowns of every
+    non-zero coefficient of another power of ``s`` (``integ`` terms,
+    ``ddt(ddt(x))``).
     """
-    if not probe_frequency > 0.0:
-        raise AnalysisError(
-            f"probe_frequency must be positive, got {probe_frequency}")
     options = options or SimulationOptions()
     system = MNASystem(circuit)
     if operating_point is None:
         operating_point = OperatingPointAnalysis(circuit, options).run()
     if operating_point.raw.shape != (system.size,):
         raise AnalysisError("operating point does not match this circuit")
-    omega = 2.0 * np.pi * probe_frequency
-    y1 = system.assemble_ac(operating_point.raw, omega, options).matrix
-    y2 = system.assemble_ac(operating_point.raw, 2.0 * omega, options).matrix
-    conductance, capacitance, integ_map = gcs_decompose(y1, y2, omega,
-                                                        2.0 * omega)
-    if np.any(integ_map):
+    ctx = system.assemble_ac(operating_point.raw, options)
+    others = [power for power in range(-MAX_S_POWER, MAX_S_POWER + 1)
+              if power not in (0, 1) and ctx.coefficient(power).any()]
+    if others:
         labels = system.unknown_labels()
-        rows, cols = np.nonzero(integ_map)
+        mask = np.any([ctx.coefficient(power) for power in others], axis=0)
+        rows, cols = np.nonzero(mask)
         unknowns = sorted({labels[i] for i in np.concatenate((rows, cols))})
+        powers = ", ".join(f"s**{power}" for power in others)
         raise AnalysisError(
-            f"small-signal admittance has integ terms (S/(jw)) at "
-            f"{', '.join(unknowns)}; Y = G + jwC cannot represent them")
-    return conductance, capacitance, system
+            f"small-signal admittance has {powers} terms at "
+            f"{', '.join(unknowns)}; Y = G + sC cannot represent them")
+    return ctx.coefficient(0), ctx.coefficient(1), system
 
 
 def input_admittance(circuit: Circuit, node: str | Node, frequency: float,
@@ -85,7 +80,7 @@ def input_admittance(circuit: Circuit, node: str | Node, frequency: float,
     system = MNASystem(circuit)
     if operating_point is None:
         operating_point = OperatingPointAnalysis(circuit, options).run()
-    ctx = system.assemble_ac(operating_point.raw, omega, options)
+    ctx = system.assemble_ac(operating_point.raw, options)
     node_obj = circuit.node(node) if isinstance(node, str) else node
     index = system.index_of(node_obj)
     if index < 0:
@@ -93,7 +88,7 @@ def input_admittance(circuit: Circuit, node: str | Node, frequency: float,
     rhs = np.zeros(system.size, dtype=complex)
     rhs[index] = 1.0
     try:
-        solution = FactorizedSolver("dense").solve(ctx.matrix, rhs)
+        solution = FactorizedSolver("dense").solve(ctx.at(omega), rhs)
     except LinAlgError as exc:
         raise AnalysisError(f"singular small-signal matrix: {exc}") from exc
     voltage = solution[index]

@@ -28,8 +28,9 @@ Time integration
 of ``d/dt`` and of running integrals, with per-key state histories.  Devices
 never see the method directly -- they call :meth:`StampContext.ddt` /
 :meth:`StampContext.integ` which dispatch on the analysis mode (zero
-derivative at DC; ``j*omega`` in the small-signal :class:`ACStampContext`,
-which runs the same stamps linearized at the operating point).
+derivative at DC; one power of ``s`` up or down in the small-signal
+:class:`ACStampContext`, which runs the same stamps linearized at the
+operating point).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["MNASystem", "Integrator", "StampContext", "BatchStampContext",
            "BatchScatter", "ACStampContext", "LimitState",
-           "canonical_signal_name"]
+           "canonical_signal_name", "evaluate_powers", "MAX_S_POWER"]
 
 
 def canonical_signal_name(label: str) -> str:
@@ -119,10 +120,6 @@ class Integrator:
         """Initialise the committed history of a differentiated quantity."""
         self._values[key] = float(value)
         self._derivs[key] = float(derivative)
-
-    def previous_integral(self, key: Hashable, default: float = 0.0) -> float:
-        """Committed value of an integrated quantity at the last time point."""
-        return self._integrals.get(key, default)
 
     # -------------------------------------------------------------- operators
     def coefficient(self) -> float:
@@ -430,16 +427,14 @@ class MNASystem:
         else:
             compile_runtime().record_outputs(self, ctx, out)
 
-    def assemble_ac(self, op_values: np.ndarray, omega: float,
+    def assemble_ac(self, op_values: np.ndarray,
                     options: "SimulationOptions") -> "ACStampContext":
-        """Build the complex small-signal system at angular frequency
-        ``omega``: every device's :meth:`stamp` linearized at ``op_values``
-        (:class:`ACStampContext`), then its AC excitation."""
-        if not omega > 0.0:
-            raise AnalysisError(
-                f"small-signal angular frequency must be positive, got {omega}")
+        """Build the small-signal system once, for every frequency: each
+        device's :meth:`stamp` linearized at ``op_values`` as exact
+        coefficients of the powers of ``s`` (:class:`ACStampContext`),
+        then its AC excitation.  :meth:`ACStampContext.at` evaluates it."""
         t0 = perf_counter() if telemetry.enabled() else None
-        ctx = ACStampContext(self, op_values, omega=omega, options=options)
+        ctx = ACStampContext(self, op_values, options=options)
         for device in self.circuit:
             device.stamp(ctx)
             device.ac_excitation(ctx)
@@ -651,6 +646,21 @@ class StampContext:
                 idx = np.arange(n_nodes)
                 self.jac[idx, idx] += gmin
         self.res[:n_nodes] += gmin * self.x[:n_nodes]
+
+    # ------------------------------------------------------- behavioral duals
+    def seed(self, value: float, position: int | None, nvars: int) -> Dual:
+        """A dual of ``value`` seeded on dependency ``position`` of ``nvars``
+        (a constant when ``position`` is None)."""
+        deriv = np.zeros(nvars)
+        if position is not None:
+            deriv[position] = 1.0
+        return Dual(value, deriv)
+
+    def jacobian_entries(self, value: Dual, deps: list[int]) -> list:
+        """``(column, entry)`` for every unknown in ``deps`` that a dual
+        seeded by :meth:`seed` depends on."""
+        return [(idx, float(d)) for idx, d in zip(deps, value.deriv)
+                if d != 0.0]
 
     # ------------------------------------------------------------ time dynamics
     @property
@@ -994,21 +1004,55 @@ class _ProbeContext(BatchStampContext):
         self.jac_calls.append((self.positions, row, col))
 
 
+#: Highest power of ``s`` (either sign) a small-signal stamp may reach:
+#: ``ddt(ddt(x))`` is ``s**2`` and ``integ(integ(x))`` is ``s**-2``.
+MAX_S_POWER = 2
+#: Length of a power-coefficient vector: the powers ``s**-2 .. s**2``.
+S_POWERS = 2 * MAX_S_POWER + 1
+#: The powers ``k`` in coefficient order, and the real sign of ``j**k``:
+#: even powers are real, odd ones imaginary, and the sign flips every
+#: second power.
+_EXPONENTS = np.arange(-MAX_S_POWER, MAX_S_POWER + 1)
+_J_SIGNS = np.where(_EXPONENTS % 4 >= 2, -1.0, 1.0)
+
+
+def evaluate_powers(coefficients: np.ndarray, omega: float) -> np.ndarray:
+    """``sum_k coefficients[k + MAX_S_POWER] * (j*omega)**k``: a stack of
+    real coefficient matrices evaluated at ``s = j*omega``."""
+    if not omega > 0.0:
+        raise AnalysisError(
+            f"small-signal angular frequency must be positive, got {omega}")
+    weights = _J_SIGNS * omega ** _EXPONENTS
+    flat = coefficients.reshape(S_POWERS, -1)
+    matrix = np.empty(flat.shape[1], dtype=complex)
+    matrix.real = weights[0::2] @ flat[0::2]
+    matrix.imag = weights[1::2] @ flat[1::2]
+    return matrix.reshape(coefficients.shape[1:])
+
+
 class ACStampContext(StampContext):
-    """Small-signal assembly: every device's own :meth:`stamp`, linearized.
+    """Small-signal assembly: every device's own :meth:`stamp`, linearized,
+    as exact real coefficients of the powers of ``s = j*omega``.
 
     The context sits at the operating point ``op_values``: the accessors
-    read it, ``add_jac`` accumulates into the complex ``matrix`` and
-    ``add_res`` drops its value -- a stamp's residual is the large-signal
-    part, which the small-signal system does not have.  ``ddt`` keeps only
-    the derivative part, times ``j*omega``; ``integ`` holds its initial
-    value (what it returns at the operating point) and divides the
-    derivative part by ``j*omega``.  Independent sources add
-    their phasors to ``rhs`` in :meth:`~repro.circuit.devices.base.Device.ac_excitation`.
-    Nothing limits (``limits`` is None).
+    read it and ``add_res`` drops its value -- a stamp's residual is the
+    large-signal part, which the small-signal system does not have.  A
+    Jacobian entry is a float (the ``s**0`` coefficient) or a vector of the
+    coefficients of ``s**-2 .. s**2``; ``add_jac`` accumulates it into
+    ``coefficients``, the ``(S_POWERS, n, n)`` stack of real matrices
+    ``Y_k`` (:meth:`coefficient`).  ``ddt_coefficient()`` is ``s``; a dual
+    from :meth:`seed` carries each derivative as such a vector, which
+    ``ddt`` shifts one power up and ``integ`` one power down (holding its
+    initial value, what it returns at the operating point).  A shift past
+    ``s**2`` or ``s**-2`` raises :class:`~repro.errors.AnalysisError`;
+    nothing is truncated.  Independent sources add their phasors to
+    ``rhs`` in :meth:`~repro.circuit.devices.base.Device.ac_excitation`.
+    Nothing limits (``limits`` is None).  :meth:`at` evaluates
+    ``Y(j*omega) = sum_k Y_k (j*omega)**k``, so one assembly serves every
+    frequency.
     """
 
-    def __init__(self, system: MNASystem, op_values: np.ndarray, omega: float,
+    def __init__(self, system: MNASystem, op_values: np.ndarray,
                  options: "SimulationOptions") -> None:
         self.system = system
         self.x = np.asarray(op_values, dtype=float)
@@ -1024,14 +1068,24 @@ class ACStampContext(StampContext):
         self.want_jacobian = True
         self.limits = None
         self.use_sparse = False
-        self.omega = float(omega)
         n = system.size
-        self.matrix = self.jac = np.zeros((n, n), dtype=complex)
+        self.coefficients = np.zeros((S_POWERS, n, n))
         self.rhs = np.zeros(n, dtype=complex)
 
-    def add_jac(self, row: int, col: int, value: complex) -> None:
+    def coefficient(self, power: int) -> np.ndarray:
+        """The real matrix ``Y_power`` multiplying ``s**power``."""
+        return self.coefficients[power + MAX_S_POWER]
+
+    def at(self, omega: float) -> np.ndarray:
+        """The complex small-signal matrix ``Y(j*omega)``."""
+        return evaluate_powers(self.coefficients, omega)
+
+    def add_jac(self, row: int, col: int, value) -> None:
         if row >= 0 and col >= 0:
-            self.matrix[row, col] += value
+            if isinstance(value, np.ndarray):
+                self.coefficients[:, row, col] += value
+            else:
+                self.coefficients[MAX_S_POWER, row, col] += value
 
     def add_res(self, row: int, value) -> None:
         pass
@@ -1044,17 +1098,47 @@ class ACStampContext(StampContext):
     def apply_gmin(self, gmin: float) -> None:
         if gmin > 0.0:
             idx = np.arange(self.system.num_nodes)
-            self.matrix[idx, idx] += gmin
+            self.coefficients[MAX_S_POWER, idx, idx] += gmin
 
-    def ddt_coefficient(self) -> complex:
-        return 1j * self.omega
+    def seed(self, value: float, position: int | None, nvars: int) -> Dual:
+        # Each dependency carries its coefficients of s**-2 .. s**2.
+        deriv = np.zeros(nvars * S_POWERS)
+        if position is not None:
+            deriv[position * S_POWERS + MAX_S_POWER] = 1.0
+        return Dual(value, deriv)
+
+    def jacobian_entries(self, value: Dual, deps: list[int]) -> list:
+        rows = value.deriv.reshape(len(deps), S_POWERS)
+        return [(idx, row) for idx, row in zip(deps, rows) if row.any()]
+
+    def ddt_coefficient(self) -> np.ndarray:
+        return np.eye(S_POWERS)[MAX_S_POWER + 1]
 
     def ddt(self, key: Hashable, value):
         if isinstance(value, Dual):
-            return Dual(0.0, 1j * self.omega * value.deriv)
+            return Dual(0.0, _shift_power(value.deriv, 1, "ddt", key))
         return 0.0
 
     def integ(self, key: Hashable, value, initial: float = 0.0):
         if isinstance(value, Dual):
-            return Dual(initial, value.deriv / (1j * self.omega))
+            return Dual(initial, _shift_power(value.deriv, -1, "integ", key))
         return initial
+
+
+def _shift_power(deriv: np.ndarray, step: int, operator: str,
+                 key: Hashable) -> np.ndarray:
+    """Multiply power-coefficient derivatives (``S_POWERS`` per seed) by
+    ``s**step``; the power that would leave ``s**-2 .. s**2`` must be 0."""
+    edge = deriv[S_POWERS - 1::S_POWERS] if step > 0 else deriv[::S_POWERS]
+    if edge.any():
+        raise AnalysisError(
+            f"small-signal {operator} of state {key!r} reaches a power of s "
+            f"beyond s**{step * MAX_S_POWER}")
+    # Every edge coefficient is 0, so shifting the whole vector shifts each
+    # seed's powers without carrying into the next seed.
+    shifted = np.zeros_like(deriv)
+    if step > 0:
+        shifted[1:] = deriv[:-1]
+    else:
+        shifted[:-1] = deriv[1:]
+    return shifted

@@ -19,9 +19,11 @@ from repro.circuit import (
     small_signal_matrices,
 )
 from repro.circuit import linearize
+from repro import telemetry
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.errors import AnalysisError
-from repro.natures import MECHANICAL_TRANSLATION
+from repro.natures import ELECTRICAL, MECHANICAL_TRANSLATION
+from repro.telemetry import registry
 
 
 def rc_lowpass(r=1e3, c=1e-6):
@@ -175,7 +177,7 @@ class TestLinearization:
         op = OperatingPointAnalysis(circuit).run()
         for frequency in (1.0, 10.0, 1e3):
             omega = 2.0 * np.pi * frequency
-            y = system.assemble_ac(op.raw, omega, SimulationOptions()).matrix
+            y = system.assemble_ac(op.raw, SimulationOptions()).at(omega)
             assert np.allclose(conductance + 1j * omega * capacitance, y,
                                rtol=1e-9, atol=0.0)
         circuit.add(BehavioralDevice("XK", port, spring, params={"k": 2.0}))
@@ -196,7 +198,66 @@ class TestLinearization:
         monkeypatch.setattr(linearize, "OperatingPointAnalysis", no_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AnalysisError, match="probe_frequency"):
-                small_signal_matrices(rc_lowpass(), probe_frequency=frequency)
             with pytest.raises(AnalysisError, match="frequency"):
                 input_admittance(rc_lowpass(), "out", frequency)
+
+    def test_small_signal_matrices_refuse_second_derivative(self):
+        # m * ddt(ddt(v)) is an s**2 admittance; folding it into G at some
+        # probe frequency would be wrong at every other one.
+        with pytest.raises(AnalysisError, match=r"s\*\*2 terms at v\(a\)"):
+            small_signal_matrices(double_ddt_divider())
+
+
+def double_ddt_divider(r=1e3, m=1e-6, behavior=None) -> Circuit:
+    """A resistor feeding a behavioral ``m * ddt(ddt(v))`` element:
+    ``v(a) / v(in) = 1 / (1 + R m s**2)``."""
+    def second_derivative(ctx):
+        v = ctx.across("e")
+        ctx.contribute("e", ctx.param("m") * ctx.ddt(ctx.ddt(v)))
+
+    circuit = Circuit()
+    circuit.voltage_source("V1", "in", "0", 0.0, ac=1.0)
+    circuit.resistor("R1", "in", "a", r)
+    port = [Port("e", circuit.node("a"), circuit.ground, ELECTRICAL)]
+    circuit.add(BehavioralDevice("XN", port, behavior or second_derivative,
+                                 params={"m": m}))
+    return circuit
+
+
+def ac_assemblies(analysis: ACAnalysis):
+    """Run ``analysis``; return its result and its small-signal assemblies."""
+    with telemetry.session(mode="summary"):
+        before = registry.snapshot()
+        result = analysis.run()
+        digest = registry.delta(before)["histograms"].get("mna.assembly.ac_s")
+    return result, 0 if digest is None else digest["count"]
+
+
+class TestPolynomialAssembly:
+    """One assembly of exact coefficients of s serves every frequency."""
+
+    @pytest.mark.parametrize("points", [3, 200])
+    def test_one_assembly_per_sweep(self, points):
+        frequencies = np.logspace(3.0, 6.0, points)
+        _, count = ac_assemblies(ACAnalysis(double_ddt_divider(), frequencies))
+        assert count == 1
+
+    def test_second_derivative_divider_is_exact(self):
+        r, m = 1e3, 1e-6
+        frequencies = np.logspace(3.0, 6.0, 200)
+        result = ACAnalysis(double_ddt_divider(r, m), frequencies).run()
+        s = 2j * np.pi * frequencies
+        expected = 1.0 / (1.0 + r * m * s ** 2)
+        response = np.asarray(result["v(a)"], dtype=complex)
+        assert np.all(np.abs(response - expected) <= 1e-12 * np.abs(expected))
+
+    @pytest.mark.parametrize("operator", ["ddt", "integ"])
+    def test_power_past_the_bound_names_its_device(self, operator):
+        def nested(ctx):
+            apply = getattr(ctx, operator)
+            ctx.contribute("e", ctx.param("m")
+                           * apply(apply(apply(ctx.across("e")))))
+
+        circuit = double_ddt_divider(behavior=nested)
+        with pytest.raises(AnalysisError, match="XN"):
+            ACAnalysis(circuit, [1e3]).run()

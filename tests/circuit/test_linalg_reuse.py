@@ -17,8 +17,11 @@ from repro.circuit import (
 from repro.campaign import CircuitEvaluator
 from repro.circuit.analysis.ac import frequency_grid
 from repro.circuit.analysis.results import canonical_signal_name
+from repro.circuit.mna import MNASystem
 from repro.errors import AnalysisError, CampaignError
 from repro.linalg import cache as linalg_cache
+
+from test_ac import ac_assemblies  # sibling
 
 
 def _rc(drive=None) -> Circuit:
@@ -70,11 +73,20 @@ def _factor_every_jacobian(monkeypatch) -> None:
                         lambda held, matrix: False)
 
 
-def _force_direct_ac(monkeypatch) -> None:
-    """Reference AC route: the G/C/S decomposition is never built, so every
-    frequency is assembled and solved directly."""
-    monkeypatch.setattr(ACAnalysis, "_sweep_cached",
-                        lambda self, *args: None)
+def _per_frequency_ac(circuit, frequencies) -> dict[str, np.ndarray]:
+    """Reference AC route: every frequency assembled and solved on its own
+    (one ``assemble_ac(...).at(omega)`` and one solve each)."""
+    options = SimulationOptions()
+    op_values = OperatingPointAnalysis(circuit, options).run().raw
+    system = MNASystem(circuit)
+    solutions = []
+    for frequency in frequencies:
+        ctx = system.assemble_ac(op_values, options)
+        solutions.append(np.linalg.solve(ctx.at(2.0 * np.pi * frequency),
+                                         ctx.rhs))
+    solutions = np.array(solutions)
+    return {canonical_signal_name(label): solutions[:, i]
+            for i, label in enumerate(system.unknown_labels())}
 
 
 class TestOptionValidation:
@@ -204,45 +216,32 @@ class TestChord:
 
 
 class TestACSweepCache:
-    def test_cached_sweep_matches_direct(self, monkeypatch):
+    """A sweep holds one small-signal assembly for all its frequencies."""
+
+    def test_cached_sweep_matches_direct(self):
         circuit = _rc(drive=1.0)
         circuit["V1"].ac = 1.0
         frequencies = frequency_grid(10.0, 1e6, 15)
-        cached = ACAnalysis(circuit, frequencies, SimulationOptions())
-        fast = cached.run()
-        _force_direct_ac(monkeypatch)
-        direct = ACAnalysis(circuit, frequencies, SimulationOptions())
-        reference = direct.run()
-        assert direct.sweep_mode == "direct"
-        assert cached.sweep_mode == "cached"
-        for signal in reference.signals():
-            ref = np.asarray(reference[signal])
+        fast, assemblies = ac_assemblies(
+            ACAnalysis(circuit, frequencies, SimulationOptions()))
+        reference = _per_frequency_ac(circuit, frequencies)
+        assert assemblies == 1
+        for signal, ref in reference.items():
             scale = float(np.max(np.abs(ref))) or 1.0
             assert np.max(np.abs(np.asarray(fast[signal]) - ref)) <= 1e-9 * scale
 
-    def test_small_sweeps_stay_direct(self):
-        circuit = _rc(drive=1.0)
-        circuit["V1"].ac = 1.0
-        analysis = ACAnalysis(circuit, [1e3, 2e3], SimulationOptions())
-        analysis.run()
-        assert analysis.sweep_mode == "direct"
-
-    def test_behavioral_integ_circuit_uses_cache(self, monkeypatch):
-        """The transducer's integ term produces the S/(jw) block; the
-        decomposition must still verify and accelerate."""
+    def test_behavioral_integ_circuit_uses_cache(self):
+        """The transducer's integ term is an s**-1 coefficient; the one
+        assembly must still carry it exactly."""
         from repro.system import build_behavioral_system
 
         circuit = build_behavioral_system()
         frequencies = frequency_grid(10.0, 1e5, 10)
-        cached = ACAnalysis(circuit, frequencies, SimulationOptions())
-        fast = cached.run()
-        _force_direct_ac(monkeypatch)
-        direct = ACAnalysis(circuit, frequencies, SimulationOptions())
-        reference = direct.run()
-        assert cached.sweep_mode == "cached"
-        assert direct.sweep_mode == "direct"
-        for signal in reference.signals():
-            ref = np.asarray(reference[signal])
+        fast, assemblies = ac_assemblies(
+            ACAnalysis(circuit, frequencies, SimulationOptions()))
+        reference = _per_frequency_ac(circuit, frequencies)
+        assert assemblies == 1
+        for signal, ref in reference.items():
             scale = float(np.max(np.abs(ref))) or 1.0
             assert np.max(np.abs(np.asarray(fast[signal]) - ref)) <= 1e-8 * scale
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ad import seed
+from repro.ad import Dual, seed
 from repro.circuit import Circuit, SimulationOptions
 from repro.circuit.mna import ACStampContext, Integrator, MNASystem, StampContext
 from repro.errors import AnalysisError
@@ -52,7 +52,8 @@ class TestIntegrator:
         integrator.integrate("q", 2.0, initial=0.0)
         integrator.discard()
         integrator.commit()
-        assert integrator.previous_integral("q", default=-1.0) == -1.0
+        # Nothing was committed, so the integral restarts from ``initial``.
+        assert integrator.integrate("q", 2.0, initial=-1.0) == 0.0
 
     def test_priming_freezes_dynamics_but_registers_states(self):
         integrator = Integrator(Integrator.TRAPEZOIDAL)
@@ -128,11 +129,16 @@ class TestStampContext:
 
 
 class TestACStampContext:
-    def _context(self, omega=2.0 * np.pi * 1e3):
+    def _context(self):
         circuit, system = _simple_system()
         x = np.arange(1.0, system.size + 1.0)
         return circuit, system, ACStampContext(
-            system, x, omega=omega, options=SimulationOptions())
+            system, x, options=SimulationOptions())
+
+    @staticmethod
+    def _powers(*pairs):
+        """A derivative of the given ``(s**-2 .. s**2 vector)`` per seed."""
+        return np.concatenate(pairs)
 
     def test_complex_assembly_and_ground_handling(self):
         circuit, system, ctx = self._context()
@@ -140,10 +146,13 @@ class TestACStampContext:
         ctx.add_jac(-1, 0, 1.0)
         ctx.add_jac(0, -1, 1.0)
         ctx.add_rhs(-1, 1.0)
-        assert not np.any(ctx.matrix) and not np.any(ctx.rhs)
-        ctx.add_jac(0, 0, 1j)
+        assert not np.any(ctx.coefficients) and not np.any(ctx.rhs)
+        ctx.add_jac(0, 0, 2.0)
+        ctx.add_jac(0, 0, 3.0 * ctx.ddt_coefficient())
         ctx.add_res(0, 5.0)
-        assert ctx.matrix[0, 0] == 1j and ctx.jacobian() is ctx.matrix
+        assert ctx.coefficient(0)[0, 0] == 2.0
+        assert ctx.coefficient(1)[0, 0] == 3.0
+        assert ctx.at(4.0)[0, 0] == 2.0 + 12j
         # Accessors read the operating point.
         assert ctx.across(circuit.ground) == 0.0
         b = circuit.node("b")
@@ -151,22 +160,35 @@ class TestACStampContext:
         assert ctx.aux_value("V1", "i") == ctx.x[system.aux_index("V1", "i")]
 
     def test_small_signal_operators(self):
-        _, _, ctx = self._context(omega=3.0)
-        assert ctx.ddt_coefficient() == 3j
-        v = seed(0.5, index=0, nvars=2)
+        _, _, ctx = self._context()
+        assert np.array_equal(ctx.ddt_coefficient(), [0.0, 0.0, 0.0, 1.0, 0.0])
+        v = Dual(0.5, self._powers([0.0, 0.0, 1.0, 0.0, 0.0], np.zeros(5)))
         derivative = ctx.ddt("key", 4.0 * v)
         assert derivative.value == 0.0
-        assert np.array_equal(derivative.deriv, [12j, 0.0])
+        assert np.array_equal(derivative.deriv, self._powers(
+            [0.0, 0.0, 0.0, 4.0, 0.0], np.zeros(5)))
         assert ctx.ddt("key", 4.0) == 0.0
         # ``integ`` holds its initial value, as at the operating point.
         integral = ctx.integ("s", 6.0 * v, initial=1.5)
         assert integral.value == 1.5
-        assert np.array_equal(integral.deriv, [6.0 / 3j, 0.0])
+        assert np.array_equal(integral.deriv, self._powers(
+            [0.0, 6.0, 0.0, 0.0, 0.0], np.zeros(5)))
         assert ctx.integ("s", 6.0, initial=1.5) == 1.5
+
+    def test_powers_past_the_bound_raise(self):
+        _, _, ctx = self._context()
+        v = Dual(0.5, self._powers([0.0, 0.0, 1.0, 0.0, 0.0]))
+        twice = ctx.ddt("d1", ctx.ddt("d0", v))
+        assert np.array_equal(twice.deriv, [0.0, 0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(AnalysisError, match="'XN'"):
+            ctx.ddt(("XN", "d2"), twice)
+        below = ctx.integ("i1", ctx.integ("i0", v))
+        with pytest.raises(AnalysisError, match="'XN'"):
+            ctx.integ(("XN", "i2"), below)
 
     def test_rejects_non_positive_frequency(self):
         circuit, system = _simple_system()
+        ctx = system.assemble_ac(np.zeros(system.size), SimulationOptions())
         for omega in (0.0, -1.0, float("nan")):
             with pytest.raises(AnalysisError):
-                system.assemble_ac(np.zeros(system.size), omega,
-                                   SimulationOptions())
+                ctx.at(omega)

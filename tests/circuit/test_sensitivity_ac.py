@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.circuit import ACAnalysis, Circuit, SimulationOptions
-from repro.circuit.analysis import sensitivity
 from repro.circuit.analysis.sensitivity import resolve_parameters
 from repro.circuit.devices.mechanical import Damper, Mass, Spring
 from repro.circuit.devices.passive import Resistor
 from repro.circuit.devices.sources import VoltageSource
+from repro.telemetry import registry
 from repro.transducers import TransverseElectrostaticTransducer
 
 OPTIONS = SimulationOptions(reltol=1e-9, abstol=1e-15, vntol=1e-12)
@@ -39,28 +40,39 @@ def build_circuit() -> Circuit:
     return circuit
 
 
-def ac_outputs_at(offsets: np.ndarray) -> np.ndarray:
+def ac_outputs_at(offsets: np.ndarray, frequencies=FREQUENCIES) -> np.ndarray:
     circuit = build_circuit()
     refs = resolve_parameters(circuit, PARAMS)
     for ref, offset in zip(refs, offsets):
         ref.device.set_parameter(ref.parameter, ref.value + offset)
-    result = ACAnalysis(circuit, FREQUENCIES, OPTIONS).run()
+    result = ACAnalysis(circuit, frequencies, OPTIONS).run()
     return np.array([[result[name][f] for name in OUTPUTS]
-                     for f in range(len(FREQUENCIES))])
+                     for f in range(len(frequencies))])
 
 
-@pytest.fixture(scope="module")
-def fd_reference() -> np.ndarray:
+def central_fd(frequencies) -> np.ndarray:
+    """``(F, M, P)`` central differences of whole AC analyses."""
     refs = resolve_parameters(build_circuit(), PARAMS)
-    matrix = np.zeros((len(FREQUENCIES), len(OUTPUTS), len(PARAMS)),
+    matrix = np.zeros((len(frequencies), len(OUTPUTS), len(PARAMS)),
                       dtype=complex)
     for k, ref in enumerate(refs):
         step = 1e-5 * abs(ref.value)
         offsets = np.zeros(len(PARAMS))
         offsets[k] = step
-        matrix[:, :, k] = (ac_outputs_at(offsets) - ac_outputs_at(-offsets)) \
-            / (2.0 * step)
+        matrix[:, :, k] = (ac_outputs_at(offsets, frequencies)
+                           - ac_outputs_at(-offsets, frequencies)) / (2.0 * step)
     return matrix
+
+
+def assert_matches_fd(matrix: np.ndarray, reference: np.ndarray) -> None:
+    scale = np.abs(reference).max(axis=2, keepdims=True)
+    np.testing.assert_allclose(matrix, reference, rtol=2e-4,
+                               atol=2e-4 * scale.max())
+
+
+@pytest.fixture(scope="module")
+def fd_reference() -> np.ndarray:
+    return central_fd(FREQUENCIES)
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +83,7 @@ def adjoint():
 
 class TestACSensitivities:
     def test_matches_central_fd(self, adjoint, fd_reference):
-        scale = np.abs(fd_reference).max(axis=2, keepdims=True)
-        np.testing.assert_allclose(adjoint.matrix, fd_reference,
-                                   rtol=2e-4, atol=2e-4 * scale.max())
+        assert_matches_fd(adjoint.matrix, fd_reference)
 
     def test_direct_agrees_with_adjoint(self, adjoint):
         direct = ACAnalysis(build_circuit(), FREQUENCIES, OPTIONS) \
@@ -115,31 +125,19 @@ class TestACSensitivities:
 
 
 class TestCachedAssembly:
-    """The once-per-parameter dG/dC/dS decomposition of the dres sweep."""
+    """One frequency-free assembly per parameter direction, any grid."""
 
     GRID = np.logspace(3.0, 6.0, 13)
 
-    def test_cached_engages_and_matches_direct(self, monkeypatch):
-        circuit = build_circuit()
-        cached = ACAnalysis(circuit, self.GRID, OPTIONS).sensitivities(
+    def test_cached_engages_and_matches_direct(self):
+        result = ACAnalysis(build_circuit(), self.GRID, OPTIONS).sensitivities(
             PARAMS, OUTPUTS)
-        # Reference: force the per-frequency assembly route everywhere.
-        monkeypatch.setattr(ACAnalysis, "_sweep_cached",
-                            lambda self, *args: None)
-        monkeypatch.setattr(sensitivity, "_ac_parameter_decomposition",
-                            lambda *args: None)
-        direct = ACAnalysis(circuit, self.GRID, OPTIONS).sensitivities(
-            PARAMS, OUTPUTS)
-        assert cached.stats["assembly_mode"] == "cached"
-        assert direct.stats["assembly_mode"] == "direct"
-        scale = np.max(np.abs(direct.matrix))
-        assert np.max(np.abs(cached.matrix - direct.matrix)) <= 1e-9 * scale
-        np.testing.assert_allclose(cached.values, direct.values,
-                                   rtol=1e-12, atol=0.0)
+        assert_matches_fd(result.matrix, central_fd(self.GRID))
 
-    def test_short_sweeps_stay_direct(self):
-        circuit = build_circuit()
-        result = ACAnalysis(circuit, FREQUENCIES, OPTIONS).sensitivities(
-            PARAMS, OUTPUTS)
-        # Fewer than four frequencies: the probe overhead cannot pay off.
-        assert result.stats["assembly_mode"] == "direct"
+    def test_one_assembly_per_difference(self):
+        analysis = ACAnalysis(build_circuit(), self.GRID, OPTIONS)
+        with telemetry.session(mode="summary"):
+            before = registry.snapshot()
+            analysis.sensitivities(PARAMS, OUTPUTS)
+            digest = registry.delta(before)["histograms"]["mna.assembly.ac_s"]
+        assert digest["count"] == 1 + 2 * len(PARAMS)

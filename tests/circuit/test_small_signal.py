@@ -1,21 +1,27 @@
 """The small-signal system is the devices' own stamps, linearized.
 
 ``MNASystem.assemble_ac`` runs every device's one ``stamp`` through an
-:class:`~repro.circuit.mna.ACStampContext`: accessors read the operating
-point, ``ddt`` is ``j*omega`` on the derivative part and ``integ``
-divides it by ``j*omega``.  So the conductance part of ``Y(omega)`` is the
-operating-point Jacobian itself, bit for bit, at every frequency.  That
-contract runs over both seeded corpora (``test_batch_assembly.generate``
-and ``test_stamp_program.generated_netlist``), two figure-5 arrays, a
+:class:`~repro.circuit.mna.ACStampContext` once, with no frequency:
+accessors read the operating point, and every Jacobian entry is kept as
+real coefficients ``Y_k`` of the powers of ``s`` (``ddt`` shifts a
+derivative one power up, ``integ`` one power down).  So ``Y_0`` is the
+operating-point Jacobian itself, bit for bit, and so is the real part of
+``Y(j*omega)`` at every frequency.  That contract runs over both seeded
+corpora (``test_batch_assembly.generate`` and
+``test_stamp_program.generated_netlist``), two figure-5 arrays, a
 controlled-source circuit and a switch biased inside its transition band,
 whose control transconductance the AC gain must carry (checked against a
 central difference of the operating point).
 
-``DIGESTS`` pins the sha256 of ``matrix + 0.0`` and ``rhs + 0.0`` at 1 Hz,
-1 kHz and 1 MHz for every switch-free corpus circuit, linearized at a
-seeded point with an AC magnitude and phase on every independent source.
+``DIGESTS`` pins the sha256 of ``at(2*pi*f) + 0.0`` and ``rhs + 0.0`` at
+1 Hz, 1 kHz and 1 MHz for every switch-free corpus circuit, linearized at
+a seeded point with an AC magnitude and phase on every independent source.
 They were recorded from the hand-written per-device small-signal stamps
-this assembly replaced.  Diode conductances go through the C library's
+this assembly replaced, and re-recorded for four circuits when ``Y`` became
+a polynomial in ``s``: imaginary parts moved by at most 2 ulp (powers of
+``s`` are summed before ``omega`` multiplies them), and the figure-5
+transducers' ``ddt`` of an ``integ`` state lost a 1-ulp ``j*omega`` round
+trip in its real part.  Diode conductances go through the C library's
 ``exp``; nothing else in these assemblies calls a transcendental function.
 """
 
@@ -101,9 +107,9 @@ def ac_digest(circuit: Circuit) -> str:
     rng = np.random.default_rng(7)
     x = rng.uniform(-0.5, 0.5, system.size)
     digest = hashlib.sha256()
+    ctx = system.assemble_ac(x, OPTIONS)
     for frequency in FREQUENCIES:
-        ctx = system.assemble_ac(x, 2.0 * math.pi * frequency, OPTIONS)
-        digest.update((ctx.matrix + 0.0).tobytes())
+        digest.update((ctx.at(2.0 * math.pi * frequency) + 0.0).tobytes())
         digest.update((ctx.rhs + 0.0).tobytes())
     return digest.hexdigest()
 
@@ -114,9 +120,11 @@ def test_conductance_part_is_the_operating_point_jacobian(case):
     system = MNASystem(circuit)
     op = OperatingPointAnalysis(circuit, OPTIONS).run()
     jacobian = system.assemble(op.raw, "op", 0.0, None, OPTIONS).jacobian()
+    ctx = system.assemble_ac(op.raw, OPTIONS)
+    assert np.array_equal(ctx.coefficient(0) + 0.0, jacobian + 0.0)
     for frequency in FREQUENCIES:
-        ctx = system.assemble_ac(op.raw, 2.0 * math.pi * frequency, OPTIONS)
-        assert np.array_equal(ctx.matrix.real + 0.0, jacobian + 0.0), frequency
+        matrix = ctx.at(2.0 * math.pi * frequency)
+        assert np.array_equal(matrix.real + 0.0, jacobian + 0.0), frequency
 
 
 def test_switch_gain_in_band_matches_operating_point_difference():
@@ -189,7 +197,7 @@ DIGESTS = {
     "batch-30":
         "0d8ee7ed209cb041f98c2edc31a4eeebc27a730c7df7b00b60d412b6279d4079",
     "batch-31":
-        "717ff0ba0f6ea692505c853714874aae2a7b5c9e2651eabf3595924b5a97297b",
+        "c11590b0fdb09b65e95ffaa89e8a3cc5cb8fec8fd0576e7a14c87b4dfd619c38",
     "batch-32":
         "940b9d4377063f3cbf27a50b0a6e67f10b8c39648655df5abab85f1a8d066c5f",
     "batch-33":
@@ -221,9 +229,9 @@ DIGESTS = {
     "controlled":
         "8a69e5f7bacc7c255d48e22d0f8313344ebaed82f4eda5b382afc79dfe034203",
     "figure5-2":
-        "096e96b989c15a1885a671fe0260eb9bc242460995c93fe05931e5f04568e417",
+        "438f29c1ed030b9788bd01688ea28a253a0bd7a818d614ff11b0fcc59800a51e",
     "figure5-3-jitter":
-        "e18baaecb8d9c24608633390884620962a387ec538be0d7307e9393f7507f34b",
+        "e025b18469f770bbb0e2c326f2e517b63062e0d7e88f1d3b0e5463d39c75ea50",
     "program-0":
         "a8bbd1693b583703f23d287ea8ec0495c328111ff05c76663d972ddb5c7095f8",
     "program-1":
@@ -259,7 +267,7 @@ DIGESTS = {
     "program-23":
         "b0aa59aacc40825f79485076dda443a74ef91e6476b575aea6915b367251fda5",
     "program-24":
-        "a928eaaa194a6b56a5b50b72d1d7d9c0dadfcda264e3b7ef96efc43f11058122",
+        "9428d3b6d0f2601abb2c669bf36373892cc6a56ecf2cd49ec8cf8ff7bb7175a0",
     "program-25":
         "0cb208bde86880650541304332196845c8b1737f421a76214762b25e137b7d40",
     "program-26":
