@@ -286,9 +286,13 @@ class CampaignRunner:
         of the same campaign diff across commits.  Recording needs a
         profile: a runner constructed with ``telemetry="off"`` is upgraded
         to ``"summary"``.  The appended record's ID lands on the result as
-        ``CampaignResult.run_record_id``; because workers ship
-        deterministic aggregates, serial and pool executions of one
-        campaign produce records whose counter/span-count diff is zero.
+        ``CampaignResult.run_record_id``.  Workers ship deterministic
+        aggregates, so serial and pool executions of a campaign whose
+        evaluator keeps no per-process state diff to zero on every counter
+        and span count.  Evaluators that reuse per-process work -- the FE
+        operators of PXT extraction points -- report reuse counters
+        (factorizations, cache hits) that depend on the chunking and on
+        what each process solved before; their results do not.
     """
 
     BACKENDS = ("serial", "pool", "batch", "auto")

@@ -22,7 +22,8 @@ from ..linalg import StructureCache
 from .elements import element_stiffness
 from .mesh import RectangularMesh
 
-__all__ = ["assemble_stiffness", "apply_dirichlet", "structure_cache_for"]
+__all__ = ["assemble_stiffness", "apply_dirichlet", "dirichlet_lift",
+           "structure_cache_for"]
 
 #: Process-wide pattern caches keyed by mesh topology.  Bounded: topologies
 #: beyond the cap evict the whole table (optimization sweeps cycle through a
@@ -101,15 +102,12 @@ def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray,
         raise FEMError("at least one Dirichlet constraint is required")
     csr = sp.csr_matrix(matrix, copy=True)
     csr.sum_duplicates()
-    rhs = np.array(rhs, dtype=float, copy=True)
     n = csr.shape[0]
     constrained = np.array(sorted(node_values), dtype=int)
     if constrained.min() < 0 or constrained.max() >= n:
         raise FEMError("Dirichlet node index out of range")
     values = np.array([node_values[int(node)] for node in constrained], dtype=float)
-    # Move the known values to the right-hand side.
-    rhs -= csr[:, constrained] @ values
-    rhs[constrained] = values
+    rhs = dirichlet_lift(csr[:, constrained], constrained, values, rhs)
     fixed = np.zeros(n, dtype=bool)
     fixed[constrained] = True
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
@@ -117,3 +115,19 @@ def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray,
     unit = sp.csr_matrix((np.ones(constrained.size), constrained,
                           np.concatenate(([0], np.cumsum(fixed)))), shape=csr.shape)
     return csr + unit, rhs
+
+
+def dirichlet_lift(columns: sp.spmatrix, constrained: np.ndarray,
+                   values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The right-hand side of an eliminated system: ``rhs`` (copied) less
+    ``columns @ values``, then ``values`` on the ``constrained`` nodes.
+
+    ``columns`` is ``K[:, constrained]`` of the unconstrained matrix ``K``:
+    the known values move to the right-hand side.  A caller that holds the
+    columns and the eliminated matrix of one ``K`` gets each new set of
+    values' right-hand side bit for bit as :func:`apply_dirichlet` would.
+    """
+    rhs = np.array(rhs, dtype=float, copy=True)
+    rhs -= columns @ values
+    rhs[constrained] = values
+    return rhs

@@ -20,29 +20,100 @@ For the ideal parallel-plate geometry the FE solution is the uniform field
 ``E = V / gap``, so every extracted quantity can be verified against the
 closed forms of Tables 2/3 -- which is what the figure-6 benchmark does.
 
-One solve is a handful of whole-array operations, with no per-element
-Python loop: the stiffness assembly reuses the mesh topology's cached CSR
-pattern, :func:`~repro.fem.assembly.apply_dirichlet` eliminates the
-electrode nodes with one boolean mask over the stored CSR entries, and the
-element fields come from one stacked
-:func:`~repro.fem.elements.element_gradient` call over all
-``(num_elements, 4, 2)`` corner coordinates.
+The problem is linear in the drive: the voltage only enters the
+right-hand side.  So each process keeps one operator per exact geometry
+(the frozen :class:`~repro.fem.mesh.RectangularMesh` plus the
+permittivity).  The first solve of a geometry is the cold path -- one
+assembly, one :func:`~repro.fem.assembly.apply_dirichlet`, one SuperLU
+factorization -- and keeps its results: the stiffness ``K``, the
+eliminated matrix with its factorization in a
+:class:`~repro.linalg.FactorizationCache`, and the element connectivity
+and ``(num_elements, 4, 2)`` corner coordinates.  Every later drive point
+of that geometry costs one :func:`~repro.fem.assembly.dirichlet_lift` of
+the right-hand side from ``K[:, constrained]`` (taken once, at the first
+reuse; the arithmetic of ``apply_dirichlet``), one back-substitution and
+one stacked :func:`~repro.fem.elements.element_gradient` call, bit for
+bit equal to a cold solve.  Keys compare floats exactly, so gaps one ulp
+apart get distinct operators.  The table is bounded like the pattern
+caches of :mod:`repro.fem.assembly` (a new geometry beyond
+``_OPERATOR_LIMIT`` clears it), and an operator whose solve fails is
+never stored, so a retry factors again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..constants import EPSILON_0
 from ..errors import FEMError
-from .assembly import apply_dirichlet, assemble_stiffness
+from ..linalg import FactorizationCache
+from .assembly import apply_dirichlet, assemble_stiffness, dirichlet_lift
 from .elements import element_gradient
 from .mesh import RectangularMesh
 from .solver import solve_sparse
 
 __all__ = ["ElectrostaticSolution", "ParallelPlateProblem"]
+
+#: Process-wide operators keyed by ``(mesh, permittivity)``.  Bounded: a
+#: new geometry beyond the cap evicts the whole table (a PXT grid cycles
+#: through a handful of displacements, not hundreds).
+_OPERATORS: dict[tuple[RectangularMesh, float], "_Operator"] = {}
+_OPERATOR_LIMIT = 8
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """The drive-independent half of a parallel-plate solve on one mesh."""
+
+    #: The unconstrained stiffness ``K``.
+    stiffness: sp.csr_matrix
+    #: ``K`` with the electrode rows and columns eliminated.
+    matrix: sp.csr_matrix
+    factors: FactorizationCache
+    bottom: np.ndarray
+    top: np.ndarray
+    connectivity: np.ndarray
+    #: ``(num_elements, 4, 2)`` element corner coordinates.
+    corners: np.ndarray
+
+    @classmethod
+    def build(cls, mesh: RectangularMesh, permittivity: float,
+              voltage: float) -> tuple["_Operator", np.ndarray]:
+        """The operator of a new geometry and the right-hand side of its
+        first drive, by the cold path: one assembly, one
+        :func:`apply_dirichlet`."""
+        stiffness = assemble_stiffness(mesh, permittivity=permittivity)
+        bottom, top = mesh.bottom_nodes(), mesh.top_nodes()
+        constraints = dict.fromkeys(bottom.tolist(), 0.0)
+        constraints.update(dict.fromkeys(top.tolist(), voltage))
+        matrix, rhs = apply_dirichlet(stiffness, np.zeros(mesh.num_nodes),
+                                      constraints)
+        connectivity = mesh.element_connectivity()
+        return cls(stiffness=stiffness, matrix=matrix,
+                   factors=FactorizationCache(), bottom=bottom, top=top,
+                   connectivity=connectivity,
+                   corners=mesh.node_coordinates()[connectivity]), rhs
+
+    @cached_property
+    def _lift(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+        """The sorted electrode nodes, which of them are driven, and
+        ``K[:, constrained]``: taken at the first reuse, so a geometry
+        solved once costs what a cold solve does."""
+        constrained = np.union1d(self.bottom, self.top)
+        return (constrained, np.isin(constrained, self.top),
+                self.stiffness[:, constrained])
+
+    def rhs(self, voltage: float) -> np.ndarray:
+        """The eliminated right-hand side with the top electrode at
+        ``voltage`` and the bottom one grounded."""
+        constrained, driven, columns = self._lift
+        return dirichlet_lift(columns, constrained,
+                              np.where(driven, voltage, 0.0),
+                              np.zeros(self.matrix.shape[0]))
 
 
 @dataclass
@@ -174,15 +245,26 @@ class ParallelPlateProblem:
     def solve(self, voltage: float) -> ElectrostaticSolution:
         """Solve the potential problem with the top electrode at ``voltage``."""
         mesh = self.mesh
-        stiffness = assemble_stiffness(mesh, permittivity=self.permittivity)
-        rhs = np.zeros(mesh.num_nodes)
-        constraints = dict.fromkeys(mesh.bottom_nodes().tolist(), 0.0)
-        constraints.update(dict.fromkeys(mesh.top_nodes().tolist(), float(voltage)))
-        matrix, rhs = apply_dirichlet(stiffness, rhs, constraints)
-        potential = solve_sparse(matrix, rhs)
-        connectivity = mesh.element_connectivity()
-        field = -element_gradient(mesh.node_coordinates()[connectivity],
-                                  potential[connectivity])
+        key = (mesh, self.permittivity)
+        operator = _OPERATORS.get(key)
+        fresh = operator is None
+        if fresh:
+            # A new geometry beyond the bound evicts the whole table
+            # before it is built, so the old factors are freed first.
+            if len(_OPERATORS) >= _OPERATOR_LIMIT:
+                _OPERATORS.clear()
+            operator, rhs = _Operator.build(mesh, self.permittivity,
+                                            float(voltage))
+        else:
+            rhs = operator.rhs(float(voltage))
+        potential = solve_sparse(operator.matrix, rhs,
+                                 factorizations=operator.factors)
+        if fresh:
+            # Stored only once its solve succeeded: a failed geometry
+            # leaves no entry, so a retry factors again.
+            _OPERATORS[key] = operator
+        field = -element_gradient(operator.corners,
+                                  potential[operator.connectivity])
         return ElectrostaticSolution(
             mesh=mesh, potential=potential, field=field, depth=self.depth,
             permittivity=self.permittivity, voltage=float(voltage))

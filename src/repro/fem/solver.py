@@ -2,11 +2,14 @@
 
 The plain linear solve is a thin wrapper over :mod:`repro.linalg` -- the
 shared factorization-caching solver core -- giving the FE layer one SuperLU
-direct solve with :class:`~repro.errors.FEMError` semantics.  Callers that solve
-the same matrix repeatedly should hold a
-:class:`~repro.linalg.FactorizedSolver` factorization (or a
-:class:`~repro.linalg.FactorizationCache`, which refactors only when the
-matrix changes) instead of calling :func:`solve_sparse` per right-hand side.
+direct solve with :class:`~repro.errors.FEMError` semantics, a forensic
+report on failure and one ``fem.solve`` telemetry span per solve.  Callers
+that solve the same matrix repeatedly pass their
+:class:`~repro.linalg.FactorizationCache` as ``solve_sparse(...,
+factorizations=)``, which refactors only when the matrix changes: the
+parallel-plate problem holds one per geometry, so every drive point after
+the first is a back-substitution that still goes through this one
+boundary.
 """
 
 from __future__ import annotations
@@ -18,16 +21,21 @@ import scipy.sparse.linalg as spla
 
 from .. import telemetry
 from ..errors import FEMError, LinAlgError
-from ..linalg import FactorizedSolver
+from ..linalg import FactorizationCache, FactorizedSolver
 
 __all__ = ["solve_sparse", "solve_generalized_eig"]
 
 
-def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
+                 factorizations: FactorizationCache | None = None
+                 ) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by SuperLU.
 
-    A singular matrix (usually missing boundary conditions, i.e. a modelling
-    error) raises :class:`~repro.errors.FEMError` with a forensic report.
+    ``factorizations`` holds the factorization of a matrix the caller
+    solves repeatedly: a ``matrix`` equal to its held one is only
+    back-substituted.  A singular matrix (usually missing boundary
+    conditions, i.e. a modelling error) raises
+    :class:`~repro.errors.FEMError` with a forensic report.
     """
     rhs = np.asarray(rhs, dtype=float)
     if matrix.shape[0] != matrix.shape[1]:
@@ -37,8 +45,9 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
             f"right-hand side has shape {rhs.shape}, expected ({matrix.shape[0]},)")
     try:
         with telemetry.span("fem.solve", size=int(matrix.shape[0])):
-            return FactorizedSolver("superlu").solve(sp.csr_matrix(matrix),
-                                                     rhs)
+            factorize = FactorizedSolver("superlu").factorize \
+                if factorizations is None else factorizations.factorize
+            return factorize(sp.csr_matrix(matrix)).solve(rhs)
     except LinAlgError as exc:
         # The failure path always captures forensics (no knob: FE callers
         # have no SimulationOptions, and the diagnosis only runs on failure).
