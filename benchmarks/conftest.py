@@ -13,35 +13,24 @@ full-mode :func:`repro.telemetry.session` and writes one Chrome/Perfetto
 to see where a benchmark spends its time).  Without the flag nothing is
 collected, so the timing numbers stay undisturbed.
 
-Passing ``--bench-out FILE`` writes a machine-readable JSON ledger of the
-run: one entry per executed test (outcome + call duration) enriched with
-pytest-benchmark's min/mean/max statistics where a ``benchmark`` fixture
-ran, stamped with a provenance block (git SHA, UTC timestamp, hostname,
-Python/NumPy/SciPy versions) so every BENCH_N.json artifact is
-self-describing.  CI archives the ledger next to the Perfetto traces, so
-timing history is diffable across commits without scraping terminal output.
-
-Passing ``--ledger DIR`` additionally appends one
-:class:`repro.telemetry.ledger.RunRecord` for the whole benchmark session
-into the persistent run ledger at ``DIR`` -- the durable form the
-``python -m repro.telemetry.ledger`` CLI diffs and regression-gates.
+Passing ``--record FILE`` writes the session as one standalone
+:class:`repro.telemetry.ledger.RunRecord` (the format of the committed
+``benchmarks/BASELINE.json``): each test's outcome, call duration and
+pytest-benchmark min/mean/max, the provenance block (git SHA, UTC
+timestamp, host, Python/NumPy/SciPy versions), the summed wall time and
+the metrics-registry delta between session start and end.  That delta
+holds this process's counters only: a pool campaign's worker counters
+stay in its ``CampaignResult.metrics``.  ``python -m
+repro.telemetry.ledger check FILE --baseline benchmarks/BASELINE.json``
+judges the record, counters exactly.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import re
-import sys
-import time
 
 import pytest
-
-#: Ledger schema tag; bump on incompatible change.  Version 2 added the
-#: self-describing ``provenance`` block (version-1 files remain ingestable
-#: by ``repro.telemetry.ledger``, which captures provenance on their behalf).
-_LEDGER_SCHEMA = "repro-bench-ledger/2"
 
 
 def report(title: str, lines) -> None:
@@ -57,85 +46,62 @@ def pytest_addoption(parser):
         "--trace-out", default=None, metavar="DIR",
         help="write a Perfetto trace_event JSON per benchmark test into DIR")
     parser.addoption(
-        "--bench-out", default=None, metavar="FILE",
-        help="write a machine-readable JSON ledger of benchmark results to FILE")
-    parser.addoption(
-        "--ledger", default=None, metavar="DIR",
-        help="append a RunRecord for this benchmark session to the "
-             "persistent run ledger at DIR")
+        "--record", default=None, metavar="FILE",
+        help="write this benchmark session's RunRecord (timings, provenance "
+             "and metrics-registry delta) to FILE")
+
+
+def pytest_sessionstart(session):
+    if session.config.getoption("--record"):
+        from repro.telemetry import registry
+
+        session.config._record_start = registry.snapshot()
+        session.config._record_tests = {}
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield
     rep = outcome.get_result()
-    if rep.when != "call" or not (item.config.getoption("--bench-out")
-                                  or item.config.getoption("--ledger")):
-        return
-    ledger = getattr(item.config, "_bench_ledger", None)
-    if ledger is None:
-        ledger = item.config._bench_ledger = []
-    ledger.append({"test": item.nodeid, "outcome": rep.outcome,
-                   "duration_s": rep.duration})
+    tests = getattr(item.config, "_record_tests", None)
+    if rep.when == "call" and tests is not None:
+        tests[item.nodeid] = {"outcome": rep.outcome,
+                              "duration_s": rep.duration}
 
 
 def _benchmark_stats(config) -> dict:
-    """Per-test pytest-benchmark statistics, keyed by node id (best effort)."""
+    """Per-test pytest-benchmark statistics, keyed by node id."""
     stats = {}
     session = getattr(config, "_benchmarksession", None)
     for bench in getattr(session, "benchmarks", []) or []:
         raw = getattr(bench, "stats", None)
-        raw = getattr(raw, "stats", raw)  # Metadata wraps Stats on some versions
-        try:
-            digest = {"rounds": int(raw.rounds),
-                      "min_s": float(raw.min),
-                      "mean_s": float(raw.mean),
-                      "max_s": float(raw.max)}
-        except Exception:
-            continue
-        stats[bench.fullname] = digest
+        raw = getattr(raw, "stats", raw)  # Metadata wraps Stats
+        if raw is not None and raw.rounds:
+            stats[bench.fullname] = {"rounds": int(raw.rounds),
+                                     "min_s": float(raw.min),
+                                     "mean_s": float(raw.mean),
+                                     "max_s": float(raw.max)}
     return stats
 
 
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("--bench-out", default=None)
-    ledger_dir = session.config.getoption("--ledger", default=None)
-    if not path and not ledger_dir:
+def pytest_sessionfinish(session):
+    path = session.config.getoption("--record", default=None)
+    if not path:
         return
-    from repro.telemetry import ledger as run_ledger
+    from repro.telemetry import registry
+    from repro.telemetry.ledger import RunRecord
 
     stats = _benchmark_stats(session.config)
-    results = []
-    for entry in getattr(session.config, "_bench_ledger", []):
-        # pytest-benchmark's fullname may be relative to a different root
-        # than the node id; fall back to suffix matching on the test name.
-        bench = stats.get(entry["test"])
-        if bench is None:
-            test_name = entry["test"].rsplit("::", 1)[-1]
-            for fullname, digest in stats.items():
-                if fullname.rsplit("::", 1)[-1] == test_name:
-                    bench = digest
-                    break
-        results.append({**entry, "benchmark": bench})
-    payload = {
-        "schema": _LEDGER_SCHEMA,
-        "created_s": time.time(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "provenance": run_ledger.capture_provenance(),
-        "exit_status": int(exitstatus),
-        "results": results,
-    }
-    if path:
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"\nbenchmark ledger written: {path} ({len(results)} tests)")
-    if ledger_dir:
-        record = run_ledger.RunRecord.from_bench_ledger(payload)
-        record_id = run_ledger.RunLedger(ledger_dir).append(record)
-        print(f"\nrun record {record_id} appended to {ledger_dir}")
+    tests = session.config._record_tests
+    record = RunRecord(
+        "bench",
+        metrics=registry.delta(session.config._record_start),
+        benchmarks={nodeid: {**entry, "benchmark": stats.get(nodeid)}
+                    for nodeid, entry in tests.items()},
+        wall_s=sum(entry["duration_s"] for entry in tests.values()))
+    record.dump(path)
+    print(f"\nrun record {record.record_id} written: {path} "
+          f"({len(tests)} tests, {len(record.metrics['counters'])} counters)")
 
 
 @pytest.fixture(autouse=True)

@@ -72,9 +72,9 @@ class SimulationOptions:
           iterates may differ from full Newton within the convergence
           tolerance.
 
-        AC sweeps of at least 4 frequencies take the cached
-        ``G + jwC + S/(jw)`` path under either policy (see
-        :mod:`repro.circuit.analysis.ac`).
+        AC sweeps take no part in either policy: a sweep assembles once,
+        as exact coefficients of ``s``, and factors ``Y(jw)`` per
+        frequency (see :mod:`repro.circuit.analysis.ac`).
     behavioral_compile:
         Compile behavioral models to generated kernels
         (:mod:`repro.hdl.compile`) instead of re-interpreting their

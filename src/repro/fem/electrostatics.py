@@ -131,9 +131,12 @@ class ElectrostaticSolution:
     #: Applied electrode voltage [V].
     voltage: float
 
-    @property
+    @cached_property
     def energy(self) -> float:
-        """Stored field energy ``1/2 eps integral(E^2) dV`` [J]."""
+        """Stored field energy ``1/2 eps integral(E^2) dV`` [J].
+
+        Summed once per solution: :attr:`capacitance` and callers that
+        read both share the one sum."""
         e_squared = np.sum(self.field ** 2, axis=1)
         return 0.5 * self.permittivity * float(np.sum(e_squared)) \
             * self.mesh.element_area() * self.depth

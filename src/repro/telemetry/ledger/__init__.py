@@ -7,7 +7,8 @@ comparable **across processes and commits**:
   payload: identity (git SHA, UTC timestamp, host, toolchain versions,
   options fingerprint) plus span totals, metrics-registry deltas
   (counters / gauges / histogram digests), a convergence summary and
-  per-benchmark ``--bench-out`` timings.
+  per-benchmark timings (``pytest benchmarks/... --record FILE`` writes
+  one per benchmark session).
 * :class:`RunLedger` -- an append-only JSONL store with content-addressed
   record IDs and a bounded retention count.
 * :func:`diff` -- structured deltas between two records: per-family

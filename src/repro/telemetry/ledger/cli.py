@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``record``  -- ingest a ``--bench-out`` benchmark ledger and/or a
-  telemetry-report JSON into a ledger directory (prints the record ID),
+* ``record``  -- ingest a telemetry-report JSON into a ledger directory
+  (prints the record ID),
 * ``show``    -- list the ledger, or render one record (provenance,
   profile table, benchmark timings; ``--json`` for the raw payload),
 * ``compare`` -- structured diff of two records (wall-time, Newton
@@ -51,31 +51,14 @@ def _cmd_record(args) -> int:
     if ledger is None:
         print("record: --ledger DIR is required", file=sys.stderr)
         return 2
-    if not args.bench and not args.from_report:
-        print("record: nothing to record (pass --bench and/or --from-report)",
+    if not args.from_report:
+        print("record: nothing to record (pass --from-report)",
               file=sys.stderr)
         return 2
-    benchmarks = {}
-    wall_s = 0.0
-    provenance = None
-    if args.bench:
-        bench_record = RunRecord.from_bench_ledger(args.bench)
-        benchmarks = bench_record.benchmarks
-        wall_s = bench_record.wall_s
-        provenance = bench_record.provenance
-    if args.from_report:
-        with open(args.from_report, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        record = RunRecord.from_report(
-            payload, args.label, benchmarks=benchmarks,
-            options_fingerprint=args.options_fingerprint,
-            provenance=provenance)
-        if not record.wall_s:
-            record.wall_s = wall_s
-    else:
-        record = RunRecord(args.label, benchmarks=benchmarks, wall_s=wall_s,
-                           options_fingerprint=args.options_fingerprint,
-                           provenance=provenance)
+    with open(args.from_report, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    record = RunRecord.from_report(
+        payload, args.label, options_fingerprint=args.options_fingerprint)
     record_id = ledger.append(record)
     if args.out:
         record.dump(args.out)
@@ -193,11 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--retain", type=int, default=200, metavar="N",
                          help="retention bound applied on append (default 200)")
 
-    sub = commands.add_parser(
-        "record", help="ingest a benchmark ledger / telemetry report")
+    sub = commands.add_parser("record", help="ingest a telemetry report")
     add_ledger_arg(sub)
-    sub.add_argument("--bench", metavar="FILE",
-                     help="--bench-out JSON ledger to ingest")
     sub.add_argument("--from-report", metavar="FILE",
                      help="TelemetryReport.to_json() file to ingest")
     sub.add_argument("--label", default="bench",

@@ -2,11 +2,12 @@
 
 A :class:`RunRecord` is the durable unit of observability: one run's
 identity (git SHA, UTC timestamp, host, toolchain versions, an optional
-options fingerprint) together with everything PR 6/7 already collect
+options fingerprint) together with what the telemetry layer collects
 in-process -- span totals, a metrics-registry delta (counters / gauges /
-histogram digests), a convergence summary and per-benchmark ``--bench-out``
-timings.  Records are plain JSON and schema-versioned, so a record written
-today stays loadable (or fails loudly, never silently) tomorrow.
+histogram digests), a convergence summary and per-benchmark timings (a
+``pytest benchmarks/... --record FILE`` session writes one).  Records are
+plain JSON and schema-versioned, so a record written today stays loadable
+(or fails loudly, never silently) tomorrow.
 
 A :class:`RunLedger` is a directory holding an append-only
 ``records.jsonl`` file: one record per line, each line carrying a
@@ -33,9 +34,6 @@ __all__ = ["SCHEMA", "LedgerError", "LedgerSchemaError", "RunRecord",
 
 #: Record schema tag; bump on incompatible change.
 SCHEMA = "repro-run-record/1"
-
-#: ``--bench-out`` ledger schemas :meth:`RunRecord.from_bench_ledger` ingests.
-BENCH_SCHEMAS = ("repro-bench-ledger/1", "repro-bench-ledger/2")
 
 
 class LedgerError(ValueError):
@@ -80,10 +78,9 @@ def _package_version(name: str) -> str | None:
 def capture_provenance() -> dict:
     """Identity of *this* run: who/where/when/with-what.
 
-    The dict is the ``provenance`` block of a :class:`RunRecord` and of the
-    ``--bench-out`` benchmark ledgers -- git SHA, UTC timestamp, hostname
-    and Python/NumPy/SciPy versions, so any serialized artifact is
-    self-describing without consulting the CI job that produced it.
+    The dict is the ``provenance`` block of a :class:`RunRecord` -- git SHA,
+    UTC timestamp, hostname and Python/NumPy/SciPy versions, so any record
+    is self-describing without consulting the CI job that produced it.
     """
     return {
         "git_sha": current_git_sha(),
@@ -161,9 +158,7 @@ class RunRecord:
     # ------------------------------------------------------------ converters
     @classmethod
     def from_report(cls, report, label: str = "run", *,
-                    benchmarks: Mapping | None = None,
-                    options_fingerprint: str | None = None,
-                    provenance: Mapping | None = None) -> "RunRecord":
+                    options_fingerprint: str | None = None) -> "RunRecord":
         """Build a record from a :class:`~repro.telemetry.TelemetryReport`.
 
         Also accepts the merged campaign profile dict
@@ -197,44 +192,8 @@ class RunRecord:
             if iterations:
                 convergence = {"newton_iterations": iterations}
         return cls(label, span_totals=span_totals, metrics=metrics,
-                   convergence=convergence, benchmarks=benchmarks,
-                   wall_s=wall_s, options_fingerprint=options_fingerprint,
-                   provenance=provenance)
-
-    @classmethod
-    def from_bench_ledger(cls, source, label: str | None = None, *,
-                          options_fingerprint: str | None = None,
-                          provenance: Mapping | None = None) -> "RunRecord":
-        """Ingest a ``--bench-out`` benchmark ledger (path or payload).
-
-        Schema-2 ledgers are self-describing (they embed a ``provenance``
-        block, reused here); schema-1 ledgers predate provenance and get a
-        freshly captured one.
-        """
-        if isinstance(source, (str, os.PathLike)):
-            with open(source, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        else:
-            payload = dict(source)
-        schema = payload.get("schema")
-        if schema not in BENCH_SCHEMAS:
-            raise LedgerSchemaError(
-                f"cannot ingest benchmark ledger with schema {schema!r} "
-                f"(supported: {BENCH_SCHEMAS})")
-        benchmarks = {}
-        wall_s = 0.0
-        for entry in payload.get("results", []):
-            benchmarks[entry["test"]] = {
-                "outcome": entry.get("outcome"),
-                "duration_s": float(entry.get("duration_s", 0.0)),
-                "benchmark": entry.get("benchmark"),
-            }
-            wall_s += float(entry.get("duration_s", 0.0))
-        if provenance is None:
-            provenance = payload.get("provenance")
-        return cls(label or "bench", benchmarks=benchmarks, wall_s=wall_s,
-                   options_fingerprint=options_fingerprint,
-                   provenance=provenance)
+                   convergence=convergence, wall_s=wall_s,
+                   options_fingerprint=options_fingerprint)
 
     def to_json(self) -> dict:
         """JSON-serializable payload (the unit the ledger stores)."""

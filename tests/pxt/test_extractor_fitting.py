@@ -8,6 +8,7 @@ import pytest
 from repro.constants import EPSILON_0
 from repro.errors import ExtractionError
 from repro.fem import SpringMassChain, harmonic_response
+from repro.fem.electrostatics import ElectrostaticSolution
 from repro.pxt import (
     ParameterExtractor,
     displacement_sweep,
@@ -61,6 +62,23 @@ class TestExtractor:
         point = extractor.solve_point(displacement=0.0, voltage=0.0)
         assert point.force == 0.0 and point.charge == 0.0
         assert point.capacitance == pytest.approx(EPSILON_0 * AREA / GAP, rel=1e-6)
+
+    def test_solve_point_sums_the_field_energy_once(self, extractor,
+                                                    monkeypatch):
+        energy = vars(ElectrostaticSolution)["energy"]
+        reads = []
+
+        class CountingEnergy:
+            # Non-data, like a cached property: a value held in the
+            # solution's own dict is read past this descriptor.
+            def __get__(self, solution, owner=None):
+                reads.append(solution)
+                return energy.__get__(solution, owner)
+
+        monkeypatch.setattr(ElectrostaticSolution, "energy", CountingEnergy())
+        for displacement, voltage in ((1e-5, 10.0), (0.0, 0.0), (-1e-5, -5.0)):
+            extractor.solve_point(displacement, voltage)
+        assert len(reads) == 3
 
     def test_capacitance_model_tracks_1_over_gap(self, extractor):
         displacements = displacement_sweep(GAP, fraction=0.3, points=9)

@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from repro.telemetry.ledger import RunLedger
+from repro.telemetry.ledger import RunLedger, RunRecord
 from repro.telemetry.ledger.cli import main
 
-from test_ledger import make_record  # noqa: E402 -- sibling test module
+from test_ledger import BASELINE, make_record  # noqa: E402 -- sibling test module
 
 
 @pytest.fixture
@@ -21,39 +21,9 @@ def ledger_dir(tmp_path):
     return tmp_path, baseline_id, slowed_id
 
 
-def bench_payload(duration_s=1.5):
-    return {
-        "schema": "repro-bench-ledger/2",
-        "provenance": {"git_sha": "d" * 40,
-                       "created_utc": "2026-08-07T01:00:00+00:00",
-                       "host": "h", "platform": "p",
-                       "versions": {"python": "3.11"}},
-        "results": [{"test": "bench.py::test_fig5", "outcome": "passed",
-                     "duration_s": duration_s,
-                     "benchmark": {"rounds": 3, "min_s": duration_s * 0.9,
-                                   "mean_s": duration_s,
-                                   "max_s": duration_s * 1.1}}],
-    }
-
-
 class TestRecord:
-    def test_ingests_bench_ledger_and_prints_id(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH.json"
-        bench.write_text(json.dumps(bench_payload()))
-        ledger_path = tmp_path / "ledger"
-        out_path = tmp_path / "record.json"
-        code = main(["record", "--ledger", str(ledger_path),
-                     "--bench", str(bench), "--out", str(out_path)])
-        assert code == 0
-        record_id = capsys.readouterr().out.strip()
-        ledger = RunLedger(ledger_path)
-        record = ledger.load(record_id)
-        assert record.label == "bench"
-        assert record.provenance["git_sha"] == "d" * 40
-        assert out_path.exists()
-
     def test_requires_ledger_and_a_source(self, tmp_path, capsys):
-        assert main(["record", "--bench", "x.json"]) == 2
+        assert main(["record", "--from-report", "x.json"]) == 2
         assert main(["record", "--ledger", str(tmp_path)]) == 2
         assert "record:" in capsys.readouterr().err
 
@@ -65,11 +35,15 @@ class TestRecord:
                               "gauges": {}, "histograms": {}}}
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report))
+        out_path = tmp_path / "record.json"
         code = main(["record", "--ledger", str(tmp_path / "ledger"),
                      "--from-report", str(path), "--label", "figure5",
-                     "--options-fingerprint", "cafe1234"])
+                     "--options-fingerprint", "cafe1234",
+                     "--out", str(out_path)])
         assert code == 0
-        record = RunLedger(tmp_path / "ledger").load("latest")
+        record_id = capsys.readouterr().out.strip()
+        record = RunLedger(tmp_path / "ledger").load(record_id)
+        assert RunRecord.load(out_path).record_id == record_id
         assert record.label == "figure5"
         assert record.options_fingerprint == "cafe1234"
         assert record.span_totals["op.run"]["count"] == 2
@@ -163,6 +137,17 @@ class TestCheck:
         make_record(wall_s=1.0).dump(baseline_file)
         assert main(["check", slowed_id, "--ledger", str(path),
                      "--baseline", str(baseline_file)]) == 1
+
+
+    def test_extra_factorization_fails_the_committed_baseline(
+            self, tmp_path, capsys):
+        payload = RunRecord.load(BASELINE).to_json()
+        payload["metrics"]["counters"]["linalg.factorizations"] += 1
+        record = RunRecord.from_json(payload).dump(tmp_path / "RECORD.json")
+        assert main(["check", record, "--baseline", str(BASELINE),
+                     "--time-tol", "3.0"]) == 1
+        out = capsys.readouterr().out
+        assert "[counter] counter.linalg.factorizations" in out
 
 
 class TestGcAndErrors:
