@@ -56,7 +56,8 @@ from ..mna import (BatchScatter, BatchStampContext, LimitState, MNASystem,
                    compile_runtime)
 from ..netlist import Circuit, Node
 from ..waveforms import DC
-from .op import NewtonWorkspace, _chord_tag, collect_outputs, newton_lanes
+from .op import (NewtonWorkspace, _chord_tag, collect_outputs, newton_lanes,
+                 output_columns)
 from .options import SimulationOptions
 from .results import DCSweepResult, OperatingPoint
 
@@ -474,14 +475,7 @@ def batched_dcsweeps(circuit: Circuit, source_name: str,
     finally:
         source.waveform = original_waveform
     results: list[DCSweepResult | None] = [None] * batch
-    for lane in range(batch):
-        if not alive[lane]:
-            continue
-        keys: set[str] = set()
-        for row in rows[lane]:
-            keys.update(row)
-        data = {key: np.array([row.get(key, np.nan) for row in rows[lane]],
-                              dtype=float)
-                for key in sorted(keys)}
-        results[lane] = DCSweepResult(source_name, sweep_values, data)
+    for lane in np.flatnonzero(alive):
+        results[lane] = DCSweepResult(source_name, sweep_values,
+                                      output_columns(rows[lane]))
     return results

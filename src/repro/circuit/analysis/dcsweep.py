@@ -16,10 +16,10 @@ import numpy as np
 from ... import telemetry
 from ...errors import AnalysisError, ConvergenceError, SingularMatrixError
 from ..devices.sources import CurrentSource, VoltageSource
-from ..mna import MNASystem
+from ..mna import MNASystem, StampContext
 from ..netlist import Circuit
 from ..waveforms import DC
-from .op import NewtonWorkspace, collect_outputs, newton_solve
+from .op import NewtonWorkspace, collect_outputs, newton_solve, output_columns
 from .options import SimulationOptions
 from .results import DCSweepResult
 
@@ -123,20 +123,13 @@ class DCSweepAnalysis:
                     rows.append({})
                     track.update(index + 1, message="point failed")
                     continue
-                ctx = system.assemble(x, "dc", 0.0, None, options, 1.0,
-                                      want_jacobian=False)
-                rows.append(collect_outputs(system, ctx))
+                rows.append(collect_outputs(system, StampContext(
+                    system, x, "dc", 0.0, None, options, want_jacobian=False)))
                 track.update(index + 1)
         track.finish(self.values.size)
         with telemetry.span("dcsweep.collect"):
-            keys: set[str] = set()
-            for row in rows:
-                keys.update(row)
-            data = {
-                key: np.array([row.get(key, np.nan) for row in rows], dtype=float)
-                for key in sorted(keys)
-            }
-        return DCSweepResult(self.source_name, self.values, data)
+            return DCSweepResult(self.source_name, self.values,
+                                 output_columns(rows))
 
     def sensitivities(self, params, outputs, method: str = "auto"):
         """Per-point exact output sensitivities over the sweep values.

@@ -55,6 +55,7 @@ sources are ramped from zero to their nominal values over
 
 from __future__ import annotations
 
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable
 
@@ -71,7 +72,7 @@ from .options import SimulationOptions
 from .results import OperatingPoint
 
 __all__ = ["newton_solve", "newton_lanes", "collect_outputs",
-           "NewtonWorkspace", "OperatingPointAnalysis"]
+           "output_columns", "NewtonWorkspace", "OperatingPointAnalysis"]
 
 
 class NewtonWorkspace:
@@ -478,6 +479,9 @@ def collect_outputs(system: MNASystem, ctx: StampContext,
                     set_lane: Callable[[int], None] | None = None):
     """Gather node across values and device-recorded outputs at a solution.
 
+    ``ctx`` need not be assembled; in a transient, recording also refreshes
+    the pending integrator states (``Device.record``).
+
     Auxiliary unknowns (branch currents, behavioral extra unknowns) are
     included under their canonical names unless a device already recorded
     the same signal.
@@ -497,6 +501,19 @@ def collect_outputs(system: MNASystem, ctx: StampContext,
     for name, value in zip(system.aux_signal_names(), x[system.num_nodes:]):
         data.setdefault(name, value)
     return data
+
+
+def output_columns(rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
+    """One array per signal of the output ``rows``, in sorted signal order:
+    the columns of one table, each row read by one ``itemgetter``.  A row
+    that lacks a signal (a failed sweep point's ``{}``) holds NaN there."""
+    keys = sorted(set().union(*rows))
+    if not keys:
+        return {}
+    fill, pick = dict.fromkeys(keys, np.nan), itemgetter(*keys)
+    table = np.array([pick(row if len(row) == len(keys) else fill | row)
+                      for row in rows], dtype=float)
+    return dict(zip(keys, table.reshape(len(rows), len(keys)).T))
 
 
 def _collect_lanes(system: MNASystem, ctx: BatchStampContext,
@@ -597,9 +614,9 @@ class OperatingPointAnalysis:
                 with telemetry.span("op.source_stepping"):
                     solution, iterations = self._source_stepping(x0, workspace)
             with telemetry.span("op.collect"):
-                ctx = self.system.assemble(solution, "op", 0.0, None, options,
-                                           1.0, want_jacobian=False)
-                data = collect_outputs(self.system, ctx)
+                data = collect_outputs(self.system, StampContext(
+                    self.system, solution, "op", 0.0, None, options,
+                    want_jacobian=False))
             op_span.set("newton_iters", iterations)
         return OperatingPoint(data, solution, self.system.unknown_labels(), iterations)
 

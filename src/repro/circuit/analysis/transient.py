@@ -24,17 +24,16 @@ from __future__ import annotations
 import dataclasses
 import time as _time
 from collections import deque
-from typing import Iterable
 
 import numpy as np
 
 from ... import telemetry
 from ...errors import AnalysisError, ConvergenceError, SingularMatrixError
 from ...telemetry import ConvergenceDiagnostics, StepRecord
-from ..mna import Integrator, MNASystem
+from ..mna import Integrator, MNASystem, StampContext
 from ..netlist import Circuit
 from .op import (NewtonWorkspace, OperatingPointAnalysis, collect_outputs,
-                 newton_solve)
+                 newton_solve, output_columns)
 from .options import SimulationOptions
 from .results import OperatingPoint, TransientResult
 
@@ -290,12 +289,11 @@ class TransientAnalysis:
                     h = max(h * max(0.2, 0.9 / error_ratio ** 0.5), min_step)
                     continue
 
-                # Accept the step: refresh pending states at the converged point,
-                # record outputs and commit the integrator history.  The record
-                # pass never reads the Jacobian, so it assembles residual-only.
-                ctx = system.assemble(x_new, "tran", t_new, integrator, options, 1.0,
-                                      want_jacobian=False)
-                rows.append(collect_outputs(system, ctx))
+                # Accept the step: the record pass at the converged point also
+                # refreshes every pending state (Device.record), then commit.
+                rows.append(collect_outputs(system, StampContext(
+                    system, x_new, "tran", t_new, integrator, options,
+                    want_jacobian=False)))
                 integrator.commit()
                 times.append(t_new)
                 history_x.append(x_new.copy())
@@ -336,11 +334,7 @@ class TransientAnalysis:
                         "increase t_step or loosen tolerances")
 
         with telemetry.span("transient.collect"):
-            keys: set[str] = set()
-            for row in rows:
-                keys.update(row)
-            data = {key: np.array([row.get(key, np.nan) for row in rows], dtype=float)
-                    for key in sorted(keys)}
+            data = output_columns(rows)
         track.finish(t - self.t_start)
         stats["wall_time_s"] = _time.perf_counter() - wall_start
         stats["points"] = len(times)

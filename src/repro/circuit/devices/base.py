@@ -16,6 +16,9 @@ Every device implements two methods used by the analyses:
     Return named output quantities (branch currents, internal states,
     forces) to be stored alongside the node across values in the analysis
     results.  Keys follow the SPICE convention ``i(<name>)`` where sensible.
+    The context sits at a solution and is not assembled: ``record`` must
+    make every ``ctx.ddt``/``ctx.integ`` call ``stamp`` makes there, since
+    this pass alone refreshes the pending states of an accepted time step.
 
 Devices are immutable after construction; all per-analysis state lives in
 the context/integrator so the same circuit object can be analysed many times

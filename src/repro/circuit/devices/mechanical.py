@@ -57,7 +57,7 @@ class Mass(Capacitor):
     def record(self, ctx: StampContext) -> dict[str, float]:
         velocity = self.branch_across(ctx)
         displacement = ctx.integ((self.name, "x"), velocity)
-        acceleration = ctx.ddt((self.name, "v_rec"), velocity)
+        acceleration = ctx.ddt(self._state_key(), velocity)  # the stamp's own state
         return {
             f"v({self.name})": velocity,
             f"x({self.name})": getattr(displacement, "value", displacement),
@@ -91,6 +91,7 @@ class Spring(Inductor):
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         force = ctx.aux_value(self, "i")
+        ctx.ddt(self._state_key(), force)  # refresh the stamp's state
         return {
             f"f({self.name})": force,
             f"x({self.name})": force / self.stiffness,

@@ -88,6 +88,7 @@ class Capacitor(TwoTerminalDevice):
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         v = self.branch_across(ctx)
+        ctx.ddt(self._state_key(), v)  # refresh the stamp's state
         return {
             f"v({self.name})": v,
             f"q({self.name})": self.capacitance * v,
@@ -142,6 +143,7 @@ class Inductor(TwoTerminalDevice):
 
     def record(self, ctx: StampContext) -> dict[str, float]:
         current = ctx.aux_value(self, "i")
+        ctx.ddt(self._state_key(), current)  # refresh the stamp's state
         return {
             f"i({self.name})": current,
             f"flux({self.name})": self.inductance * current,

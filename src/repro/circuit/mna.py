@@ -77,6 +77,8 @@ class Integrator:
     ``(device_name, local_name)``).  The integrator keeps the committed value
     and derivative of the previous accepted time point and produces the
     discretized derivative/integral of the current iterate.
+    Each call overwrites its key's *pending* state, which :meth:`commit`
+    promotes: an accepted step's last writes are its ``Device.record`` pass.
     """
 
     BACKWARD_EULER = "backward_euler"
@@ -203,12 +205,6 @@ class Integrator:
         self.clear_raw()
 
     # ------------------------------------------------------- sensitivity hooks
-    #: Slot kinds of the dynamic-state vector seen by the sensitivity layer:
-    #: ``value``/``deriv`` per ``ddt`` key and ``integral``/``integrand`` per
-    #: ``integ`` key -- together they are exactly the committed history the
-    #: next residual assembly reads.
-    STATE_KINDS = ("value", "deriv", "integral", "integrand")
-
     def clear_raw(self) -> None:
         """Drop the captured raw pending expressions (one assembly's worth)."""
         self._raw_values = {}
@@ -383,8 +379,8 @@ class MNASystem:
 
         ``want_jacobian=False`` assembles the residual only: Jacobian stamps
         are dropped and behavioral devices evaluate on plain floats instead
-        of AD duals.  Used for record passes and chord-Newton iterations,
-        where the Jacobian is never read.  ``limits`` is the junction
+        of AD duals.  Used for chord-Newton iterations and integrator
+        priming, where the Jacobian is never read.  ``limits`` is the junction
         limiting state of the Newton solve assembling (see
         :class:`LimitState`).
         """

@@ -27,17 +27,18 @@ permittivity).  The first solve of a geometry is the cold path -- one
 assembly, one :func:`~repro.fem.assembly.apply_dirichlet`, one SuperLU
 factorization -- and keeps its results: the stiffness ``K``, the
 eliminated matrix with its factorization in a
-:class:`~repro.linalg.FactorizationCache`, and the element connectivity
-and ``(num_elements, 4, 2)`` corner coordinates.  Every later drive point
-of that geometry costs one :func:`~repro.fem.assembly.dirichlet_lift` of
-the right-hand side from ``K[:, constrained]`` (taken once, at the first
-reuse; the arithmetic of ``apply_dirichlet``), one back-substitution and
-one stacked :func:`~repro.fem.elements.element_gradient` call, bit for
-bit equal to a cold solve.  Keys compare floats exactly, so gaps one ulp
-apart get distinct operators.  The table is bounded like the pattern
-caches of :mod:`repro.fem.assembly` (a new geometry beyond
-``_OPERATOR_LIMIT`` clears it), and an operator whose solve fails is
-never stored, so a retry factors again.
+:class:`~repro.linalg.FactorizationCache`, and the element connectivity,
+``(num_elements, 4, 2)`` corner coordinates and centroid Jacobians.
+Every later drive point of that geometry costs one
+:func:`~repro.fem.assembly.dirichlet_lift` of the right-hand side from
+``K[:, constrained]`` (taken once, at the first reuse; the arithmetic of
+``apply_dirichlet``), one back-substitution and one stacked
+:func:`~repro.fem.elements.element_gradient` solve on the held
+Jacobians, bit for bit equal to a cold solve.  Keys compare floats
+exactly, so gaps one ulp apart get distinct operators.  The table is
+bounded like the pattern caches of :mod:`repro.fem.assembly` (a new
+geometry beyond ``_OPERATOR_LIMIT`` clears it), and an operator whose
+solve fails is never stored, so a retry factors again.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from ..constants import EPSILON_0
 from ..errors import FEMError
 from ..linalg import FactorizationCache
 from .assembly import apply_dirichlet, assemble_stiffness, dirichlet_lift
-from .elements import element_gradient
+from .elements import element_gradient, element_jacobians
 from .mesh import RectangularMesh
 from .solver import solve_sparse
 
@@ -79,6 +80,8 @@ class _Operator:
     connectivity: np.ndarray
     #: ``(num_elements, 4, 2)`` element corner coordinates.
     corners: np.ndarray
+    #: ``(num_elements, 2, 2)`` element Jacobians at the centroids.
+    jacobians: np.ndarray
 
     @classmethod
     def build(cls, mesh: RectangularMesh, permittivity: float,
@@ -93,10 +96,11 @@ class _Operator:
         matrix, rhs = apply_dirichlet(stiffness, np.zeros(mesh.num_nodes),
                                       constraints)
         connectivity = mesh.element_connectivity()
+        corners = mesh.node_coordinates()[connectivity]
         return cls(stiffness=stiffness, matrix=matrix,
                    factors=FactorizationCache(), bottom=bottom, top=top,
-                   connectivity=connectivity,
-                   corners=mesh.node_coordinates()[connectivity]), rhs
+                   connectivity=connectivity, corners=corners,
+                   jacobians=element_jacobians(corners)), rhs
 
     @cached_property
     def _lift(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
@@ -267,7 +271,8 @@ class ParallelPlateProblem:
             # leaves no entry, so a retry factors again.
             _OPERATORS[key] = operator
         field = -element_gradient(operator.corners,
-                                  potential[operator.connectivity])
+                                  potential[operator.connectivity],
+                                  jacobians=operator.jacobians)
         return ElectrostaticSolution(
             mesh=mesh, potential=potential, field=field, depth=self.depth,
             permittivity=self.permittivity, voltage=float(voltage))

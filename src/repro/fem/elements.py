@@ -23,6 +23,7 @@ __all__ = [
     "shape_function_derivatives",
     "element_stiffness",
     "element_mass",
+    "element_jacobians",
     "element_gradient",
 ]
 
@@ -93,18 +94,33 @@ def element_mass(coords: np.ndarray, density: float = 1.0) -> np.ndarray:
     return mass
 
 
+def element_jacobians(coords: np.ndarray, xi: float = 0.0,
+                      eta: float = 0.0) -> np.ndarray:
+    """``(..., 2, 2)`` Jacobians of a ``(..., 4, 2)`` stack of elements at a
+    reference point (default: centroid).  Any inverted element raises."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape[-2:] != (4, 2):
+        raise FEMError("element_jacobians expects 4 corner coordinates")
+    return _jacobian(coords, shape_function_derivatives(xi, eta))[0]
+
+
 def element_gradient(coords: np.ndarray, nodal_values: np.ndarray,
-                     xi: float = 0.0, eta: float = 0.0) -> np.ndarray:
+                     xi: float = 0.0, eta: float = 0.0,
+                     jacobians: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the interpolated field at a reference point (default: centroid).
 
     ``coords`` is ``(..., 4, 2)`` and ``nodal_values`` ``(..., 4)``: a stack
     of elements is differentiated by one batched solve, returning
-    ``(..., 2)``.  Any inverted element in the stack raises.
+    ``(..., 2)``.  Any inverted element in the stack raises.  A caller that
+    differentiates many fields on one mesh passes the elements'
+    :func:`element_jacobians` at the point as ``jacobians`` instead of
+    having them recomputed.
     """
     coords = np.asarray(coords, dtype=float)
     nodal_values = np.asarray(nodal_values, dtype=float)
     if coords.shape[-2:] != (4, 2) or nodal_values.shape != coords.shape[:-1]:
         raise FEMError("element_gradient expects 4 corners and 4 nodal values")
     dshape = shape_function_derivatives(xi, eta)
-    jac, _ = _jacobian(coords, dshape)
-    return np.linalg.solve(jac, dshape @ nodal_values[..., None])[..., 0]
+    if jacobians is None:
+        jacobians, _ = _jacobian(coords, dshape)
+    return np.linalg.solve(jacobians, dshape @ nodal_values[..., None])[..., 0]

@@ -47,7 +47,9 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
         with telemetry.span("fem.solve", size=int(matrix.shape[0])):
             factorize = FactorizedSolver("superlu").factorize \
                 if factorizations is None else factorizations.factorize
-            return factorize(sp.csr_matrix(matrix)).solve(rhs)
+            if not isinstance(matrix, sp.csr_matrix):
+                matrix = sp.csr_matrix(matrix)
+            return factorize(matrix).solve(rhs)
     except LinAlgError as exc:
         # The failure path always captures forensics (no knob: FE callers
         # have no SimulationOptions, and the diagnosis only runs on failure).

@@ -7,7 +7,7 @@ import pytest
 
 from repro.constants import EPSILON_0
 from repro.errors import FEMError
-from repro.fem import ParallelPlateProblem
+from repro.fem import ParallelPlateProblem, electrostatics, elements
 from repro.fem.assembly import apply_dirichlet, assemble_stiffness
 from repro.fem.mesh import RectangularMesh
 from repro.fem.solver import solve_sparse
@@ -100,3 +100,44 @@ class TestParallelPlateSolution:
             ParallelPlateProblem(plate_width=0.0, gap=GAP, depth=1e-2)
         with pytest.raises(FEMError):
             ParallelPlateProblem.from_area(area=-1.0, gap=GAP)
+
+
+class TestHeldOperatorPostProcessing:
+    def test_element_jacobians_once_per_geometry(self, monkeypatch):
+        """Warm drive points differentiate the field on the operator's held
+        centroid Jacobians: the stacked ``_jacobian`` runs once per
+        geometry, and ``solve_sparse`` hands the held CSR matrix through
+        unwrapped."""
+        stacked = []
+        jacobian = elements._jacobian
+
+        def counting(coords, dshape):
+            stacked.append(coords.ndim == 3)
+            return jacobian(coords, dshape)
+
+        monkeypatch.setattr(elements, "_jacobian", counting)
+        electrostatics._OPERATORS.clear()
+        try:
+            for geometry, gap in enumerate((GAP, 2.0 * GAP), start=1):
+                problem = ParallelPlateProblem.from_area(area=AREA, gap=gap,
+                                                         nx=6, ny=4)
+                for voltage in (VOLTAGE, 0.0, -3.0, 1.0):
+                    problem.solve(voltage)
+                assert sum(stacked) == geometry
+                operator = electrostatics._OPERATORS[
+                    (problem.mesh, problem.permittivity)]
+                assert operator.factors.matrix is operator.matrix
+        finally:
+            electrostatics._OPERATORS.clear()
+
+    def test_held_jacobians_give_the_same_gradient_bits(self):
+        rng = np.random.default_rng(3)
+        mesh = RectangularMesh(1.3e-3, 2e-5, 7, 5)
+        corners = mesh.node_coordinates()[mesh.element_connectivity()]
+        values = rng.uniform(-50.0, 50.0, corners.shape[:-1])
+        for xi, eta in ((0.0, 0.0), (0.3, -0.7)):
+            fresh = elements.element_gradient(corners, values, xi, eta)
+            reused = elements.element_gradient(
+                corners, values, xi, eta,
+                jacobians=elements.element_jacobians(corners, xi, eta))
+            assert fresh.tobytes() == reused.tobytes()
