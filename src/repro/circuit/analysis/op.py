@@ -495,8 +495,7 @@ def collect_outputs(system: MNASystem, ctx: StampContext,
     if isinstance(ctx, BatchStampContext):
         return _collect_lanes(system, ctx, set_lane)
     x = ctx.x.tolist()
-    data: dict[str, float] = {f"v({node.name})": value
-                              for node, value in zip(system.nodes, x)}
+    data: dict[str, float] = dict(zip(system.node_signal_names(), x))
     system.record_outputs(ctx, data)
     for name, value in zip(system.aux_signal_names(), x[system.num_nodes:]):
         data.setdefault(name, value)
@@ -540,7 +539,7 @@ def _collect_lanes(system: MNASystem, ctx: BatchStampContext,
             for position, records in per_lane.items():
                 records.append(devices[position].record(lane_ctx))
     xs = ctx.x.tolist()
-    node_names = [f"v({node.name})" for node in system.nodes]
+    node_names = system.node_signal_names()
     rows = [dict(zip(node_names, x)) for x in xs]
     for position in range(len(devices)):
         if position in on_axis:

@@ -318,6 +318,7 @@ class MNASystem:
         #: system; the stamp stream of a fixed topology repeats its
         #: coordinates, so only the first assembly pays the reduction.
         self.structure_cache = StructureCache()
+        self._node_signal_names: list[str] | None = None
         self._aux_signal_names: list[str] | None = None
         #: ``(mode, task) -> StampProgram`` of a system holding compiled
         #: behavioral devices (built lazily by
@@ -350,10 +351,19 @@ class MNASystem:
 
     def unknown_labels(self) -> list[str]:
         """Human-readable labels of the unknowns, in vector order."""
-        labels = [f"v({node.name})" for node in self.nodes]
+        labels = list(self.node_signal_names())
         aux = sorted(self._aux_index.items(), key=lambda item: item[1])
         labels.extend(f"{device}#{name}" for (device, name), _ in aux)
         return labels
+
+    def node_signal_names(self) -> list[str]:
+        """Result names ``v(<node>)`` of the node unknowns, in vector order
+        (memoized like :meth:`aux_signal_names`)."""
+        names = self._node_signal_names
+        if names is None:
+            names = self._node_signal_names = [f"v({node.name})"
+                                               for node in self.nodes]
+        return names
 
     def aux_signal_names(self) -> list[str]:
         """Canonical result names of the auxiliary unknowns, in vector order.

@@ -12,12 +12,16 @@ the verified fallback.
 
 Traced variants are cached process-wide by a SHA-256 structural
 fingerprint (:func:`repro.hdl.compile.ir.fingerprint`), keyed by content
-rather than identity; stamp functions are cached per kernel, task, mode and geometry shape, so
-instances share them (``cache_info()`` reports both caches).  Registry
-counters: ``hdl.compile.count`` / ``hdl.compile.cache_hits`` track kernel
-compiles vs. cache reuse, ``hdl.stamp_fn.compiles`` stamp-function
-generation and ``hdl.fallback.<reason>`` every silent fallback (see
-:mod:`.runtime`).  With telemetry on, the ``hdl.kernel.eval_s`` histogram
+rather than identity; stamp functions are cached per kernel, task, mode
+and geometry shape, so instances share them; and the trace memo maps a
+device's trace key to its kernel sets, so a known behaviour is traced
+once per process, not per instance (``cache_info()`` reports all three).
+Registry counters: ``hdl.compile.count`` / ``hdl.compile.cache_hits``
+track kernel compiles vs. cache reuse (a trace-memo hit counts as a cache
+hit), ``hdl.trace.count`` / ``hdl.trace.unkeyed`` the traces that run and
+those of behaviours without a key, ``hdl.stamp_fn.compiles``
+stamp-function generation and ``hdl.fallback.<reason>`` every silent
+fallback (see :mod:`.runtime`).  With telemetry on, the ``hdl.kernel.eval_s`` histogram
 gets one observation per ``MNASystem.run_stamps`` of a system holding
 behavioral devices: the wall time of that whole stamp pass.
 
@@ -25,8 +29,9 @@ Escape hatch: ``SimulationOptions(behavioral_compile=False)`` per run.
 """
 
 from . import ir, passes
-from .codegen import KernelSet, cache_info, clear_cache, compile_variant
-from .runtime import MAX_VARIANTS, batch_ready, state_for, try_stamp
+from .codegen import KernelSet, compile_variant
+from .runtime import (MAX_VARIANTS, batch_ready, cache_info, clear_cache,
+                      state_for, try_stamp)
 from .trace import TraceError, TracedVariant, trace_behavior
 
 __all__ = [

@@ -721,9 +721,10 @@ def _stamp_source(kernels: KernelSet, task: str, shape) -> str:
         lines.append("_jr, _jc, _jv = jac")
     lines += gather + preamble + body
     if task == "record":
-        lines += [f"out[{n}] = float({v})" for n, v in zip(outputs, values)]
-        lines += [f"out[{n}] = float(np.real({r}))"
-                  for n, r in zip(outputs[len(contribs):], extras)]
+        # Through currents, then records: BehavioralDevice.record's and
+        # BehaviorContext.record's float() of the float-mode values.
+        lines += [f"out[{n}] = float({v})" for n, v
+                  in zip(outputs, values[:len(contribs)] + extras)]
     else:
         def accumulate(row: str, negate: bool, out_pos: int) -> None:
             value = values[out_pos]

@@ -19,13 +19,30 @@ raw-state capture, compile enabled, not priming the integrator -- run once
 per assembly in :func:`_program`.  Accumulation stays in device order, so
 results are bitwise those of device-by-device stamping.
 
-A behavioral device without a variant for the mode is traced against the
-live context while the program is built.  A guard miss tries the device's
-other variants; when every variant misses, the model is re-traced against
-the live context (bounded by :data:`MAX_VARIANTS`), *this* call is stamped
-by the interpreter -- the trace already wrote the identical pending
-dynamic state, so the interpreter's writes are idempotent -- and the
-program is rebuilt before its next run.
+A behavioral device without a variant for the mode gets one while the
+program is built, from the **trace memo** when it can: a process-wide map
+from a device's *trace key* (:func:`_trace_key`) to the kernel sets traced
+under it.  The key holds everything a trace can bake into the IR -- the
+mode, a snapshot of the behaviour (its code, closure cells, defaults and
+globals identity) and the device layout -- so a device of a known key binds
+the memoized variants without running its behaviour, and a fresh array of
+known behaviours traces nothing.  Parameter *values* are not in the key:
+``ctx.param`` reads and bound attributes trace as kernel inputs.  The one
+assumption beyond that is that module globals and class attributes a
+behaviour reads are constants for the process (they already had to be
+constant for a device's lifetime, since its variants persist).  A
+behaviour the key cannot snapshot -- one holding a list, dict, array, HDL
+``_Interpreter`` or a deep object graph -- is traced per device against
+the live context, counted as ``hdl.trace.unkeyed``; ``hdl.trace.count``
+counts the traces that run.
+
+A guard miss tries the device's other variants; when every variant
+misses, the model is re-traced against the live context and the new
+variant joins the device's and its key's (each bounded by
+:data:`MAX_VARIANTS`), *this* call is stamped by the interpreter -- the
+trace already wrote the identical pending dynamic state, so the
+interpreter's writes are idempotent -- and the program is rebuilt before
+its next run.
 
 Stamp functions differentiate with respect to the variant's
 *across/unknown leaves* (circuit-independent, so they are shared
@@ -56,6 +73,7 @@ interpreter.
 
 from __future__ import annotations
 
+import types
 from time import perf_counter
 
 import numpy as np
@@ -64,26 +82,26 @@ from ... import telemetry
 from ...circuit.mna import BatchStampContext, Integrator, StampContext
 from ...telemetry import registry
 from . import codegen, passes
-from .trace import trace_behavior
+from .trace import TraceError, trace_behavior
 
 __all__ = ["MAX_VARIANTS", "CompileState", "StampProgram", "state_for",
            "try_stamp", "stamp_devices", "run_stamps", "record_outputs",
-           "batch_ready"]
+           "batch_ready", "cache_info", "clear_cache"]
 
-#: Re-trace budget per (device, mode): after this many traced variants the
-#: mode permanently falls back to the interpreter.
+#: Variant budget per (device, mode) and per trace key: a device that
+#: misses the guards of this many variants permanently falls back to the
+#: interpreter in that mode.
 MAX_VARIANTS = 8
 
 
 class CompileState:
     """Per-device compile bookkeeping (variants per mode, fallbacks)."""
 
-    __slots__ = ("variants", "disabled", "trace_count", "probed")
+    __slots__ = ("variants", "disabled", "probed")
 
     def __init__(self) -> None:
         self.variants: dict[str, list[_BoundVariant]] = {}
         self.disabled: set[str] = set()
-        self.trace_count: dict[str, int] = {}
         self.probed = False
 
 
@@ -199,20 +217,193 @@ def _geometry(device, bound: _BoundVariant, ctx) -> _Geometry:
     return geo
 
 
+# --------------------------------------------------------------------------- #
+# trace memo                                                                  #
+# --------------------------------------------------------------------------- #
+
+#: Process-wide trace outcomes: trace key -> the kernel sets traced under
+#: it (first = primary), or None when its first trace was untraceable.
+_MEMO: dict[tuple, list[codegen.KernelSet] | None] = {}
+_UNSEEN = object()
+
+#: Deepest object graph a behaviour snapshot follows; past it (or at a
+#: list, dict, array or other mutable or opaque value) a device is unkeyed.
+_SNAPSHOT_DEPTH = 6
+
+
+class _Unkeyable(Exception):
+    """The behaviour holds state a trace key cannot capture."""
+
+
+class _Same:
+    """An identity key that keeps its object alive, so the memo never
+    meets a recycled ``id``."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj) -> None:
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Same and other.obj is self.obj
+
+
+_ATOMS = frozenset({int, bool, str, bytes, type(None)})
+
+
+class _Plain:
+    pass
+
+
+#: Layout of a class statement's instance without ``__slots__``.
+_PLAIN_LAYOUT = (_Plain.__basicsize__, _Plain.__itemsize__,
+                 _Plain.__dictoffset__)
+
+
+def _is_plain(kind: type) -> bool:
+    """Whether ``kind``'s instances hold all their state in ``__dict__``
+    (no C-level fields, no slots)."""
+    return ((kind.__basicsize__, kind.__itemsize__,
+             kind.__dictoffset__) == _PLAIN_LAYOUT
+            and not any(vars(cls).get("__slots__") for cls in kind.__mro__))
+
+
+def _snapshot(value, depth: int, bound: dict, reached: set):
+    """The key of one value a behaviour can read (see :func:`_trace_key`);
+    ``bound`` maps ``id(owner)`` to its bound attributes, and owners met
+    are added to ``reached``."""
+    kind = type(value)
+    if isinstance(value, float):
+        return kind, float.hex(value)
+    if kind in _ATOMS:
+        return kind, value
+    if depth > _SNAPSHOT_DEPTH:
+        raise _Unkeyable
+    depth += 1
+    if isinstance(value, tuple):
+        return ("tuple", kind,
+                tuple(_snapshot(item, depth, bound, reached)
+                      for item in value))
+    if kind is types.FunctionType:
+        cells = []
+        for cell in value.__closure__ or ():
+            try:
+                contents = cell.cell_contents
+            except ValueError:
+                cells.append(("empty",))
+            else:
+                cells.append(_snapshot(contents, depth, bound, reached))
+        kwdefaults = value.__kwdefaults__ or {}
+        return ("fn", value.__code__, tuple(cells),
+                _snapshot(value.__defaults__, depth, bound, reached),
+                tuple((name, _snapshot(item, depth, bound, reached))
+                      for name, item in kwdefaults.items()),
+                _Same(value.__globals__))
+    if isinstance(value, (type, types.ModuleType)) or (
+            kind is types.BuiltinFunctionType
+            and isinstance(value.__self__, (types.ModuleType, type(None)))):
+        return "is", _Same(value)
+    if not _is_plain(kind):
+        raise _Unkeyable
+    owned = bound.get(id(value))
+    if owned is not None:
+        reached.add(id(value))
+    items = []
+    for name, item in vars(value).items():
+        if owned is not None and name in owned:
+            # Traced as a parameter input: only its type shapes the trace.
+            items.append((name, "bound", owned[name], type(item)))
+        else:
+            items.append((name, _snapshot(item, depth, bound, reached)))
+    return "obj", kind, tuple(items)
+
+
+def _trace_key(device, mode: str) -> tuple | None:
+    """Everything a trace of ``device`` in ``mode`` can bake into the IR,
+    or None when the behaviour cannot be snapshotted.
+
+    The key is the mode, a snapshot of the behaviour -- code object,
+    closure cells, defaults and the identity of its globals; floats by type
+    and ``float.hex`` (so ``-0.0``, ``0.0``, ``1`` and ``True`` differ),
+    tuples element by element, nested functions recursively, modules,
+    classes and builtins by identity, a plain object by its type and
+    ``__dict__`` with bound parameter attributes by type only -- and the
+    device layout: port names, extra unknowns, parameter names with their
+    value types, parameter bindings and state initial values.
+    """
+    bound: dict[int, dict[str, str]] = {}
+    for generic, (owner, attribute) in device.parameter_bindings.items():
+        bound.setdefault(id(owner), {})[attribute] = generic
+    reached: set[int] = set()
+    behavior = device.behavior
+    if type(behavior) is not types.FunctionType:
+        return None
+    try:
+        snapshot = _snapshot(behavior, 0, bound, reached)
+        initials = tuple((name, _snapshot(value, 0, bound, reached))
+                         for name, value in device.state_initials.items())
+    except _Unkeyable:
+        return None
+    if len(reached) != len(bound):
+        # An owner the snapshot never met: whether the behaviour reads its
+        # attribute as an input or a constant is not in the key.
+        return None
+    return (mode, snapshot, tuple(device._ports), device.extra_unknowns,
+            tuple((name, type(value)) for name, value
+                  in device.params.items()),
+            tuple((generic, attribute, type(getattr(owner, attribute)))
+                  for generic, (owner, attribute)
+                  in device.parameter_bindings.items()),
+            initials)
+
+
 def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
-    """Trace a fresh variant (or permanently disable the mode)."""
-    count = state.trace_count.get(mode, 0)
-    if count >= MAX_VARIANTS:
+    """Give the device a fresh variant for ``mode`` (or permanently disable
+    the mode).
+
+    A device without variants for the mode first looks its trace key up in
+    the memo: a hit binds the key's kernel sets (the first one primary, the
+    rest alternates) without running the behaviour -- counted as
+    ``hdl.compile.cache_hits``, one per kernel set served -- and a key whose
+    first trace was untraceable disables the mode at once.  Otherwise the
+    behaviour is traced against ``stamp_ctx``; the outcome of a key's first
+    trace is memoized, and a later trace (a device whose variants all
+    missed their guards) adds its kernel set to the key, at most
+    :data:`MAX_VARIANTS` per key as per device.
+    """
+    variants = state.variants.get(mode, [])
+    if len(variants) >= MAX_VARIANTS:
         state.disabled.add(mode)
         return
-    state.trace_count[mode] = count + 1
+    key = _trace_key(device, mode)
+    if key is None:
+        registry.inc("hdl.trace.unkeyed")
+    known = _MEMO.get(key, _UNSEEN)
+    if known is not _UNSEEN and not variants:
+        if known is None:
+            state.disabled.add(mode)
+            return
+        registry.inc("hdl.compile.cache_hits", len(known))
+        state.variants[mode] = [_BoundVariant(device, kernels)
+                                for kernels in known]
+        return
     try:
-        variant = passes.simplify_variant(
-            trace_behavior(device, mode, stamp_ctx))
-        kernels = codegen.compile_variant(variant)
+        kernels = codegen.compile_variant(passes.simplify_variant(
+            trace_behavior(device, mode, stamp_ctx)))
+    except TraceError:
+        # The tracer cannot follow the model (float() concretization,
+        # foreign duals): the interpreter owns this mode from now on, for
+        # every device of the key.
+        if key is not None and known is _UNSEEN:
+            _MEMO[key] = None
+        state.disabled.add(mode)
+        return
     except Exception:
-        # Untraceable (float() concretization, foreign duals, exceptions on
-        # traced values): the interpreter owns this mode from now on.
+        # An error the behaviour raised on the traced values depends on
+        # the point traced: only this device falls back.
         state.disabled.add(mode)
         return
     if set(device.extra_unknowns) - set(kernels.eq_names):
@@ -220,7 +411,27 @@ def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
         # interpreter, which raises the properly-worded DeviceError.
         state.disabled.add(mode)
         return
+    if key is not None:
+        if known is _UNSEEN:
+            _MEMO[key] = [kernels]
+        elif known is not None and kernels not in known \
+                and len(known) < MAX_VARIANTS:
+            known.append(kernels)
     state.variants.setdefault(mode, []).append(_BoundVariant(device, kernels))
+
+
+def cache_info() -> dict[str, int]:
+    """Size of the process-wide caches (for tests/diagnostics): the
+    compiler's ``kernels`` and ``stamp_functions``
+    (:func:`.codegen.cache_info`) and ``traces``, the trace-memo keys."""
+    return {**codegen.cache_info(), "traces": len(_MEMO)}
+
+
+def clear_cache() -> None:
+    """Drop every cached kernel, stamp function and memoized trace (tests
+    only)."""
+    codegen.clear_cache()
+    _MEMO.clear()
 
 
 # --------------------------------------------------------------------------- #

@@ -32,6 +32,7 @@ import numbers
 import numpy as np
 
 from ...circuit.devices.behavioral import BehaviorContext
+from ...telemetry import registry
 from . import ir
 
 __all__ = ["TraceError", "Tracer", "TraceBool", "Trace", "TracedVariant",
@@ -459,8 +460,10 @@ def trace_behavior(device, mode: str, stamp_ctx=None) -> TracedVariant:
 
     Raises :class:`TraceError` (or any exception the behavior itself raises
     on traced inputs) when the model cannot be traced; callers treat every
-    failure as "keep the interpreter".
+    failure as "keep the interpreter".  Every call counts as
+    ``hdl.trace.count``.
     """
+    registry.inc("hdl.trace.count")
     trace = Trace()
     ctx = TraceContext(device, mode, stamp_ctx, trace)
     undo = _install_param_tracers(device, trace)

@@ -138,7 +138,10 @@ class ConservativeTransducer(ABC):
     # ------------------------------------------------------------ behaviour
     def _behavior_voltage_driven(self, closed_form: bool, x0: float):
         """Behaviour callable for capacitive (voltage-driven) transducers."""
-        scales = self.characteristic_scales()
+        # The closed forms never read the scales; keeping them out of the
+        # closure keeps its trace key free of the geometry values
+        # (:mod:`repro.hdl.compile.runtime`).
+        scales = None if closed_form else self.characteristic_scales()
 
         def behavior(ctx: BehaviorContext) -> None:
             voltage = ctx.across("elec")
@@ -165,7 +168,7 @@ class ConservativeTransducer(ABC):
         equation ``v - d(flux)/dt = 0`` plays the role of the HDL-A equation
         block.
         """
-        scales = self.characteristic_scales()
+        scales = None if closed_form else self.characteristic_scales()
 
         def behavior(ctx: BehaviorContext) -> None:
             voltage = ctx.across("elec")

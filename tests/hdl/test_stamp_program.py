@@ -111,6 +111,25 @@ class TestFigure5Array:
             "hdl.stamp_fn.compiles", 0) == 0
         assert hdl_compile.cache_info()["stamp_functions"] == cached
 
+    def test_fresh_jittered_array_runs_no_traces(self):
+        # Every behaviour of the array is keyed (closure-free resonators,
+        # the transducer's geometry bound by type): after one array has
+        # been traced, a fresh seed-jittered one binds the memoized kernel
+        # sets -- one cache hit per device and mode -- and traces nothing.
+        figure5_transient(figure5_array(8, seed=1))
+        circuit = figure5_array(8, seed=3)
+        behavioral = sum(isinstance(device, BehavioralDevice)
+                         for device in circuit)
+        before = registry.snapshot()
+        compiled = figure5_transient(circuit)
+        counters = registry.delta(before)["counters"]
+        assert counters.get("hdl.trace.count", 0) == 0
+        assert counters.get("hdl.trace.unkeyed", 0) == 0
+        assert counters["hdl.compile.cache_hits"] == 2 * behavioral == 64
+        interp = figure5_transient(figure5_array(8, seed=3),
+                                   behavioral_compile=False)
+        assert_results_identical(compiled, interp)
+
     def test_summary_telemetry_observes_once_per_assembly(self):
         off = figure5_transient(figure5_array(2))
         before = registry.snapshot()
