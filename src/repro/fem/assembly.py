@@ -10,6 +10,12 @@ and every later assembly is a single ``bincount``.  Patterns are shared
 process-wide per topology via :func:`structure_cache_for`; the cache
 verifies the triplet arrays exactly, so a topology collision can only cost
 a rebuild, never produce a wrong matrix.
+
+:func:`gap_affine_stiffness` splits the stiffness of a mesh into its x-
+and y-derivative pieces, ``K = height * Kxx + Kyy / height``, on that one
+pattern, and :func:`free_block` reduces a matrix to its unconstrained
+nodes while keeping the map back to its stored entries: together they let
+a gap sweep assemble once and pay one data combination per gap.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ import scipy.sparse as sp
 
 from ..errors import FEMError
 from ..linalg import StructureCache
-from .elements import element_stiffness
+from .elements import element_stiffness, rectangle_stiffness_pieces
 from .mesh import RectangularMesh
 
-__all__ = ["assemble_stiffness", "apply_dirichlet", "dirichlet_lift",
-           "structure_cache_for"]
+__all__ = ["assemble_stiffness", "gap_affine_stiffness", "free_block",
+           "apply_dirichlet", "structure_cache_for"]
 
 #: Process-wide pattern caches keyed by mesh topology.  Bounded: topologies
 #: beyond the cap evict the whole table (optimization sweeps cycle through a
@@ -76,13 +82,64 @@ def assemble_stiffness(mesh: RectangularMesh,
             raise FEMError(
                 f"per-element permittivity needs {mesh.num_elements} entries, got {eps.shape}")
     ke_unit = element_stiffness(coords[connectivity[0]], 1.0)
-    values = eps[:, None, None] * ke_unit[None, :, :]
+    return _assemble(mesh, eps[:, None, None] * ke_unit[None, :, :],
+                     structure_cache)
+
+
+def gap_affine_stiffness(mesh: RectangularMesh, permittivity: float
+                         ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The stiffness of ``mesh`` as ``K = height * Kxx + Kyy / height``.
+
+    ``Kxx`` and ``Kyy`` are the x- and y-derivative parts of
+    :func:`assemble_stiffness` (scalar ``permittivity``), taken from the
+    exact split of :func:`~repro.fem.elements.rectangle_stiffness_pieces`.
+    They depend on the divisions, the width and the permittivity but not
+    on the height, so one pair serves every gap of a sweep; both are stored
+    on the topology's CSR pattern (equal ``indices`` and ``indptr``).
+    """
+    k_xi, k_eta = rectangle_stiffness_pieces()
+    eps = float(permittivity)
+    # Element dy / dx = height / (ny dx) and dx / dy = ny dx / height.
+    span = mesh.ny * mesh.dx
+    shape = (mesh.num_elements, 4, 4)
+    return (_assemble(mesh, np.broadcast_to(eps / span * k_xi, shape)),
+            _assemble(mesh, np.broadcast_to(eps * span * k_eta, shape)))
+
+
+def _assemble(mesh: RectangularMesh, values: np.ndarray,
+              structure_cache: StructureCache | None = None
+              ) -> sp.csr_matrix:
+    """Sum a ``(num_elements, 4, 4)`` stack of element matrices into the
+    global CSR matrix on the topology's shared pattern."""
+    connectivity = np.asarray(mesh.element_connectivity(), dtype=np.intp)
     # Triplet order matches the historical (element, a, b) nested loop.
     rows = np.repeat(connectivity, 4, axis=1).ravel()
     cols = np.tile(connectivity, (1, 4)).ravel()
     if structure_cache is None:
         structure_cache = structure_cache_for(mesh)
     return structure_cache.assemble(rows, cols, values.ravel(), mesh.num_nodes)
+
+
+def free_block(matrix: sp.csr_matrix, free: np.ndarray
+               ) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``matrix[free][:, free]`` for sorted ``free`` nodes, and the
+    positions of its entries in ``matrix.data``.
+
+    Another matrix stored on the same pattern (the same ``indptr`` and
+    ``indices``) has its block on the same block pattern, with the data
+    ``other.data[positions]``.
+    """
+    n = matrix.shape[0]
+    index = np.full(n, -1)
+    index[free] = np.arange(free.size)
+    rows = index[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+    cols = index[matrix.indices]
+    positions = np.flatnonzero((rows >= 0) & (cols >= 0))
+    indptr = np.concatenate(([0], np.cumsum(
+        np.bincount(rows[positions], minlength=free.size))))
+    block = sp.csr_matrix((matrix.data[positions], cols[positions], indptr),
+                          shape=(free.size, free.size))
+    return block, positions
 
 
 def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray,
@@ -107,7 +164,9 @@ def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray,
     if constrained.min() < 0 or constrained.max() >= n:
         raise FEMError("Dirichlet node index out of range")
     values = np.array([node_values[int(node)] for node in constrained], dtype=float)
-    rhs = dirichlet_lift(csr[:, constrained], constrained, values, rhs)
+    rhs = np.array(rhs, dtype=float, copy=True)
+    rhs -= csr[:, constrained] @ values
+    rhs[constrained] = values
     fixed = np.zeros(n, dtype=bool)
     fixed[constrained] = True
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
@@ -115,19 +174,3 @@ def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray,
     unit = sp.csr_matrix((np.ones(constrained.size), constrained,
                           np.concatenate(([0], np.cumsum(fixed)))), shape=csr.shape)
     return csr + unit, rhs
-
-
-def dirichlet_lift(columns: sp.spmatrix, constrained: np.ndarray,
-                   values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The right-hand side of an eliminated system: ``rhs`` (copied) less
-    ``columns @ values``, then ``values`` on the ``constrained`` nodes.
-
-    ``columns`` is ``K[:, constrained]`` of the unconstrained matrix ``K``:
-    the known values move to the right-hand side.  A caller that holds the
-    columns and the eliminated matrix of one ``K`` gets each new set of
-    values' right-hand side bit for bit as :func:`apply_dirichlet` would.
-    """
-    rhs = np.array(rhs, dtype=float, copy=True)
-    rhs -= columns @ values
-    rhs[constrained] = values
-    return rhs

@@ -20,29 +20,39 @@ For the ideal parallel-plate geometry the FE solution is the uniform field
 ``E = V / gap``, so every extracted quantity can be verified against the
 closed forms of Tables 2/3 -- which is what the figure-6 benchmark does.
 
-The problem is linear in the drive: the voltage only enters the
-right-hand side.  So each process keeps one operator per exact geometry
-(the frozen :class:`~repro.fem.mesh.RectangularMesh` plus the
-permittivity).  The first solve of a geometry is the cold path -- one
-assembly, one :func:`~repro.fem.assembly.apply_dirichlet`, one SuperLU
-factorization -- and keeps its results: the stiffness ``K``, the
-eliminated matrix with its factorization in a
-:class:`~repro.linalg.FactorizationCache`, and the element connectivity,
-``(num_elements, 4, 2)`` corner coordinates and centroid Jacobians.
-Every later drive point of that geometry costs one
-:func:`~repro.fem.assembly.dirichlet_lift` of the right-hand side from
-``K[:, constrained]`` (taken once, at the first reuse; the arithmetic of
-``apply_dirichlet``), one back-substitution and one stacked
-:func:`~repro.fem.elements.element_gradient` solve on the held
-Jacobians, bit for bit equal to a cold solve.  Keys compare floats
-exactly, so gaps one ulp apart get distinct operators.  The table is
-bounded like the pattern caches of :mod:`repro.fem.assembly` (a new
-geometry beyond ``_OPERATOR_LIMIT`` clears it), and an operator whose
-solve fails is never stored, so a retry factors again.
+The problem is linear in the drive and its stiffness is affine in the
+gap, and each process exploits both:
+
+* **Drive points by superposition.**  The first solve of a geometry (the
+  frozen :class:`~repro.fem.mesh.RectangularMesh` plus the permittivity)
+  solves the unit drive -- top electrode at 1 V, bottom grounded --
+  through :func:`~repro.fem.solver.solve_sparse` and differentiates its
+  centroid field once with :func:`~repro.fem.elements.element_gradient`.
+  The geometry's operator holds that potential and field, and every drive
+  ``V`` (the first one too) returns ``V`` times them: ``solve(V)`` is bit
+  for bit ``V * solve(1)``, and a drive point costs no solve.
+* **Geometries on a gap-affine operator.**  For a fixed division count,
+  width and permittivity the stiffness is ``K(s) = s Kxx + Kyy / s`` in
+  the gap ``s`` (:func:`~repro.fem.assembly.gap_affine_stiffness`, split
+  exactly from the rectangle element matrix).  A template per
+  ``(nx, ny, width, permittivity)`` holds both pieces reduced to the free
+  (non-electrode) nodes on one CSR pattern, plus the unit drive's
+  right-hand-side columns.  A new gap then costs one combination
+  ``s a + b / s`` of the template's data and one SuperLU factorization.
+
+The results agree with the direct path (:func:`assemble_stiffness`,
+:func:`apply_dirichlet`, one solve per drive) to rounding, not bit for bit.
+Operator keys compare floats exactly, so gaps one ulp apart get distinct
+operators.  Both tables are bounded like the pattern caches of
+:mod:`repro.fem.assembly` (a new entry beyond the cap clears the table),
+and a geometry whose solve fails stores no operator, so a retry factors
+again.  A non-finite drive raises :class:`~repro.errors.FEMError` with a
+forensic report, like a failed solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,11 +61,15 @@ import scipy.sparse as sp
 
 from ..constants import EPSILON_0
 from ..errors import FEMError
-from ..linalg import FactorizationCache
-from .assembly import apply_dirichlet, assemble_stiffness, dirichlet_lift
-from .elements import element_gradient, element_jacobians
+# ``assemble_stiffness`` and ``apply_dirichlet`` are the direct path the
+# operator reproduces to rounding.  They stay bound here beside the names
+# the operator calls: the FE layer timers of ``perfbench/layers.py`` wrap
+# all four by name in this module.
+from .assembly import (apply_dirichlet, assemble_stiffness,  # noqa: F401
+                       free_block, gap_affine_stiffness)
+from .elements import element_gradient
 from .mesh import RectangularMesh
-from .solver import solve_sparse
+from .solver import solve_failure, solve_sparse
 
 __all__ = ["ElectrostaticSolution", "ParallelPlateProblem"]
 
@@ -64,60 +78,89 @@ __all__ = ["ElectrostaticSolution", "ParallelPlateProblem"]
 #: through a handful of displacements, not hundreds).
 _OPERATORS: dict[tuple[RectangularMesh, float], "_Operator"] = {}
 _OPERATOR_LIMIT = 8
+#: Process-wide gap-affine templates keyed by
+#: ``(nx, ny, width, permittivity)``, bounded the same way.
+_TEMPLATES: dict[tuple[int, int, float, float], "_Template"] = {}
+_TEMPLATE_LIMIT = 8
+
+
+@dataclass(frozen=True)
+class _Template:
+    """The gap-independent half of the parallel-plate stiffness on one
+    ``(nx, ny, width, permittivity)``: ``K_ff(s) = s kxx + kyy / s`` on the
+    free nodes, and its unit-drive right-hand side
+    ``s rhs_xx + rhs_yy / s``."""
+
+    #: The free-node block's CSR ``indices`` and ``indptr``.
+    indices: np.ndarray
+    indptr: np.ndarray
+    kxx: np.ndarray
+    kyy: np.ndarray
+    rhs_xx: np.ndarray
+    rhs_yy: np.ndarray
+    free: np.ndarray
+    top: np.ndarray
+    connectivity: np.ndarray
+
+    @classmethod
+    def build(cls, mesh: RectangularMesh, permittivity: float) -> "_Template":
+        kxx, kyy = gap_affine_stiffness(mesh, permittivity)
+        top = mesh.top_nodes()
+        free = np.setdiff1d(np.arange(mesh.num_nodes),
+                            np.union1d(mesh.bottom_nodes(), top))
+        block, positions = free_block(kxx, free)
+        drive = np.zeros(mesh.num_nodes)
+        drive[top] = 1.0
+        return cls(indices=block.indices, indptr=block.indptr,
+                   kxx=block.data, kyy=kyy.data[positions],
+                   rhs_xx=-(kxx @ drive)[free], rhs_yy=-(kyy @ drive)[free],
+                   free=free, top=top,
+                   connectivity=mesh.element_connectivity())
+
+    def unit_solution(self, mesh: RectangularMesh) -> "_Operator":
+        """The operator of ``mesh``: one factorization of ``K_ff(gap)``."""
+        gap, size = mesh.height, self.free.size
+        matrix = sp.csr_matrix((gap * self.kxx + self.kyy / gap,
+                                self.indices, self.indptr), shape=(size, size))
+        potential = np.zeros(mesh.num_nodes)
+        potential[self.top] = 1.0
+        potential[self.free] = solve_sparse(
+            matrix, gap * self.rhs_xx + self.rhs_yy / gap)
+        corners = mesh.node_coordinates()[self.connectivity]
+        field = -element_gradient(corners, potential[self.connectivity])
+        return _Operator(potential=potential, field=field)
 
 
 @dataclass(frozen=True)
 class _Operator:
-    """The drive-independent half of a parallel-plate solve on one mesh."""
+    """The unit-drive solution of one geometry: every drive scales it."""
 
-    #: The unconstrained stiffness ``K``.
-    stiffness: sp.csr_matrix
-    #: ``K`` with the electrode rows and columns eliminated.
-    matrix: sp.csr_matrix
-    factors: FactorizationCache
-    bottom: np.ndarray
-    top: np.ndarray
-    connectivity: np.ndarray
-    #: ``(num_elements, 4, 2)`` element corner coordinates.
-    corners: np.ndarray
-    #: ``(num_elements, 2, 2)`` element Jacobians at the centroids.
-    jacobians: np.ndarray
+    potential: np.ndarray
+    #: ``(num_elements, 2)`` centroid field of the unit drive [V/m].
+    field: np.ndarray
 
-    @classmethod
-    def build(cls, mesh: RectangularMesh, permittivity: float,
-              voltage: float) -> tuple["_Operator", np.ndarray]:
-        """The operator of a new geometry and the right-hand side of its
-        first drive, by the cold path: one assembly, one
-        :func:`apply_dirichlet`."""
-        stiffness = assemble_stiffness(mesh, permittivity=permittivity)
-        bottom, top = mesh.bottom_nodes(), mesh.top_nodes()
-        constraints = dict.fromkeys(bottom.tolist(), 0.0)
-        constraints.update(dict.fromkeys(top.tolist(), voltage))
-        matrix, rhs = apply_dirichlet(stiffness, np.zeros(mesh.num_nodes),
-                                      constraints)
-        connectivity = mesh.element_connectivity()
-        corners = mesh.node_coordinates()[connectivity]
-        return cls(stiffness=stiffness, matrix=matrix,
-                   factors=FactorizationCache(), bottom=bottom, top=top,
-                   connectivity=connectivity, corners=corners,
-                   jacobians=element_jacobians(corners)), rhs
 
-    @cached_property
-    def _lift(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-        """The sorted electrode nodes, which of them are driven, and
-        ``K[:, constrained]``: taken at the first reuse, so a geometry
-        solved once costs what a cold solve does."""
-        constrained = np.union1d(self.bottom, self.top)
-        return (constrained, np.isin(constrained, self.top),
-                self.stiffness[:, constrained])
+def _template(mesh: RectangularMesh, permittivity: float) -> _Template:
+    key = (mesh.nx, mesh.ny, mesh.width, permittivity)
+    template = _TEMPLATES.get(key)
+    if template is None:
+        if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
+            _TEMPLATES.clear()
+        template = _TEMPLATES[key] = _Template.build(mesh, permittivity)
+    return template
 
-    def rhs(self, voltage: float) -> np.ndarray:
-        """The eliminated right-hand side with the top electrode at
-        ``voltage`` and the bottom one grounded."""
-        constrained, driven, columns = self._lift
-        return dirichlet_lift(columns, constrained,
-                              np.where(driven, voltage, 0.0),
-                              np.zeros(self.matrix.shape[0]))
+
+def _operator(mesh: RectangularMesh, permittivity: float) -> _Operator:
+    key = (mesh, permittivity)
+    operator = _OPERATORS.get(key)
+    if operator is None:
+        # Stored only once its solve succeeded: a failed geometry leaves
+        # no entry, so a retry factors again.
+        operator = _template(mesh, permittivity).unit_solution(mesh)
+        if len(_OPERATORS) >= _OPERATOR_LIMIT:
+            _OPERATORS.clear()
+        _OPERATORS[key] = operator
+    return operator
 
 
 @dataclass
@@ -251,28 +294,12 @@ class ParallelPlateProblem:
 
     def solve(self, voltage: float) -> ElectrostaticSolution:
         """Solve the potential problem with the top electrode at ``voltage``."""
-        mesh = self.mesh
-        key = (mesh, self.permittivity)
-        operator = _OPERATORS.get(key)
-        fresh = operator is None
-        if fresh:
-            # A new geometry beyond the bound evicts the whole table
-            # before it is built, so the old factors are freed first.
-            if len(_OPERATORS) >= _OPERATOR_LIMIT:
-                _OPERATORS.clear()
-            operator, rhs = _Operator.build(mesh, self.permittivity,
-                                            float(voltage))
-        else:
-            rhs = operator.rhs(float(voltage))
-        potential = solve_sparse(operator.matrix, rhs,
-                                 factorizations=operator.factors)
-        if fresh:
-            # Stored only once its solve succeeded: a failed geometry
-            # leaves no entry, so a retry factors again.
-            _OPERATORS[key] = operator
-        field = -element_gradient(operator.corners,
-                                  potential[operator.connectivity],
-                                  jacobians=operator.jacobians)
+        voltage = float(voltage)
+        if not math.isfinite(voltage):
+            raise solve_failure(f"non-finite drive voltage {voltage!r}",
+                                voltage=repr(voltage))
+        operator = _operator(self.mesh, self.permittivity)
         return ElectrostaticSolution(
-            mesh=mesh, potential=potential, field=field, depth=self.depth,
-            permittivity=self.permittivity, voltage=float(voltage))
+            mesh=self.mesh, potential=voltage * operator.potential,
+            field=voltage * operator.field, depth=self.depth,
+            permittivity=self.permittivity, voltage=voltage)

@@ -22,8 +22,8 @@ __all__ = [
     "shape_functions",
     "shape_function_derivatives",
     "element_stiffness",
+    "rectangle_stiffness_pieces",
     "element_mass",
-    "element_jacobians",
     "element_gradient",
 ]
 
@@ -80,6 +80,24 @@ def element_stiffness(coords: np.ndarray, permittivity: float = 1.0) -> np.ndarr
     return stiffness
 
 
+def rectangle_stiffness_pieces() -> tuple[np.ndarray, np.ndarray]:
+    """The ``(4, 4)`` pieces ``K_xi`` and ``K_eta`` of the stiffness of an
+    axis-aligned ``dx`` x ``dy`` rectangle.
+
+    On a rectangle ``grad(N) = (2/dx dN/dxi, 2/dy dN/deta)`` and the
+    Jacobian determinant is ``dx dy / 4``, so the unit-permittivity
+    :func:`element_stiffness` splits exactly into
+    ``(dy/dx) K_xi + (dx/dy) K_eta`` with ``K_xi`` and ``K_eta`` the
+    quadrature sums of ``dN/dxi`` and ``dN/deta`` outer products: the
+    x- and y-derivative parts, each independent of the element's size.
+    """
+    pieces = np.zeros((2, 4, 4))
+    for xi, eta, weight in GAUSS_POINTS_2X2:
+        dshape = shape_function_derivatives(xi, eta)
+        pieces += weight * dshape[:, :, None] * dshape[:, None, :]
+    return pieces[0], pieces[1]
+
+
 def element_mass(coords: np.ndarray, density: float = 1.0) -> np.ndarray:
     """(4, 4) consistent mass matrix ``integral( rho N^T N dA )``."""
     coords = np.asarray(coords, dtype=float)
@@ -94,33 +112,18 @@ def element_mass(coords: np.ndarray, density: float = 1.0) -> np.ndarray:
     return mass
 
 
-def element_jacobians(coords: np.ndarray, xi: float = 0.0,
-                      eta: float = 0.0) -> np.ndarray:
-    """``(..., 2, 2)`` Jacobians of a ``(..., 4, 2)`` stack of elements at a
-    reference point (default: centroid).  Any inverted element raises."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape[-2:] != (4, 2):
-        raise FEMError("element_jacobians expects 4 corner coordinates")
-    return _jacobian(coords, shape_function_derivatives(xi, eta))[0]
-
-
 def element_gradient(coords: np.ndarray, nodal_values: np.ndarray,
-                     xi: float = 0.0, eta: float = 0.0,
-                     jacobians: np.ndarray | None = None) -> np.ndarray:
+                     xi: float = 0.0, eta: float = 0.0) -> np.ndarray:
     """Gradient of the interpolated field at a reference point (default: centroid).
 
     ``coords`` is ``(..., 4, 2)`` and ``nodal_values`` ``(..., 4)``: a stack
     of elements is differentiated by one batched solve, returning
-    ``(..., 2)``.  Any inverted element in the stack raises.  A caller that
-    differentiates many fields on one mesh passes the elements'
-    :func:`element_jacobians` at the point as ``jacobians`` instead of
-    having them recomputed.
+    ``(..., 2)``.  Any inverted element in the stack raises.
     """
     coords = np.asarray(coords, dtype=float)
     nodal_values = np.asarray(nodal_values, dtype=float)
     if coords.shape[-2:] != (4, 2) or nodal_values.shape != coords.shape[:-1]:
         raise FEMError("element_gradient expects 4 corners and 4 nodal values")
     dshape = shape_function_derivatives(xi, eta)
-    if jacobians is None:
-        jacobians, _ = _jacobian(coords, dshape)
-    return np.linalg.solve(jacobians, dshape @ nodal_values[..., None])[..., 0]
+    jac, _ = _jacobian(coords, dshape)
+    return np.linalg.solve(jac, dshape @ nodal_values[..., None])[..., 0]

@@ -1,15 +1,13 @@
 """Sparse linear solves and eigensolves for the FE problems.
 
 The plain linear solve is a thin wrapper over :mod:`repro.linalg` -- the
-shared factorization-caching solver core -- giving the FE layer one SuperLU
-direct solve with :class:`~repro.errors.FEMError` semantics, a forensic
-report on failure and one ``fem.solve`` telemetry span per solve.  Callers
-that solve the same matrix repeatedly pass their
-:class:`~repro.linalg.FactorizationCache` as ``solve_sparse(...,
-factorizations=)``, which refactors only when the matrix changes: the
-parallel-plate problem holds one per geometry, so every drive point after
-the first is a back-substitution that still goes through this one
-boundary.
+shared solver core -- giving the FE layer one SuperLU direct solve with
+:class:`~repro.errors.FEMError` semantics, a forensic report on failure
+and one ``fem.solve`` telemetry span per solve.  The parallel-plate
+problem solves each geometry once, for the unit drive, and scales that
+solution for every drive point, so a geometry costs one factorization
+and a drive point none.  FE failures outside a solve (a non-finite drive)
+carry the same report through :func:`solve_failure`.
 """
 
 from __future__ import annotations
@@ -21,21 +19,17 @@ import scipy.sparse.linalg as spla
 
 from .. import telemetry
 from ..errors import FEMError, LinAlgError
-from ..linalg import FactorizationCache, FactorizedSolver
+from ..linalg import FactorizedSolver
 
-__all__ = ["solve_sparse", "solve_generalized_eig"]
+__all__ = ["solve_sparse", "solve_failure", "solve_generalized_eig"]
 
 
-def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
-                 factorizations: FactorizationCache | None = None
-                 ) -> np.ndarray:
+def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by SuperLU.
 
-    ``factorizations`` holds the factorization of a matrix the caller
-    solves repeatedly: a ``matrix`` equal to its held one is only
-    back-substituted.  A singular matrix (usually missing boundary
-    conditions, i.e. a modelling error) raises
-    :class:`~repro.errors.FEMError` with a forensic report.
+    A singular matrix (usually missing boundary conditions, i.e. a
+    modelling error) raises :class:`~repro.errors.FEMError` with a
+    forensic report.
     """
     rhs = np.asarray(rhs, dtype=float)
     if matrix.shape[0] != matrix.shape[1]:
@@ -45,22 +39,27 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
             f"right-hand side has shape {rhs.shape}, expected ({matrix.shape[0]},)")
     try:
         with telemetry.span("fem.solve", size=int(matrix.shape[0])):
-            factorize = FactorizedSolver("superlu").factorize \
-                if factorizations is None else factorizations.factorize
             if not isinstance(matrix, sp.csr_matrix):
                 matrix = sp.csr_matrix(matrix)
-            return factorize(matrix).solve(rhs)
+            return FactorizedSolver("superlu").solve(matrix, rhs)
     except LinAlgError as exc:
-        # The failure path always captures forensics (no knob: FE callers
-        # have no SimulationOptions, and the diagnosis only runs on failure).
-        message = f"sparse direct solve failed: {exc}"
-        report = telemetry.forensics.newton_failure(
-            kind="fem", analysis="fem.direct", message=message,
-            error_type="FEMError", matrix=matrix,
-            context={"size": int(matrix.shape[0])})
-        error = FEMError(message)
-        error.report = report
-        raise error from exc
+        raise solve_failure(f"sparse direct solve failed: {exc}",
+                            matrix=matrix,
+                            size=int(matrix.shape[0])) from exc
+
+
+def solve_failure(message: str, matrix: sp.spmatrix | None = None,
+                  **context) -> FEMError:
+    """A :class:`~repro.errors.FEMError` carrying the forensic report of
+    a failed FE solve (with the structural diagnosis of ``matrix`` when
+    given).  The failure path always captures forensics (no knob: FE
+    callers have no SimulationOptions, and the diagnosis only runs on
+    failure)."""
+    error = FEMError(message)
+    error.report = telemetry.forensics.newton_failure(
+        kind="fem", analysis="fem.direct", message=message,
+        error_type="FEMError", matrix=matrix, context=context)
+    return error
 
 
 def solve_generalized_eig(stiffness, mass, count: int, *,

@@ -330,7 +330,9 @@ class RegressionPolicy:
     Newton iteration counts is a real behaviour change.  ``gauge`` metrics
     are informational and only checked when ``check_gauges`` is set.
     Structural changes (phases or benchmarks appearing/vanishing) fail the
-    verdict only under ``fail_on_structural``.
+    verdict only under ``fail_on_structural``, with one exception: a
+    registry counter the baseline pins and the run lacks always fails, so
+    a gate whose counter went unrecorded fails closed.
     """
 
     time_rel_tol: float = 0.25
@@ -441,6 +443,15 @@ def check_regressions(record, baseline,
         reason = policy.judge(delta)
         if reason is not None:
             failures.append({**delta.to_json(), "reason": reason})
+    pinned = baseline.metrics["counters"]
+    for name in delta_view.removed:
+        if name.startswith("counter."):
+            checked += 1
+            failures.append({
+                "name": name, "family": "counter",
+                "baseline": float(pinned[name[len("counter."):]]),
+                "current": None, "absolute": None, "relative": None,
+                "reason": "missing from the run (the baseline pins it)"})
     structural = []
     if policy.fail_on_structural and not delta_view.structurally_identical:
         structural = [f"added {name}" for name in delta_view.added] \

@@ -8,8 +8,10 @@ import scipy.sparse as sp
 
 from repro.errors import FEMError
 from repro.fem.assembly import (apply_dirichlet, assemble_stiffness,
+                                free_block, gap_affine_stiffness,
                                 structure_cache_for)
 from repro.fem.elements import element_stiffness
+from repro.fem import electrostatics
 from repro.fem.electrostatics import ParallelPlateProblem
 from repro.fem.mesh import RectangularMesh
 from repro.linalg import StructureCache
@@ -80,8 +82,11 @@ class TestSharedTopologyCaches:
         assert structure_cache_for(other) is not structure_cache_for(mesh_a)
 
     def test_extraction_style_sweep_reuses_the_pattern(self):
-        # The PXT sweep re-meshes only the gap height: the shared cache must
-        # serve every re-assembly after the first.
+        # The PXT sweep re-meshes only the gap height: its gap-affine
+        # template assembles the two stiffness pieces once, the second on
+        # the first one's pattern, and no gap of the sweep re-assembles.
+        electrostatics._OPERATORS.clear()
+        electrostatics._TEMPLATES.clear()
         mesh = RectangularMesh(width=1e-3, height=2e-4, nx=11, ny=6)
         cache = structure_cache_for(mesh)
         rebuilds_before = cache.rebuilds
@@ -90,8 +95,43 @@ class TestSharedTopologyCaches:
             problem = ParallelPlateProblem(plate_width=1e-3, gap=gap,
                                            depth=1e-3, nx=11, ny=6)
             problem.solve(5.0)
-        assert cache.rebuilds - rebuilds_before <= 1
-        assert cache.reuses - reuses_before >= 2
+        rebuilds = cache.rebuilds - rebuilds_before
+        reuses = cache.reuses - reuses_before
+        assert rebuilds <= 1 and reuses >= 1
+        assert rebuilds + reuses == 2
+
+
+class TestGapAffinePieces:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pieces_recombine_to_the_assembled_stiffness(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            nx, ny = (int(n) for n in rng.integers(1, 20, size=2))
+            mesh = RectangularMesh(width=float(rng.uniform(1e-4, 3e-3)),
+                                   height=float(rng.uniform(5e-6, 4e-4)),
+                                   nx=nx, ny=ny)
+            eps = float(rng.uniform(1.0, 12.0)) * 8.854e-12
+            kxx, kyy = gap_affine_stiffness(mesh, eps)
+            stiffness = assemble_stiffness(mesh, eps)
+            for piece in (kxx, kyy):
+                assert np.array_equal(piece.indptr, stiffness.indptr)
+                assert np.array_equal(piece.indices, stiffness.indices)
+            combined = mesh.height * kxx.data + kyy.data / mesh.height
+            assert np.max(np.abs(combined - stiffness.data)) \
+                <= 1e-14 * np.max(np.abs(stiffness.data))
+
+    def test_free_block_maps_a_shared_pattern(self):
+        mesh = RectangularMesh(width=1e-3, height=2e-4, nx=6, ny=5)
+        kxx, kyy = gap_affine_stiffness(mesh, 1.0)
+        free = np.setdiff1d(np.arange(mesh.num_nodes),
+                            np.union1d(mesh.bottom_nodes(), mesh.top_nodes()))
+        block, positions = free_block(kxx, free)
+        assert block.has_sorted_indices
+        assert np.array_equal(block.toarray(),
+                              kxx[free][:, free].toarray())
+        other = sp.csr_matrix((kyy.data[positions], block.indices,
+                               block.indptr), shape=block.shape)
+        assert np.array_equal(other.toarray(), kyy[free][:, free].toarray())
 
 
 class TestElectrostaticsUnchanged:

@@ -4,7 +4,10 @@ The mesh index helpers, the stacked ``element_gradient`` and the
 mask-based Dirichlet elimination replaced Python loops; the loops are kept
 here as golden references and every result must match them bitwise over a
 seeded generator of meshes, permittivities, voltages, constraint sets and
-input matrix formats.
+input matrix formats.  The one exception is the parallel-plate solve,
+which factors the free-node block of its gap-affine operator once per
+geometry and scales the unit drive: it matches the loops to 1e-12
+relative.
 """
 
 from __future__ import annotations
@@ -246,8 +249,11 @@ class TestGoldenEquivalence:
             assemble_stiffness(mesh, problem.permittivity), np.zeros(mesh.num_nodes),
             constraints)
         potential = solve_sparse(matrix, rhs)
-        assert np.array_equal(solution.potential, potential)
-        assert np.array_equal(solution.field, _reference_field(mesh, potential))
+        field = _reference_field(mesh, potential)
+        for got, want in ((solution.potential, potential),
+                          (solution.field, field)):
+            assert np.max(np.abs(got - want)) \
+                <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDirichletChecks:

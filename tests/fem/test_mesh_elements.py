@@ -11,6 +11,7 @@ from repro.fem.elements import (
     element_gradient,
     element_mass,
     element_stiffness,
+    rectangle_stiffness_pieces,
     shape_function_derivatives,
     shape_functions,
 )
@@ -114,6 +115,19 @@ class TestElementMatrices:
         k1 = element_stiffness(self.UNIT_SQUARE, 1.0)
         k2 = element_stiffness(self.UNIT_SQUARE, 2.5)
         assert np.allclose(k2, 2.5 * k1)
+
+    @pytest.mark.parametrize("dx, dy", [(1.0, 1.0), (3e-5, 7e-6),
+                                        (2e-6, 4e-4)])
+    def test_rectangle_stiffness_splits_into_its_derivative_pieces(self, dx,
+                                                                    dy):
+        k_xi, k_eta = rectangle_stiffness_pieces()
+        corners = np.array([[0.0, 0.0], [dx, 0.0], [dx, dy], [0.0, dy]])
+        ke = element_stiffness(corners)
+        assert np.max(np.abs((dy / dx) * k_xi + (dx / dy) * k_eta - ke)) \
+            <= 1e-14 * np.max(np.abs(ke))
+        # The x piece is blind to y variation, the y piece to x variation.
+        assert np.allclose(k_xi @ [0.0, 0.0, 1.0, 1.0], 0.0, atol=1e-15)
+        assert np.allclose(k_eta @ [0.0, 1.0, 1.0, 0.0], 0.0, atol=1e-15)
 
     def test_mass_matrix_integrates_density(self):
         me = element_mass(self.UNIT_SQUARE, density=4.0)

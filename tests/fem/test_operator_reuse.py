@@ -1,14 +1,22 @@
 """The held FE operator of the parallel-plate problem: cold == warm, bitwise.
 
 :meth:`ParallelPlateProblem.solve` keeps one operator per exact geometry
-(mesh plus permittivity) -- the stiffness, the eliminated matrix, its
-factorization and the post-processing gather arrays -- and only lifts the
-drive into a new right-hand side per point after the first.  These tests pin that reuse never changes a
-bit: on generated geometries and drives, a solve from a cleared table, a
-solve on a held operator and the direct elimination path agree exactly,
-and so do serial and pool campaign rows.  They also pin the table's keys
-(exact float equality), its bound, and that a failed geometry leaves no
-entry behind.
+(mesh plus permittivity): the unit drive's potential and centroid field,
+solved once on a gap-affine template per ``(nx, ny, width,
+permittivity)``.  Every drive scales them.  These tests pin, on generated
+geometries and drives:
+
+* a solve from cleared tables and a solve on held ones agree bit for bit,
+  and so do serial and pool campaign rows;
+* ``solve(V)`` is bit for bit ``V * solve(1)``;
+* the direct elimination path (one assembly, ``apply_dirichlet`` and
+  SuperLU per drive) agrees to 1e-12 relative -- rounding, not bits, since
+  the operator factors the free-node block of ``s Kxx + Kyy / s``.
+
+They also pin the tables' keys (exact float equality) and bounds, the
+cost (a geometry is one factorization, a drive point none, a template is
+built once), that a failed geometry leaves no entry behind and that a
+non-finite drive raises.
 """
 
 from __future__ import annotations
@@ -18,10 +26,12 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from repro.campaign import CampaignRunner
+from repro.constants import EPSILON_0
 from repro.errors import FEMError
-from repro.fem import ParallelPlateProblem
+from repro.fem import ElectrostaticSolution, ParallelPlateProblem
 from repro.fem import electrostatics
 from repro.fem.assembly import apply_dirichlet, assemble_stiffness
+from repro.fem.elements import element_gradient
 from repro.fem.solver import solve_sparse
 from repro.pxt import ParameterExtractor
 from repro.telemetry import registry
@@ -29,11 +39,16 @@ from repro.telemetry import registry
 OUTPUTS = ("capacitance", "charge", "force", "energy", "field")
 
 
+def _clear():
+    electrostatics._OPERATORS.clear()
+    electrostatics._TEMPLATES.clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_table():
-    electrostatics._OPERATORS.clear()
+    _clear()
     yield
-    electrostatics._OPERATORS.clear()
+    _clear()
 
 
 def _cases(seed: int, count: int = 6):
@@ -55,18 +70,30 @@ def _problem(gap, nx, ny, epsilon_r):
 
 
 def _direct(problem, voltage):
-    """Today's elimination arithmetic, with nothing held."""
+    """The elimination arithmetic with nothing held: the potential and
+    the centroid field."""
     mesh = problem.mesh
     constraints = dict.fromkeys(mesh.bottom_nodes().tolist(), 0.0)
     constraints.update(dict.fromkeys(mesh.top_nodes().tolist(), voltage))
     matrix, rhs = apply_dirichlet(
         assemble_stiffness(mesh, permittivity=problem.permittivity),
         np.zeros(mesh.num_nodes), constraints)
-    return solve_sparse(matrix, rhs)
+    potential = solve_sparse(matrix, rhs)
+    connectivity = mesh.element_connectivity()
+    field = -element_gradient(mesh.node_coordinates()[connectivity],
+                              potential[connectivity])
+    return potential, field
 
 
 def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _close(got, want, rtol: float = 1e-12) -> bool:
+    """Equal to ``rtol`` relative to the largest entry of ``want``."""
+    return got.shape == want.shape and \
+        np.max(np.abs(got - want), initial=0.0) \
+        <= rtol * np.max(np.abs(want), initial=0.0)
 
 
 class TestColdEqualsWarm:
@@ -74,21 +101,38 @@ class TestColdEqualsWarm:
     def test_problem_solves_are_bitwise_equal(self, seed):
         for gap, nx, ny, epsilon_r, voltages in _cases(seed):
             for voltage in voltages:
-                electrostatics._OPERATORS.clear()
+                _clear()
                 cold = _problem(gap, nx, ny, epsilon_r).solve(voltage)
                 warm = _problem(gap, nx, ny, epsilon_r).solve(voltage)
                 assert len(electrostatics._OPERATORS) == 1
                 assert _same(cold.potential, warm.potential)
                 assert _same(cold.field, warm.field)
-                assert _same(warm.potential,
-                             _direct(_problem(gap, nx, ny, epsilon_r),
-                                     voltage))
+                potential, field = _direct(_problem(gap, nx, ny, epsilon_r),
+                                           voltage)
+                assert _close(warm.potential, potential)
+                assert _close(warm.field, field)
+                direct = ElectrostaticSolution(
+                    mesh=warm.mesh, potential=potential, field=field,
+                    depth=warm.depth, permittivity=warm.permittivity,
+                    voltage=warm.voltage)
                 for name in ("energy", "electrode_charge", "electrode_force",
                              "uniform_field_estimate"):
-                    got, want = getattr(warm, name), getattr(cold, name)
+                    got, want, near = (getattr(solution, name) for solution
+                                       in (warm, cold, direct))
                     if callable(got):
-                        got, want = got(), want()
+                        got, want, near = got(), want(), near()
                     assert float(got).hex() == float(want).hex()
+                    assert _close(np.array(got), np.array(near))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_drive_is_the_unit_solve_scaled(self, seed):
+        for gap, nx, ny, epsilon_r, voltages in _cases(seed):
+            unit = _problem(gap, nx, ny, epsilon_r).solve(1.0)
+            for voltage in voltages:
+                _clear()
+                solved = _problem(gap, nx, ny, epsilon_r).solve(voltage)
+                assert _same(solved.potential, voltage * unit.potential)
+                assert _same(solved.field, voltage * unit.field)
 
     @pytest.mark.parametrize("orientation", ["paper", "closing"])
     def test_extraction_points_are_bitwise_equal(self, orientation):
@@ -100,7 +144,7 @@ class TestColdEqualsWarm:
             cold = []
             for x in displacements:
                 for v in voltages:
-                    electrostatics._OPERATORS.clear()
+                    _clear()
                     cold.append(extractor.solve_point(x, v))
             warm = [extractor.solve_point(x, v)
                     for x in displacements for v in voltages]
@@ -117,8 +161,8 @@ class TestColdEqualsWarm:
         evaluator = extractor.campaign_evaluator()
         serial = CampaignRunner().run(spec, evaluator)
         runner = CampaignRunner(backend="pool", processes=2, chunk_size=5)
-        # Workers forked from an empty table, then from a warm one.
-        electrostatics._OPERATORS.clear()
+        # Workers forked from empty tables, then from warm ones.
+        _clear()
         pool = runner.run(spec, evaluator)
         extractor.solve_point(0.0, 1.0)
         again = runner.run(spec, evaluator)
@@ -129,19 +173,37 @@ class TestColdEqualsWarm:
 
 class TestOperatorTable:
     def test_a_geometry_solved_once_costs_a_cold_solve(self, monkeypatch):
-        # The first solve of a geometry is the cold path; the constrained
-        # columns a reuse needs are taken at the first reuse only.
-        calls = []
-        original = electrostatics.apply_dirichlet
-        monkeypatch.setattr(electrostatics, "apply_dirichlet",
-                            lambda *args: calls.append(1) or original(*args))
+        # The first solve of a geometry is its only solve: one
+        # factorization of the unit drive; later drives are scalings.
+        solves = []
+        original = electrostatics.solve_sparse
+        monkeypatch.setattr(electrostatics, "solve_sparse",
+                            lambda *args: solves.append(1) or original(*args))
+        before = registry.counter_value("linalg.factorizations")
         problem = _problem(1.4e-4, 6, 5, 1.0)
         problem.solve(2.0)
-        (operator,) = electrostatics._OPERATORS.values()
-        assert len(calls) == 1 and "_lift" not in vars(operator)
+        assert len(solves) == 1
         problem.solve(3.0)
         problem.solve(-1.0)
-        assert len(calls) == 1 and "_lift" in vars(operator)
+        assert len(solves) == 1
+        assert registry.counter_value("linalg.factorizations") - before == 1
+
+    def test_distinct_gaps_factor_once_each_on_one_template(self,
+                                                            monkeypatch):
+        builds = []
+        original = electrostatics._Template.build
+        monkeypatch.setattr(electrostatics._Template, "build",
+                            lambda *args: builds.append(1) or original(*args))
+        before = registry.counter_value("linalg.factorizations")
+        gaps = np.linspace(6e-5, 2.4e-4, 2 * electrostatics._OPERATOR_LIMIT
+                           + 3)
+        for gap in gaps:
+            for voltage in (1.5, -4.0):
+                _problem(float(gap), 7, 5, 2.2).solve(voltage)
+        assert registry.counter_value("linalg.factorizations") - before \
+            == gaps.size
+        assert len(builds) == 1
+        assert len(electrostatics._TEMPLATES) == 1
 
     def test_one_ulp_apart_gaps_get_distinct_operators(self):
         gap = 1.5e-4
@@ -160,6 +222,14 @@ class TestOperatorTable:
         _problem(1e-4, 6, 4, 2.0).solve(1.0)
         _problem(1e-4, 6, 4, 1.0).solve(2.0)
         assert len(electrostatics._OPERATORS) == 2
+        assert len(electrostatics._TEMPLATES) == 2
+
+    def test_template_key_is_divisions_width_and_permittivity(self):
+        for width, gap in ((1.3e-3, 1e-4), (1.3e-3, 2e-4), (0.9e-3, 1e-4)):
+            ParallelPlateProblem(plate_width=width, gap=gap, depth=2e-4,
+                                 nx=6, ny=4).solve(1.0)
+        assert sorted(electrostatics._TEMPLATES) == [
+            (6, 4, 0.9e-3, EPSILON_0), (6, 4, 1.3e-3, EPSILON_0)]
 
     def test_table_never_exceeds_its_bound(self):
         limit = electrostatics._OPERATOR_LIMIT
@@ -168,10 +238,15 @@ class TestOperatorTable:
         for gap in gaps:
             _problem(float(gap), 5, 4, 1.0).solve(1.0)
             assert 1 <= len(electrostatics._OPERATORS) <= limit
+        template_limit = electrostatics._TEMPLATE_LIMIT
+        for index in range(3 * template_limit + 1):
+            _problem(1e-4, 5, 4, 1.0 + index).solve(1.0)
+            assert 1 <= len(electrostatics._TEMPLATES) <= template_limit
 
     def test_eight_displacement_grid_factors_once_per_geometry(self):
         # The acceptance counter: 64 factorizations per grid before the
-        # operator was held, one per displacement with it.
+        # operator was held, one per displacement with it; no drive point
+        # reaches a factorization, held or fresh.
         extractor = ParameterExtractor(area=1e-6, gap=1.5e-4, nx=20, ny=14)
         displacements = [(-0.3 + 0.6 * i / 7.0) * extractor.gap
                          for i in range(8)]
@@ -181,7 +256,7 @@ class TestOperatorTable:
             extractor.campaign_evaluator())
         assert result.num_failures == 0
         assert result.solver_stats["factorizations"] == 8
-        assert result.solver_stats["factorization_cache_hits"] == 56
+        assert result.solver_stats["factorization_cache_hits"] == 0
 
 
 class TestFaultPath:
@@ -216,4 +291,15 @@ class TestFaultPath:
         monkeypatch.undo()
         solved = problem.solve(4.0)
         assert len(electrostatics._OPERATORS) == 1
-        assert _same(solved.potential, _direct(problem, 4.0))
+        assert _close(solved.potential, _direct(problem, 4.0)[0])
+
+    @pytest.mark.parametrize("voltage", [np.nan, np.inf, -np.inf])
+    def test_non_finite_drive_raises_cold_and_warm(self, voltage):
+        problem = _problem(1.1e-4, 6, 5, 1.0)
+        with pytest.raises(FEMError, match="non-finite") as info:
+            problem.solve(voltage)
+        assert info.value.report is not None
+        problem.solve(2.0)
+        with pytest.raises(FEMError, match="non-finite") as info:
+            problem.solve(voltage)
+        assert info.value.report is not None

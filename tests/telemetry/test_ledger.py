@@ -11,6 +11,7 @@ from repro.telemetry.ledger import (LedgerError, LedgerSchemaError,
                                     RegressionPolicy, RunLedger, RunRecord,
                                     SCHEMA, canonical_json, check_regressions,
                                     content_id, diff)
+from repro.telemetry.ledger.cli import main as ledger_main
 
 #: The regression-gate baseline CI judges benchmark sessions against.
 BASELINE = Path(__file__).resolve().parents[2] / "benchmarks" / "BASELINE.json"
@@ -217,6 +218,23 @@ class TestRegressionGate:
         verdict = check_regressions(drifted, baseline)
         assert not verdict.ok
         assert verdict.families == ["counter"]
+
+    def test_a_missing_pinned_counter_fails_the_check(self, tmp_path):
+        # Fails closed: the counter is only on the baseline side, which
+        # the structural view lists, and no opt-in flag is needed.
+        payload = RunRecord.load(BASELINE).to_json()
+        del payload["metrics"]["counters"]["linalg.factorizations"]
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps(payload))
+        verdict = check_regressions(RunRecord.load(record),
+                                    RunRecord.load(BASELINE))
+        assert not verdict.ok
+        assert [failure["name"] for failure in verdict.failures] \
+            == ["counter.linalg.factorizations"]
+        assert ledger_main(["check", str(record),
+                            "--baseline", str(BASELINE)]) == 1
+        assert ledger_main(["check", str(BASELINE),
+                            "--baseline", str(BASELINE)]) == 0
 
     def test_time_noise_within_tolerance_passes(self):
         baseline = make_record(wall_s=1.0)
