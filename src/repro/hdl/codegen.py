@@ -35,10 +35,6 @@ def format_number(value: float) -> str:
     return text + ".0"
 
 
-#: Backwards-compatible alias for the pre-public name.
-_format_number = format_number
-
-
 def generate_entity(name: str, generics: Mapping[str, float | None],
                     pins: Mapping[str, str]) -> str:
     """Emit an ENTITY declaration.

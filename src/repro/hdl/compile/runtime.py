@@ -27,14 +27,14 @@ mode, a snapshot of the behaviour (its code, closure cells, defaults and
 globals identity) and the device layout -- so a device of a known key binds
 the memoized variants without running its behaviour, and a fresh array of
 known behaviours traces nothing.  Parameter *values* are not in the key:
-``ctx.param`` reads and bound attributes trace as kernel inputs.  The one
-assumption beyond that is that module globals and class attributes a
-behaviour reads are constants for the process (they already had to be
-constant for a device's lifetime, since its variants persist).  A
-behaviour the key cannot snapshot -- one holding a list, dict, array, HDL
-``_Interpreter`` or a deep object graph -- is traced per device against
-the live context, counted as ``hdl.trace.unkeyed``; ``hdl.trace.count``
-counts the traces that run.
+``ctx.param`` reads (HDL-A generics among them) and bound attributes trace
+as kernel inputs.  The one assumption beyond that is that module globals
+and class attributes a behaviour reads are constants for the process (they
+already had to be constant for a device's lifetime, since its variants
+persist).  A behaviour the key cannot snapshot -- one holding a list, dict,
+array, HDL ``_Interpreter`` or a deep object graph -- is traced per device
+against the live context, counted as ``hdl.trace.unkeyed``;
+``hdl.trace.count`` counts the traces that run.
 
 A guard miss tries the device's other variants; when every variant
 misses, the model is re-traced against the live context and the new
@@ -59,9 +59,10 @@ once over the ``(B,)`` lanes of a :class:`BatchStampContext`: the same
 gather plan and IR walk as the scalar tasks, printed over numpy arrays,
 making the context's ``add_res``/``add_jac`` calls in device order.  It is
 only offered for devices whose single operating-point variant traced
-without guards and whose parameters are floats, ``(B,)`` columns or
-widenable numbers (:func:`batch_ready`), which is what lets behavioral
-devices skip the per-lane programs in campaign batches.
+without guards (an HDL-A ``IF`` on a generic is a guard) and whose
+parameters are floats, ``(B,)`` columns or widenable numbers
+(:func:`batch_ready`), which is what lets behavioral devices skip the
+per-lane programs in campaign batches.
 
 Every silent fallback to the interpreter bumps a registry counter
 ``hdl.fallback.<reason>``: ``collide`` (colliding leaves), ``param`` (a
@@ -394,9 +395,9 @@ def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
         kernels = codegen.compile_variant(passes.simplify_variant(
             trace_behavior(device, mode, stamp_ctx)))
     except TraceError:
-        # The tracer cannot follow the model (float() concretization,
-        # foreign duals): the interpreter owns this mode from now on, for
-        # every device of the key.
+        # The tracer cannot follow the model (float() concretization as in
+        # table1d, foreign duals): the interpreter owns this mode from now
+        # on, for every device of the key.
         if key is not None and known is _UNSEEN:
             _MEMO[key] = None
         state.disabled.add(mode)

@@ -12,17 +12,14 @@ variant) or the interpreter fallback.
 
 Design constraints that make the trace trustworthy:
 
-* ``Tracer`` deliberately has **no** ``value`` attribute and its
-  ``__float__`` raises :class:`TraceError`.  The HDL interpreter reads
-  ``float(getattr(x, "value", x))`` before every relational/logical
-  operation, so HDL models with data-dependent control flow fail the trace
-  loudly and stay on the interpreter instead of being silently concretized.
-* Python ``if`` statements on traced comparisons *are* supported for native
-  closures: the comparison returns a :class:`TraceBool` whose ``__bool__``
-  records a guard.
-* Anything the tracer cannot follow (``float()``/``int()`` conversions,
-  unsupported operators, foreign AD duals) raises :class:`TraceError` and
-  the device permanently falls back to the interpreter.
+* Branches on traced comparisons -- a Python ``if`` in a closure, an HDL
+  ``IF`` or ``limit`` bound check (``Tracer`` has no ``value`` attribute,
+  so HDL operators compare the tracer itself) -- return a
+  :class:`TraceBool` whose ``__bool__`` records a guard.
+* Anything the tracer cannot follow (``float()``/``int()`` conversions such
+  as ``table1d``'s segment search, unsupported operators, foreign AD duals)
+  raises :class:`TraceError` and the mode permanently falls back to the
+  interpreter.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@
 and produces a :class:`~repro.circuit.devices.behavioral.BehavioralDevice`
 whose behaviour callable *interprets* the architecture's procedural blocks:
 
+* the generics are the device's ``params`` and read through ``ctx.param``,
+  so ``set_parameter``, sensitivity seeds and campaign columns reach the
+  model, and the compiler traces them as kernel inputs,
 * the ``init`` block runs first (constants like ``e0 := 8.8542e-12``),
 * then the block whose domain list matches the active analysis
   (``dc`` -> a ``dc`` block if present, otherwise the ``ac, transient``
@@ -20,7 +23,9 @@ whose behaviour callable *interprets* the architecture's procedural blocks:
 The interpreter works on dual numbers transparently, so a parsed HDL model
 gets exact Newton Jacobians and AC linearization for free -- the property the
 paper attributes to HDL-A models being "valid for the dc, ac and transient
-SPICE analysis domains".
+SPICE analysis domains".  Relational and logical operators compare value
+parts without ``float()``, so under the tracer an ``IF`` on a port quantity
+or a generic records a guard like a Python ``if`` in a closure.
 """
 
 from __future__ import annotations
@@ -103,12 +108,11 @@ class HDLEntityInstance:
                               p=resolved_pins[pin_p], n=resolved_pins[pin_n],
                               nature=nature))
 
-        interpreter = _Interpreter(self.model, resolved_generics)
         return BehavioralDevice(
             name,
             ports,
-            interpreter,
-            params=dict(resolved_generics),
+            _Interpreter(self.model),
+            params=resolved_generics,
             state_initials=dict(initial_states or {}),
         )
 
@@ -126,13 +130,14 @@ def instantiate(module: Module, entity_name: str, *, name: str,
 class _Interpreter:
     """Behaviour callable interpreting the architecture's procedural blocks."""
 
-    def __init__(self, model: AnalyzedModel, generics: Mapping[str, float]) -> None:
+    def __init__(self, model: AnalyzedModel) -> None:
         self.model = model
-        self.generics = dict(generics)
 
     # The behaviour protocol of BehavioralDevice: __call__(ctx).
     def __call__(self, ctx: BehaviorContext) -> None:
-        env: dict[str, object] = dict(self.generics)
+        env: dict[str, object] = {
+            generic.name.lower(): ctx.param(generic.name.lower())
+            for generic in self.model.entity.generics}
         env["pi"] = math.pi
         env["temperature"] = 300.15
         env["time"] = ctx.time
@@ -280,9 +285,9 @@ class _Interpreter:
         return function(*arguments)
 
 
-def _value(x) -> float:
-    return float(getattr(x, "value", x))
+def _value(x):
+    return getattr(x, "value", x)
 
 
 def _truthy(x) -> bool:
-    return _value(x) != 0.0
+    return bool(_value(x) != 0.0)

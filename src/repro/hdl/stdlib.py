@@ -59,7 +59,8 @@ def table1d(x, *breakpoints):
 
 def limit(x, lower, upper):
     """Clamp ``x`` between ``lower`` and ``upper`` (sub-gradient convention)."""
-    if _value(lower) > _value(upper):
+    # No float(): traced bounds compare to a guard-recording TraceBool.
+    if getattr(lower, "value", lower) > getattr(upper, "value", upper):
         raise HDLElaborationError("limit(): lower bound exceeds upper bound")
     return adf.maximum(lower, adf.minimum(x, upper))
 
