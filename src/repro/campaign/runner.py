@@ -35,6 +35,7 @@ import multiprocessing
 import os
 import time
 import warnings
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .. import telemetry
@@ -55,6 +56,11 @@ __all__ = ["CampaignRunner", "CircuitEvaluator", "FunctionEvaluator",
 
 #: Scenario-point keys with this prefix override ``SimulationOptions`` fields.
 OPTIONS_PREFIX = "options."
+
+#: A batch campaign spreads its groups over a process pool only past this
+#: many points (under ``backend="auto"``: past twice as many); smaller
+#: campaigns solve in-process, where a pool's start-up would dominate.
+BATCH_POOL_POINTS = 64
 
 
 def split_point(point: Mapping[str, object]) -> tuple[dict, dict]:
@@ -119,35 +125,39 @@ def _evaluate_one(evaluator, index: int, point: Mapping[str, object]
 
 
 def _overrides_signature(point: Mapping[str, object]) -> str:
-    """Stable grouping key of a point's ``options.*`` overrides."""
-    _, overrides = split_point(point)
-    return repr(canonicalize(overrides))
+    """Stable grouping key of a point's ``options.*`` overrides (the empty
+    string when it has none)."""
+    overrides = {name: value for name, value in point.items()
+                 if name.startswith(OPTIONS_PREFIX)}
+    return repr(canonicalize(overrides)) if overrides else ""
 
 
-def _batch_slices(items: Sequence[tuple[int, dict]], batch_size: int
+def _batch_groups(items: Sequence[tuple[int, dict]]
                   ) -> list[list[tuple[int, dict]]]:
-    """Split (index, point) pairs into batchable slices.
-
-    Points inside one slice share their ``options.*`` overrides (a batch
-    runs under one :class:`SimulationOptions`) and there are at most
-    ``batch_size`` of them.
-    """
+    """Split (index, point) pairs into same-overrides groups, in order of
+    first appearance: a batch runs under one :class:`SimulationOptions`."""
     groups: dict[str, list[tuple[int, dict]]] = {}
     for item in items:
         groups.setdefault(_overrides_signature(item[1]), []).append(item)
-    return [group[start:start + batch_size]
-            for group in groups.values()
-            for start in range(0, len(group), batch_size)]
+    return list(groups.values())
+
+
+def _split_evenly(group: list, parts: int) -> list[list]:
+    """``group`` in at most ``parts`` contiguous slices of near-equal size."""
+    parts = min(parts, len(group))
+    bounds = [len(group) * part // parts for part in range(parts + 1)]
+    return [group[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def _evaluate_batch_items(evaluator, items: Sequence[tuple[int, dict]]
                           ) -> list[tuple[int, dict, str | None, dict | None]]:
     """Evaluate one same-overrides slice through the evaluator's batch path.
 
-    Lanes the batch could not finish (``None`` rows, or a whole-slice
-    ``None``) are re-dispatched through :func:`_evaluate_one`, so they keep
-    the exact serial semantics -- including error strings and forensics for
-    points that genuinely fail.  Each ``None`` row counts one
+    The evaluator's rows are ``{str: float}`` dicts, as :func:`_evaluate_one`
+    makes them.  Lanes the batch could not finish (``None`` rows, or a
+    whole-slice ``None``) are re-dispatched through :func:`_evaluate_one`,
+    so they keep the exact serial semantics -- including error strings and
+    forensics for points that genuinely fail.  Each ``None`` row counts one
     ``campaign.batch.serial_reruns`` in the metrics registry.
     """
     lanes = None
@@ -162,9 +172,7 @@ def _evaluate_batch_items(evaluator, items: Sequence[tuple[int, dict]]
             telemetry.registry.inc("campaign.batch.serial_reruns")
             results.append(_evaluate_one(evaluator, index, point))
         else:
-            results.append(
-                (index, {str(name): float(value)
-                         for name, value in row.items()}, None, None))
+            results.append((index, row, None, None))
     return results
 
 
@@ -174,10 +182,10 @@ def _evaluate_chunk(task: tuple, on_point=None
     """Worker entry point: evaluate one chunk of (index, point) pairs.
 
     ``task`` is ``(evaluator, items, telemetry_mode)`` with an optional
-    fourth ``batch_size`` element: when present, the chunk is evaluated in
-    same-overrides slices of at most that many points through the
-    evaluator's ``evaluate_batch`` (one vectorized solve per slice) instead
-    of point by point.
+    fourth ``batched`` element: when true, ``items`` is a list of
+    same-overrides groups of (index, point) pairs, each evaluated through
+    the evaluator's ``evaluate_batch`` (one vectorized solve per group)
+    instead of point by point.
 
     Besides the per-point results the chunk ships one
     :func:`repro.telemetry.registry.delta` of the worker's process-wide
@@ -197,17 +205,17 @@ def _evaluate_chunk(task: tuple, on_point=None
     invoked with each finished point index for per-point progress.
     """
     evaluator, items, telemetry_mode, *rest = task
-    batch_size = rest[0] if rest else None
+    batched = bool(rest and rest[0])
     t0 = time.perf_counter()
     before = telemetry.registry.snapshot()
 
     def run_items():
         results = []
-        if batch_size is not None:
-            for slice_items in _batch_slices(items, batch_size):
-                results.extend(_evaluate_batch_items(evaluator, slice_items))
+        if batched:
+            for group in items:
+                results.extend(_evaluate_batch_items(evaluator, group))
                 if on_point is not None:
-                    for index, _ in slice_items:
+                    for index, _ in group:
                         on_point(index)
             return results
         for index, point in items:
@@ -223,7 +231,8 @@ def _evaluate_chunk(task: tuple, on_point=None
         with telemetry.session(mode=telemetry_mode, keep_spans=False) as sess:
             results = run_items()
         payload = sess.report.aggregate_payload()
-    heartbeat = {"pid": os.getpid(), "points": len(items),
+    points = sum(map(len, items)) if batched else len(items)
+    heartbeat = {"pid": os.getpid(), "points": points,
                  "wall_s": time.perf_counter() - t0}
     return results, telemetry.registry.delta(before), payload, heartbeat
 
@@ -236,11 +245,15 @@ class CampaignRunner:
     backend:
         ``"serial"`` (in-process loop), ``"pool"`` (``multiprocessing``
         process pool with chunked dispatch), ``"batch"`` (one vectorized
-        solve per slice of points through the evaluator's
-        ``evaluate_batch``; with ``processes > 1`` the slices are spread
-        over a pool, so each worker solves whole batches) or ``"auto"``
-        (batch when the evaluator supports it, otherwise pool on
-        multi-core hosts, otherwise serial).
+        solve per group of points sharing their ``options.*`` overrides,
+        through the evaluator's ``evaluate_batch``; with ``processes > 1``
+        and more than :data:`BATCH_POOL_POINTS` points each group is split
+        into one slice per process, so each worker solves one batch) or
+        ``"auto"`` (batch when the evaluator supports it, otherwise pool on
+        multi-core hosts, otherwise serial).  A batch's size is not a
+        knob: the solver takes the whole group and works out its Newton
+        blocks from the system size (see
+        :func:`~repro.circuit.analysis.batch.batched_operating_points`).
     processes:
         Worker count for the pool backend (default: ``os.cpu_count()``);
         for the batch backend the default is 1 (in-process batches).
@@ -248,12 +261,6 @@ class CampaignRunner:
         Points per dispatched task; the default splits the pending work
         into about four chunks per worker to balance load against
         serialization overhead.
-    batch_size:
-        Batch/auto backends: maximum number of points stacked into one
-        vectorized solve (default 64).  Larger batches amortize more
-        Python overhead per solve but hold ``B`` dense Jacobians in
-        memory at once and make lockstep iteration waste grow when
-        convergence behaviour varies wildly across the batch.
     cache:
         Optional :class:`ResultCache`; cached points are not dispatched.
     telemetry:
@@ -299,7 +306,6 @@ class CampaignRunner:
 
     def __init__(self, backend: str = "serial", processes: int | None = None,
                  chunk_size: int | None = None,
-                 batch_size: int = 64,
                  cache: ResultCache | None = None,
                  telemetry: str = "off",
                  stall_timeout: float | None = None,
@@ -312,8 +318,6 @@ class CampaignRunner:
             raise CampaignError("processes must be at least 1")
         if chunk_size is not None and chunk_size < 1:
             raise CampaignError("chunk_size must be at least 1")
-        if batch_size < 1:
-            raise CampaignError("batch_size must be at least 1")
         if telemetry not in ("off", "summary", "full"):
             raise CampaignError(
                 f"unknown telemetry level {telemetry!r} "
@@ -332,7 +336,6 @@ class CampaignRunner:
         self.backend = backend
         self.processes = processes
         self.chunk_size = chunk_size
-        self.batch_size = int(batch_size)
         self.cache = cache
         self.telemetry = telemetry
         self.ledger = ledger
@@ -406,12 +409,12 @@ class CampaignRunner:
                     "'op' or 'dc' analysis)")
             processes = self.processes or 1
             return "batch-pool" if processes > 1 \
-                and n_points > self.batch_size else "batch"
+                and n_points > BATCH_POOL_POINTS else "batch"
         # auto: vectorize when possible, otherwise parallelize processes.
         cpus = self.processes or os.cpu_count() or 1
         if capable:
             return "batch-pool" if cpus > 1 \
-                and n_points > 2 * self.batch_size else "batch"
+                and n_points > 2 * BATCH_POOL_POINTS else "batch"
         return "pool" if cpus > 1 and n_points > 1 else "serial"
 
     def _dispatch(self, evaluator, pending: Sequence[tuple[int, dict]]
@@ -431,9 +434,10 @@ class CampaignRunner:
                 done += 1
                 track.update(done)
 
-            batch_size = self.batch_size if backend == "batch" else None
+            batched = backend == "batch"
+            items = _batch_groups(pending) if batched else list(pending)
             results, delta, payload, _ = _evaluate_chunk(
-                (evaluator, list(pending), self.telemetry, batch_size),
+                (evaluator, items, self.telemetry, batched),
                 on_point=advance)
             telemetry.registry.merge(metrics, delta)
             track.finish(len(pending))
@@ -441,11 +445,12 @@ class CampaignRunner:
         processes = self.processes or os.cpu_count() or 1
         processes = min(processes, len(pending))
         if backend == "batch-pool":
-            # Compose vectorization with process parallelism: every pool
-            # task is one same-overrides batch slice, solved vectorized
-            # inside its worker.
-            chunks = [(evaluator, slice_items, self.telemetry, self.batch_size)
-                      for slice_items in _batch_slices(pending, self.batch_size)]
+            # Compose vectorization with process parallelism: each
+            # same-overrides group splits into one slice per process, and
+            # every pool task is one slice, solved vectorized in its worker.
+            chunks = [(evaluator, [slice_items], self.telemetry, True)
+                      for group in _batch_groups(pending)
+                      for slice_items in _split_evenly(group, processes)]
             processes = min(processes, len(chunks))
         else:
             chunk = self.chunk_size or max(1, -(-len(pending) // (4 * processes)))
@@ -673,8 +678,8 @@ class CircuitEvaluator:
                        ) -> list[dict | None] | None:
         """Evaluate a same-overrides slice of points as one stacked solve.
 
-        Returns one outputs dict per point, with ``None`` for lanes the
-        batch could not finish (non-convergence, or a per-lane reduction
+        Returns one ``{str: float}`` outputs dict per point, with ``None``
+        for lanes the batch could not finish (non-convergence, or a per-lane reduction
         error) -- the runner re-runs exactly those through the serial path,
         reproducing the serial error rows.  Returns ``None`` outright when
         this slice cannot be batched at all (differing option overrides,
@@ -689,7 +694,7 @@ class CircuitEvaluator:
         """
         if not self.batch_capable():
             return None
-        split = [split_point(dict(point)) for point in points]
+        split = [split_point(point) for point in points]
         params0, overrides0 = split[0]
         if any(overrides != overrides0 for _, overrides in split[1:]):
             return None
@@ -724,6 +729,7 @@ class CircuitEvaluator:
                                      options, columns,
                                      continue_on_failure=continue_on_failure)
         rows: list[dict | None] = []
+        names = pick = None
         for lane, result in enumerate(lanes):
             if result is None:
                 rows.append(None)
@@ -731,11 +737,18 @@ class CircuitEvaluator:
             params = split[lane][0]
             try:
                 if self.reduce is not None:
-                    rows.append(dict(self.reduce(result, params)))
-                else:
+                    rows.append({str(name): float(value) for name, value
+                                 in dict(self.reduce(result, params)).items()})
+                    continue
+                # One getter reads a lane's row (batched outputs are
+                # floats already); it is rebuilt only for a lane whose
+                # signals differ from the lane it was made for.
+                if names is None or (self.outputs is None
+                                     and len(result) != len(names)):
                     names = self.outputs if self.outputs is not None \
                         else result.signals()
-                    rows.append({name: float(result[name]) for name in names})
+                    pick = _row_getter(names)
+                rows.append(dict(zip(names, result.read(pick))))
             except Exception:  # noqa: BLE001 -- serial rerun recreates the error
                 rows.append(None)
         return rows
@@ -756,6 +769,14 @@ class CircuitEvaluator:
                 if isinstance(target, (tuple, list)) else str(target)
                 for name, target in sorted(self.param_map.items())}
         return payload
+
+
+def _row_getter(names: Sequence[str]) -> Callable[[Mapping], tuple]:
+    """One callable reading ``names`` of a mapping as a tuple, in order."""
+    if len(names) == 1:
+        name, = names
+        return lambda data: (data[name],)
+    return itemgetter(*names) if names else lambda data: ()
 
 
 def _coerced_overrides(overrides: Mapping[str, object]) -> dict:

@@ -30,7 +30,11 @@ Newton engine (:func:`~repro.circuit.analysis.op.newton_lanes`) over it:
   blocks, keyed by the view in the solve's
   :class:`~repro.circuit.mna.LimitState`,
 * outputs are collected once per batch over the lane axis
-  (:func:`~repro.circuit.analysis.op.collect_outputs`).
+  (:func:`~repro.circuit.analysis.op.collect_outputs`),
+* a group of any size is solved in Newton blocks of at most
+  :func:`block_lanes` lanes, and a block goes on over its open lanes only
+  once at most half of them are open, so converged lanes stop costing
+  work while a straggler iterates.
 
 A lane that fails any serial failure condition (non-finite residual /
 Jacobian / update, singular matrix, iteration cap) is *retired* from the
@@ -62,8 +66,8 @@ from .options import SimulationOptions
 from .results import DCSweepResult, OperatingPoint
 
 __all__ = ["ParameterColumns", "BatchPlan", "batch_plan", "assemble_batch",
-           "BatchStage", "batched_newton", "batched_operating_points",
-           "batched_dcsweeps"]
+           "BatchStage", "block_lanes", "batched_newton",
+           "batched_operating_points", "batched_dcsweeps"]
 
 
 class ParameterColumns:
@@ -77,6 +81,10 @@ class ParameterColumns:
     collection) swap in lane scalars via :meth:`set_lane` /
     :meth:`set_unsafe_lane`.  :meth:`restore` puts the original values back;
     use the instance as a context manager to make that unconditional.
+
+    A Newton block may solve only some lanes of the columns: :meth:`set_arrays`
+    then installs those rows (``lanes``), and :meth:`set_unsafe_lane` counts
+    its lane within them.
     """
 
     def __init__(self, circuit: Circuit,
@@ -105,6 +113,8 @@ class ParameterColumns:
         #: Per entry: whether its device took the array column in the last
         #: :meth:`set_arrays`.
         self.safe = [False] * len(self.entries)
+        #: The lanes the last :meth:`set_arrays` installed (None: all).
+        self.lanes: np.ndarray | None = None
 
     def targets(self, device) -> bool:
         """Whether any column writes to ``device``."""
@@ -116,6 +126,7 @@ class ParameterColumns:
         every device batch-safe under ``options``."""
         self.safe = [device.batch_safe_for(options)
                      for device, _, _, _ in self.entries]
+        self.lanes = lanes
         for (device, param, column, _), safe in zip(self.entries, self.safe):
             if safe:
                 device.set_parameter(
@@ -127,7 +138,10 @@ class ParameterColumns:
             device.set_parameter(param, float(column[lane]))
 
     def set_unsafe_lane(self, lane: int) -> None:
-        """Install lane scalars on the devices :meth:`set_arrays` left out."""
+        """Install lane scalars on the devices :meth:`set_arrays` left out;
+        ``lane`` counts within the lanes it installed."""
+        if self.lanes is not None:
+            lane = self.lanes[lane]
         for (device, param, column, _), safe in zip(self.entries, self.safe):
             if not safe:
                 device.set_parameter(param, float(column[lane]))
@@ -247,14 +261,16 @@ class BatchPlan:
 
 
 def batch_plan(system: MNASystem, options: SimulationOptions,
-               columns: ParameterColumns) -> BatchPlan:
+               columns: ParameterColumns,
+               lanes: np.ndarray | None = None) -> BatchPlan:
     """The system's :class:`BatchPlan` under ``options``, with ``columns``
-    installed and the group views' parameter columns stacked from them."""
+    (their ``lanes`` rows; None: all) installed and the group views'
+    parameter columns stacked from them."""
     safe = tuple(device.batch_safe_for(options) for device in system.circuit)
     plan = system.batch_plans.get(safe)
     if plan is None:
         plan = system.batch_plans[safe] = BatchPlan(system, safe)
-    columns.set_arrays(options)
+    columns.set_arrays(options, lanes)
     plan.stack()
     return plan
 
@@ -309,14 +325,17 @@ def assemble_batch(system: MNASystem, x: np.ndarray, analysis: str,
 
 class BatchStage:
     """The lane-axis linear stage of the Newton engine: :func:`assemble_batch`
-    and :func:`repro.linalg.batched_factorize`."""
+    and :func:`repro.linalg.batched_factorize`, over the ``lanes`` rows of
+    ``columns`` (None: all of them)."""
 
     def __init__(self, system: MNASystem, analysis: str,
                  options: SimulationOptions, columns: ParameterColumns,
-                 source_scale: float, workspace: NewtonWorkspace) -> None:
+                 source_scale: float, workspace: NewtonWorkspace,
+                 lanes: np.ndarray | None = None) -> None:
         self.system = system
         self.args = (analysis, options, columns, source_scale)
-        self.plan = batch_plan(system, options, columns)
+        self.lanes = np.arange(columns.batch) if lanes is None else lanes
+        self.plan = batch_plan(system, options, columns, lanes)
         self.backend = "superlu" if options.use_sparse(system.size) else "dense"
         self.workspace = workspace
         self.timing = telemetry.enabled()
@@ -331,6 +350,13 @@ class BatchStage:
         if want_jacobian:
             healthy &= ctx.jacobian_finite_lanes()
         return ctx.res, None if healthy.all() else ~healthy, limits.limited
+
+    def narrow(self, keep: np.ndarray) -> None:
+        """Go on over the ``keep`` lanes of the block only."""
+        self.lanes = self.lanes[keep]
+        _, options, columns, _ = self.args
+        columns.set_arrays(options, self.lanes)
+        self.plan.stack()
 
     def factor(self, refresh: np.ndarray | None = None):
         """Factor the assembled Jacobian stack; with a ``refresh`` mask,
@@ -356,36 +382,54 @@ class BatchStage:
         return dx, factorization.failed
 
 
+def block_lanes(size: int) -> int:
+    """Most lanes one Newton block solves for a system of ``size``
+    unknowns: a 32 MiB dense Jacobian stack (``2**22`` entries), and never
+    fewer than 64 lanes."""
+    return max(64, 2 ** 22 // size ** 2)
+
+
+def _blocks(batch: int, size: int) -> list[np.ndarray]:
+    """The lanes of each Newton block of a ``batch``-lane group."""
+    step = block_lanes(size)
+    return [np.arange(start, min(start + step, batch))
+            for start in range(0, batch, step)]
+
+
 def batched_newton(system: MNASystem, x0: np.ndarray, analysis: str,
                    options: SimulationOptions, columns: ParameterColumns,
                    source_scale: float = 1.0,
-                   workspace: NewtonWorkspace | None = None
+                   workspace: NewtonWorkspace | None = None,
+                   lanes: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton over B stacked systems with per-lane convergence.
 
-    The batched front of :func:`~repro.circuit.analysis.op.newton_lanes`.
-    Returns ``(x, solved, iterations)``: the per-lane solutions, a ``(B,)``
-    mask of lanes that converged, and the per-lane iteration counts.  Lanes
-    that hit any serial failure condition simply come back unsolved --
-    nothing raises, so the caller can retire exactly those lanes to the
-    serial path.
+    The batched front of :func:`~repro.circuit.analysis.op.newton_lanes`,
+    over the ``lanes`` rows of ``columns`` (None: all of them; ``x0`` has
+    one row per lane).  Returns ``(x, solved, iterations)``: the per-lane
+    solutions, a ``(B,)`` mask of lanes that converged, and the per-lane
+    iteration counts.  Lanes that hit any serial failure condition simply
+    come back unsolved -- nothing raises, so the caller can retire exactly
+    those lanes to the serial path.  The block narrows to its open lanes
+    as they converge (see :func:`~repro.circuit.analysis.op.newton_lanes`).
     """
     ws = NewtonWorkspace(options) if workspace is None else workspace
     if telemetry.enabled():
         telemetry.registry.observe("batch.size", float(x0.shape[0]))
-    stage = BatchStage(system, analysis, options, columns, source_scale, ws)
-    lanes = newton_lanes(stage, x0, options, ws,
-                         _chord_tag(system, analysis, None, source_scale))
-    return lanes.x, lanes.converged, lanes.iterations
+    stage = BatchStage(system, analysis, options, columns, source_scale, ws,
+                       lanes)
+    result = newton_lanes(stage, x0, options, ws,
+                          _chord_tag(system, analysis, None, source_scale))
+    return result.x, result.converged, result.iterations
 
 
 def _collect(system: MNASystem, x: np.ndarray, lanes: np.ndarray,
              analysis: str, options: SimulationOptions,
              columns: ParameterColumns) -> list[dict[str, float]]:
-    """Output rows of the solved ``lanes`` of ``x``, in one lane-axis pass."""
+    """Output rows of the solutions ``x`` of the columns' ``lanes``, in one
+    lane-axis pass."""
     columns.set_arrays(options, lanes)
-    ctx = BatchStampContext(system, x[lanes], analysis, options,
-                            want_jacobian=False)
+    ctx = BatchStampContext(system, x, analysis, options, want_jacobian=False)
     return collect_outputs(system, ctx,
                            lambda index: columns.set_lane(lanes[index]))
 
@@ -395,22 +439,29 @@ def batched_operating_points(circuit: Circuit, options: SimulationOptions,
                              ) -> list[OperatingPoint | None]:
     """Operating points of B parameter lanes; ``None`` for retired lanes.
 
-    A ``None`` entry means "solve this lane serially" -- the lane may still
-    succeed there (source stepping) or produce the exact serial error.
+    The lanes are solved in Newton blocks of at most
+    :func:`block_lanes` lanes (one block unless the group is larger), each
+    narrowing to its open lanes as they converge.  A ``None`` entry means
+    "solve this lane serially" -- the lane may still succeed there (source
+    stepping) or produce the exact serial error.
     """
     system = MNASystem(circuit)
+    labels = system.unknown_labels()
+    results: list[OperatingPoint | None] = [None] * columns.batch
     with columns:
-        x0 = np.zeros((columns.batch, system.size))
-        x, solved, iterations = batched_newton(system, x0, "op", options,
-                                               columns)
-        results: list[OperatingPoint | None] = [None] * columns.batch
-        lanes = np.flatnonzero(solved)
-        if lanes.size:
-            labels = system.unknown_labels()
-            rows = _collect(system, x, lanes, "op", options, columns)
-            for lane, data in zip(lanes, rows):
-                results[lane] = OperatingPoint(data, x[lane].copy(), labels,
-                                               int(iterations[lane]))
+        for rows in _blocks(columns.batch, system.size):
+            x0 = np.zeros((len(rows), system.size))
+            x, solved, iterations = batched_newton(
+                system, x0, "op", options, columns, lanes=rows)
+            if not solved.any():
+                continue
+            found = _collect(system, x[solved], rows[solved], "op", options,
+                             columns)
+            for lane, x_lane, count, data in zip(
+                    rows[solved].tolist(), x[solved], iterations[solved],
+                    found):
+                results[lane] = OperatingPoint(data, x_lane, labels,
+                                               int(count))
     return results
 
 
@@ -421,11 +472,13 @@ def batched_dcsweeps(circuit: Circuit, source_name: str,
                      ) -> list[DCSweepResult | None]:
     """DC sweeps of B parameter lanes in lockstep over shared sweep values.
 
+    The lanes sweep in Newton blocks of at most :func:`block_lanes` lanes,
+    each with its own :class:`~repro.circuit.analysis.op.NewtonWorkspace`.
     Follows the serial continuation policy per lane: each converged point
     warm-starts the lane's next one; with ``continue_on_failure`` a failed
     point records NaN and the lane restarts from zero.  Without it a failing
     lane is retired (``None``) so the serial path reproduces the exact
-    error.  Retired lanes stop consuming batch work.
+    error; retired lanes leave the block and stop consuming batch work.
 
     Under ``jacobian_reuse="chord"`` the lanes match serial only to the
     Newton tolerance: each lane keeps its own chord schedule within a
@@ -446,36 +499,54 @@ def batched_dcsweeps(circuit: Circuit, source_name: str,
             f"batched DC sweep cannot also sweep a parameter of the swept "
             f"source {source_name!r}")
     system = MNASystem(circuit)
-    batch = columns.batch
-    x = np.zeros((batch, system.size))
-    alive = np.ones(batch, dtype=bool)
-    rows: list[list[dict[str, float]]] = [[] for _ in range(batch)]
+    rows: list[list[dict[str, float]]] = [[] for _ in range(columns.batch)]
+    alive = np.ones(columns.batch, dtype=bool)
     original_waveform = source.waveform
-    workspace = NewtonWorkspace(options)
     try:
         with columns:
-            for value in sweep_values:
-                source.waveform = DC(float(value))
-                x_next, solved, _ = batched_newton(
-                    system, x, "dc", options, columns, workspace=workspace)
-                x[solved] = x_next[solved]
-                lanes = np.flatnonzero(alive & solved)
-                if lanes.size:
-                    point_rows = _collect(system, x, lanes, "dc", options,
-                                          columns)
-                    for lane, row in zip(lanes, point_rows):
-                        rows[lane].append(row)
-                for lane in np.flatnonzero(alive & ~solved):
-                    if continue_on_failure:
-                        # Serial policy: NaN row, restart from zero.
-                        rows[lane].append({})
-                        x[lane] = 0.0
-                    else:
-                        alive[lane] = False
+            for lanes in _blocks(columns.batch, system.size):
+                _sweep_block(system, source, sweep_values, options, columns,
+                             lanes, continue_on_failure, rows, alive)
     finally:
         source.waveform = original_waveform
-    results: list[DCSweepResult | None] = [None] * batch
+    results: list[DCSweepResult | None] = [None] * columns.batch
     for lane in np.flatnonzero(alive):
         results[lane] = DCSweepResult(source_name, sweep_values,
                                       output_columns(rows[lane]))
     return results
+
+
+def _sweep_block(system: MNASystem, source, sweep_values: np.ndarray,
+                 options: SimulationOptions, columns: ParameterColumns,
+                 lanes: np.ndarray, continue_on_failure: bool,
+                 rows: list[list[dict[str, float]]], alive: np.ndarray
+                 ) -> None:
+    """Sweep one block of ``lanes``: append each lane's point rows to
+    ``rows`` and clear ``alive`` for the lanes that retire."""
+    x = np.zeros((len(lanes), system.size))
+    workspace = NewtonWorkspace(options)
+    for value in sweep_values:
+        source.waveform = DC(float(value))
+        x_next, solved, _ = batched_newton(
+            system, x, "dc", options, columns, workspace=workspace,
+            lanes=lanes)
+        x[solved] = x_next[solved]
+        if solved.any():
+            point_rows = _collect(system, x[solved], lanes[solved], "dc",
+                                  options, columns)
+            for lane, row in zip(lanes[solved].tolist(), point_rows):
+                rows[lane].append(row)
+        if solved.all():
+            continue
+        if continue_on_failure:
+            # Serial policy: NaN row, restart from zero.
+            for lane in lanes[~solved].tolist():
+                rows[lane].append({})
+            x[~solved] = 0.0
+            continue
+        alive[lanes[~solved]] = False
+        if not solved.any():
+            return
+        keep = np.flatnonzero(solved)
+        x, lanes = x[keep], lanes[keep]
+        workspace.narrow(keep)

@@ -117,6 +117,46 @@ class NewtonWorkspace:
                 self.health.append(record)
         return factorization
 
+    def narrow(self, lanes: np.ndarray) -> tuple:
+        """Keep only ``lanes`` of the chord mask and of the held batched
+        factorization (when it holds the mask's lanes); returns the state
+        they were cut from, for :meth:`widen`."""
+        cache = self.cache
+        saved = (cache.matrix, cache.handle, self.chord_lanes)
+        if getattr(cache.handle, "batch", None) == len(self.chord_lanes):
+            matrix = cache.matrix
+            cache.matrix = matrix[lanes] if isinstance(matrix, np.ndarray) \
+                else [matrix[lane] for lane in lanes]
+            cache.handle = cache.handle.take(lanes)
+            self.chord_lanes = self.chord_lanes[lanes]
+        else:
+            self.chord_lanes = np.zeros(len(lanes), dtype=bool)
+        return saved
+
+    def widen(self, saved: tuple, lanes: np.ndarray) -> None:
+        """Undo :meth:`narrow`: the held lanes go back to their ``lanes``
+        of the ``saved`` state, so a later solve of the whole block rides
+        each lane's own held Jacobian."""
+        matrix, handle, chord_lanes = saved
+        cache = self.cache
+        if getattr(handle, "batch", None) == len(chord_lanes) and \
+                getattr(cache.handle, "batch", None) == len(lanes):
+            if isinstance(matrix, np.ndarray):
+                matrix = matrix.copy()
+                matrix[lanes] = cache.matrix
+            else:
+                matrix = list(matrix)
+                for lane, lane_matrix in zip(lanes.tolist(), cache.matrix):
+                    matrix[lane] = lane_matrix
+            cache.matrix, cache.handle = matrix, handle.put(lanes,
+                                                            cache.handle)
+            chord_lanes = chord_lanes.copy()
+            chord_lanes[lanes] = self.chord_lanes
+        else:
+            # The held pair no longer covers the block: nothing to ride.
+            chord_lanes = np.zeros(len(chord_lanes), dtype=bool)
+        self.chord_lanes = chord_lanes
+
     def statistics(self) -> dict[str, int]:
         """Counters for result statistics and the reuse benchmarks."""
         return {
@@ -176,6 +216,21 @@ class NewtonLanes:
             self.retired_at[lane] = iteration
         return open_ & ~hit
 
+    def take(self, lanes: np.ndarray) -> "NewtonLanes":
+        """A block of ``lanes`` only, at their current iterates."""
+        return NewtonLanes(self.x[lanes])
+
+    def put(self, lanes: np.ndarray, block: "NewtonLanes") -> None:
+        """Record the outcome of ``block``, a :meth:`take` of ``lanes``."""
+        self.x[lanes] = block.x
+        self.converged[lanes] = block.converged
+        self.iterations[lanes] = block.iterations
+        for lane, reason, at in zip(lanes.tolist(), block.reason,
+                                    block.retired_at):
+            self.reason[lane] = reason
+            self.retired_at[lane] = at
+        self.res, self.dx, self.error = block.res, block.dx, block.error
+
 
 def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
                  workspace: NewtonWorkspace, tag: tuple,
@@ -205,9 +260,25 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
     mode keeps its schedule per lane: a lane refactors when its own
     residual stops contracting, and ``factor(refresh)`` then replaces only
     the ``refresh`` lanes' Jacobians (None: all of them).
+
+    A block never iterates mostly dead lanes.  Once at most half of its
+    lanes are still open, and the stage has ``narrow(lanes)``, the solve
+    goes on over the open lanes only: the stage narrows its parameter
+    columns, and the limiting state, the chord masks and the held stack
+    (:meth:`NewtonWorkspace.narrow`) are indexed the same way.  A block
+    so makes at most about twice the lane iterations its lanes use, even
+    when one lane runs to the iteration cap.  Each lane's arithmetic does
+    not depend on the block it is in, so the outcome is the same bits; on
+    return the held stack is widened back to the ``B`` lanes of ``x0``.
+    The serial ``B = 1`` solve never narrows.
     """
     ws = workspace
-    lanes = NewtonLanes(np.array(x0, dtype=float))
+    # ``lanes`` is every lane of ``x0``; ``block`` the lanes iterated, which
+    # are ``lanes`` itself until a narrowing takes its open ``rows``.
+    lanes = block = NewtonLanes(np.array(x0, dtype=float))
+    rows = None
+    narrow = getattr(stage, "narrow", None)
+    cuts: list[tuple] = []  # (workspace state, kept lanes) per narrowing
     x = lanes.x
     batch, size = x.shape
     limits = LimitState(batch)
@@ -241,9 +312,9 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
         # Residual-only while every open lane rides.
         full = riding is None or not np.array_equal(riding, open_)
         res, sick, limited = stage.assemble(x, full, limits)
-        lanes.res = res
+        block.res = res
         if sick is not None:
-            open_ = lanes.retire(open_, sick, "nonfinite_residual", iteration)
+            open_ = block.retire(open_, sick, "nonfinite_residual", iteration)
             whole = False
             if not open_.any():
                 break
@@ -269,9 +340,9 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
             elif not full:
                 # Same iterate, same limiting state: the same values.
                 res, sick, _ = stage.assemble(x, True, limits)
-                lanes.res = res
+                block.res = res
                 if sick is not None:
-                    open_ = lanes.retire(open_, sick, "nonfinite_jacobian",
+                    open_ = block.retire(open_, sick, "nonfinite_jacobian",
                                          iteration)
                     whole = False
                     if not open_.any():
@@ -292,8 +363,8 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
                 factorization = stage.factor(
                     None if not chord_allowed or refresh.all() else refresh)
             except LinAlgError as exc:
-                lanes.error = exc
-                lanes.retire(open_, open_, "singular_factor", iteration)
+                block.error = exc
+                block.retire(open_, open_, "singular_factor", iteration)
                 break
             ws.chord_tag = tag
             if chord_allowed:
@@ -313,15 +384,15 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
         try:
             dx, singular = stage.solve(factorization, -res)
         except LinAlgError as exc:
-            lanes.error = exc
-            lanes.retire(open_, open_, "singular_solve", iteration)
+            block.error = exc
+            block.retire(open_, open_, "singular_solve", iteration)
             break
-        lanes.dx = dx
+        block.dx = dx
         if singular is not None and singular.any():
-            open_ = lanes.retire(open_, singular, "singular_factor", iteration)
+            open_ = block.retire(open_, singular, "singular_factor", iteration)
             whole = False
         if not np.isfinite(dx).all():
-            open_ = lanes.retire(open_, ~np.isfinite(dx).all(axis=1),
+            open_ = block.retire(open_, ~np.isfinite(dx).all(axis=1),
                                  "nonfinite_update", iteration)
             whole = False
         if not whole and not open_.any():
@@ -334,26 +405,48 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
         # Open lanes take the update (also on the converging iteration);
         # frozen and retired lanes keep theirs.
         if whole:
-            x = lanes.x = x_new
-            lanes.iterations.fill(iteration)
+            x = block.x = x_new
+            block.iterations.fill(iteration)
             finished = np.count_nonzero(done)
             if not finished:
                 continue
             if finished == len(done):
-                lanes.converged.fill(True)
+                block.converged.fill(True)
                 break
         else:
             x[open_] = x_new[open_]
-            lanes.iterations[open_] = iteration
+            block.iterations[open_] = iteration
         done = done & open_
-        lanes.converged |= done
+        block.converged |= done
         open_ = open_ & ~done
         whole = False
         if not open_.any():
             break
+        if narrow is not None and 2 * np.count_nonzero(open_) <= len(open_):
+            # At most half the block is open: go on over the open lanes.
+            keep = np.flatnonzero(open_)
+            if rows is None:
+                rows = keep
+            else:
+                lanes.put(rows, block)
+                rows = rows[keep]
+            block = block.take(keep)
+            x = block.x
+            open_ = np.ones(len(keep), dtype=bool)
+            whole = True
+            limits.narrow(keep)
+            narrow(keep)
+            if chord_allowed:
+                cuts.append((ws.narrow(keep), keep))
+                allowed = allowed[keep]
+                previous = previous[keep]
     else:
-        lanes.retire(open_, open_, "iteration_cap",
+        block.retire(open_, open_, "iteration_cap",
                      options.max_newton_iterations)
+    if rows is not None:
+        lanes.put(rows, block)
+        for state, keep in reversed(cuts):
+            ws.widen(state, keep)
     return lanes
 
 

@@ -54,6 +54,11 @@ class _SignalMapping(Mapping[str, object]):
         """All available signal names."""
         return sorted(self._data)
 
+    def read(self, getter):
+        """``getter`` applied to the signal dict: one ``itemgetter`` reads
+        many signals in one call (a missing name raises ``KeyError``)."""
+        return getter(self._data)
+
 
 class OperatingPoint(_SignalMapping):
     """DC operating-point solution.

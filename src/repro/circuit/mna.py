@@ -516,6 +516,18 @@ class LimitState:
         self._previous.update(self._current)
         self.limited = None
 
+    def narrow(self, lanes: np.ndarray) -> None:
+        """Keep only ``lanes``: the state of a block that goes on over
+        those lanes (voltages keep the lane axis last)."""
+        batch = self.batch
+        for table in (self._previous, self._current):
+            for key, pair in table.items():
+                table[key] = tuple(
+                    v[..., lanes] if isinstance(v, np.ndarray)
+                    and v.shape[-1:] == (batch,) else v for v in pair)
+        self.batch = len(lanes)
+        self.limited = None
+
 
 class StampContext:
     """Mutable assembly workspace handed to every device's :meth:`stamp`."""

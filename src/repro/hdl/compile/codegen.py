@@ -517,7 +517,24 @@ class KernelSet:
         self.param_defaults = dict(variant.param_defaults)
 
 
+#: Entries each process-wide compiler table holds (kernel sets, stamp
+#: functions, trace-memo keys) before it is cleared: far above the working
+#: set of a simulation (a figure-5 array uses 8 kernel sets), so only a
+#: process that keeps building new models ever evicts.
+_CACHE_LIMIT = 1024
+
 _CACHE: dict[str, KernelSet] = {}
+
+
+def remember(table: dict, key, value) -> None:
+    """Store ``table[key] = value`` in a bounded process-wide table: a full
+    table is cleared first, counted as ``hdl.cache.evictions``.  Devices
+    keep the kernels and functions they were bound to; a cleared entry is
+    only compiled again by the next device that asks for it."""
+    if len(table) >= _CACHE_LIMIT:
+        table.clear()
+        registry.inc("hdl.cache.evictions")
+    table[key] = value
 
 
 def compile_variant(variant) -> KernelSet:
@@ -528,7 +545,7 @@ def compile_variant(variant) -> KernelSet:
         registry.inc("hdl.compile.cache_hits")
         return kernels
     kernels = KernelSet(fp, variant)
-    _CACHE[fp] = kernels
+    remember(_CACHE, fp, kernels)
     registry.inc("hdl.compile.count")
     return kernels
 
@@ -587,8 +604,9 @@ def bind_stamp(kernels: KernelSet, task: str, geometry, device, keys):
     key = (kernels.fingerprint, task, kernels.mode, shape)
     fn = _STAMPS.get(key)
     if fn is None:
-        fn = _STAMPS[key] = _compile_source(
-            _stamp_source(kernels, task, shape), task, "stamp")
+        fn = _compile_source(_stamp_source(kernels, task, shape), task,
+                             "stamp")
+        remember(_STAMPS, key, fn)
         registry.inc("hdl.stamp_fn.compiles")
     return fn, args
 

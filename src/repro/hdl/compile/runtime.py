@@ -224,6 +224,7 @@ def _geometry(device, bound: _BoundVariant, ctx) -> _Geometry:
 
 #: Process-wide trace outcomes: trace key -> the kernel sets traced under
 #: it (first = primary), or None when its first trace was untraceable.
+#: Bounded like the compiler's tables (:func:`.codegen.remember`).
 _MEMO: dict[tuple, list[codegen.KernelSet] | None] = {}
 _UNSEEN = object()
 
@@ -399,7 +400,7 @@ def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
         # table1d, foreign duals): the interpreter owns this mode from now
         # on, for every device of the key.
         if key is not None and known is _UNSEEN:
-            _MEMO[key] = None
+            codegen.remember(_MEMO, key, None)
         state.disabled.add(mode)
         return
     except Exception:
@@ -414,7 +415,7 @@ def _retrace(device, state: CompileState, mode: str, stamp_ctx) -> None:
         return
     if key is not None:
         if known is _UNSEEN:
-            _MEMO[key] = [kernels]
+            codegen.remember(_MEMO, key, [kernels])
         elif known is not None and kernels not in known \
                 and len(known) < MAX_VARIANTS:
             known.append(kernels)

@@ -63,6 +63,18 @@ class BatchedFactorization:
         """Back-substitute ``A_b^T x_b = rhs_b`` per lane (same factors)."""
         raise NotImplementedError
 
+    def take(self, lanes: np.ndarray) -> "BatchedFactorization":
+        """A handle over ``lanes`` only, sharing their factors (nothing is
+        factored again)."""
+        raise NotImplementedError
+
+    def put(self, lanes: np.ndarray,
+            part: "BatchedFactorization") -> "BatchedFactorization":
+        """A handle equal to this one with ``lanes`` replaced by the lanes
+        of ``part`` (a handle of ``len(lanes)`` lanes); nothing is factored
+        again and this handle is left as it was."""
+        raise NotImplementedError
+
     def _check_rhs(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.batch, self.n):
@@ -123,6 +135,19 @@ class BatchedDenseLU(BatchedFactorization):
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._solve(self._matrices, rhs)
 
+    def take(self, lanes: np.ndarray) -> "BatchedDenseLU":
+        handle = BatchedDenseLU(self._matrices[lanes])
+        handle.failed = self.failed[lanes]
+        return handle
+
+    def put(self, lanes: np.ndarray, part: "BatchedDenseLU") -> "BatchedDenseLU":
+        matrices = self._matrices.copy()
+        matrices[lanes] = part._matrices
+        handle = BatchedDenseLU(matrices)
+        handle.failed = self.failed.copy()
+        handle.failed[lanes] = part.failed
+        return handle
+
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         telemetry.registry.inc("linalg.transpose_solves", self.batch)
         return self._solve(self._matrices.swapaxes(1, 2), rhs)
@@ -153,20 +178,21 @@ class BatchedSparseLU(BatchedFactorization):
             raise LinAlgError("batched sparse input must contain >= 1 matrix")
         n = lanes[0].shape[0]
         super().__init__(len(lanes), n)
-        self._perm_c: np.ndarray | None = None
-        self._lus: list[tuple[object, bool] | None] = []
+        perm_c: np.ndarray | None = None
+        #: Per lane: None (failed), or ``(lu, perm)`` with ``perm`` the
+        #: column permutation ``lu`` was factored under (None: its own).
+        self._lus: list[tuple[object, np.ndarray | None] | None] = []
         for b, lane in enumerate(lanes):
             if lane.shape != (n, n):
                 raise LinAlgError("batched sparse lanes must share one shape")
             try:
-                if self._perm_c is None:
+                if perm_c is None:
                     lu = spla.splu(lane)
-                    self._perm_c = np.asarray(lu.perm_c)
-                    self._lus.append((lu, False))
+                    perm_c = np.asarray(lu.perm_c)
+                    self._lus.append((lu, None))
                 else:
-                    lu = spla.splu(lane[:, self._perm_c],
-                                   permc_spec="NATURAL")
-                    self._lus.append((lu, True))
+                    lu = spla.splu(lane[:, perm_c], permc_spec="NATURAL")
+                    self._lus.append((lu, perm_c))
             except RuntimeError:
                 self._lus.append(None)
                 self.failed[b] = True
@@ -177,12 +203,12 @@ class BatchedSparseLU(BatchedFactorization):
         for b, entry in enumerate(self._lus):
             if entry is None:
                 continue
-            lu, permuted = entry
-            if permuted:
+            lu, perm = entry
+            if perm is not None:
                 # lu factors A[:, perm]; its solution y satisfies
                 # A x = b with x[perm] = y.
                 y = lu.solve(rhs[b])
-                solutions[b, self._perm_c] = y
+                solutions[b, perm] = y
             else:
                 solutions[b] = lu.solve(rhs[b])
         return solutions
@@ -194,13 +220,30 @@ class BatchedSparseLU(BatchedFactorization):
         for b, entry in enumerate(self._lus):
             if entry is None:
                 continue
-            lu, permuted = entry
-            if permuted:
+            lu, perm = entry
+            if perm is not None:
                 # (A[:, perm])^T z = b[perm]  <=>  A^T z = b.
-                solutions[b] = lu.solve(rhs[b][self._perm_c], trans="T")
+                solutions[b] = lu.solve(rhs[b][perm], trans="T")
             else:
                 solutions[b] = lu.solve(rhs[b], trans="T")
         return solutions
+
+    def _with(self, lus: list) -> "BatchedSparseLU":
+        handle = object.__new__(BatchedSparseLU)
+        BatchedFactorization.__init__(handle, len(lus), self.n)
+        handle._lus = lus
+        handle.failed = np.array([entry is None for entry in lus], dtype=bool)
+        return handle
+
+    def take(self, lanes: np.ndarray) -> "BatchedSparseLU":
+        return self._with([self._lus[lane] for lane in lanes])
+
+    def put(self, lanes: np.ndarray,
+            part: "BatchedSparseLU") -> "BatchedSparseLU":
+        lus = list(self._lus)
+        for lane, entry in zip(lanes.tolist(), part._lus):
+            lus[lane] = entry
+        return self._with(lus)
 
 
 def batched_factorize(matrices, backend: str = "auto") -> BatchedFactorization:

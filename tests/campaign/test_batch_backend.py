@@ -11,9 +11,14 @@ import pytest
 
 from repro.ad.functions import exp
 from repro.campaign import (CampaignRunner, CircuitEvaluator, CornerSet,
-                            FunctionEvaluator, GridSweep, MonteCarlo, Normal)
+                            FunctionEvaluator, GridSweep, MonteCarlo, Normal,
+                            PointList)
+from repro.campaign.runner import BATCH_POOL_POINTS
 from repro.circuit import Circuit, SimulationOptions
+from repro.circuit.analysis import batch as batch_analysis
+from repro.circuit.analysis.batch import ParameterColumns, batched_newton
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
+from repro.circuit.mna import MNASystem
 from repro.errors import CampaignError
 from repro.natures import ELECTRICAL
 from repro.telemetry import registry
@@ -41,6 +46,21 @@ def double_rscale(value):
 
 def last_node(result, params):
     return {"v_last": float(result.column(f"v(n{SECTIONS})")[-1])}
+
+
+def build_tunable_ladder(params):
+    """The ladder with ``R0`` set the way ``param_map`` sets it, without the
+    constructor's range check: a negative ``rscale`` builds, and its Newton
+    solve runs to the iteration cap."""
+    circuit = build_ladder({"vdd": params.get("vdd", 5.0)})
+    circuit["R0"].set_parameter("resistance", params.get("rscale", 100.0))
+    return circuit
+
+
+def sweep_points(result, params):
+    """Every point of the last node's sweep (NaN where a point failed)."""
+    return {f"v{index}": float(value) for index, value in
+            enumerate(result.column(f"v(n{SECTIONS})"))}
 
 
 def _diode_behavior(ctx):
@@ -73,6 +93,31 @@ def spring_fn(point):
 
 def batch_evaluator(**kwargs):
     return CircuitEvaluator(build_ladder, param_map=PARAM_MAP, **kwargs)
+
+
+def assert_rows_bitwise(reference, other):
+    """Rows with the same error strings and bit-identical values."""
+    assert len(reference) == len(other)
+    for a, b in zip(reference, other):
+        assert a.params == b.params
+        assert a.error == b.error
+        assert list(a.outputs) == list(b.outputs)
+        assert np.array(list(a.outputs.values())).tobytes() == \
+            np.array(list(b.outputs.values())).tobytes()
+
+
+def assert_rows_identical_nan(serial, batch, rtol=1e-12):
+    """:func:`assert_rows_identical`, with NaN values matching NaN."""
+    assert len(serial) == len(batch)
+    for a, b in zip(serial, batch):
+        assert a.params == b.params
+        assert a.error == b.error
+        assert list(a.outputs) == list(b.outputs)
+        want = np.array(list(a.outputs.values()))
+        got = np.array(list(b.outputs.values()))
+        assert np.array_equal(np.isnan(want), np.isnan(got))
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.all((np.abs(got - want) / scale <= rtol)[~np.isnan(want)])
 
 
 def assert_rows_identical(serial, batch, rtol=1e-12):
@@ -192,27 +237,122 @@ class TestBatchParity:
 
     def test_pooled_batch_ships_fallback_counters_without_telemetry(self):
         # With telemetry off the pool workers' registry counters must still
-        # reach the result: in-process and pooled batches report the same.
+        # reach the result: a 2-process batch reports what the in-process
+        # batches of its two slices report together.
         options = SimulationOptions(behavioral_compile=False)
-        spec = GridSweep(vdd=[1.0, 2.0, 3.0], isat=[1e-9, 3e-9])
+        spec = GridSweep(vdd=list(np.linspace(1.0, 3.0, 35)),
+                         isat=[1e-9, 3e-9])
+        points = spec.points()
+        assert len(points) > BATCH_POOL_POINTS
         evaluator = CircuitEvaluator(
             build_behavioral_diode, options=options,
             param_map={"vdd": "V1.dc", "isat": "DB.isat"})
-        results = [CampaignRunner(backend="batch", processes=processes,
-                                  batch_size=2).run(spec, evaluator)
-                   for processes in (1, 2)]
-        inline, pooled = (result.metrics["counters"] for result in results)
-        assert inline == pooled
-        assert inline["mna.batch.lane_stamps"] > 0
-        assert inline.get("campaign.batch.serial_reruns", 0) == 0
+        pooled = CampaignRunner(backend="batch", processes=2).run(
+            spec, evaluator).metrics["counters"]
+        inline = {"counters": {}, "gauges": {}, "histograms": {}}
+        half = len(points) // 2
+        for part in (points[:half], points[half:]):
+            registry.merge(inline, CampaignRunner(backend="batch").run(
+                PointList(part), evaluator).metrics)
+        assert inline["counters"] == pooled
+        assert pooled["mna.batch.lane_stamps"] > 0
+        assert pooled.get("campaign.batch.serial_reruns", 0) == 0
 
     def test_batch_pool_composes(self):
-        spec = MonteCarlo({"vdd": Normal(5.0, 0.5)}, samples=16, seed=3)
+        spec = MonteCarlo({"vdd": Normal(5.0, 0.5)}, samples=80, seed=3)
         serial = CampaignRunner(backend="serial").run(
             spec, CircuitEvaluator(build_ladder))
-        pooled = CampaignRunner(backend="batch", processes=2,
-                                batch_size=4).run(spec, batch_evaluator())
+        runner = CampaignRunner(backend="batch", processes=2)
+        assert runner._resolve_backend(batch_evaluator(), 80) == "batch-pool"
+        pooled = runner.run(spec, batch_evaluator())
         assert_rows_identical(serial, pooled)
+
+    def test_stuck_lane_leaves_the_block_and_matches_serial(self):
+        # One lane of a 128-lane group runs to the iteration cap.  The
+        # block narrows to its open lanes as they converge, so the stuck
+        # lane does not drag the other 127 through 100 iterations, and the
+        # lane's row is serial's error row byte for byte.
+        rng = np.random.default_rng(5)
+        points = [{"vdd": float(v), "rscale": float(r)} for v, r in
+                  zip(rng.normal(5.0, 0.5, 128), rng.normal(100.0, 10.0, 128))]
+        points[77]["rscale"] = -50.0
+        circuit = build_tunable_ladder({})
+        system = MNASystem(circuit)
+        options = SimulationOptions()
+        columns = ParameterColumns(circuit, [
+            ("VS", "dc", [point["vdd"] for point in points]),
+            ("R0", "resistance", [point["rscale"] for point in points])])
+        before = registry.snapshot()
+        with columns:
+            _, solved, iterations = batched_newton(
+                system, np.zeros((128, system.size)), "op", options, columns)
+        factorizations = registry.delta(before)["counters"][
+            "linalg.factorizations"]
+        assert list(np.flatnonzero(~solved)) == [77]
+        assert iterations[77] == options.max_newton_iterations
+        assert factorizations <= 2 * iterations.sum() + 128
+
+        spec = PointList(points)
+        serial = CampaignRunner(backend="serial").run(
+            spec, CircuitEvaluator(build_tunable_ladder))
+        batch = CampaignRunner(backend="batch").run(
+            spec, CircuitEvaluator(build_tunable_ladder, param_map=PARAM_MAP))
+        assert serial[77].error is not None
+        assert_rows_identical(serial, batch)
+        assert batch[77].error == serial[77].error
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generated_groups_match_across_backends(seed, monkeypatch):
+    # A seeded Monte-Carlo group past the pool threshold, with NaN and
+    # stuck lanes, solved three ways: one in-process block, two pooled
+    # slices and point by point.  The two batch runs are bit for bit the
+    # same; both match serial (1e-12, byte-equal error rows).
+    rng = np.random.default_rng(seed)
+    samples = BATCH_POOL_POINTS + 32
+    vdd = rng.normal(5.0, 1.0, samples)
+    rscale = rng.uniform(50.0, 150.0, samples)
+    vdd[rng.choice(samples, 2, replace=False)] = np.nan
+    rscale[rng.choice(samples, 2, replace=False)] = -50.0
+    spec = PointList([{"vdd": float(v), "rscale": float(r)}
+                      for v, r in zip(vdd, rscale)])
+    options = SimulationOptions(max_newton_iterations=12)
+    analyses = {
+        "op": {},
+        "dc": {"analysis": "dc", "reduce": sweep_points,
+               "analysis_args": {"source_name": "VS",
+                                 "values": [0.5, 30.0, 1.0, 60.0, 3.0],
+                                 "continue_on_failure": True}},
+    }
+    for analysis, kwargs in analyses.items():
+        if analysis == "dc":
+            # The swept source cannot also be a column.
+            spec = PointList([{"rscale": point["rscale"]}
+                              for point in spec.points()])
+        serial = CampaignRunner(backend="serial").run(
+            spec, CircuitEvaluator(build_tunable_ladder, options=options,
+                                   **kwargs))
+        evaluator = CircuitEvaluator(build_tunable_ladder, options=options,
+                                     param_map=PARAM_MAP, **kwargs)
+        blocks = []
+
+        def spy(system, x0, *args, **kwargs):
+            blocks.append(len(x0))
+            return batched_newton(system, x0, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(batch_analysis, "batched_newton", spy)
+            inline = CampaignRunner(backend="batch").run(spec, evaluator)
+        # The whole group is one Newton block (per sweep point).
+        assert set(blocks) == {samples}
+        pooled = CampaignRunner(backend="batch", processes=2).run(
+            spec, evaluator)
+        assert_rows_bitwise(inline, pooled)
+        failed = [row for row in serial if row.error is not None] \
+            if analysis == "op" else \
+            [row for row in serial if np.isnan(list(row.outputs.values())).any()]
+        assert failed
+        assert_rows_identical_nan(serial, inline)
 
 
 class TestBackendResolution:
@@ -237,9 +377,6 @@ class TestBackendResolution:
         with pytest.raises(CampaignError, match="unknown backend"):
             CampaignRunner(backend="vectorized")
 
-    def test_batch_size_validated(self):
-        with pytest.raises(CampaignError):
-            CampaignRunner(backend="batch", batch_size=0)
 
 
 class TestBatchTelemetry:

@@ -24,7 +24,7 @@ from repro.circuit import (
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.errors import DeviceError
 from repro.hdl import compile as hdl_compile
-from repro.hdl.compile import runtime
+from repro.hdl.compile import codegen, runtime
 from repro.natures import ELECTRICAL
 from repro.telemetry import registry
 from repro.transducers import TransverseElectrostaticTransducer
@@ -259,3 +259,22 @@ def test_clear_cache_empties_the_memo():
     assert hdl_compile.cache_info() == {"kernels": 0, "stamp_functions": 0,
                                         "traces": 0}
     assert traces(run_exact(closure_scale(3e-3))) == 2
+
+
+def test_full_tables_evict_and_stay_exact(monkeypatch):
+    # Past the limit a compiler table is cleared and the eviction counted;
+    # devices built after it compile again and still stamp the
+    # interpreter's bits.
+    monkeypatch.setattr(codegen, "_CACHE_LIMIT", 2)
+    hdl_compile.clear_cache()
+    before = registry.snapshot()
+    for scale in (1e-3, 2e-3, 3e-3):
+        run_exact(closure_scale(scale))
+    for table in (codegen._CACHE, codegen._STAMPS, runtime._MEMO):
+        assert 0 < len(table) <= 2
+    evictions = registry.delta(before)["counters"]["hdl.cache.evictions"]
+    assert evictions >= 3
+    # An evicted key traces again, exactly.
+    again = run_exact(closure_scale(1e-3))
+    assert traces(again) == 2
+    assert again["hdl.cache.evictions"] > 0

@@ -211,6 +211,33 @@ class TestBatchedFactorize:
         assert "auto" in BATCH_BACKENDS
 
 
+@pytest.mark.parametrize("backend", ["dense", "superlu"])
+def test_take_and_put_keep_each_lanes_factors(backend):
+    # A narrowed Newton block solves some lanes of a held stack, and its
+    # lanes go back in place afterwards; neither refactors, and every lane
+    # solves to the same bits as in the full handle.
+    matrices, rhs = _stack(batch=6)
+    matrices[4] = 0.0  # a failed lane keeps its flag both ways
+    handle = batched_factorize(matrices, backend)
+    other = batched_factorize(matrices[::-1].copy(), backend)
+    full = handle.solve(rhs)
+    lanes = np.array([1, 4, 5])
+    before = registry.snapshot()
+    part = handle.take(lanes)
+    assert part.batch == 3
+    assert np.array_equal(part.solve(rhs[lanes]), full[lanes],
+                          equal_nan=True)
+    assert list(part.failed) == [False, True, False]
+    merged = other.put(lanes, part)
+    solutions = merged.solve(rhs)
+    assert np.array_equal(solutions[lanes], full[lanes], equal_nan=True)
+    keep = np.array([0, 2, 3])
+    assert np.array_equal(solutions[keep], other.solve(rhs)[keep])
+    assert list(merged.failed) == [False, False, False, False, True, False]
+    assert registry.delta(before)["counters"].get(
+        "linalg.factorizations", 0) == 0
+
+
 class TestStructureCacheBatch:
     def test_lanes_match_serial_assembly_exactly(self):
         rng = np.random.default_rng(3)
