@@ -10,6 +10,7 @@ Monte Carlo yield study can distinguish "converged but out of spec" from
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -125,11 +126,9 @@ class CampaignResult:
             self.param_names = tuple(self.rows[0].params)
         else:
             self.param_names = ()
-        outputs: dict[str, None] = {}
-        for row in self.rows:
-            for name in row.outputs:
-                outputs.setdefault(name)
-        self.output_names = tuple(outputs)
+        # Every signal once, in order of first appearance.
+        self.output_names = tuple(dict.fromkeys(
+            chain.from_iterable(row.outputs for row in self.rows)))
 
     @property
     def solver_stats(self) -> dict[str, int]:

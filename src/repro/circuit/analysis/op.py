@@ -55,6 +55,7 @@ sources are ramped from zero to their nominal values over
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from time import perf_counter
 from typing import Callable
@@ -73,6 +74,19 @@ from .results import OperatingPoint
 
 __all__ = ["newton_solve", "newton_lanes", "collect_outputs",
            "output_columns", "NewtonWorkspace", "OperatingPointAnalysis"]
+
+
+@lru_cache(maxsize=64)
+def base_tolerance(size: int, num_nodes: int, vntol: float,
+                   abstol: float) -> np.ndarray:
+    """The absolute part of the convergence tolerance of each of ``size``
+    unknowns: ``vntol`` for the ``num_nodes`` node (across) unknowns,
+    ``abstol`` for the auxiliary ones.  Built once per layout and tolerance
+    pair and shared, read-only, by the Newton engine and the transient
+    step control."""
+    tol = np.where(np.arange(size) < num_nodes, vntol, abstol)
+    tol.flags.writeable = False
+    return tol
 
 
 class NewtonWorkspace:
@@ -286,8 +300,8 @@ def newton_lanes(stage, x0: np.ndarray, options: SimulationOptions,
     # Every lane open: flags and updates apply to the whole block, with no
     # mask bookkeeping (always the case for the serial B = 1 solve).
     whole = True
-    base_tol = np.where(np.arange(size) < stage.system.num_nodes,
-                        options.vntol, options.abstol)[None]  # one (1, n) row
+    base_tol = base_tolerance(size, stage.system.num_nodes, options.vntol,
+                              options.abstol)[None]  # one (1, n) row
     chord_allowed = options.jacobian_reuse == "chord"
     if chord_allowed:
         # Chord bookkeeping per lane, as the lane's own serial solve keeps
@@ -587,7 +601,7 @@ def collect_outputs(system: MNASystem, ctx: StampContext,
     """
     if isinstance(ctx, BatchStampContext):
         return _collect_lanes(system, ctx, set_lane)
-    x = ctx.x.tolist()
+    x = ctx.x_list
     data: dict[str, float] = dict(zip(system.node_signal_names(), x))
     system.record_outputs(ctx, data)
     for name, value in zip(system.aux_signal_names(), x[system.num_nodes:]):

@@ -204,7 +204,7 @@ class SeededStampContext(StampContext):
 
     # ------------------------------------------------------------- seeded x
     def _seeded_unknown(self, index: int):
-        value = 0.0 if index < 0 else float(self.x[index])
+        value = 0.0 if index < 0 else self.x_list[index]
         if self.x_offset is None or index < 0:
             return value
         return Dual.variable(value, index=self.x_offset + index,
@@ -224,7 +224,7 @@ class SeededStampContext(StampContext):
         if row < 0:
             return
         if isinstance(value, Dual):
-            self.res[row] += value.value
+            self._res[row] += value.value
             deriv = np.real(value.deriv)
             if deriv.shape != (self.nvars,):
                 raise SensitivityError(
@@ -232,7 +232,7 @@ class SeededStampContext(StampContext):
                     f"expected {self.nvars} (a device mixed AD seed spaces)")
             self.dres[row] += deriv
         else:
-            self.res[row] += float(value)
+            self._res[row] += float(value)
 
     def apply_gmin(self, gmin: float) -> None:
         super().apply_gmin(gmin)

@@ -32,8 +32,8 @@ from ...errors import AnalysisError, ConvergenceError, SingularMatrixError
 from ...telemetry import ConvergenceDiagnostics, StepRecord
 from ..mna import Integrator, MNASystem, StampContext
 from ..netlist import Circuit
-from .op import (NewtonWorkspace, OperatingPointAnalysis, collect_outputs,
-                 newton_solve, output_columns)
+from .op import (NewtonWorkspace, OperatingPointAnalysis, base_tolerance,
+                 collect_outputs, newton_solve, output_columns)
 from .options import SimulationOptions
 from .results import OperatingPoint, TransientResult
 
@@ -102,8 +102,8 @@ class TransientAnalysis:
 
     def _tolerances(self, system: MNASystem, x: np.ndarray) -> np.ndarray:
         options = self.options
-        base = np.where(np.arange(system.size) < system.num_nodes,
-                        options.vntol, options.abstol)
+        base = base_tolerance(system.size, system.num_nodes, options.vntol,
+                              options.abstol)
         return base + options.reltol * np.abs(x)
 
     # ------------------------------------------------------------------ main run

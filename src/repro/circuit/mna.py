@@ -287,6 +287,13 @@ def _plain(value) -> float:
     return float(getattr(value, "value", value))
 
 
+def _snapshot(values: list, shape: tuple) -> np.ndarray:
+    """A read-only array copy of accumulated floats."""
+    array = np.array(values, dtype=float).reshape(shape)
+    array.flags.writeable = False
+    return array
+
+
 class MNASystem:
     """Unknown numbering and assembly driver for one circuit.
 
@@ -414,13 +421,15 @@ class MNASystem:
         """Drive every device stamp over an existing (possibly specialised)
         context -- the sensitivity layer assembles through its dual-seeded
         :class:`StampContext` subclasses this way.  Systems holding
-        behavioral devices stamp through their compiled stamp program."""
+        behavioral devices stamp through their compiled stamp program.  The
+        assembly ends with :meth:`StampContext.finish`."""
         if self.stamp_programs is None:
             for device in self.circuit:
                 device.stamp(ctx)
         else:
             compile_runtime().run_stamps(self, ctx)
         ctx.apply_gmin(ctx.options.gmin)
+        ctx.finish()
         return ctx
 
     def record_outputs(self, ctx: "StampContext", out: dict) -> None:
@@ -530,7 +539,20 @@ class LimitState:
 
 
 class StampContext:
-    """Mutable assembly workspace handed to every device's :meth:`stamp`."""
+    """Mutable assembly workspace handed to every device's :meth:`stamp`.
+
+    A serial assembly accumulates on Python floats, whose scalar reads and
+    writes cost a fraction of numpy element access: the residual into a
+    list of ``n`` floats, the dense Jacobian into a flat row-major list of
+    ``n*n`` floats (entry ``row * n + col``) and, in sparse mode, the
+    Jacobian into COO triplet lists.  The accessors read the iterate from
+    :attr:`x_list`, ``x`` as a list.  :meth:`finish` (the end of
+    :meth:`MNASystem.run_stamps`) converts the accumulation once, into one
+    ``(n + n*n,)`` array -- the triplet values instead of the dense tail in
+    sparse mode -- whose head is :attr:`res` and whose tail is :attr:`jac`
+    as an ``(n, n)`` view.  Read before that, :attr:`res` and :attr:`jac`
+    are read-only snapshots of what has accumulated so far.
+    """
 
     #: When True (sensitivity assemblies), devices must hand residual
     #: expressions to :meth:`add_res`/:meth:`add_through` *without* stripping
@@ -549,6 +571,9 @@ class StampContext:
         if self.x.shape != (system.size,):
             raise AnalysisError(
                 f"solution vector has shape {self.x.shape}, expected ({system.size},)")
+        #: ``x`` as a list of floats, read by the accessors and by compiled
+        #: stamp functions.
+        self.x_list: list[float] = self.x.tolist()
         self.analysis = analysis
         self.time = time
         self.integrator = integrator
@@ -557,20 +582,23 @@ class StampContext:
         #: False for residual-only assemblies: ``add_jac`` becomes a no-op
         #: and devices may skip derivative propagation entirely.
         self.want_jacobian = want_jacobian
-        n = system.size
-        self.res = np.zeros(n)
+        n = self._size = system.size
+        self._res: list[float] = [0.0] * n
         #: Above ``options.sparse_threshold`` unknowns (or when forced by
         #: ``options.linear_solver``) the Jacobian is accumulated as COO
-        #: triplets instead of a dense array; ``jacobian()`` then yields a
+        #: triplets instead of a dense list; ``jacobian()`` then yields a
         #: SciPy CSR matrix and ``jac`` stays None.
         self.use_sparse = options.use_sparse(n)
         if self.use_sparse or not want_jacobian:
-            self.jac = None
+            self._jac: list[float] | None = None
             self._jac_rows: list[int] = []
             self._jac_cols: list[int] = []
             self._jac_vals: list[float] = []
         else:
-            self.jac = np.zeros((n, n))
+            self._jac = [0.0] * (n * n)
+        #: The ``(res, jac)`` views of the assembled array, set by
+        #: :meth:`finish`.
+        self._assembled: tuple | None = None
 
     # ------------------------------------------------------------------ access
     def node_index(self, node: Node) -> int:
@@ -584,15 +612,33 @@ class StampContext:
     def across(self, node: Node) -> float:
         """Across value (voltage / velocity) of ``node`` at the current iterate."""
         idx = self.system.index_of(node)
-        return 0.0 if idx < 0 else float(self.x[idx])
+        return 0.0 if idx < 0 else self.x_list[idx]
 
     def aux_value(self, device: "Device | str", name: str) -> float:
         """Value of a device auxiliary unknown at the current iterate."""
-        return float(self.x[self.system.aux_index(device, name)])
+        return self.x_list[self.system.aux_index(device, name)]
 
     def unknown_value(self, index: int) -> float:
         """Raw unknown value by vector index (-1 yields 0)."""
-        return 0.0 if index < 0 else float(self.x[index])
+        return 0.0 if index < 0 else self.x_list[index]
+
+    @property
+    def res(self) -> np.ndarray:
+        """The ``(n,)`` residual: the assembled array once :meth:`finish`
+        ran, else a read-only snapshot of the accumulation so far."""
+        if self._assembled is not None:
+            return self._assembled[0]
+        return _snapshot(self._res, (self._size,))
+
+    @property
+    def jac(self) -> np.ndarray | None:
+        """The dense ``(n, n)`` Jacobian, like :attr:`res`; None in sparse
+        and residual-only assemblies."""
+        if self._assembled is not None:
+            return self._assembled[1]
+        if self._jac is None:
+            return None
+        return _snapshot(self._jac, (self._size, self._size))
 
     # --------------------------------------------------------------- stamping
     def add_jac(self, row: int, col: int, value: float) -> None:
@@ -604,7 +650,7 @@ class StampContext:
             self._jac_cols.append(col)
             self._jac_vals.append(value)
         else:
-            self.jac[row, col] += value
+            self._jac[row * self._size + col] += value
 
     def jacobian(self):
         """The assembled Jacobian: dense ndarray, or CSR in sparse mode.
@@ -620,22 +666,20 @@ class StampContext:
         if not self.use_sparse:
             return self.jac
         return self.system.structure_cache.assemble(
-            self._jac_rows, self._jac_cols, self._jac_vals, self.system.size)
+            self._jac_rows, self._jac_cols, self._jac_vals, self._size)
 
     def jacobian_is_finite(self) -> bool:
         """Whether every accumulated Jacobian entry is finite."""
         if not self.want_jacobian:
             return True
-        if self.use_sparse:
-            return bool(np.all(np.isfinite(self._jac_vals))) if self._jac_vals \
-                else True
-        return bool(np.isfinite(self.jac).all())
+        return bool(np.isfinite(
+            self._jac_vals if self.use_sparse else self.jac).all())
 
     def add_res(self, row: int, value: float) -> None:
         """Accumulate into the residual row; the ground row is ignored."""
         if row < 0:
             return
-        self.res[row] += value
+        self._res[row] += value
 
     def add_through(self, p_index: int, n_index: int, value: float) -> None:
         """Add a through value flowing from index ``p`` to index ``n``."""
@@ -652,18 +696,33 @@ class StampContext:
         if gmin <= 0.0:
             return
         n_nodes = self.system.num_nodes
-        if n_nodes == 0:
-            return
         if self.want_jacobian:
-            diag = range(n_nodes)
             if self.use_sparse:
+                diag = range(n_nodes)
                 self._jac_rows.extend(diag)
                 self._jac_cols.extend(diag)
                 self._jac_vals.extend([gmin] * n_nodes)
             else:
-                idx = np.arange(n_nodes)
-                self.jac[idx, idx] += gmin
-        self.res[:n_nodes] += gmin * self.x[:n_nodes]
+                jac, step = self._jac, self._size + 1
+                for i in range(0, n_nodes * step, step):
+                    jac[i] += gmin
+        res, x = self._res, self.x_list
+        for i in range(n_nodes):
+            res[i] += gmin * x[i]
+
+    def finish(self) -> None:
+        """End the assembly: convert the accumulated floats into one array,
+        the residual followed by the dense Jacobian (or the triplet values),
+        that :attr:`res`, :attr:`jac` and :meth:`jacobian` read from now on."""
+        n = self._size
+        dense = self._jac is not None
+        buffer = np.array(
+            self._res + (self._jac if dense else self._jac_vals), dtype=float)
+        if dense:
+            self._assembled = (buffer[:n], buffer[n:].reshape(n, n))
+        else:
+            self._assembled = (buffer[:n], None)
+            self._jac_vals = buffer[n:]
 
     # ------------------------------------------------------- behavioral duals
     def seed(self, value: float, position: int | None, nvars: int) -> Dual:
@@ -821,9 +880,10 @@ class BatchStampContext(StampContext):
     scatter's slots, in call order, and the buffer is then added into the
     ``(B, n)`` residual and the ``(B, n, n)`` Jacobian (dense mode) or into
     one ``(K, B)`` triplet value block (sparse mode).  Devices that cannot
-    broadcast stamp afterwards, per lane, through :meth:`lane_context`,
-    whose genuine serial :class:`StampContext` writes straight into this
-    batch's dense arrays.  A context without a scatter only serves
+    broadcast stamp afterwards, per lane, through :meth:`lane_context`: a
+    genuine serial :class:`StampContext` that accumulates onto the lane's
+    rows and is written back into this batch's dense arrays before they
+    are next read.  A context without a scatter only serves
     accessors (output collection).  ``limits`` reaches the lane-axis stamps
     only: lane contexts do not limit (the junction-limiting diode always
     stamps on the lane axis).
@@ -843,6 +903,8 @@ class BatchStampContext(StampContext):
                 f"batched assembly supports DC-class analyses only, got "
                 f"{analysis!r}")
         self.system = system
+        #: ``(lane, context)`` of the lane context not yet written back.
+        self._pending_lane: tuple | None = None
         self.x = np.asarray(x, dtype=float)
         if self.x.ndim != 2 or self.x.shape[1] != system.size:
             raise AnalysisError(
@@ -863,6 +925,28 @@ class BatchStampContext(StampContext):
         if scatter is not None:
             self._buf = np.empty((scatter.width, batch))
             self._res_next = self._jac_next = 0
+
+    @property
+    def res(self) -> np.ndarray | None:
+        """The ``(B, n)`` residual block."""
+        if self._pending_lane is not None:
+            self._write_back()
+        return self._res_block
+
+    @res.setter
+    def res(self, value) -> None:
+        self._res_block = value
+
+    @property
+    def jac(self) -> np.ndarray | None:
+        """The ``(B, n, n)`` dense Jacobian block (None in sparse mode)."""
+        if self._pending_lane is not None:
+            self._write_back()
+        return self._jac_block
+
+    @jac.setter
+    def jac(self, value) -> None:
+        self._jac_block = value
 
     # ------------------------------------------------------------------ access
     def node_index(self, node):
@@ -967,6 +1051,7 @@ class BatchStampContext(StampContext):
         n_nodes = self.system.num_nodes
         if n_nodes == 0:
             return
+        self._write_back()
         if self.want_jacobian:
             if self.use_sparse:
                 diag = np.arange(n_nodes)
@@ -984,12 +1069,14 @@ class BatchStampContext(StampContext):
     def lane_context(self, lane: int) -> StampContext:
         """A serial :class:`StampContext` over lane ``lane``.
 
-        Its residual (and, in dense mode, Jacobian) arrays are *views* into
-        this batch's arrays, so non-broadcastable devices stamp through their
-        unchanged serial code path and land in the right lane.  Only
-        available in dense mode -- per-lane triplet streams may diverge
-        (behavioral stamps skip exact-zero derivatives), which is exactly why
-        mixed circuits assemble dense.
+        Its residual (and Jacobian) lists start as the lane's current rows,
+        so non-broadcastable devices stamp through their unchanged serial
+        code path and each entry sums in the order it would in the lane
+        itself.  The lists are written back into the lane before the next
+        lane context is handed out and before this batch's arrays are read
+        or gmin is applied.  Only available in dense mode -- per-lane
+        triplet streams may diverge (behavioral stamps skip exact-zero
+        derivatives), which is exactly why mixed circuits assemble dense.
         """
         if self.use_sparse:
             raise AnalysisError(
@@ -999,11 +1086,22 @@ class BatchStampContext(StampContext):
                            time=self.time, integrator=None,
                            options=self.options, source_scale=self.source_scale,
                            want_jacobian=self.want_jacobian)
-        ctx.res = self.res[lane]
+        ctx._res = self.res[lane].tolist()
         if self.want_jacobian:
             ctx.use_sparse = False
-            ctx.jac = self.jac[lane]
+            ctx._jac = self.jac[lane].ravel().tolist()
+        self._pending_lane = (lane, ctx)
         return ctx
+
+    def _write_back(self) -> None:
+        """Copy the pending lane context's accumulation into its lane."""
+        if self._pending_lane is None:
+            return
+        (lane, ctx), self._pending_lane = self._pending_lane, None
+        self._res_block[lane] = ctx._res
+        if ctx._jac is not None:
+            n = self.system.size
+            self._jac_block[lane] = np.reshape(ctx._jac, (n, n))
 
 
 class _ProbeContext(BatchStampContext):
@@ -1078,6 +1176,7 @@ class ACStampContext(StampContext):
             raise AnalysisError(
                 f"operating point has shape {self.x.shape}, expected "
                 f"({system.size},)")
+        self.x_list = self.x.tolist()
         self.analysis = "ac"
         self.time = 0.0
         self.integrator = None

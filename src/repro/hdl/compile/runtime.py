@@ -510,15 +510,21 @@ class StampProgram:
                 self.alternates[device.name] = fns[1:]
 
     def run(self, ctx, out) -> None:
-        """Stamp (or record into ``out``) every device of the assembly."""
+        """Stamp (or record into ``out``) every device of the assembly.
+
+        Stamp functions read the context's ``x_list`` and accumulate
+        straight into its lists: ``out`` is its residual list, and the
+        ``"jac"`` task writes its flat dense Jacobian list, ``"triplet"``
+        its triplet lists (see :class:`~repro.circuit.mna.StampContext`).
+        """
         task = self.task
         if task == "jac":
-            jac = ctx.jac.reshape(-1)
+            jac = ctx._jac
         elif task == "triplet":
             jac = (ctx._jac_rows, ctx._jac_cols, ctx._jac_vals)
         else:
             jac = None
-        x = ctx.x.tolist()
+        x = ctx.x_list
         st = _integrator_frame(ctx.integrator) if self.mode == "tran" else None
         for entry in self.entries:
             fn, args, device = entry
@@ -623,7 +629,7 @@ def stamp_devices(programs: dict, devices, ctx) -> None:
         for device in devices:
             device.stamp(ctx)
     else:
-        program.run(ctx, ctx.res)
+        program.run(ctx, ctx._res)
 
 
 def run_stamps(system, ctx) -> None:

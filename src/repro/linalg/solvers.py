@@ -190,8 +190,8 @@ class _DenseLU(Factorization):
         if info < 0:
             raise LinAlgError(
                 f"dense LU factorization failed (illegal argument {-info})")
-        diag = np.diagonal(self._lu)
-        if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
+        # ``info > 0`` is LAPACK's report of an exactly zero pivot.
+        if info > 0 or not np.isfinite(np.diagonal(self._lu)).all():
             raise LinAlgError("matrix is singular (zero pivot in LU)")
 
     def _getrs(self, rhs: np.ndarray, trans: int) -> np.ndarray:

@@ -38,8 +38,18 @@ HISTOGRAM_FIELDS = ("count", "sum", "min", "max")
 
 _counters: dict[str, float] = {}
 _gauges: dict[str, float] = {}
-#: name -> [count, sum, min, max]
-_histograms: dict[str, list[float]] = {}
+#: name -> [count, sum, min, max, segments].  ``segments`` splits the
+#: observations at snapshots, so a :func:`delta` can report its window's
+#: own extremes: one ``[first, min, max, generation]`` per run of
+#: observations between two snapshots, ``first`` the 1-based index of the
+#: run's first observation.
+_histograms: dict[str, list] = {}
+#: Bumped by every :func:`snapshot`: the next observation of a histogram
+#: opens a new segment.
+_generation = 0
+#: Segments kept per histogram; beyond it the two oldest merge, and a
+#: window that starts inside the merged run no longer knows its extremes.
+_SEGMENT_LIMIT = 64
 
 
 # --------------------------------------------------------------------- write
@@ -58,7 +68,8 @@ def observe(name: str, value: float) -> None:
     value = float(value)
     digest = _histograms.get(name)
     if digest is None:
-        _histograms[name] = [1, value, value, value]
+        _histograms[name] = [1, value, value, value,
+                             [[1, value, value, _generation]]]
         return
     digest[0] += 1
     digest[1] += value
@@ -66,6 +77,19 @@ def observe(name: str, value: float) -> None:
         digest[2] = value
     if value > digest[3]:
         digest[3] = value
+    segments = digest[4]
+    segment = segments[-1]
+    if segment[3] != _generation:
+        segments.append([digest[0], value, value, _generation])
+        if len(segments) > _SEGMENT_LIMIT:
+            oldest, merged = segments[0], segments.pop(1)
+            oldest[1] = min(oldest[1], merged[1])
+            oldest[2] = max(oldest[2], merged[2])
+        return
+    if value < segment[1]:
+        segment[1] = value
+    if value > segment[2]:
+        segment[2] = value
 
 
 # ---------------------------------------------------------------------- read
@@ -93,6 +117,8 @@ def snapshot() -> dict:
     The shape is ``{"counters": {...}, "gauges": {...}, "histograms":
     {name: {count, sum, min, max}}}`` -- plain JSON/pickle-friendly dicts.
     """
+    global _generation
+    _generation += 1
     return {
         "counters": dict(_counters),
         "gauges": dict(_gauges),
@@ -105,9 +131,14 @@ def snapshot() -> dict:
 def delta(before: Mapping, after: Mapping | None = None) -> dict:
     """Per-metric difference ``after - before`` (``after`` defaults to now).
 
-    Counters and histogram count/sum subtract; histogram min/max and gauges
-    are taken from ``after`` (they describe state, not flow).  Metrics that
-    did not change are dropped, so an idle worker ships an empty payload.
+    Counters and histogram count/sum subtract and gauges are taken from
+    ``after`` (they describe state, not flow).  A histogram's min/max are
+    those of the window's own observations: all of ``after``'s for a
+    histogram first observed inside the window, else read from this
+    process's observation segments (``after`` must then be a snapshot of
+    this process); a window that does not start and end on segment
+    boundaries cannot know them and omits both.  Metrics that did not
+    change are dropped, so an idle worker ships an empty payload.
     """
     if after is None:
         after = snapshot()
@@ -124,16 +155,40 @@ def delta(before: Mapping, after: Mapping | None = None) -> dict:
         count = digest["count"] - (prior["count"] if prior else 0)
         if count <= 0:
             continue
-        histograms[name] = {
+        window = {
             "count": count,
             "sum": digest["sum"] - (prior["sum"] if prior else 0.0),
-            "min": digest["min"],
-            "max": digest["max"],
         }
+        if prior is None:
+            extremes = (digest["min"], digest["max"])
+        else:
+            extremes = _extremes(name, prior["count"] + 1, digest["count"])
+        if extremes is not None:
+            window["min"], window["max"] = extremes
+        histograms[name] = window
     gauges_before = before.get("gauges", {})
     gauges = {name: value for name, value in after.get("gauges", {}).items()
               if gauges_before.get(name) != value}
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+
+def _extremes(name: str, first: int, last: int) -> tuple | None:
+    """``(min, max)`` of observations ``first..last`` (1-based) of
+    histogram ``name``, or None unless they start and end on segment
+    boundaries."""
+    digest = _histograms.get(name)
+    if digest is None or last > digest[0]:
+        return None
+    segments = digest[4]
+    ends = [segment[0] - 1 for segment in segments[1:]] + [digest[0]]
+    low, high = float("inf"), float("-inf")
+    for (start, seg_min, seg_max, _), end in zip(segments, ends):
+        if end < first or start > last:
+            continue
+        if start < first or end > last:
+            return None
+        low, high = min(low, seg_min), max(high, seg_max)
+    return low, high
 
 
 def merge(total: dict, part: Mapping) -> dict:
@@ -141,7 +196,9 @@ def merge(total: dict, part: Mapping) -> dict:
 
     ``total`` may start as ``{}``; the merged shape matches
     :func:`snapshot`.  Counters and histogram count/sum add, histogram
-    min/max widen, gauges last-write-win.  Returns ``total``.
+    min/max widen, gauges last-write-win.  A digest without min/max (a
+    :func:`delta` window that could not know them) leaves the total
+    without them too.  Returns ``total``.
     """
     counters = total.setdefault("counters", {})
     for name, value in part.get("counters", {}).items():
@@ -156,8 +213,12 @@ def merge(total: dict, part: Mapping) -> dict:
             continue
         into["count"] += digest["count"]
         into["sum"] += digest["sum"]
-        into["min"] = min(into["min"], digest["min"])
-        into["max"] = max(into["max"], digest["max"])
+        if "min" in into and "min" in digest:
+            into["min"] = min(into["min"], digest["min"])
+            into["max"] = max(into["max"], digest["max"])
+        else:
+            into.pop("min", None)
+            into.pop("max", None)
     return total
 
 

@@ -380,6 +380,18 @@ class TestBackendResolution:
 
 
 class TestBatchTelemetry:
+    def test_campaign_histogram_extremes_are_its_own(self):
+        """A campaign's telemetry reads the extremes it observed, not those
+        of earlier campaigns in the same process."""
+        wide = CampaignRunner(backend="batch", telemetry="summary").run(
+            GridSweep(vdd=list(np.linspace(3.0, 7.0, 96))), batch_evaluator())
+        assert wide.telemetry["metrics"]["histograms"]["batch.size"][
+            "max"] == 96.0
+        narrow = CampaignRunner(backend="batch", telemetry="summary").run(
+            GridSweep(vdd=[3.0, 4.0, 5.0, 6.0, 7.0]), batch_evaluator())
+        digest = narrow.telemetry["metrics"]["histograms"]["batch.size"]
+        assert digest["max"] == 5.0 and digest["min"] == 5.0
+
     def test_batch_metrics_flow_into_campaign_telemetry(self):
         spec = GridSweep(vdd=[3.0, 4.0, 5.0, 6.0, 7.0])
         result = CampaignRunner(backend="batch", telemetry="summary").run(

@@ -28,6 +28,22 @@ class TestColumns:
         np.testing.assert_allclose(result.column("v"), [1.0, 2.0, 1.0, 2.0])
         assert list(result.column("corner")) == ["slow", "slow", "fast", "fast"]
 
+    def test_output_names_keep_first_appearance_order(self):
+        rows = [
+            CampaignRow(0, {"v": 1.0}, {}, error="ConvergenceError: x"),
+            CampaignRow(1, {"v": 2.0}, {"b": 1.0, "a": 2.0}),
+            CampaignRow(2, {"v": 3.0}, {}, error="ConvergenceError: y"),
+            CampaignRow(3, {"v": 4.0}, {"a": 3.0, "extra": 0.5, "b": 4.0}),
+            CampaignRow(4, {"v": 5.0}, {"c": 1.0, "a": 5.0}),
+        ]
+        result = CampaignResult(rows, param_names=("v",))
+        assert result.output_names == ("b", "a", "extra", "c")
+        assert result.columns() == ("v", "b", "a", "extra", "c")
+        extra = result.column("extra")
+        assert extra[3] == 0.5
+        assert np.isnan(extra[[0, 1, 2, 4]]).all()
+        assert CampaignResult([]).output_names == ()
+
     def test_failed_rows_become_nan(self):
         force = _result().column("force")
         np.testing.assert_allclose(force[:3], [1.0, 4.0, 2.0])

@@ -94,6 +94,44 @@ class TestDeltaMerge:
         assert merged["histograms"]["test.h"]["sum"] == \
             whole["histograms"]["test.h"]["sum"]
 
+    def test_delta_reports_the_windows_own_extremes(self):
+        registry.observe("test.h", 96.0)
+        registry.observe("test.h", 0.5)
+        before = registry.snapshot()
+        registry.observe("test.h", 5.0)
+        registry.observe("test.h", 3.0)
+        digest = registry.delta(before)["histograms"]["test.h"]
+        assert digest == {"count": 2, "sum": 8.0, "min": 3.0, "max": 5.0}
+
+    def test_nested_windows_each_know_their_extremes(self):
+        outer = registry.snapshot()
+        registry.observe("test.h", 7.0)
+        inner = registry.snapshot()
+        registry.observe("test.h", 2.0)
+        registry.observe("test.h", 4.0)
+        assert registry.delta(inner)["histograms"]["test.h"] == {
+            "count": 2, "sum": 6.0, "min": 2.0, "max": 4.0}
+        assert registry.delta(outer)["histograms"]["test.h"] == {
+            "count": 3, "sum": 13.0, "min": 2.0, "max": 7.0}
+        early = registry.delta(outer, inner)["histograms"]["test.h"]
+        assert (early["min"], early["max"]) == (7.0, 7.0)
+
+    def test_window_without_known_extremes_omits_them(self, monkeypatch):
+        monkeypatch.setattr(registry, "_SEGMENT_LIMIT", 2)
+        registry.observe("test.h", 1.0)
+        before = registry.snapshot()
+        registry.observe("test.h", 2.0)
+        for value in (3.0, 4.0):
+            registry.snapshot()
+            registry.observe("test.h", value)
+        # The segment holding the window's start merged with an older one.
+        digest = registry.delta(before)["histograms"]["test.h"]
+        assert digest == {"count": 3, "sum": 9.0}
+        total = registry.merge({}, {"histograms": {"test.h": {
+            "count": 1, "sum": 1.0, "min": 1.0, "max": 1.0}}})
+        registry.merge(total, {"histograms": {"test.h": digest}})
+        assert total["histograms"]["test.h"] == {"count": 4, "sum": 10.0}
+
     def test_reset_filters(self):
         registry.inc("test.a")
         registry.inc("test.b")
