@@ -287,7 +287,16 @@ def _plain(value) -> float:
     return float(getattr(value, "value", value))
 
 
-def _snapshot(values: list, shape: tuple) -> np.ndarray:
+#: Serial dense Jacobians of up to this many unknowns accumulate in a
+#: Python list, larger ones in a flat ndarray.  A list entry reads and
+#: writes several times faster than an ndarray element, but a circuit
+#: stamps O(n) entries while the list's conversion costs O(n*n): timed
+#: per assembly (``benchmarks/bench_serial_assembly.py``), the list wins
+#: below ~20-40 unknowns and loses 15-30 % at 50-100, ~85 % at 200.
+LIST_JACOBIAN_LIMIT = 24
+
+
+def _snapshot(values, shape: tuple) -> np.ndarray:
     """A read-only array copy of accumulated floats."""
     array = np.array(values, dtype=float).reshape(shape)
     array.flags.writeable = False
@@ -543,15 +552,18 @@ class StampContext:
 
     A serial assembly accumulates on Python floats, whose scalar reads and
     writes cost a fraction of numpy element access: the residual into a
-    list of ``n`` floats, the dense Jacobian into a flat row-major list of
-    ``n*n`` floats (entry ``row * n + col``) and, in sparse mode, the
-    Jacobian into COO triplet lists.  The accessors read the iterate from
-    :attr:`x_list`, ``x`` as a list.  :meth:`finish` (the end of
-    :meth:`MNASystem.run_stamps`) converts the accumulation once, into one
-    ``(n + n*n,)`` array -- the triplet values instead of the dense tail in
-    sparse mode -- whose head is :attr:`res` and whose tail is :attr:`jac`
-    as an ``(n, n)`` view.  Read before that, :attr:`res` and :attr:`jac`
-    are read-only snapshots of what has accumulated so far.
+    list of ``n`` floats and, in sparse mode, the Jacobian into COO triplet
+    lists.  The dense Jacobian accumulates flat and row-major (entry
+    ``row * n + col``): in a list of ``n*n`` floats up to
+    :data:`LIST_JACOBIAN_LIMIT` unknowns, in an ndarray above it, where
+    converting the list would cost more than its faster writes save.  The
+    accessors read the iterate from :attr:`x_list`, ``x`` as a list.
+    :meth:`finish` (the end of :meth:`MNASystem.run_stamps`) converts the
+    accumulation once; :attr:`res` and :attr:`jac` (an ``(n, n)`` view)
+    read the result.  Read before that, they are read-only snapshots of
+    what has accumulated so far.  ``storage`` hands in the ``(res, jac)``
+    accumulators instead -- the views of a batch lane's rows that
+    :meth:`BatchStampContext.lane_context` stamps into.
     """
 
     #: When True (sensitivity assemblies), devices must hand residual
@@ -562,7 +574,8 @@ class StampContext:
     def __init__(self, system: MNASystem, x: np.ndarray, analysis: str, time: float,
                  integrator: Integrator | None, options: "SimulationOptions",
                  source_scale: float = 1.0, want_jacobian: bool = True,
-                 limits: LimitState | None = None) -> None:
+                 limits: LimitState | None = None,
+                 storage: tuple | None = None) -> None:
         self.system = system
         #: The :class:`LimitState` of the Newton solve assembling through
         #: this context; None (nothing limits) for every other assembly.
@@ -583,19 +596,25 @@ class StampContext:
         #: and devices may skip derivative propagation entirely.
         self.want_jacobian = want_jacobian
         n = self._size = system.size
-        self._res: list[float] = [0.0] * n
         #: Above ``options.sparse_threshold`` unknowns (or when forced by
         #: ``options.linear_solver``) the Jacobian is accumulated as COO
-        #: triplets instead of a dense list; ``jacobian()`` then yields a
+        #: triplets instead of densely; ``jacobian()`` then yields a
         #: SciPy CSR matrix and ``jac`` stays None.
-        self.use_sparse = options.use_sparse(n)
-        if self.use_sparse or not want_jacobian:
-            self._jac: list[float] | None = None
+        self.use_sparse = options.use_sparse(n) and storage is None
+        if storage is not None:
+            self._res, self._jac = storage
+        else:
+            self._res = [0.0] * n
+            if self.use_sparse or not want_jacobian:
+                self._jac = None
+            elif n <= LIST_JACOBIAN_LIMIT:
+                self._jac = [0.0] * (n * n)
+            else:
+                self._jac = np.zeros(n * n)
+        if self._jac is None:
             self._jac_rows: list[int] = []
             self._jac_cols: list[int] = []
             self._jac_vals: list[float] = []
-        else:
-            self._jac = [0.0] * (n * n)
         #: The ``(res, jac)`` views of the assembled array, set by
         #: :meth:`finish`.
         self._assembled: tuple | None = None
@@ -702,6 +721,8 @@ class StampContext:
                 self._jac_rows.extend(diag)
                 self._jac_cols.extend(diag)
                 self._jac_vals.extend([gmin] * n_nodes)
+            elif isinstance(self._jac, np.ndarray):
+                self._jac[:n_nodes * (self._size + 1):self._size + 1] += gmin
             else:
                 jac, step = self._jac, self._size + 1
                 for i in range(0, n_nodes * step, step):
@@ -711,18 +732,21 @@ class StampContext:
             res[i] += gmin * x[i]
 
     def finish(self) -> None:
-        """End the assembly: convert the accumulated floats into one array,
-        the residual followed by the dense Jacobian (or the triplet values),
-        that :attr:`res`, :attr:`jac` and :meth:`jacobian` read from now on."""
-        n = self._size
-        dense = self._jac is not None
-        buffer = np.array(
-            self._res + (self._jac if dense else self._jac_vals), dtype=float)
-        if dense:
-            self._assembled = (buffer[:n], buffer[n:].reshape(n, n))
-        else:
+        """End the assembly: convert the accumulated floats, with one array
+        conversion, into the arrays that :attr:`res`, :attr:`jac` and
+        :meth:`jacobian` read from now on."""
+        n, jac = self._size, self._jac
+        if isinstance(jac, np.ndarray):
+            self._assembled = (np.array(self._res, dtype=float),
+                               jac.reshape(n, n))
+            return
+        buffer = np.array(self._res + (self._jac_vals if jac is None else jac),
+                          dtype=float)
+        if jac is None:
             self._assembled = (buffer[:n], None)
             self._jac_vals = buffer[n:]
+        else:
+            self._assembled = (buffer[:n], buffer[n:].reshape(n, n))
 
     # ------------------------------------------------------- behavioral duals
     def seed(self, value: float, position: int | None, nvars: int) -> Dual:
@@ -880,10 +904,9 @@ class BatchStampContext(StampContext):
     scatter's slots, in call order, and the buffer is then added into the
     ``(B, n)`` residual and the ``(B, n, n)`` Jacobian (dense mode) or into
     one ``(K, B)`` triplet value block (sparse mode).  Devices that cannot
-    broadcast stamp afterwards, per lane, through :meth:`lane_context`: a
-    genuine serial :class:`StampContext` that accumulates onto the lane's
-    rows and is written back into this batch's dense arrays before they
-    are next read.  A context without a scatter only serves
+    broadcast stamp afterwards, per lane, through :meth:`lane_context`,
+    whose genuine serial :class:`StampContext` writes straight into this
+    batch's dense arrays.  A context without a scatter only serves
     accessors (output collection).  ``limits`` reaches the lane-axis stamps
     only: lane contexts do not limit (the junction-limiting diode always
     stamps on the lane axis).
@@ -891,6 +914,11 @@ class BatchStampContext(StampContext):
     Restricted to DC-class analyses (``op``/``dc``): the lane axis replaces
     the time axis, and no integrator state is threaded through.
     """
+
+    #: The ``(B, n)`` residual and ``(B, n, n)`` dense Jacobian blocks (the
+    #: Jacobian None in sparse mode): plain attributes, which the stamps
+    #: build up as arrays, in place of the serial context's properties.
+    res = jac = None
 
     def __init__(self, system: MNASystem, x: np.ndarray, analysis: str,
                  options: "SimulationOptions",
@@ -903,8 +931,6 @@ class BatchStampContext(StampContext):
                 f"batched assembly supports DC-class analyses only, got "
                 f"{analysis!r}")
         self.system = system
-        #: ``(lane, context)`` of the lane context not yet written back.
-        self._pending_lane: tuple | None = None
         self.x = np.asarray(x, dtype=float)
         if self.x.ndim != 2 or self.x.shape[1] != system.size:
             raise AnalysisError(
@@ -925,28 +951,6 @@ class BatchStampContext(StampContext):
         if scatter is not None:
             self._buf = np.empty((scatter.width, batch))
             self._res_next = self._jac_next = 0
-
-    @property
-    def res(self) -> np.ndarray | None:
-        """The ``(B, n)`` residual block."""
-        if self._pending_lane is not None:
-            self._write_back()
-        return self._res_block
-
-    @res.setter
-    def res(self, value) -> None:
-        self._res_block = value
-
-    @property
-    def jac(self) -> np.ndarray | None:
-        """The ``(B, n, n)`` dense Jacobian block (None in sparse mode)."""
-        if self._pending_lane is not None:
-            self._write_back()
-        return self._jac_block
-
-    @jac.setter
-    def jac(self, value) -> None:
-        self._jac_block = value
 
     # ------------------------------------------------------------------ access
     def node_index(self, node):
@@ -1051,7 +1055,6 @@ class BatchStampContext(StampContext):
         n_nodes = self.system.num_nodes
         if n_nodes == 0:
             return
-        self._write_back()
         if self.want_jacobian:
             if self.use_sparse:
                 diag = np.arange(n_nodes)
@@ -1069,39 +1072,25 @@ class BatchStampContext(StampContext):
     def lane_context(self, lane: int) -> StampContext:
         """A serial :class:`StampContext` over lane ``lane``.
 
-        Its residual (and Jacobian) lists start as the lane's current rows,
-        so non-broadcastable devices stamp through their unchanged serial
-        code path and each entry sums in the order it would in the lane
-        itself.  The lists are written back into the lane before the next
-        lane context is handed out and before this batch's arrays are read
-        or gmin is applied.  Only available in dense mode -- per-lane
-        triplet streams may diverge (behavioral stamps skip exact-zero
-        derivatives), which is exactly why mixed circuits assemble dense.
+        Its residual (and, in dense mode, flat Jacobian) accumulators are
+        *views* into this batch's arrays, so non-broadcastable devices stamp
+        through their unchanged serial code path and land in the right
+        lane, each entry summing in the order it would in the lane itself.
+        Only available in dense mode -- per-lane triplet streams may diverge
+        (behavioral stamps skip exact-zero derivatives), which is exactly
+        why mixed circuits assemble dense.
         """
         if self.use_sparse:
             raise AnalysisError(
                 "per-lane stamping requires dense batch assembly "
                 "(construct the batch context with force_dense=True)")
-        ctx = StampContext(self.system, self.x[lane], analysis=self.analysis,
-                           time=self.time, integrator=None,
-                           options=self.options, source_scale=self.source_scale,
-                           want_jacobian=self.want_jacobian)
-        ctx._res = self.res[lane].tolist()
-        if self.want_jacobian:
-            ctx.use_sparse = False
-            ctx._jac = self.jac[lane].ravel().tolist()
-        self._pending_lane = (lane, ctx)
-        return ctx
-
-    def _write_back(self) -> None:
-        """Copy the pending lane context's accumulation into its lane."""
-        if self._pending_lane is None:
-            return
-        (lane, ctx), self._pending_lane = self._pending_lane, None
-        self._res_block[lane] = ctx._res
-        if ctx._jac is not None:
-            n = self.system.size
-            self._jac_block[lane] = np.reshape(ctx._jac, (n, n))
+        jac = self.jac[lane].reshape(-1) if self.want_jacobian else None
+        return StampContext(self.system, self.x[lane], analysis=self.analysis,
+                            time=self.time, integrator=None,
+                            options=self.options,
+                            source_scale=self.source_scale,
+                            want_jacobian=self.want_jacobian,
+                            storage=(self.res[lane], jac))
 
 
 class _ProbeContext(BatchStampContext):

@@ -584,11 +584,11 @@ def bind_stamp(kernels: KernelSet, task: str, geometry, device, keys):
     Returns ``(fn, args)``; the call is ``fn(ctx, x, out, jac, st, args)``
     with ``x`` the solution as a list (the context's ``x_list``), ``out``
     the context's residual list (the output dict when recording), ``jac``
-    its flat row-major list of ``n*n`` dense Jacobian entries (its
-    ``(rows, cols, vals)`` triplet lists for ``"triplet"``) and ``st`` the
-    integrator frame (transient mode).  The result is ``True`` when
-    done, ``None`` when a guard failed and ``False`` when a parameter is
-    not a real number (:func:`widen_param`).  Accumulation order, the
+    its flat row-major ``n*n`` dense Jacobian, a list or an ndarray by
+    size (its ``(rows, cols, vals)`` triplet lists for ``"triplet"``) and
+    ``st`` the integrator frame (transient mode).  The result is ``True``
+    when done, ``None`` when a guard failed and ``False`` when a parameter
+    is not a real number (:func:`widen_param`).  Accumulation order, the
     ``!= 0.0`` derivative filter and the ``+=``/``-=`` forms replicate
     ``StampContext.add_*`` element by element, so stamps are bitwise those
     of the interpreter.

@@ -513,9 +513,10 @@ class StampProgram:
         """Stamp (or record into ``out``) every device of the assembly.
 
         Stamp functions read the context's ``x_list`` and accumulate
-        straight into its lists: ``out`` is its residual list, and the
-        ``"jac"`` task writes its flat dense Jacobian list, ``"triplet"``
-        its triplet lists (see :class:`~repro.circuit.mna.StampContext`).
+        straight into its storage: ``out`` is its residual list, and the
+        ``"jac"`` task writes its flat dense Jacobian (a list, or an
+        ndarray for large systems), ``"triplet"`` its triplet lists (see
+        :class:`~repro.circuit.mna.StampContext`).
         """
         task = self.task
         if task == "jac":

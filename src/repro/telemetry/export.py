@@ -175,9 +175,12 @@ def _histogram_lines(histograms: dict) -> list[str]:
               f"{'min':>10}  {'max':>10}")
     lines = ["", header, "-" * len(header)]
 
-    def fmt(name: str, value: float) -> str:
+    def fmt(name: str, value: float | None) -> str:
         # Durations carry the _s suffix by convention; everything else
-        # (batch sizes, iteration counts) prints as a plain number.
+        # (batch sizes, iteration counts) prints as a plain number.  A
+        # window that could not know its extremes prints "-" for them.
+        if value is None:
+            return "-"
         return _fmt_seconds(value) if name.endswith("_s") else f"{value:g}"
 
     for name in sorted(histograms):
@@ -186,8 +189,8 @@ def _histogram_lines(histograms: dict) -> list[str]:
         mean = digest.get("sum", 0.0) / count if count else 0.0
         lines.append(
             f"{name:<{name_width}}  {int(count):>7d}  {fmt(name, mean):>10}  "
-            f"{fmt(name, digest.get('min', 0.0)):>10}  "
-            f"{fmt(name, digest.get('max', 0.0)):>10}")
+            f"{fmt(name, digest.get('min')):>10}  "
+            f"{fmt(name, digest.get('max')):>10}")
     return lines
 
 

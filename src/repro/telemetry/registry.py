@@ -20,6 +20,16 @@ them guard on :func:`repro.telemetry.enabled` because the two
 ``perf_counter`` calls per observation are only worth paying when someone
 is collecting.
 
+A :func:`delta` window reports a histogram's min/max only when it knows
+them: all of ``after``'s for a histogram first observed inside the window,
+else those of the histogram's *run* -- its observations since the last
+:func:`snapshot` -- when the window is exactly that run.  So
+:func:`snapshot` has one side effect: the next observation of each
+histogram opens a new run.  A window with a nested snapshot inside (a
+campaign chunk within a telemetry session) omits the extremes of the
+histograms observed after it, rather than reporting those of earlier
+observations.
+
 Naming convention: dotted lowercase paths (``linalg.factorizations``,
 ``mna.assembly.tran.full_s``); durations carry an ``_s`` suffix and are
 reported in seconds.
@@ -38,18 +48,14 @@ HISTOGRAM_FIELDS = ("count", "sum", "min", "max")
 
 _counters: dict[str, float] = {}
 _gauges: dict[str, float] = {}
-#: name -> [count, sum, min, max, segments].  ``segments`` splits the
-#: observations at snapshots, so a :func:`delta` can report its window's
-#: own extremes: one ``[first, min, max, generation]`` per run of
-#: observations between two snapshots, ``first`` the 1-based index of the
-#: run's first observation.
+#: name -> [count, sum, min, max, first, run_min, run_max, generation]:
+#: the digest, then the run of observations since the last snapshot --
+#: the 1-based index of its first observation, its extremes and the
+#: snapshot generation it belongs to.
 _histograms: dict[str, list] = {}
 #: Bumped by every :func:`snapshot`: the next observation of a histogram
-#: opens a new segment.
+#: opens a new run.
 _generation = 0
-#: Segments kept per histogram; beyond it the two oldest merge, and a
-#: window that starts inside the merged run no longer knows its extremes.
-_SEGMENT_LIMIT = 64
 
 
 # --------------------------------------------------------------------- write
@@ -69,7 +75,7 @@ def observe(name: str, value: float) -> None:
     digest = _histograms.get(name)
     if digest is None:
         _histograms[name] = [1, value, value, value,
-                             [[1, value, value, _generation]]]
+                             1, value, value, _generation]
         return
     digest[0] += 1
     digest[1] += value
@@ -77,19 +83,13 @@ def observe(name: str, value: float) -> None:
         digest[2] = value
     if value > digest[3]:
         digest[3] = value
-    segments = digest[4]
-    segment = segments[-1]
-    if segment[3] != _generation:
-        segments.append([digest[0], value, value, _generation])
-        if len(segments) > _SEGMENT_LIMIT:
-            oldest, merged = segments[0], segments.pop(1)
-            oldest[1] = min(oldest[1], merged[1])
-            oldest[2] = max(oldest[2], merged[2])
+    if digest[7] != _generation:
+        digest[4:] = digest[0], value, value, _generation
         return
-    if value < segment[1]:
-        segment[1] = value
-    if value > segment[2]:
-        segment[2] = value
+    if value < digest[5]:
+        digest[5] = value
+    if value > digest[6]:
+        digest[6] = value
 
 
 # ---------------------------------------------------------------------- read
@@ -134,11 +134,11 @@ def delta(before: Mapping, after: Mapping | None = None) -> dict:
     Counters and histogram count/sum subtract and gauges are taken from
     ``after`` (they describe state, not flow).  A histogram's min/max are
     those of the window's own observations: all of ``after``'s for a
-    histogram first observed inside the window, else read from this
-    process's observation segments (``after`` must then be a snapshot of
-    this process); a window that does not start and end on segment
-    boundaries cannot know them and omits both.  Metrics that did not
-    change are dropped, so an idle worker ships an empty payload.
+    histogram first observed inside the window, else its run's, when the
+    window is exactly this process's current run of the histogram (see the
+    module docstring); otherwise the window cannot know them and omits
+    both.  Metrics that did not change are dropped, so an idle worker
+    ships an empty payload.
     """
     if after is None:
         after = snapshot()
@@ -160,35 +160,17 @@ def delta(before: Mapping, after: Mapping | None = None) -> dict:
             "sum": digest["sum"] - (prior["sum"] if prior else 0.0),
         }
         if prior is None:
-            extremes = (digest["min"], digest["max"])
+            window["min"], window["max"] = digest["min"], digest["max"]
         else:
-            extremes = _extremes(name, prior["count"] + 1, digest["count"])
-        if extremes is not None:
-            window["min"], window["max"] = extremes
+            live = _histograms.get(name)
+            if live is not None and live[4] == prior["count"] + 1 \
+                    and live[0] == digest["count"]:
+                window["min"], window["max"] = live[5], live[6]
         histograms[name] = window
     gauges_before = before.get("gauges", {})
     gauges = {name: value for name, value in after.get("gauges", {}).items()
               if gauges_before.get(name) != value}
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def _extremes(name: str, first: int, last: int) -> tuple | None:
-    """``(min, max)`` of observations ``first..last`` (1-based) of
-    histogram ``name``, or None unless they start and end on segment
-    boundaries."""
-    digest = _histograms.get(name)
-    if digest is None or last > digest[0]:
-        return None
-    segments = digest[4]
-    ends = [segment[0] - 1 for segment in segments[1:]] + [digest[0]]
-    low, high = float("inf"), float("-inf")
-    for (start, seg_min, seg_max, _), end in zip(segments, ends):
-        if end < first or start > last:
-            continue
-        if start < first or end > last:
-            return None
-        low, high = min(low, seg_min), max(high, seg_max)
-    return low, high
 
 
 def merge(total: dict, part: Mapping) -> dict:

@@ -1,7 +1,8 @@
 """Serial assembly on Python floats against the ndarray accumulation.
 
-A serial ``StampContext`` accumulates its residual and dense Jacobian in
-Python lists and converts them into one array when the assembly ends.
+A serial ``StampContext`` accumulates its residual in a Python list and
+its dense Jacobian in a flat list (up to ``LIST_JACOBIAN_LIMIT`` unknowns)
+or a flat ndarray (above it), and converts them when the assembly ends.
 These tests replay what one assembly stamps into ``np.zeros`` arrays,
 element by element as an ndarray context accumulates (then gmin,
 vectorized), and require the assembled context to be byte-equal: its
@@ -13,9 +14,9 @@ into the context's lists, recorded by *tapes* that stand in for them
 mix built-in devices with behavioral ones (parameters, cubic, ``ddt``,
 ``integ``, guarded and time terms, extra unknowns) on either side of
 ``sparse_threshold``, in op and transient, with full and residual-only
-assemblies.  A guarded behavioral device stamps a batch per lane through
-``lane_context``; its write-back must be the same replay onto the lane's
-rows.
+assemblies, under either dense storage.  A guarded behavioral device
+stamps a batch per lane through ``lane_context``, straight into the
+lane's rows: they must read the same replay onto their starting values.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit, SimulationOptions, Step
+from repro.circuit import Circuit, SimulationOptions, Step, mna
 from repro.circuit.devices.behavioral import BehavioralDevice, Port
 from repro.circuit.mna import (BatchStampContext, Integrator, MNASystem,
                                StampContext, compile_runtime)
@@ -33,6 +34,14 @@ SEEDS = range(24)
 THRESHOLD = 6
 SOLVERS = {"auto": SimulationOptions(sparse_threshold=THRESHOLD),
            "dense": SimulationOptions(linear_solver="dense")}
+#: ``LIST_JACOBIAN_LIMIT`` values that put every corpus circuit on one side.
+STORAGES = {"list": 10 ** 9, "ndarray": 0}
+
+
+@pytest.fixture(params=STORAGES)
+def storage(request, monkeypatch):
+    monkeypatch.setattr(mna, "LIST_JACOBIAN_LIMIT", STORAGES[request.param])
+    return request.param
 
 
 # ------------------------------------------------------------------ circuits
@@ -235,7 +244,7 @@ def assert_assembled(real, res, jac, triplets) -> None:
 
 @pytest.mark.parametrize("solver", SOLVERS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_add_calls_replay_to_the_assembled_bytes(seed, solver):
+def test_add_calls_replay_to_the_assembled_bytes(seed, solver, storage):
     system = MNASystem(generated_circuit(seed)[0])
     n = system.size
     for args, want_jacobian in _assemblies(system, seed, SOLVERS[solver]):
@@ -260,7 +269,7 @@ def test_add_calls_replay_to_the_assembled_bytes(seed, solver):
 
 @pytest.mark.parametrize("solver", SOLVERS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_list_writes_replay_to_the_assembled_bytes(seed, solver):
+def test_storage_writes_replay_to_the_assembled_bytes(seed, solver, storage):
     system = MNASystem(generated_circuit(seed)[0])
     n = system.size
     for args, want_jacobian in _assemblies(system, seed, SOLVERS[solver]):
@@ -282,6 +291,20 @@ def test_corpus_covers_both_sides_of_the_threshold():
     assert any(generated_circuit(seed)[1] for seed in SEEDS)
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_the_size_chooses_the_dense_storage(extra):
+    circuit = Circuit("chain")
+    size = mna.LIST_JACOBIAN_LIMIT + extra
+    for i in range(size):
+        circuit.resistor(f"R{i}", f"n{i}", f"n{i + 1}" if i + 1 < size
+                         else "0", 1e3)
+    system = MNASystem(circuit)
+    assert system.size == size
+    ctx = system.assemble(np.ones(size), "op", 0.0, None, SOLVERS["dense"])
+    assert isinstance(ctx._jac, list) == (extra == 0)
+    assert ctx.jac.shape == (size, size)
+
+
 def test_early_reads_are_read_only_snapshots():
     circuit, _ = generated_circuit(0)
     system = MNASystem(circuit)
@@ -299,7 +322,7 @@ def test_early_reads_are_read_only_snapshots():
 
 @pytest.mark.parametrize("seed", [seed for seed in SEEDS
                                   if generated_circuit(seed)[1]])
-def test_lane_context_write_back_replays_onto_the_lane(seed):
+def test_lane_context_stamps_replay_onto_the_lane(seed):
     circuit, guarded = generated_circuit(seed)
     system = MNASystem(circuit)
     options = SOLVERS["dense"]
@@ -312,8 +335,8 @@ def test_lane_context_write_back_replays_onto_the_lane(seed):
     batch.jac = start_jac = rng.normal(size=(lanes, n, n))
     start_res, start_jac = start_res.copy(), start_jac.copy()
     stamp = compile_runtime().stamp_devices
-    # One lane context per device and lane: each seeds from the lane's
-    # rows the previous one wrote back.
+    # One lane context per device and lane, each stamping into the rows
+    # the previous one left.
     programs = {device.name: {} for device in guarded}
     for lane in range(lanes):
         for device in guarded:

@@ -151,6 +151,14 @@ class TestProfileHistograms:
         table = _collect_tree().profile_summary()
         assert "histogram" not in table
 
+    def test_unknown_extremes_print_as_a_placeholder(self):
+        report = self._report_with_histograms()
+        report.metrics["histograms"]["batch.size"] = {"count": 4, "sum": 64.0}
+        table = report.profile_summary()
+        size_line = next(line for line in table.splitlines()
+                         if line.startswith("batch.size"))
+        assert size_line.split()[1:] == ["4", "16", "-", "-"]
+
     def test_zero_count_digest_never_divides(self):
         report = self._report_with_histograms()
         report.metrics["histograms"]["empty_s"] = \

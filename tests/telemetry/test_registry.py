@@ -116,21 +116,27 @@ class TestDeltaMerge:
         early = registry.delta(outer, inner)["histograms"]["test.h"]
         assert (early["min"], early["max"]) == (7.0, 7.0)
 
-    def test_window_without_known_extremes_omits_them(self, monkeypatch):
-        monkeypatch.setattr(registry, "_SEGMENT_LIMIT", 2)
+    def test_window_split_by_a_nested_snapshot_omits_extremes(self):
         registry.observe("test.h", 1.0)
         before = registry.snapshot()
         registry.observe("test.h", 2.0)
-        for value in (3.0, 4.0):
-            registry.snapshot()
-            registry.observe("test.h", value)
-        # The segment holding the window's start merged with an older one.
+        registry.snapshot()
+        registry.observe("test.h", 3.0)
+        # The window's observations span two runs: its extremes are unknown.
         digest = registry.delta(before)["histograms"]["test.h"]
-        assert digest == {"count": 3, "sum": 9.0}
+        assert digest == {"count": 2, "sum": 5.0}
         total = registry.merge({}, {"histograms": {"test.h": {
             "count": 1, "sum": 1.0, "min": 1.0, "max": 1.0}}})
         registry.merge(total, {"histograms": {"test.h": digest}})
-        assert total["histograms"]["test.h"] == {"count": 4, "sum": 10.0}
+        assert total["histograms"]["test.h"] == {"count": 3, "sum": 6.0}
+
+    def test_snapshot_without_new_observations_keeps_the_run(self):
+        registry.observe("test.h", 9.0)
+        before = registry.snapshot()
+        registry.observe("test.h", 4.0)
+        registry.snapshot()
+        digest = registry.delta(before)["histograms"]["test.h"]
+        assert digest == {"count": 1, "sum": 4.0, "min": 4.0, "max": 4.0}
 
     def test_reset_filters(self):
         registry.inc("test.a")
