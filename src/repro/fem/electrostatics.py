@@ -36,12 +36,16 @@ gap, and each process exploits both:
   the gap ``s`` (:func:`~repro.fem.assembly.gap_affine_stiffness`, split
   exactly from the rectangle element matrix).  A template per
   ``(nx, ny, width, permittivity)`` holds both pieces reduced to the free
-  (non-electrode) nodes on one CSR pattern, plus the unit drive's
-  right-hand-side columns.  A new gap then costs one combination
-  ``s a + b / s`` of the template's data and one SuperLU factorization.
+  (non-electrode) nodes as the diagonals of one DIA layout, plus the unit
+  drive's right-hand-side columns.  A new gap then costs one combination
+  ``s a + b / s`` of the template's diagonals and one banded LU
+  factorization: the structured mesh numbers its nodes row by row, so the
+  free-node block is ``nx + 2`` wide on each side of its diagonal, and
+  LAPACK's band storage factors it several times faster than SuperLU.
 
 The results agree with the direct path (:func:`assemble_stiffness`,
-:func:`apply_dirichlet`, one solve per drive) to rounding, not bit for bit.
+:func:`apply_dirichlet` and SuperLU, one solve per drive) to rounding, not
+bit for bit.
 Operator keys compare floats exactly, so gaps one ulp apart get distinct
 operators.  Both tables are bounded like the pattern caches of
 :mod:`repro.fem.assembly` (a new entry beyond the cap clears the table),
@@ -91,9 +95,9 @@ class _Template:
     free nodes, and its unit-drive right-hand side
     ``s rhs_xx + rhs_yy / s``."""
 
-    #: The free-node block's CSR ``indices`` and ``indptr``.
-    indices: np.ndarray
-    indptr: np.ndarray
+    #: The free-node block's diagonal offsets; ``kxx`` and ``kyy`` hold
+    #: one row of DIA data per offset.
+    offsets: np.ndarray
     kxx: np.ndarray
     kyy: np.ndarray
     rhs_xx: np.ndarray
@@ -109,10 +113,21 @@ class _Template:
         free = np.setdiff1d(np.arange(mesh.num_nodes),
                             np.union1d(mesh.bottom_nodes(), top))
         block, positions = free_block(kxx, free)
+        rows = np.repeat(np.arange(free.size), np.diff(block.indptr))
+        offsets, diagonal = np.unique(block.indices - rows,
+                                      return_inverse=True)
+
+        def diagonals(values: np.ndarray) -> np.ndarray:
+            # DIA layout: entry (row, col) sits in column ``col`` of its
+            # diagonal's row.
+            data = np.zeros((offsets.size, free.size))
+            data[diagonal, block.indices] = values
+            return data
+
         drive = np.zeros(mesh.num_nodes)
         drive[top] = 1.0
-        return cls(indices=block.indices, indptr=block.indptr,
-                   kxx=block.data, kyy=kyy.data[positions],
+        return cls(offsets=offsets, kxx=diagonals(block.data),
+                   kyy=diagonals(kyy.data[positions]),
                    rhs_xx=-(kxx @ drive)[free], rhs_yy=-(kyy @ drive)[free],
                    free=free, top=top,
                    connectivity=mesh.element_connectivity())
@@ -120,8 +135,8 @@ class _Template:
     def unit_solution(self, mesh: RectangularMesh) -> "_Operator":
         """The operator of ``mesh``: one factorization of ``K_ff(gap)``."""
         gap, size = mesh.height, self.free.size
-        matrix = sp.csr_matrix((gap * self.kxx + self.kyy / gap,
-                                self.indices, self.indptr), shape=(size, size))
+        matrix = sp.dia_matrix((gap * self.kxx + self.kyy / gap,
+                                self.offsets), shape=(size, size))
         potential = np.zeros(mesh.num_nodes)
         potential[self.top] = 1.0
         potential[self.free] = solve_sparse(

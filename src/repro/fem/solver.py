@@ -1,13 +1,17 @@
 """Sparse linear solves and eigensolves for the FE problems.
 
 The plain linear solve is a thin wrapper over :mod:`repro.linalg` -- the
-shared solver core -- giving the FE layer one SuperLU direct solve with
+shared solver core -- giving the FE layer one direct solve with
 :class:`~repro.errors.FEMError` semantics, a forensic report on failure
-and one ``fem.solve`` telemetry span per solve.  The parallel-plate
-problem solves each geometry once, for the unit drive, and scales that
-solution for every drive point, so a geometry costs one factorization
-and a drive point none.  FE failures outside a solve (a non-finite drive)
-carry the same report through :func:`solve_failure`.
+and one ``fem.solve`` telemetry span per solve.  A DIA matrix is factored
+by LAPACK's banded LU, any other matrix by SuperLU after conversion to
+CSR.  The parallel-plate problem hands its free-node block over as DIA
+(a structured mesh's block is narrow-banded), solves each geometry once,
+for the unit drive, and scales that solution for every drive point, so a
+geometry costs one banded factorization and a drive point none.  The
+direct elimination path (:func:`~repro.fem.assembly.apply_dirichlet`
+output, CSR) stays on SuperLU.  FE failures outside a solve (a non-finite
+drive) carry the same report through :func:`solve_failure`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ __all__ = ["solve_sparse", "solve_failure", "solve_generalized_eig"]
 
 
 def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by SuperLU.
+    """Solve ``matrix @ x = rhs``: banded LU for a DIA matrix, SuperLU for
+    any other.
 
     A singular matrix (usually missing boundary conditions, i.e. a
     modelling error) raises :class:`~repro.errors.FEMError` with a
@@ -39,9 +44,9 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
             f"right-hand side has shape {rhs.shape}, expected ({matrix.shape[0]},)")
     try:
         with telemetry.span("fem.solve", size=int(matrix.shape[0])):
-            if not isinstance(matrix, sp.csr_matrix):
+            if not (sp.issparse(matrix) and matrix.format in ("csr", "dia")):
                 matrix = sp.csr_matrix(matrix)
-            return FactorizedSolver("superlu").solve(matrix, rhs)
+            return FactorizedSolver().solve(matrix, rhs)
     except LinAlgError as exc:
         raise solve_failure(f"sparse direct solve failed: {exc}",
                             matrix=matrix,

@@ -2,11 +2,11 @@
 
 One subsystem owns every ``A x = b`` in the reproduction:
 
-* :class:`~repro.linalg.solvers.FactorizedSolver` abstracts the two direct
-  backends (dense LAPACK LU and SuperLU, both raising
-  :class:`~repro.errors.LinAlgError` on a singular matrix) behind
-  :class:`~repro.linalg.solvers.Factorization` handles -- factor once,
-  back-substitute many times,
+* :class:`~repro.linalg.solvers.FactorizedSolver` abstracts the three
+  direct backends (dense LAPACK LU, LAPACK banded LU for a DIA matrix and
+  SuperLU, all raising :class:`~repro.errors.LinAlgError` on a singular
+  matrix) behind :class:`~repro.linalg.solvers.Factorization` handles --
+  factor once, back-substitute many times,
 * :class:`~repro.linalg.cache.FactorizationCache` holds the last handle and
   its matrix, and returns that handle while the matrix repeats exactly
   (Newton iterations, a linear circuit at a fixed transient step, a

@@ -11,7 +11,8 @@ geometries and drives:
 * ``solve(V)`` is bit for bit ``V * solve(1)``;
 * the direct elimination path (one assembly, ``apply_dirichlet`` and
   SuperLU per drive) agrees to 1e-12 relative -- rounding, not bits, since
-  the operator factors the free-node block of ``s Kxx + Kyy / s``.
+  the operator factors the free-node block of ``s Kxx + Kyy / s`` by
+  banded LU -- also on elongated meshes and the PXT mesh.
 
 They also pin the tables' keys (exact float equality) and bounds, the
 cost (a geometry is one factorization, a drive point none, a template is
@@ -21,9 +22,10 @@ non-finite drive raises.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from repro.campaign import CampaignRunner
 from repro.constants import EPSILON_0
@@ -51,13 +53,21 @@ def empty_table():
     _clear()
 
 
+#: Divisions every generated set ends with: elongated meshes (a band
+#: half as wide as the free-node block, and a narrow one) and the PXT mesh.
+FIXED_DIVISIONS = ((40, 3), (3, 40), (20, 14))
+
+
 def _cases(seed: int, count: int = 6):
     """Seeded geometries: gap, mesh divisions, permittivity and drives
-    (always including 0 V and a negative drive)."""
+    (always including 0 V and a negative drive); ``count`` random
+    divisions, then :data:`FIXED_DIVISIONS`."""
     rng = np.random.default_rng(seed)
-    for _ in range(count):
+    for index in range(count + len(FIXED_DIVISIONS)):
         gap = float(rng.uniform(5e-6, 4e-4))
         nx, ny = (int(n) for n in rng.integers(2, 18, size=2))
+        if index >= count:
+            nx, ny = FIXED_DIVISIONS[index - count]
         epsilon_r = float(rng.uniform(1.0, 12.0))
         voltages = [0.0, -float(rng.uniform(0.1, 30.0)),
                     *(float(v) for v in rng.uniform(-50.0, 50.0, 3))]
@@ -277,21 +287,40 @@ class TestFaultPath:
         assert registry.counter_value("linalg.factorizations") - before == 1
         assert not electrostatics._OPERATORS
 
+    @staticmethod
+    def _break_template(monkeypatch, problem, value):
+        """Hold a template whose free-node block has ``value`` in every
+        entry of its first column (0: exactly singular)."""
+        mesh = problem.mesh
+        key = (mesh.nx, mesh.ny, mesh.width, problem.permittivity)
+        template = electrostatics._template(mesh, problem.permittivity)
+        broken = dataclasses.replace(template, kxx=template.kxx.copy(),
+                                     kyy=template.kyy.copy())
+        # DIA data is indexed by column: column 0 of every diagonal.
+        broken.kxx[:, 0] = value
+        broken.kyy[:, 0] = value
+        monkeypatch.setitem(electrostatics._TEMPLATES, key, broken)
+
     def test_retry_after_a_failed_factorization_refactors(self, monkeypatch):
         problem = _problem(1.2e-4, 7, 5, 1.0)
-
-        def broken(matrix):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(spla, "splu", broken)
-        with pytest.raises(FEMError) as info:
+        self._break_template(monkeypatch, problem, 0.0)
+        with pytest.raises(FEMError, match="banded LU") as info:
             problem.solve(4.0)
-        assert info.value.report is not None
+        # The structural diagnosis reads the DIA block.
+        assert info.value.report.diagnosis["zero_cols"] == ["unknown[0]"]
         assert not electrostatics._OPERATORS
         monkeypatch.undo()
         solved = problem.solve(4.0)
         assert len(electrostatics._OPERATORS) == 1
         assert _close(solved.potential, _direct(problem, 4.0)[0])
+
+    def test_non_finite_block_raises_with_report(self, monkeypatch):
+        problem = _problem(1.2e-4, 7, 5, 1.0)
+        self._break_template(monkeypatch, problem, np.nan)
+        with pytest.raises(FEMError, match="banded LU") as info:
+            problem.solve(4.0)
+        assert info.value.report is not None
+        assert not electrostatics._OPERATORS
 
     @pytest.mark.parametrize("voltage", [np.nan, np.inf, -np.inf])
     def test_non_finite_drive_raises_cold_and_warm(self, voltage):

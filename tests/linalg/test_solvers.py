@@ -9,6 +9,8 @@ import scipy.sparse as sp
 
 from repro.errors import LinAlgError
 from repro.linalg import FactorizedSolver
+from repro.linalg.solvers import _BandedLU, _DenseLU
+from repro.telemetry import registry
 
 
 def _spd(n: int, seed: int = 7) -> np.ndarray:
@@ -106,6 +108,11 @@ class TestSparse:
         solver = FactorizedSolver("auto")
         assert solver.resolve_backend(np.eye(3)) == "dense"
         assert solver.resolve_backend(sp.eye(3, format="csr")) == "superlu"
+        assert solver.resolve_backend(sp.eye_array(3, format="csr")) \
+            == "superlu"
+        assert solver.resolve_backend(sp.eye(3, format="dia")) == "banded"
+        assert solver.resolve_backend(sp.eye_array(3, format="dia")) \
+            == "banded"
 
     def test_exactly_singular_sparse_raises(self):
         singular = sp.csr_matrix(
@@ -124,6 +131,86 @@ class TestSparse:
         rhs = np.arange(6) + 1j * np.arange(6)[::-1]
         solution = FactorizedSolver("superlu").solve(matrix, rhs)
         np.testing.assert_allclose(matrix @ solution, rhs, atol=1e-9)
+
+
+def _band(seed: int, complex_matrix: bool = False):
+    """A seeded DIA matrix with random ``kl``/``ku`` in ``[0, n - 1]`` and
+    NaN in the DIA slots outside the matrix (which must stay unread),
+    plus its dense copy."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    kl, ku = (int(k) for k in rng.integers(0, n, size=2))
+    offsets = np.arange(-kl, ku + 1)
+    data = rng.standard_normal((offsets.size, n))
+    if complex_matrix:
+        data = data + 1j * rng.standard_normal(data.shape)
+    data[offsets == 0] += 2.0 * (kl + ku + 1)
+    columns = np.arange(n)
+    for row, offset in enumerate(offsets):
+        data[row, (columns < offset) | (columns >= n + offset)] = np.nan
+    matrix = sp.dia_matrix((data, offsets), shape=(n, n))
+    return matrix, matrix.toarray()
+
+
+def _near(got, want, rtol: float = 1e-12) -> bool:
+    return np.max(np.abs(got - want), initial=0.0) \
+        <= rtol * np.max(np.abs(want), initial=0.0)
+
+
+class TestBanded:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("complex_matrix", [False, True])
+    def test_matches_dense_lu(self, seed, complex_matrix):
+        matrix, dense = _band(seed, complex_matrix)
+        n = dense.shape[0]
+        banded = FactorizedSolver().factorize(matrix)
+        reference = _DenseLU(dense)
+        assert isinstance(banded, _BandedLU)
+        assert banded.backend == "banded"
+        rng = np.random.default_rng(100 + seed)
+        for shape in ((n,), (n, 3)):
+            real = rng.standard_normal(shape)
+            for rhs in (real, real + 1j * rng.standard_normal(shape)):
+                assert _near(banded.solve(rhs), reference.solve(rhs))
+                assert _near(banded.solve_transposed(rhs),
+                             reference.solve_transposed(rhs))
+        assert banded.transpose_solves == 4
+        assert _near(np.array(banded.condition_estimate()),
+                     np.array(reference.condition_estimate()))
+
+    def test_exactly_singular_band_raises(self):
+        matrix, _ = _band(3)
+        data = matrix.data.copy()
+        data[:, 0] = 0.0  # column 0 of the matrix is empty
+        with pytest.raises(LinAlgError, match="singular"):
+            FactorizedSolver().factorize(
+                sp.dia_matrix((data, matrix.offsets), shape=matrix.shape))
+
+    @pytest.mark.parametrize("diagonal, column",
+                             [(0, 0), ("main", 0), ("main", -1), (-1, -1)])
+    def test_nonfinite_band_raises(self, diagonal, column):
+        # Seed 6: 9 sub- and 9 super-diagonals; (0, 0) and (-1, -1) are
+        # the outermost entries of the band, inside the matrix.
+        matrix, _ = _band(6)
+        data = matrix.data.copy()
+        if diagonal == "main":
+            diagonal = int(np.flatnonzero(matrix.offsets == 0)[0])
+        data[diagonal, column] = np.inf
+        with pytest.raises(LinAlgError):
+            FactorizedSolver().solve(
+                sp.dia_matrix((data, matrix.offsets), shape=matrix.shape),
+                np.ones(matrix.shape[0]))
+
+    def test_a_dia_factorization_counts_once(self):
+        matrix, _ = _band(7)
+        before = registry.counter_value("linalg.factorizations")
+        FactorizedSolver().factorize(matrix)
+        assert registry.counter_value("linalg.factorizations") - before == 1
+
+    def test_empty_system(self):
+        empty = sp.dia_matrix((0, 0))
+        factorization = FactorizedSolver().factorize(empty)
+        assert factorization.solve(np.zeros(0)).shape == (0,)
 
 
 class TestValidation:
